@@ -13,10 +13,7 @@
 // columnar_equiv_test).
 //
 // Satellite sweeps: schema width (per-column conversion cost vs kernel
-// win), string-heavy vs numeric schemas (arena copies vs int loops),
-// and the E15 re-measure — per-batch metrics amortization (CountInBulk/
-// CountOutBulk + whole-batch self-timing) against E15's per-element
-// ~22% finding.
+// win) and string-heavy vs numeric schemas (arena copies vs int loops).
 
 #include <benchmark/benchmark.h>
 
@@ -35,7 +32,6 @@
 #include "exec/plan.h"
 #include "exec/project.h"
 #include "exec/select.h"
-#include "obs/op_metrics.h"
 #include "sched/parallel_executor.h"
 #include "stream/element_batch.h"
 
@@ -128,7 +124,6 @@ struct RunResult {
 struct RunConfig {
   size_t batch = 64;
   bool columnar = false;
-  bool metrics = false;
   int vcol = kV;
   std::vector<ExprRef> proj1;
   std::vector<ExprRef> proj2;
@@ -142,10 +137,6 @@ RunResult Run(const std::vector<Element>& input, const RunConfig& cfg) {
   std::vector<Operator*> chain =
       BuildChain(&plan, cfg.vcol, cfg.proj1, cfg.proj2);
   auto* sink = plan.Make<CountingSink>();
-  std::vector<obs::OpMetrics> metrics(chain.size());
-  if (cfg.metrics) {
-    for (size_t i = 0; i < chain.size(); ++i) chain[i]->Bind(&metrics[i]);
-  }
   std::vector<ParallelExecutor::Stage> stages;
   for (Operator* op : chain) {
     ParallelExecutor::Stage s;
@@ -334,58 +325,6 @@ void PrintStringSweep() {
 }
 
 // ---------------------------------------------------------------------------
-// E15 re-measure: metrics overhead under per-batch amortization.
-
-void PrintMetricsOverhead() {
-  const uint64_t n = bench::Iters(200000, 3000);
-  std::vector<Element> input = MakeNumericInput(n);
-  const int reps = bench::SmokeMode() ? 1 : 5;
-
-  struct Cfg {
-    const char* name;
-    size_t batch;
-    bool columnar;
-    bool metrics;
-  };
-  const Cfg cfgs[] = {
-      {"row b=64, metrics off", 64, false, false},
-      {"row b=64, metrics on", 64, false, true},
-      {"col b=1024, metrics off", 1024, true, false},
-      {"col b=1024, metrics on", 1024, true, true},
-  };
-  std::vector<RunResult> results = Sweep(
-      input, 4,
-      [&](size_t i) {
-        RunConfig c;
-        c.batch = cfgs[i].batch;
-        c.columnar = cfgs[i].columnar;
-        c.metrics = cfgs[i].metrics;
-        c.proj1 = Cols({0, 1, 2});
-        c.proj2 = Cols({0, 2});
-        return c;
-      },
-      reps);
-
-  Table t({"config", "Ktup/s", "overhead vs metrics-off"});
-  for (size_t i = 0; i < 4; ++i) {
-    double bt = static_cast<double>(n) / results[i].seconds / 1000.0;
-    double off = static_cast<double>(n) / results[i & ~size_t{1}].seconds /
-                 1000.0;
-    t.AddRow({cfgs[i].name, Fmt(bt, 0),
-              i % 2 == 0 ? std::string("-")
-                         : Fmt((off / bt - 1.0) * 100.0, 1) + "%"});
-  }
-  t.Print(
-      "Metrics overhead re-measure (E15): per-batch bulk counting + "
-      "whole-batch self-timing vs per-element atomics");
-  std::printf(
-      "note: E15 measured ~22%% per-element metrics overhead on cheap "
-      "chains; the\ncolumnar path counts a whole batch with two relaxed "
-      "adds per direction and\ntimes the batch once, so the bound "
-      "operators' cost no longer scales per tuple.\n");
-}
-
-// ---------------------------------------------------------------------------
 // Microbenchmarks: conversion + kernel costs in isolation.
 
 void BM_FromRows(benchmark::State& state) {
@@ -426,7 +365,6 @@ int main(int argc, char** argv) {
   sqp::PrintGateSweep();
   sqp::PrintWidthSweep();
   sqp::PrintStringSweep();
-  sqp::PrintMetricsOverhead();
   sqp::bench::RunMicrobenchmarks(argc, argv);
   return 0;
 }

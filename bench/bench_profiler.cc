@@ -1,16 +1,13 @@
-// E22 — query profiler overhead. The sqp::obs::OpProfile slots behind
-// EXPLAIN ANALYZE promise the same deal OpMetrics made in E15: an
-// unbound operator pays one pointer load + branch per delivery, and a
-// bound one pays a couple of relaxed RMWs (plus a clock read only on
-// the rare watermark path). This binary measures the four-stage
+// E22 — cost of the always-on per-operator slot (sqp::obs::OpCounters)
+// behind \metrics and EXPLAIN ANALYZE. Every Process call counts into
+// the operator's own slot with relaxed load + store (no locked RMW),
+// and one chain in kTimeSampleEvery reads the clock. This binary
+// measures that against the raw virtual Push on the four-stage
 // select->select->project->project chain (the E16 shape — the cheapest
-// real operators, i.e. the worst case for relative overhead) across
-// the ladder of configurations, then prices the scrape side: profile
-// snapshot + render, and the event log.
+// real operators, i.e. the worst case for relative overhead), then
+// prices the scrape side: profile snapshot + render, and the event log.
 //
-// Acceptance gates (CI, full run): 'disabled' (nothing bound) < 3%
-// over the raw Push baseline; 'metrics + profiler' < 10% over
-// 'disabled'.
+// ROADMAP target (full run): 'always-on slot vs raw Push' <= 5%.
 
 #include <benchmark/benchmark.h>
 
@@ -26,8 +23,7 @@
 #include "exec/project.h"
 #include "exec/select.h"
 #include "obs/event_log.h"
-#include "obs/op_profile.h"
-#include "obs/registry.h"
+#include "obs/op_counters.h"
 #include "stream/generators.h"
 
 namespace sqp {
@@ -38,8 +34,8 @@ using bench::FmtInt;
 using bench::Table;
 
 /// Packet stream with a watermark every `punct_every` tuples, so the
-/// profiler's watermark-forwarding path (clock read + 3 relaxed stores)
-/// is exercised at a realistic punctuation rate.
+/// slot's watermark-forwarding path (clock read + 3 relaxed stores) is
+/// exercised at a realistic punctuation rate.
 std::vector<Element> MakeInput(uint64_t n, uint64_t punct_every) {
   std::vector<Element> input;
   input.reserve(n + n / punct_every + 1);
@@ -56,23 +52,18 @@ std::vector<Element> MakeInput(uint64_t n, uint64_t punct_every) {
   return input;
 }
 
-enum class Mode {
-  kDirectPush,      // Pre-instrumentation entry point.
-  kDisabled,        // Process(), nothing bound (the shipped default).
-  kMetrics,         // OpMetrics bound (the \metrics path).
-  kMetricsProfile,  // OpMetrics + OpProfile bound (EXPLAIN ANALYZE).
-};
-
 struct ChainRun {
   double seconds = 0.0;
   uint64_t out = 0;
 };
 
 /// Builds the 4-stage select->select->project->project chain and
-/// streams `input` through under `mode`. The profiler configuration
-/// registers the plan with a QueryProfiler and taps every watermark at
-/// the source, exactly as StreamEngine::Submit + DeliverDirect do.
-ChainRun RunChain(const std::vector<Element>& input, Mode mode) {
+/// streams `input` through it, entering via the raw virtual Push or via
+/// Process, the counted entry point every driver uses. The slot's in/out
+/// counts live in CountIn/Emit and have no off switch, so the Push row
+/// skips only the entry hop's delivery count and sampled timing; the
+/// absolute ns/tuple is what compares across builds.
+ChainRun RunChain(const std::vector<Element>& input, bool direct_push) {
   Plan plan;
   auto* sel1 = plan.Make<SelectOp>(
       Gt(Col(gen::PacketCols::kLen), Lit(int64_t{200})));
@@ -88,27 +79,9 @@ ChainRun RunChain(const std::vector<Element>& input, Mode mode) {
   proj1->SetOutput(proj2);
   proj2->SetOutput(sink);
 
-  obs::MetricsRegistry reg;
-  obs::QueryProfiler profiler;
-  obs::QueryProfiler::SourceWatermark* src = nullptr;
-  if (mode == Mode::kMetrics || mode == Mode::kMetricsProfile) {
-    plan.BindMetrics(reg, "e22");
-  }
-  if (mode == Mode::kMetricsProfile) {
-    src = profiler.Register("e22", "select ... x4 chain");
-    profiler.BindPlan("e22", plan);
-  }
-
   auto t0 = std::chrono::steady_clock::now();
-  if (mode == Mode::kDirectPush) {
+  if (direct_push) {
     for (const Element& e : input) sel1->Push(e, 0);
-  } else if (src != nullptr) {
-    for (const Element& e : input) {
-      if (e.is_punctuation() && !e.punctuation().has_key) {
-        src->OnWatermark(e.punctuation().ts);
-      }
-      sel1->Process(e, 0);
-    }
   } else {
     for (const Element& e : input) sel1->Process(e, 0);
   }
@@ -125,67 +98,57 @@ void PrintOverheadTable() {
   const int reps = static_cast<int>(bench::Iters(7, 3));
   std::vector<Element> input = MakeInput(n, 1024);
 
-  const Mode modes[] = {Mode::kDirectPush, Mode::kDisabled, Mode::kMetrics,
-                        Mode::kMetricsProfile};
-  const char* names[] = {"entry via Push() (no hooks)",
-                         "disabled (unbound Process)", "metrics bound",
-                         "metrics + profiler"};
-  constexpr int kModes = 4;
   // Paired per-rep ratios against that same rep's Push baseline, median
   // across reps (min under --smoke): slow machine drift cancels, bursts
-  // are rejected. Same scheme as E17.
-  std::vector<std::vector<double>> ratio(kModes);
-  std::vector<double> prof_over_metrics;
-  double best[kModes] = {1e100, 1e100, 1e100, 1e100};
-  uint64_t out[kModes] = {0, 0, 0, 0};
+  // are rejected. The two runs alternate which goes first. Same scheme
+  // as E17.
+  std::vector<double> ratio;
+  double best_push = 1e100;
+  double best_slot = 1e100;
+  uint64_t out_push = 0;
+  uint64_t out_slot = 0;
   for (int r = 0; r < reps; ++r) {
-    (void)RunChain(input, Mode::kDisabled);  // Untimed warmup.
-    double rep_s[kModes];
-    for (int s = 0; s < kModes; ++s) {
-      const int m = (r + s) % kModes;
-      ChainRun run = RunChain(input, modes[m]);
-      rep_s[m] = run.seconds;
-      best[m] = std::min(best[m], run.seconds);
-      out[m] = run.out;
+    (void)RunChain(input, false);  // Untimed warmup.
+    ChainRun push, slot;
+    if (r % 2 == 0) {
+      push = RunChain(input, true);
+      slot = RunChain(input, false);
+    } else {
+      slot = RunChain(input, false);
+      push = RunChain(input, true);
     }
-    for (int m = 0; m < kModes; ++m) ratio[m].push_back(rep_s[m] / rep_s[0]);
-    prof_over_metrics.push_back(rep_s[3] / rep_s[2]);
+    best_push = std::min(best_push, push.seconds);
+    best_slot = std::min(best_slot, slot.seconds);
+    out_push = push.out;
+    out_slot = slot.out;
+    ratio.push_back(slot.seconds / push.seconds);
   }
-  for (int m = 1; m < kModes; ++m) {
-    if (out[m] != out[0]) {
-      std::fprintf(stderr, "FATAL: profiling changed results (%llu vs %llu)\n",
-                   static_cast<unsigned long long>(out[m]),
-                   static_cast<unsigned long long>(out[0]));
-      std::exit(1);
-    }
+  if (out_slot != out_push) {
+    std::fprintf(stderr, "FATAL: the slot changed results (%llu vs %llu)\n",
+                 static_cast<unsigned long long>(out_slot),
+                 static_cast<unsigned long long>(out_push));
+    std::exit(1);
   }
-  auto agg = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    if (bench::SmokeMode()) return v.front();
-    size_t mid = v.size() / 2;
-    return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
-  };
+  std::sort(ratio.begin(), ratio.end());
+  const size_t mid = ratio.size() / 2;
+  const double agg =
+      bench::SmokeMode()
+          ? ratio.front()
+          : (ratio.size() % 2 == 1 ? ratio[mid]
+                                   : (ratio[mid - 1] + ratio[mid]) / 2.0);
   auto mps = [&](double s) { return static_cast<double>(n) / s / 1e6; };
+  auto ns = [&](double s) { return s / static_cast<double>(n) * 1e9; };
   Table t({"config", "Mtuples/s", "ns/tuple", "overhead %"});
-  t.AddRow({names[0], Fmt(mps(best[0])),
-            Fmt(best[0] / static_cast<double>(n) * 1e9, 1), "baseline"});
-  for (int m = 1; m < kModes; ++m) {
-    t.AddRow({names[m], Fmt(mps(best[m])),
-              Fmt(best[m] / static_cast<double>(n) * 1e9, 1),
-              Fmt((agg(ratio[m]) - 1.0) * 100.0, 1)});
-  }
-  t.AddRow({"profiler vs metrics bound", "-", "-",
-            Fmt((agg(prof_over_metrics) - 1.0) * 100.0, 1)});
-  t.Print("E22: query profiler overhead, 4-stage select/project chain");
+  t.AddRow({"entry via Push() (no hooks)", Fmt(mps(best_push)),
+            Fmt(ns(best_push), 1), "baseline"});
+  t.AddRow({"always-on slot vs raw Push", Fmt(mps(best_slot)),
+            Fmt(ns(best_slot), 1), Fmt((agg - 1.0) * 100.0, 1)});
+  t.Print("E22: always-on operator slot, 4-stage select/project chain");
   std::printf(
       "note: overhead %% is the per-rep paired ratio vs the same rep's\n"
-      "Push baseline (median rep on full runs, min under --smoke); the\n"
-      "last row pairs profiler-on against metrics-only instead, because\n"
-      "the StreamEngine always binds metrics at Submit — that row is the\n"
-      "marginal cost of EXPLAIN ANALYZE on a live engine query, and the\n"
-      "metrics rows carry E15's known clock-read cost. Acceptance gates:\n"
-      "'disabled (unbound Process)' < 3%% over baseline; 'profiler vs\n"
-      "metrics bound' < 10%%.\n");
+      "Push baseline (median rep on full runs, min under --smoke). The\n"
+      "always-on row is what every operator pays, engine query or\n"
+      "hand-built plan. ROADMAP target: <= 5%% on a full run.\n");
 }
 
 /// Scrape-side cost: snapshotting and rendering a live profile, and the
@@ -202,8 +165,6 @@ void PrintScrapeCosts() {
   auto* sink = plan.Make<CountingSink>();
   sel->SetOutput(proj);
   proj->SetOutput(sink);
-  obs::MetricsRegistry reg;
-  plan.BindMetrics(reg, "e22");
   obs::QueryProfiler profiler;
   obs::QueryProfiler::SourceWatermark* src =
       profiler.Register("e22", "scrape-cost chain");
@@ -257,24 +218,24 @@ void PrintScrapeCosts() {
   t.Print("E22: scrape-side cost (profile snapshot, event log)");
 }
 
-void BM_OpProfileWatermarkForward(benchmark::State& state) {
-  obs::OpProfile p;
+void BM_OpCountersWatermarkForward(benchmark::State& state) {
+  obs::OpCounters c;
   int64_t ts = 0;
   for (auto _ : state) {
-    p.OnWatermarkForward(ts++);
+    c.OnWatermarkForward(ts++);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_OpProfileWatermarkForward);
+BENCHMARK(BM_OpCountersWatermarkForward);
 
-void BM_OpProfileCountSingle(benchmark::State& state) {
-  obs::OpProfile p;
+void BM_OpCountersCountIn(benchmark::State& state) {
+  obs::OpCounters c;
   for (auto _ : state) {
-    p.CountSingle();
+    c.CountIn(false);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_OpProfileCountSingle);
+BENCHMARK(BM_OpCountersCountIn);
 
 void BM_EventLogEmit(benchmark::State& state) {
   obs::EventLog log(1024);

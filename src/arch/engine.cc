@@ -65,14 +65,6 @@ class QueryStageOp : public Operator {
 
 }  // namespace
 
-StreamEngine::StreamEngine() {
-  // Per-query watermark gauges (sqp_query_watermark_lag,
-  // sqp_query_source_watermark) join every snapshot/scrape.
-  metrics_.AddCollector("profiler", [this](obs::SnapshotBuilder& b) {
-    profiler_.Publish(b);
-  });
-}
-
 Status StreamEngine::RegisterStream(const std::string& name, SchemaRef schema,
                                     std::vector<FieldDomain> domains,
                                     StreamOptions options) {
@@ -97,29 +89,38 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   handle->sink_ = std::make_unique<CollectorSink>();
   handle->callback_ = std::move(options.on_result);
 
+  handle->metrics_label_ = "q" + std::to_string(query_seq_++);
+  const std::string& label = handle->metrics_label_;
   if (metrics_enabled_) {
-    handle->metrics_label_ = "q" + std::to_string(query_seq_);
-    handle->query_->plan().BindMetrics(metrics_, handle->metrics_label_);
-    handle->latency_hist_ = metrics_.GetHistogram(
-        "sqp_query_latency_ns", {{"query", handle->metrics_label_}});
+    handle->latency_hist_ = std::make_unique<obs::Histogram>();
   }
-  ++query_seq_;
 
   handle->tee_ = std::make_unique<TeeSink>(
       options.collect ? handle->sink_.get() : nullptr, &handle->callback_,
-      handle->latency_hist_, &handle->pending_ingest_ns_);
+      handle->latency_hist_.get(), &handle->pending_ingest_ns_);
   handle->query_->AttachSink(handle->tee_.get());
 
-  // Profile the query: one OpProfile slot per plan operator plus a
-  // source-side watermark tap. After AttachSink so the plan root has
-  // its outward edge (BindPlan's liveness walk reads output()).
+  // Publish the query: its profiler entry (plus a source-side watermark
+  // tap) and one registry collector that renders its operator rows,
+  // watermark gauges and latency histogram from the live slots until
+  // Remove. After AttachSink so the plan root has its outward edge
+  // (BindPlan's liveness walk reads output()).
   if (metrics_enabled_) {
-    handle->profile_source_ =
-        profiler_.Register(handle->metrics_label_, query_text);
-    profiler_.BindPlan(handle->metrics_label_, handle->query_->plan());
+    for (const auto& op : handle->query_->plan().operators()) {
+      op->SetTracer(metrics_.tracer());
+    }
+    handle->profile_source_ = profiler_.Register(label, query_text);
+    profiler_.BindPlan(label, handle->query_->plan());
+    metrics_.AddCollector(
+        "query:" + label,
+        [this, label, hist = handle->latency_hist_.get()](
+            obs::SnapshotBuilder& b) {
+          b.AddHistogram("sqp_query_latency_ns", {{"query", label}},
+                         hist->Data());
+          profiler_.Publish(label, b);
+        });
   }
-  events_.Emit(obs::EventKind::kQuerySubmit, handle->metrics_label_,
-               query_text);
+  events_.Emit(obs::EventKind::kQuerySubmit, label, query_text);
 
   // Wire per-input front-ends: reorder and/or heartbeat per the owning
   // stream's options.
@@ -241,7 +242,7 @@ Status StreamEngine::EnableParallel(QueryHandle* handle,
   handle->parallel_->Start();
   // Per-stage queue stats join the registry through the shared
   // StageStats path (one shape for serial and threaded executors).
-  const std::string label = LabelFor(handle);
+  const std::string& label = handle->metrics_label_;
   metrics_.AddCollector(
       "stages:" + label,
       [exec = handle->parallel_.get(), label](obs::SnapshotBuilder& b) {
@@ -294,7 +295,7 @@ Status StreamEngine::EnableSharding(QueryHandle* handle,
   cql::CompiledQuery* q = handle->query_.get();
   options.columnar = options.columnar || handle->columnar_;
   options.events = &events_;
-  options.event_label = LabelFor(handle);
+  options.event_label = handle->metrics_label_;
   handle->shard_rewrites_ = ShardStatefulOps(q->plan(), options);
   for (const ShardRewrite& rw : handle->shard_rewrites_) {
     if (rw.sharded == nullptr) continue;
@@ -305,13 +306,12 @@ Status StreamEngine::EnableSharding(QueryHandle* handle,
   }
   if (handle->sharded_ops_.empty()) return Status::OK();
 
-  const std::string label = LabelFor(handle);
+  const std::string& label = handle->metrics_label_;
   // The rewrite spliced new operators (each ShardedOp) into the plan:
-  // re-bind metrics (existing slots are reused, the ShardedOps get
-  // fresh ones) and re-walk the profile tree, which also drops the
+  // re-walk the profile tree, which adds their rows and drops the
   // disconnected originals from the EXPLAIN ANALYZE view.
-  if (metrics_enabled_ && handle->profile_source_ != nullptr) {
-    q->plan().BindMetrics(metrics_, label);
+  if (handle->profile_source_ != nullptr) {
+    for (ShardedOp* op : handle->sharded_ops_) op->SetTracer(metrics_.tracer());
     profiler_.BindPlan(label, q->plan());
   }
   metrics_.AddCollector("shards:" + label,
@@ -473,7 +473,7 @@ Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
   }
   if (monitor_ == nullptr) StartMonitor();
 
-  const std::string label = LabelFor(handle);
+  const std::string& label = handle->metrics_label_;
 
   handle->shedder_ = std::make_unique<FeedbackShedder>(options.controller);
   handle->shed_gate_ =
@@ -527,15 +527,6 @@ Status StreamEngine::Ingest(const std::string& stream, const TupleRef& tuple) {
   return IngestElement(stream, Element(tuple));
 }
 
-const std::string& StreamEngine::LabelFor(QueryHandle* handle) {
-  if (handle->metrics_label_.empty()) {
-    // Metrics were off at Submit; assign a label anyway so collectors
-    // registered later (stages/shards/shed) have a stable teardown key.
-    handle->metrics_label_ = "q" + std::to_string(query_seq_++);
-  }
-  return handle->metrics_label_;
-}
-
 Status StreamEngine::Remove(QueryHandle* handle) {
   if (handle == nullptr) return Status::InvalidArgument("null handle");
   // The shedding tick listener captures the handle and runs on the
@@ -544,7 +535,7 @@ Status StreamEngine::Remove(QueryHandle* handle) {
   // starts. Done before taking reg_mu_: the listener never takes the
   // registration lock, but keeping the barrier outside the critical
   // section keeps the lock dependency one-directional.
-  if (monitor_ != nullptr && !handle->metrics_label_.empty()) {
+  if (monitor_ != nullptr) {
     monitor_->RemoveTickListener("shed:" + handle->metrics_label_);
   }
 
@@ -574,27 +565,17 @@ Status StreamEngine::Remove(QueryHandle* handle) {
     }
   }
 
-  // Collectors capture the handle or its executor; RemoveCollector
-  // barriers on any snapshot in flight, so after these return nothing
-  // can observe the dying query.
-  if (!handle->metrics_label_.empty()) {
-    const std::string& label = handle->metrics_label_;
-    metrics_.RemoveCollector("stages:" + label);
-    metrics_.RemoveCollector("shards:" + label);
-    metrics_.RemoveCollector("shed:" + label);
-  }
-
-  // Detach the profile slots before their storage goes: the query is
-  // drained (workers joined above), so no operator thread can still be
-  // writing through them. Unregister barriers on in-flight snapshots.
-  if (handle->profile_source_ != nullptr) {
-    for (const auto& op : handle->query_->plan().operators()) {
-      op->BindProfile(nullptr);
-    }
-    profiler_.Unregister(handle->metrics_label_);
-  }
-  events_.Emit(obs::EventKind::kQueryStop, handle->metrics_label_,
-               handle->text_);
+  // Collectors capture the handle, its operators or its executor;
+  // RemoveCollector and Unregister barrier on any snapshot in flight, so
+  // after these return nothing can observe the dying query — its rows
+  // and latency histogram leave the registry with it.
+  const std::string& label = handle->metrics_label_;
+  metrics_.RemoveCollector("query:" + label);
+  metrics_.RemoveCollector("stages:" + label);
+  metrics_.RemoveCollector("shards:" + label);
+  metrics_.RemoveCollector("shed:" + label);
+  profiler_.Unregister(label);
+  events_.Emit(obs::EventKind::kQueryStop, label, handle->text_);
 
   queries_.erase(queries_.begin() + static_cast<long>(index));
   return Status::OK();
@@ -634,7 +615,7 @@ bool StreamEngine::ProfileSnapshot(const std::string& label,
 
 bool StreamEngine::ProfileSnapshot(const QueryHandle* handle,
                                    obs::QueryProfile* out) const {
-  if (handle == nullptr || handle->metrics_label_.empty()) return false;
+  if (handle == nullptr) return false;
   return profiler_.Snapshot(handle->metrics_label_, out);
 }
 

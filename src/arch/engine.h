@@ -130,10 +130,8 @@ class QueryHandle {
   const MemoryAnalysis& memory() const { return query_->memory(); }
   const std::string& text() const { return text_; }
   const std::string& plan_desc() const { return query_->plan_desc(); }
-  /// Label this query's operators report under in the engine registry
-  /// ("q0", "q1", ...). Empty when metrics were disabled at Submit and
-  /// no collector has needed a label yet (the engine assigns one lazily
-  /// for stage/shard/shed collectors).
+  /// Label this query reports under in the engine registry, profiles
+  /// and events ("q0", "q1", ... in submission order).
   const std::string& metrics_label() const { return metrics_label_; }
 
   /// Optional streaming callback, invoked per output element in addition
@@ -143,8 +141,10 @@ class QueryHandle {
   }
 
   /// Measured end-to-end (ingest -> sink) latency histogram, in ns.
-  /// Null when the engine's metrics were disabled at Submit.
-  const obs::Histogram* latency_histogram() const { return latency_hist_; }
+  /// Null when the query was submitted unpublished (SetMetricsEnabled).
+  const obs::Histogram* latency_histogram() const {
+    return latency_hist_.get();
+  }
 
   /// True once EnableColumnar opted this query into vectorized delivery.
   bool columnar() const { return columnar_; }
@@ -176,6 +176,10 @@ class QueryHandle {
 
   std::string text_;
   std::string metrics_label_;
+  // End-to-end latency histogram (see pending_ingest_ns_), published by
+  // the query's registry collector; null when unpublished. Declared
+  // before the operators that observe into it, so it dies after them.
+  std::unique_ptr<obs::Histogram> latency_hist_;
   std::unique_ptr<cql::CompiledQuery> query_;
   std::unique_ptr<CollectorSink> sink_;
   std::unique_ptr<Operator> tee_;  // Collector + callback fan-out.
@@ -208,9 +212,9 @@ class QueryHandle {
   // End-to-end latency probe: the engine arms `pending_ingest_ns_` with
   // a NowNs() timestamp on every Nth delivered tuple (arm-if-empty, so
   // a sample in flight is never overwritten); the tee claims it at the
-  // first output and records the difference here. One atomic slot, no
-  // allocation, works across the parallel queue boundary.
-  obs::Histogram* latency_hist_ = nullptr;
+  // first output and records the difference into latency_hist_. One
+  // atomic slot, no allocation, works across the parallel queue
+  // boundary.
   std::atomic<uint64_t> pending_ingest_ns_{0};
   uint64_t latency_countdown_ = 1;  // Ingest-thread only; fires at 0.
   // Adaptive shedding (EnableAdaptiveShedding): ingest-side drop gate,
@@ -221,7 +225,8 @@ class QueryHandle {
   std::unique_ptr<FeedbackShedder> shedder_;
   std::atomic<size_t> shed_backlog_{0};
   // Profiler tap stamping every watermark entering this query (set at
-  // Submit when metrics are on); owned by the engine's QueryProfiler.
+  // Submit when the query is published); owned by the engine's
+  // QueryProfiler.
   obs::QueryProfiler::SourceWatermark* profile_source_ = nullptr;
   // Shed-gate transition tracker for the event log; touched only by the
   // monitor tick listener thread.
@@ -243,8 +248,6 @@ class QueryHandle {
 /// ingest from processing behind bounded queues.
 class StreamEngine {
  public:
-  StreamEngine();
-
   /// Registers a stream with optional domain metadata and per-stream
   /// disorder/heartbeat handling.
   Status RegisterStream(const std::string& name, SchemaRef schema,
@@ -322,17 +325,20 @@ class StreamEngine {
   /// Ends every stream: flushes all queries (closing windows/groups).
   void FinishAll();
 
-  /// The engine-wide metrics registry. Every query submitted while
-  /// metrics are enabled (the default) reports per-operator counters
-  /// here, labeled q0, q1, ... in submission order; parallel queries
-  /// additionally publish per-stage queue stats. Snapshot it any time —
-  /// including while ingest/workers run — via Metrics().TakeSnapshot().
+  /// The engine-wide metrics registry. Every published query (the
+  /// default) reports per-operator counters here through its collector,
+  /// labeled q0, q1, ... in submission order, until Remove; parallel
+  /// queries additionally publish per-stage queue stats. Snapshot it any
+  /// time — including while ingest/workers run — via
+  /// Metrics().TakeSnapshot().
   obs::MetricsRegistry& Metrics() { return metrics_; }
   const obs::MetricsRegistry& Metrics() const { return metrics_; }
 
-  /// Turns per-operator instrumentation on/off for queries submitted
-  /// *after* the call. Off: operators stay unbound and pay only a
-  /// branch per element.
+  /// Whether queries submitted *after* the call are published: their
+  /// registry collector (operator rows, watermark gauges), their
+  /// EXPLAIN ANALYZE profile, their end-to-end latency histogram and
+  /// lineage tracing. Operators count into their always-on slots either
+  /// way; this only decides what the engine exposes.
   void SetMetricsEnabled(bool on) { metrics_enabled_ = on; }
   bool metrics_enabled() const { return metrics_enabled_; }
 
@@ -347,9 +353,9 @@ class StreamEngine {
   /// Copies one query's profile (the EXPLAIN ANALYZE payload): per-
   /// operator rows in/out, selectivity, busy time, batch-size shape,
   /// queue wait, state bytes, and event-time watermark lag against the
-  /// query's source watermark. Queries submitted while metrics were
-  /// enabled are profiled; returns false for unknown or unprofiled
-  /// labels. Safe from any thread while ingest runs.
+  /// query's source watermark. Published queries are profiled; returns
+  /// false for unknown or unpublished labels. Safe from any thread while
+  /// ingest runs.
   bool ProfileSnapshot(const std::string& label, obs::QueryProfile* out) const;
   bool ProfileSnapshot(const QueryHandle* handle,
                        obs::QueryProfile* out) const;
@@ -357,8 +363,7 @@ class StreamEngine {
   std::vector<std::string> ProfiledQueries() const;
 
   /// Samples every Nth ingested tuple's path through its plan(s) into
-  /// the trace ring (0 = off). Takes effect for queries submitted after
-  /// the call if metrics were disabled before it.
+  /// the trace ring (0 = off). Applies to published queries.
   void EnableTracing(uint64_t sample_every) {
     metrics_.EnableTracing(sample_every);
   }
@@ -474,12 +479,6 @@ class StreamEngine {
                             std::vector<CheckpointableOperator*>* ops,
                             std::string* why) const;
 
-  /// The label this query's collectors/listeners register under —
-  /// handle->metrics_label_ when metrics were on at Submit, otherwise a
-  /// lazily assigned "qN" cached on the handle so teardown can find the
-  /// same names. Caller holds reg_mu_.
-  const std::string& LabelFor(QueryHandle* handle);
-
   /// Guards the query/stream registries against concurrent registration
   /// and delivery: Ingest takes it shared (one ingest thread may overlap
   /// a Submit/Remove from a server connection thread), all registration
@@ -488,15 +487,12 @@ class StreamEngine {
 
   cql::Catalog catalog_;
   std::map<std::string, StreamOptions> stream_options_;
-  // Outlives queries_ (destroyed later), so operators can report to
-  // their bound OpMetrics slots up to their last Flush. Collectors that
-  // reference per-query executors are only invoked via TakeSnapshot,
-  // never during destruction.
+  // Outlives queries_ (destroyed later): operators hold its tracer.
+  // Collectors that reference per-query state are only invoked via
+  // TakeSnapshot, never during destruction.
   obs::MetricsRegistry metrics_;
   // Like metrics_, both outlive queries_ (declared before, destroyed
-  // after): operators hold OpProfile* slots into profiler_ entries and
-  // write through them up to their final Flush, and teardown paths emit
-  // events until the last handle dies.
+  // after): teardown paths emit events until the last handle dies.
   obs::EventLog events_;
   obs::QueryProfiler profiler_;
   std::map<std::string, obs::Counter*> ingest_counters_;

@@ -61,13 +61,8 @@ void HashExchangeOp::SetShardOutput(int shard, Operator* op, int port) {
 
 void HashExchangeOp::Forward(const Element& e, int shard) {
   ++routed_[static_cast<size_t>(shard)];
-  // Multi-output fan-out can't use Emit (one out_); keep the operator's
-  // own out-counters honest by hand.
-  if (e.is_punctuation()) {
-    ++stats_.puncts_out;
-  } else {
-    ++stats_.tuples_out;
-  }
+  // Multi-output fan-out can't use Emit (one out_): count each delivery.
+  CountOut(e);
   const ShardOut& o = outs_[static_cast<size_t>(shard)];
   if (o.op != nullptr) o.op->Process(e, o.port);
 }

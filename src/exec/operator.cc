@@ -1,26 +1,27 @@
 #include "exec/operator.h"
 
-#include "obs/trace.h"
-
 namespace sqp {
 
 void Operator::Flush() {
   if (out_ != nullptr) out_->Flush();
 }
 
-void Operator::Emit(const Element& e) {
-  AssertSingleCaller();
-  if (e.is_punctuation()) {
-    ++stats_.puncts_out;
-    // Watermark tracking (event-time lag in EXPLAIN ANALYZE): keyed
-    // punctuations close one group, only non-keyed ones advance time.
-    if (profile_ != nullptr && !e.punctuation().has_key) {
-      profile_->OnWatermarkForward(e.punctuation().ts);
-    }
-  } else {
-    ++stats_.tuples_out;
+obs::OpSnapshot Operator::stats() const {
+  obs::OpSnapshot s = counters_.Snapshot();
+  const Operator& em = emitter();
+  if (&em != this) {
+    const obs::OpSnapshot out = em.counters_.Snapshot();
+    s.tuples_out = out.tuples_out;
+    s.puncts_out = out.puncts_out;
+    s.wm_ts = out.wm_ts;
+    s.wm_ns = out.wm_ns;
+    s.wm_count = out.wm_count;
   }
-  if (metrics_ != nullptr) metrics_->CountOut(e.is_punctuation());
+  return s;
+}
+
+void Operator::Emit(const Element& e) {
+  CountOut(e);
   if (coalescing_) {
     // Inside a ProcessBatch call: buffer the emission so downstream
     // receives one batch per input batch instead of a singleton per
@@ -34,16 +35,7 @@ void Operator::Emit(const Element& e) {
 }
 
 void Operator::Emit(Element&& e) {
-  AssertSingleCaller();
-  if (e.is_punctuation()) {
-    ++stats_.puncts_out;
-    if (profile_ != nullptr && !e.punctuation().has_key) {
-      profile_->OnWatermarkForward(e.punctuation().ts);
-    }
-  } else {
-    ++stats_.tuples_out;
-  }
-  if (metrics_ != nullptr) metrics_->CountOut(e.is_punctuation());
+  CountOut(e);
   if (coalescing_) {
     emit_buf_.push_back(std::move(e));
     if (emit_buf_.size() >= kEmitBufferCap) FlushEmitBuffer();
@@ -52,26 +44,73 @@ void Operator::Emit(Element&& e) {
   if (out_ != nullptr) out_->Process(e, out_port_);
 }
 
-void Operator::ProcessBatch(ElementBatch& batch, int port) {
-  if (batch.empty()) return;
-  if (profile_ != nullptr) profile_->ObserveBatch(batch.size());
-  if (metrics_ == nullptr && tracer_ == nullptr) {
-    coalescing_ = out_ != nullptr;
-    PushBatch(batch, port);
-    coalescing_ = false;
-    FlushEmitBuffer();
-    return;
+template <typename Body>
+uint64_t Operator::Timed(obs::ThreadObsContext& ctx, uint64_t scale,
+                         Body&& body) {
+  ++ctx.depth;
+  // Self time = own inclusive time minus the inclusive time of nested
+  // Process calls (downstream operators reached via Emit), collected in
+  // the thread-local child accumulator — the classic profiler trick, and
+  // it works across a synchronous push chain without any per-operator
+  // code.
+  const uint64_t saved_child = ctx.child_ns;
+  ctx.child_ns = 0;
+  const uint64_t t0 = obs::NowNs();
+  if (tracer_ != nullptr && ctx.trace_id != 0) {
+    tracer_->Record(ctx.trace_id, ctx.hop++, name_, t0);
   }
-  ProcessBatchInstrumented(batch, port);
+  body();
+  const uint64_t total = obs::NowNs() - t0;
+  if (scale != 0) {
+    const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
+    counters_.AddBusyNs(self * scale);
+    // StateBytes sampling rides the timed path (with its own geometric
+    // backoff on top), so it only ever runs on the driving thread.
+    counters_.MaybeSampleState([this] { return StateBytes(); });
+  }
+  ctx.child_ns = saved_child + total;
+  --ctx.depth;
+  return total;
 }
 
-void Operator::ProcessBatchInstrumented(ElementBatch& batch, int port) {
-  if (tracer_ != nullptr) {
-    // Lineage tracing records per-element hop chains; take the exact
-    // per-element path so sampled traces look identical under batching.
-    for (const Element& e : batch) Process(e, port);
-    return;
+void Operator::ProcessTimed(const Element& e, int port) {
+  obs::ThreadObsContext& ctx = obs::ObsContext();
+  const bool entry = ctx.depth == 0;
+  if (entry) {
+    if (tracer_ != nullptr && e.is_tuple()) {
+      ctx.trace_id = tracer_->SampleArrival();
+      ctx.hop = 0;
+    }
+    // Clock reads dominate the slot's cost on cheap operators, so only
+    // every kTimeSampleEvery-th chain is timed; its self times are
+    // scaled back up when recorded. Process already drew this chain's
+    // tick unless a tracer is bound. Traced elements are timed too (hop
+    // timestamps need a clock) but don't feed busy_ns.
+    ctx.busy_sampled = tracer_ == nullptr ||
+                       (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) == 0;
+    ctx.timed = ctx.busy_sampled || ctx.trace_id != 0;
+    if (!ctx.timed) {
+      ++ctx.depth;
+      Push(e, port);
+      --ctx.depth;
+      return;
+    }
   }
+  const uint64_t total =
+      Timed(ctx, ctx.busy_sampled ? obs::kTimeSampleEvery : 0,
+            [&] { Push(e, port); });
+  if (entry) {
+    if (ctx.trace_id != 0) {
+      tracer_->ObservePathNs(total);
+      ctx.trace_id = 0;
+    }
+    ctx.child_ns = 0;
+    ctx.timed = false;
+  }
+}
+
+template <typename Body>
+void Operator::RunBatch(Body&& body) {
   obs::ThreadObsContext& ctx = obs::ObsContext();
   const bool entry = ctx.depth == 0;
   if (entry) {
@@ -81,95 +120,51 @@ void Operator::ProcessBatchInstrumented(ElementBatch& batch, int port) {
     ctx.busy_sampled = false;
     ctx.timed = true;
   }
-  ++ctx.depth;
-  const uint64_t saved_child = ctx.child_ns;
-  ctx.child_ns = 0;
-  const uint64_t t0 = obs::NowNs();
-  coalescing_ = out_ != nullptr;
-  PushBatch(batch, port);
-  coalescing_ = false;
-  FlushEmitBuffer();
-  const uint64_t total = obs::NowNs() - t0;
-  const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
-  metrics_->AddBusyNs(self);
-  if (profile_ != nullptr) {
-    profile_->MaybeSampleState([this] { return StateBytes(); });
-  }
-  ctx.child_ns = saved_child + total;
-  --ctx.depth;
+  Timed(ctx, 1, [&] {
+    coalescing_ = out_ != nullptr;
+    body();
+    coalescing_ = false;
+    FlushEmitBuffer();
+  });
   if (entry) {
     ctx.child_ns = 0;
     ctx.timed = false;
   }
 }
 
-void Operator::ProcessColumns(ColumnBatch& batch, int port) {
+void Operator::ProcessBatch(ElementBatch& batch, int port) {
   if (batch.empty()) return;
-  if (profile_ != nullptr) {
-    profile_->ObserveBatch(batch.ActiveRows() + batch.puncts.size());
-  }
-  if (metrics_ == nullptr && tracer_ == nullptr) {
-    coalescing_ = out_ != nullptr;
-    PushColumns(batch, port);
-    coalescing_ = false;
-    FlushEmitBuffer();
+  if (tracer_ != nullptr) {
+    // Lineage tracing records per-element hop chains; take the exact
+    // per-element path so sampled traces look identical under batching.
+    for (const Element& e : batch) Process(e, port);
     return;
   }
-  ProcessColumnsInstrumented(batch, port);
+  counters_.ObserveBatch(batch.size());
+  RunBatch([&] { PushBatch(batch, port); });
 }
 
-void Operator::ProcessColumnsInstrumented(ColumnBatch& batch, int port) {
+void Operator::ProcessColumns(ColumnBatch& batch, int port) {
+  if (batch.empty()) return;
   if (tracer_ != nullptr) {
-    // Lineage traces are per-element; materialize so sampled hop chains
-    // look identical to the row path.
     ElementBatch rows;
     batch.MaterializeRows(&rows);
     for (const Element& e : rows) Process(e, port);
     return;
   }
-  obs::ThreadObsContext& ctx = obs::ObsContext();
-  const bool entry = ctx.depth == 0;
-  if (entry) {
-    ctx.busy_sampled = false;
-    ctx.timed = true;
-  }
-  ++ctx.depth;
-  const uint64_t saved_child = ctx.child_ns;
-  ctx.child_ns = 0;
-  const uint64_t t0 = obs::NowNs();
-  coalescing_ = out_ != nullptr;
-  PushColumns(batch, port);
-  coalescing_ = false;
-  FlushEmitBuffer();
-  const uint64_t total = obs::NowNs() - t0;
-  const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
-  metrics_->AddBusyNs(self);
-  if (profile_ != nullptr) {
-    profile_->MaybeSampleState([this] { return StateBytes(); });
-  }
-  ctx.child_ns = saved_child + total;
-  --ctx.depth;
-  if (entry) {
-    ctx.child_ns = 0;
-    ctx.timed = false;
-  }
+  counters_.ObserveBatch(batch.ActiveRows() + batch.puncts.size());
+  RunBatch([&] { PushColumns(batch, port); });
 }
 
 void Operator::EmitColumns(ColumnBatch&& batch) {
   AssertSingleCaller();
-  const uint64_t tuples = batch.ActiveRows();
-  const uint64_t puncts = batch.puncts.size();
-  stats_.tuples_out += tuples;
-  stats_.puncts_out += puncts;
-  if (metrics_ != nullptr) metrics_->CountOutBulk(tuples, puncts);
-  if (profile_ != nullptr) {
-    // The newest watermark in the batch is the one that matters for lag
-    // tracking (slots are in stream order).
-    for (auto it = batch.puncts.rbegin(); it != batch.puncts.rend(); ++it) {
-      if (!it->punct.has_key) {
-        profile_->OnWatermarkForward(it->punct.ts);
-        break;
-      }
+  counters_.CountOutBulk(batch.ActiveRows(), batch.puncts.size());
+  // The newest watermark in the batch is the one that matters for lag
+  // tracking (slots are in stream order).
+  for (auto it = batch.puncts.rbegin(); it != batch.puncts.rend(); ++it) {
+    if (!it->punct.has_key) {
+      counters_.OnWatermarkForward(it->punct.ts);
+      break;
     }
   }
   // Row emissions buffered before this batch must go first so output
@@ -183,63 +178,6 @@ void Operator::FlushEmitBuffer() {
   // Non-empty only when coalescing was on, which requires out_ != nullptr.
   out_->ProcessBatch(emit_buf_, out_port_);
   emit_buf_.clear();
-}
-
-void Operator::ProcessInstrumented(const Element& e, int port) {
-  obs::ThreadObsContext& ctx = obs::ObsContext();
-  const bool entry = ctx.depth == 0;
-  if (entry) {
-    if (tracer_ != nullptr && e.is_tuple()) {
-      ctx.trace_id = tracer_->SampleArrival();
-      ctx.hop = 0;
-    }
-    // Clock reads dominate instrumentation cost on cheap operators, so
-    // only every kTimeSampleEvery-th chain is actually timed; its
-    // self-times are scaled back up when recorded. Traced elements are
-    // timed too (hop timestamps need a clock) but don't feed busy_ns.
-    ctx.busy_sampled = (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) == 0;
-    ctx.timed = ctx.busy_sampled || ctx.trace_id != 0;
-  }
-  if (!ctx.timed) {
-    ++ctx.depth;
-    Push(e, port);  // Counters still tick via CountIn/Emit.
-    --ctx.depth;
-    return;
-  }
-  ++ctx.depth;
-  // Self time = own inclusive time minus the inclusive time of nested
-  // Process calls (downstream operators reached via Emit), collected in
-  // the thread-local child accumulator — the classic profiler trick, and
-  // it works across a synchronous push chain without any per-operator
-  // code.
-  const uint64_t saved_child = ctx.child_ns;
-  ctx.child_ns = 0;
-  const uint64_t t0 = obs::NowNs();
-  if (tracer_ != nullptr && ctx.trace_id != 0) {
-    tracer_->Record(ctx.trace_id, ctx.hop++, name(), t0);
-  }
-  Push(e, port);
-  const uint64_t total = obs::NowNs() - t0;
-  if (metrics_ != nullptr && ctx.busy_sampled) {
-    const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
-    metrics_->AddBusyNs(self * obs::kTimeSampleEvery);
-    // StateBytes sampling rides the already-sampled timing path (1/16
-    // chains, with its own geometric backoff on top), and only ever
-    // runs on this operator's single driving thread.
-    if (profile_ != nullptr) {
-      profile_->MaybeSampleState([this] { return StateBytes(); });
-    }
-  }
-  ctx.child_ns = saved_child + total;
-  --ctx.depth;
-  if (entry) {
-    if (ctx.trace_id != 0) {
-      if (tracer_ != nullptr) tracer_->ObservePathNs(total);
-      ctx.trace_id = 0;
-    }
-    ctx.child_ns = 0;
-    ctx.timed = false;
-  }
 }
 
 void CollectorSink::Push(const Element& e, int /*port*/) {

@@ -15,32 +15,12 @@
 
 #include "dur/checkpointable.h"
 #include "exec/column_batch.h"
-#include "obs/op_metrics.h"
-#include "obs/op_profile.h"
+#include "obs/op_counters.h"
+#include "obs/trace.h"
 #include "stream/element.h"
 #include "stream/element_batch.h"
 
 namespace sqp {
-
-namespace obs {
-class Tracer;
-}  // namespace obs
-
-/// Per-operator throughput counters.
-struct OperatorStats {
-  uint64_t tuples_in = 0;
-  uint64_t tuples_out = 0;
-  uint64_t puncts_in = 0;
-  uint64_t puncts_out = 0;
-
-  /// Observed selectivity (tuples out per tuple in).
-  double Selectivity() const {
-    return tuples_in == 0
-               ? 0.0
-               : static_cast<double>(tuples_out) /
-                     static_cast<double>(tuples_in);
-  }
-};
 
 /// Push-based physical operator (streams-in, stream-out; slide 13).
 ///
@@ -58,7 +38,9 @@ struct OperatorStats {
 /// ParallelExecutor satisfies it by pinning each stage's operator to
 /// that stage's worker thread. Debug builds assert the contract
 /// (AssertSingleCaller), so TSan jobs and unit tests catch an operator
-/// accidentally shared across stages.
+/// accidentally shared across stages. The contract is also what lets
+/// the always-on counter slot (obs::OpCounters) count with plain
+/// relaxed load + store.
 class Operator {
  public:
   explicit Operator(std::string name) : name_(std::move(name)) {}
@@ -70,18 +52,26 @@ class Operator {
   /// Processes one element arriving on `port`.
   virtual void Push(const Element& e, int port = 0) = 0;
 
-  /// Instrumented entry point: drivers (RunStream, executors, the
-  /// engine) and Emit route elements through here so a bound operator
-  /// gets self-time accounting and sampled lineage tracing without any
-  /// per-operator code. Unbound operators (the default) pay one
-  /// predictable branch and fall straight through to Push.
+  /// Counted entry point: drivers (RunStream, executors, the engine)
+  /// and Emit route elements through here, so every operator's slot
+  /// records the delivery and, on one chain in kTimeSampleEvery, its
+  /// self time — without any per-operator code. A bound lineage tracer
+  /// samples here too.
   void Process(const Element& e, int port = 0) {
-    if (profile_ != nullptr) profile_->CountSingle();
-    if (metrics_ == nullptr && tracer_ == nullptr) {
-      Push(e, port);
+    counters_.CountSingle();
+    obs::ThreadObsContext& ctx = obs::ObsContext();
+    const bool untimed =
+        ctx.depth == 0
+            ? tracer_ == nullptr &&
+                  (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) != 0
+            : !ctx.timed;
+    if (!untimed) {
+      ProcessTimed(e, port);
       return;
     }
-    ProcessInstrumented(e, port);
+    ++ctx.depth;
+    Push(e, port);
+    --ctx.depth;
   }
 
   /// Batched entry point (non-virtual, mirrors Process): semantically
@@ -121,23 +111,24 @@ class Operator {
     return false;
   }
 
-  /// Binds observability outputs (see sqp::obs). Pass nullptr to
-  /// disable. Must happen before the operator processes elements; the
-  /// bound objects must outlive the operator's last Push.
-  void Bind(obs::OpMetrics* metrics, obs::Tracer* tracer = nullptr) {
-    metrics_ = metrics;
-    tracer_ = tracer;
-  }
-  obs::OpMetrics* metrics() const { return metrics_; }
+  /// Binds the sampled lineage tracer (see sqp::obs::Tracer); nullptr,
+  /// the default, turns tracing off. Must happen before the operator
+  /// processes elements; the tracer must outlive its last Process.
+  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Binds this operator's per-query profile slot (see sqp::obs::
-  /// OpProfile and obs::QueryProfiler): watermark forwarding, batch-size
-  /// distribution, queue wait, and sampled StateBytes report there.
-  /// Virtual so composite operators (ShardedOp) can forward the slot to
-  /// the internal operator that actually emits downstream. Pass nullptr
-  /// to detach; same lifetime contract as Bind.
-  virtual void BindProfile(obs::OpProfile* profile) { profile_ = profile; }
-  obs::OpProfile* profile() const { return profile_; }
+  /// This operator's always-on accounting slot. Executors record
+  /// claimed batches and queue wait here from the operator's driving
+  /// thread, and mirror the queue high-water in from any thread.
+  obs::OpCounters& counters() { return counters_; }
+
+  /// A copy of the slot — what registry rows, EXPLAIN ANALYZE and tests
+  /// read. Out-counters and the watermark come from emitter()'s slot.
+  obs::OpSnapshot stats() const;
+
+  /// The operator whose Emit feeds this one's output edge: itself,
+  /// except for composites (ShardedOp) that emit from an internal
+  /// operator on another thread.
+  virtual const Operator& emitter() const { return *this; }
 
   /// End-of-stream: emit buffered results, then forward downstream.
   virtual void Flush();
@@ -153,7 +144,6 @@ class Operator {
   }
 
   const std::string& name() const { return name_; }
-  const OperatorStats& stats() const { return stats_; }
   Operator* output() const { return out_; }
   int output_port() const { return out_port_; }
 
@@ -184,15 +174,14 @@ class Operator {
   /// order matches the per-element path. The batch is consumed.
   void EmitColumns(ColumnBatch&& batch);
 
-  /// Bulk arrival accounting for PushColumns overrides (the columnar
-  /// twin of calling CountIn per element).
-  void CountInColumns(const ColumnBatch& batch) {
+  /// Bulk arrival accounting for batched overrides (the batch twin of
+  /// calling CountIn per element).
+  void CountInBulk(uint64_t tuples, uint64_t puncts) {
     AssertSingleCaller();
-    const uint64_t tuples = batch.ActiveRows();
-    const uint64_t puncts = batch.puncts.size();
-    stats_.tuples_in += tuples;
-    stats_.puncts_in += puncts;
-    if (metrics_ != nullptr) metrics_->CountInBulk(tuples, puncts);
+    counters_.CountInBulk(tuples, puncts);
+  }
+  void CountInColumns(const ColumnBatch& batch) {
+    CountInBulk(batch.ActiveRows(), batch.puncts.size());
   }
 
   /// Forwards an element downstream, maintaining counters. Inside a
@@ -211,12 +200,20 @@ class Operator {
   /// Counts an arriving element. Subclasses call this first in Push.
   void CountIn(const Element& e) {
     AssertSingleCaller();
-    if (e.is_punctuation()) {
-      ++stats_.puncts_in;
-    } else {
-      ++stats_.tuples_in;
+    counters_.CountIn(e.is_punctuation());
+  }
+
+  /// Counts a departing element (Emit does this; multi-output operators
+  /// that bypass Emit call it per delivery). Watermark tracking for
+  /// EXPLAIN ANALYZE lag: keyed punctuations close one group, only
+  /// non-keyed ones advance event time.
+  void CountOut(const Element& e) {
+    AssertSingleCaller();
+    const bool punct = e.is_punctuation();
+    counters_.CountOut(punct);
+    if (punct && !e.punctuation().has_key) {
+      counters_.OnWatermarkForward(e.punctuation().ts);
     }
-    if (metrics_ != nullptr) metrics_->CountIn(e.is_punctuation());
   }
 
   /// Debug check that every Push/Emit on this operator comes from one
@@ -237,18 +234,20 @@ class Operator {
 
   Operator* out_ = nullptr;
   int out_port_ = 0;
-  OperatorStats stats_;
 
  private:
-  /// Out-of-line slow path of Process: self-time metrics + tracing.
-  void ProcessInstrumented(const Element& e, int port);
-  /// Slow path of ProcessBatch: whole-batch self-timing; falls back to
-  /// per-element Process when lineage tracing is on.
-  void ProcessBatchInstrumented(ElementBatch& batch, int port);
-  /// Slow path of ProcessColumns: whole-batch self-timing (per-batch
-  /// metrics amortization); materializes to per-element Process under
-  /// lineage tracing so sampled traces look identical.
-  void ProcessColumnsInstrumented(ColumnBatch& batch, int port);
+  /// Out-of-line half of Process: sampled (or traced) chains.
+  void ProcessTimed(const Element& e, int port);
+  /// The one timing helper: runs `body` one level deeper in the
+  /// thread's call chain and records self time (inclusive time minus
+  /// nested Process calls) times `scale` into busy_ns — 0 times only,
+  /// to feed the parent's child time. Returns the inclusive ns.
+  template <typename Body>
+  uint64_t Timed(obs::ThreadObsContext& ctx, uint64_t scale, Body&& body);
+  /// Shared body of ProcessBatch/ProcessColumns: coalesces emissions
+  /// and times the whole batch.
+  template <typename Body>
+  void RunBatch(Body&& body);
   /// Hands the coalesced output batch downstream and resets the buffer.
   void FlushEmitBuffer();
 
@@ -258,10 +257,9 @@ class Operator {
   /// forwards the prefix in order).
   static constexpr size_t kEmitBufferCap = 1024;
 
+  obs::OpCounters counters_;
   std::string name_;
-  obs::OpMetrics* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  obs::OpProfile* profile_ = nullptr;
   /// True only inside a ProcessBatch call with a wired output.
   bool coalescing_ = false;
   ElementBatch emit_buf_;
@@ -326,15 +324,11 @@ class CountingSink : public Operator {
   /// Counting needs no per-element work at all: tally the batch once
   /// and bump the counters in bulk.
   void PushBatch(ElementBatch& batch, int /*port*/) override {
-    AssertSingleCaller();
     uint64_t tuples = 0;
     for (const Element& e : batch) {
       if (!e.is_punctuation()) ++tuples;
     }
-    const uint64_t puncts = batch.size() - tuples;
-    stats_.tuples_in += tuples;
-    stats_.puncts_in += puncts;
-    if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+    CountInBulk(tuples, batch.size() - tuples);
   }
 
   void PushColumns(ColumnBatch& batch, int /*port*/) override {

@@ -4,16 +4,6 @@
 
 namespace sqp {
 
-void Plan::BindMetrics(obs::MetricsRegistry& registry,
-                       const std::string& query_label) {
-  int index = 0;
-  for (const auto& op : ops_) {
-    op->Bind(registry.GetOpMetrics(query_label, op->name(), index),
-             registry.tracer());
-    ++index;
-  }
-}
-
 size_t Plan::TotalStateBytes() const {
   size_t bytes = 0;
   for (const auto& op : ops_) bytes += op->StateBytes();
@@ -23,7 +13,7 @@ size_t Plan::TotalStateBytes() const {
 std::string Plan::StatsString() const {
   std::string out;
   for (const auto& op : ops_) {
-    const OperatorStats& s = op->stats();
+    const obs::OpSnapshot s = op->stats();
     out += StrFormat("%-16s in=%llu out=%llu sel=%.4f state=%zuB\n",
                      op->name().c_str(),
                      static_cast<unsigned long long>(s.tuples_in),

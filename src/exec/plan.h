@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "obs/registry.h"
 
 namespace sqp {
 
@@ -39,13 +38,6 @@ class Plan {
   const std::vector<std::unique_ptr<Operator>>& operators() const {
     return ops_;
   }
-
-  /// Instruments every operator in the plan: each gets an OpMetrics
-  /// slot in `registry` labeled (query_label, op name, plan index) plus
-  /// the registry's tracer, so a whole plan reports to the engine-wide
-  /// registry with one call and zero per-operator code.
-  void BindMetrics(obs::MetricsRegistry& registry,
-                   const std::string& query_label);
 
   /// Sum of StateBytes over all operators.
   size_t TotalStateBytes() const;

@@ -39,7 +39,7 @@ std::string QueryProfile::Pretty() const {
           ? static_cast<double>(snapshot_ns - submit_ns) / 1e9
           : 0.0;
   out += "running " + FmtDouble(run_s, 1) + "s; source watermark ";
-  if (source_wm_ts == OpProfile::kNoWatermark) {
+  if (source_wm_ts == OpCounters::kNoWatermark) {
     out += "none";
   } else {
     out += std::to_string(source_wm_ts) + " (" +
@@ -57,13 +57,13 @@ std::string QueryProfile::Pretty() const {
     row[0] = std::string(static_cast<size_t>(r.depth) * 2, ' ') + r.op;
     row[1] = std::to_string(r.tuples_in);
     row[2] = std::to_string(r.tuples_out);
-    row[3] = FmtDouble(r.selectivity, 3);
+    row[3] = FmtDouble(r.Selectivity(), 3);
     row[4] = FmtDouble(static_cast<double>(r.busy_ns) / 1e6, 1);
     row[5] = std::to_string(r.deliveries);
     row[6] = FmtDouble(r.mean_batch, 1);
-    row[7] = FmtDouble(static_cast<double>(r.prof.queue_wait_ns) / 1e6, 1);
-    row[8] = FmtBytes(r.prof.state_bytes);
-    row[9] = FmtBytes(r.prof.peak_state_bytes);
+    row[7] = FmtDouble(static_cast<double>(r.queue_wait_ns) / 1e6, 1);
+    row[8] = FmtBytes(r.state_bytes);
+    row[9] = FmtBytes(r.peak_state_bytes);
     row[10] = r.has_lag ? std::to_string(r.lag)
                         : (r.has_watermark ? "0" : "-");
     row[11] = r.propagation_ms >= 0.0 ? FmtDouble(r.propagation_ms, 2) : "-";
@@ -102,7 +102,7 @@ std::string QueryProfile::ToJson() const {
                        : 0.0,
                    3);
   out += ",\"source\":{";
-  if (source_wm_ts != OpProfile::kNoWatermark) {
+  if (source_wm_ts != OpCounters::kNoWatermark) {
     out += "\"watermark_ts\":" + std::to_string(source_wm_ts) + ",";
   }
   out += "\"watermarks\":" + std::to_string(source_wm_count) + "}";
@@ -118,17 +118,17 @@ std::string QueryProfile::ToJson() const {
     out += ",\"tuples_out\":" + std::to_string(r.tuples_out);
     out += ",\"puncts_in\":" + std::to_string(r.puncts_in);
     out += ",\"puncts_out\":" + std::to_string(r.puncts_out);
-    out += ",\"selectivity\":" + FmtDouble(r.selectivity, 4);
+    out += ",\"selectivity\":" + FmtDouble(r.Selectivity(), 4);
     out += ",\"busy_ns\":" + std::to_string(r.busy_ns);
     out += ",\"deliveries\":" + std::to_string(r.deliveries);
     out += ",\"mean_batch_rows\":" + FmtDouble(r.mean_batch, 2);
-    out += ",\"queue_wait_ns\":" + std::to_string(r.prof.queue_wait_ns);
+    out += ",\"queue_wait_ns\":" + std::to_string(r.queue_wait_ns);
     out += ",\"queue_depth_hw\":" + std::to_string(r.queue_depth_hw);
-    out += ",\"state_bytes\":" + std::to_string(r.prof.state_bytes);
-    out += ",\"peak_state_bytes\":" + std::to_string(r.prof.peak_state_bytes);
+    out += ",\"state_bytes\":" + std::to_string(r.state_bytes);
+    out += ",\"peak_state_bytes\":" + std::to_string(r.peak_state_bytes);
     if (r.has_watermark) {
-      out += ",\"watermark_ts\":" + std::to_string(r.prof.wm_ts);
-      out += ",\"watermarks\":" + std::to_string(r.prof.wm_count);
+      out += ",\"watermark_ts\":" + std::to_string(r.wm_ts);
+      out += ",\"watermarks\":" + std::to_string(r.wm_count);
     }
     if (r.has_lag) out += ",\"watermark_lag\":" + std::to_string(r.lag);
     if (r.propagation_ms >= 0.0) {
@@ -151,21 +151,25 @@ QueryProfiler::SourceWatermark* QueryProfiler::Register(
   return tap;
 }
 
-void QueryProfiler::BindPlan(const std::string& label, Plan& plan) {
+void QueryProfiler::BindPlan(const std::string& label, const Plan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(label);
   if (it == entries_.end()) return;
   Entry& e = *it->second;
 
   const auto& ops = plan.operators();
-  std::map<const Operator*, size_t> pos;
-  for (size_t i = 0; i < ops.size(); ++i) pos[ops[i].get()] = i;
+  e.ops.clear();
+  std::map<const Operator*, int> pos;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    e.ops.push_back(ops[i].get());
+    pos[ops[i].get()] = static_cast<int>(i);
+  }
   // An operator is part of the live DAG when it has an output edge or
   // something feeds it; a rewrite leftover (EnableSharding disconnects
   // the replaced original but keeps it plan-owned as the replica
   // template) has neither and is excluded.
   std::map<const Operator*, int> fed;
-  for (const auto& op : ops) {
+  for (const Operator* op : e.ops) {
     if (op->output() != nullptr && pos.count(op->output()) != 0) {
       ++fed[op->output()];
     }
@@ -174,29 +178,14 @@ void QueryProfiler::BindPlan(const std::string& label, Plan& plan) {
     return op->output() != nullptr || fed[op] > 0;
   };
 
-  // Bind slots: reuse by (name, plan position) so a re-walk after a
-  // structural rewrite keeps accumulated history for surviving ops.
-  std::vector<Operator*> live;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    Operator* op = ops[i].get();
-    if (!connected(op)) continue;
-    live.push_back(op);
-    const std::pair<std::string, int> key(op->name(), static_cast<int>(i));
-    OpProfile*& slot = e.slot_by_key[key];
-    if (slot == nullptr) {
-      e.slots.emplace_back();
-      slot = &e.slots.back();
-    }
-    op->BindProfile(slot);
-  }
-
   // Tree: root = live op whose output leaves the plan (the engine tee);
   // children of p = live ops whose output is p, in plan order.
   e.tree.clear();
-  std::map<const Operator*, std::vector<Operator*>> children;
-  std::vector<Operator*> roots;
-  for (Operator* op : live) {
-    Operator* out = op->output();
+  std::map<const Operator*, std::vector<const Operator*>> children;
+  std::vector<const Operator*> roots;
+  for (const Operator* op : e.ops) {
+    if (!connected(op)) continue;
+    const Operator* out = op->output();
     if (out != nullptr && pos.count(out) != 0 && connected(out)) {
       children[out].push_back(op);
     } else {
@@ -204,20 +193,14 @@ void QueryProfiler::BindPlan(const std::string& label, Plan& plan) {
     }
   }
   // Iterative pre-order DFS, keeping plan order among siblings.
-  std::vector<std::pair<Operator*, int>> stack;
+  std::vector<std::pair<const Operator*, int>> stack;
   for (auto rit = roots.rbegin(); rit != roots.rend(); ++rit) {
     stack.emplace_back(*rit, 0);
   }
   while (!stack.empty()) {
     auto [op, depth] = stack.back();
     stack.pop_back();
-    Node n;
-    n.name = op->name();
-    n.index = static_cast<int>(pos[op]);
-    n.depth = depth;
-    n.profile = op->profile();
-    n.metrics = op->metrics();
-    e.tree.push_back(std::move(n));
+    e.tree.push_back(Node{op, pos[op], depth});
     auto cit = children.find(op);
     if (cit != children.end()) {
       for (auto rit = cit->second.rbegin(); rit != cit->second.rend(); ++rit) {
@@ -249,38 +232,26 @@ bool QueryProfiler::Snapshot(const std::string& label,
   out->ops.reserve(e.tree.size());
   for (const Node& n : e.tree) {
     OpProfileRow r;
-    r.op = n.name;
+    static_cast<OpSnapshot&>(r) = n.op->stats();
+    r.op = n.op->name();
     r.index = n.index;
     r.depth = n.depth;
-    if (n.metrics != nullptr) {
-      OpSnapshot m = n.metrics->Snapshot("", "", 0);
-      r.tuples_in = m.tuples_in;
-      r.tuples_out = m.tuples_out;
-      r.puncts_in = m.puncts_in;
-      r.puncts_out = m.puncts_out;
-      r.exec_batches = m.batches;
-      r.busy_ns = m.busy_ns;
-      r.queue_depth_hw = m.queue_depth_hw;
-      r.selectivity = m.Selectivity();
-    }
-    if (n.profile != nullptr) r.prof = n.profile->Snapshot();
-    r.deliveries = r.prof.singles + r.prof.batch_rows.count;
-    const double total_rows = static_cast<double>(r.prof.singles) +
-                              static_cast<double>(r.prof.batch_rows.sum);
+    r.deliveries = r.singles + r.batch_rows.count;
+    const double total_rows = static_cast<double>(r.singles) +
+                              static_cast<double>(r.batch_rows.sum);
     r.mean_batch = r.deliveries == 0
                        ? 0.0
                        : total_rows / static_cast<double>(r.deliveries);
-    r.has_watermark = r.prof.wm_ts != OpProfile::kNoWatermark;
-    if (r.has_watermark && out->source_wm_ts != OpProfile::kNoWatermark) {
+    r.has_watermark = r.wm_ts != OpCounters::kNoWatermark;
+    if (r.has_watermark && out->source_wm_ts != OpCounters::kNoWatermark) {
       r.has_lag = true;
-      r.lag = out->source_wm_ts - r.prof.wm_ts;
+      r.lag = out->source_wm_ts - r.wm_ts;
     }
     if (r.has_watermark) {
       uint64_t ingest_ns = 0;
-      if (e.source.LookupIngestNs(r.prof.wm_ts, &ingest_ns) &&
-          r.prof.wm_ns >= ingest_ns) {
-        r.propagation_ms =
-            static_cast<double>(r.prof.wm_ns - ingest_ns) / 1e6;
+      if (e.source.LookupIngestNs(r.wm_ts, &ingest_ns) &&
+          r.wm_ns >= ingest_ns) {
+        r.propagation_ms = static_cast<double>(r.wm_ns - ingest_ns) / 1e6;
       }
     }
     out->ops.push_back(std::move(r));
@@ -296,23 +267,31 @@ std::vector<std::string> QueryProfiler::Labels() const {
   return out;
 }
 
-void QueryProfiler::Publish(SnapshotBuilder& b) const {
+void QueryProfiler::Publish(const std::string& label,
+                            SnapshotBuilder& b) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [label, entry] : entries_) {
-    const int64_t src = entry->source.last_ts();
-    if (src == OpProfile::kNoWatermark) continue;
-    LabelSet ls{{"query", label}};
-    b.AddGauge("sqp_query_source_watermark", ls, static_cast<double>(src));
-    // Lag of the query's output: the root (sink-most) operator's last
-    // forwarded watermark vs the source — how far behind event time the
-    // query's results run.
-    if (!entry->tree.empty() && entry->tree.front().profile != nullptr) {
-      const int64_t root_wm =
-          entry->tree.front().profile->wm_ts.load(std::memory_order_relaxed);
-      if (root_wm != OpProfile::kNoWatermark) {
-        b.AddGauge("sqp_query_watermark_lag", ls,
-                   static_cast<double>(src - root_wm));
-      }
+  auto it = entries_.find(label);
+  if (it == entries_.end()) return;
+  const Entry& e = *it->second;
+  for (size_t i = 0; i < e.ops.size(); ++i) {
+    OpSnapshot row = e.ops[i]->stats();
+    row.query = label;
+    row.op = e.ops[i]->name();
+    row.index = static_cast<int>(i);
+    b.AddOp(std::move(row));
+  }
+  const int64_t src = e.source.last_ts();
+  if (src == OpCounters::kNoWatermark) return;
+  LabelSet ls{{"query", label}};
+  b.AddGauge("sqp_query_source_watermark", ls, static_cast<double>(src));
+  // Lag of the query's output: the root (sink-most) operator's last
+  // forwarded watermark vs the source — how far behind event time the
+  // query's results run.
+  if (!e.tree.empty()) {
+    const int64_t root_wm = e.tree.front().op->stats().wm_ts;
+    if (root_wm != OpCounters::kNoWatermark) {
+      b.AddGauge("sqp_query_watermark_lag", ls,
+                 static_cast<double>(src - root_wm));
     }
   }
 }

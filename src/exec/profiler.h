@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,41 +12,27 @@
 #include <vector>
 
 #include "exec/plan.h"
-#include "obs/op_metrics.h"
-#include "obs/op_profile.h"
+#include "obs/op_counters.h"
 #include "obs/snapshot.h"
 
 namespace sqp {
 namespace obs {
 
-/// One operator row of a query profile snapshot. Rows are in pre-order
-/// over the plan tree: the root is the sink-most operator, a row at
-/// depth d is an input of the nearest preceding row at depth d-1.
-struct OpProfileRow {
-  std::string op;
-  int index = 0;  // Plan position (disambiguates duplicate names).
+/// One operator row of a query profile snapshot: the operator's slot
+/// (the same values its registry row renders, so EXPLAIN ANALYZE always
+/// sums consistently with `\metrics`) plus its place in the plan tree
+/// and the derived lag figures. Rows are in pre-order over the plan
+/// tree: the root is the sink-most operator, a row at depth d is an
+/// input of the nearest preceding row at depth d-1.
+struct OpProfileRow : OpSnapshot {
   int depth = 0;
-
-  // Row counters from the operator's OpMetrics slot (zero when metrics
-  // were not bound) — the same atomics `\metrics` renders, so EXPLAIN
-  // ANALYZE always sums consistently with the registry.
-  uint64_t tuples_in = 0;
-  uint64_t tuples_out = 0;
-  uint64_t puncts_in = 0;
-  uint64_t puncts_out = 0;
-  uint64_t exec_batches = 0;
-  uint64_t busy_ns = 0;
-  uint64_t queue_depth_hw = 0;
-  double selectivity = 0.0;
-
-  OpProfileData prof;
   /// Deliveries into this operator = per-element Process calls plus
   /// batched ProcessBatch/ProcessColumns calls.
   uint64_t deliveries = 0;
   /// Mean elements per delivery (singles fold in as batches of one).
   double mean_batch = 0.0;
 
-  bool has_watermark = false;  // prof.wm_ts != OpProfile::kNoWatermark.
+  bool has_watermark = false;  // wm_ts != OpCounters::kNoWatermark.
   bool has_lag = false;        // A source watermark exists too.
   /// Event-time lag: source watermark ts minus this operator's last
   /// forwarded watermark ts (>= 0 in a well-behaved chain).
@@ -64,7 +49,7 @@ struct QueryProfile {
   std::string text;   // CQL text.
   uint64_t submit_ns = 0;
   uint64_t snapshot_ns = 0;
-  int64_t source_wm_ts = OpProfile::kNoWatermark;
+  int64_t source_wm_ts = OpCounters::kNoWatermark;
   uint64_t source_wm_count = 0;
   std::vector<OpProfileRow> ops;
 
@@ -74,16 +59,16 @@ struct QueryProfile {
   std::string ToJson() const;
 };
 
-/// Per-query profile registry: owns the OpProfile slots operators write
-/// into and the plan-shaped tree a snapshot renders. Registration and
-/// (re)binding happen under the engine's exclusive registration lock;
-/// Snapshot may run from any thread (monitor, HTTP handler, sqpsh)
-/// while ingest runs — it reads only atomics and registration-time
-/// copies under the profiler's own mutex, never live Operator state.
+/// The per-query collector: one entry per published query, holding the
+/// plan-shaped tree of its live operators. Registry rows (Publish) and
+/// EXPLAIN ANALYZE (Snapshot) both read the operators' own always-on
+/// slots through it, so the two views cannot disagree. Registration
+/// happens under the engine's exclusive registration lock; Snapshot and
+/// Publish may run from any thread (monitor, HTTP handler, sqpsh) while
+/// ingest runs — they read only the slots' atomics and registration-time
+/// copies of the plan shape under the profiler's own mutex.
 ///
-/// Lives in exec (not obs) because binding walks Plan/Operator; the
-/// hot-path half (OpProfile) sits below in obs so Operator can hold a
-/// slot pointer without a layering cycle.
+/// Lives in exec (not obs) because it walks Plan/Operator.
 class QueryProfiler {
  public:
   /// Lock-free source-side watermark tap, one per registered query: the
@@ -124,10 +109,10 @@ class QueryProfiler {
    private:
     static constexpr size_t kRingSize = 64;
     struct Slot {
-      std::atomic<int64_t> ts{OpProfile::kNoWatermark};
+      std::atomic<int64_t> ts{OpCounters::kNoWatermark};
       std::atomic<uint64_t> ns{0};
     };
-    std::atomic<int64_t> ts_{OpProfile::kNoWatermark};
+    std::atomic<int64_t> ts_{OpCounters::kNoWatermark};
     std::atomic<uint64_t> ns_{0};
     std::atomic<uint64_t> count_{0};
     std::array<Slot, kRingSize> ring_;
@@ -138,18 +123,16 @@ class QueryProfiler {
   /// Unregister). Re-registering an existing label resets it.
   SourceWatermark* Register(const std::string& label, std::string text);
 
-  /// Walks `plan`, allocates (or reuses, keyed by name+position) an
-  /// OpProfile slot per connected operator, binds it via BindProfile,
-  /// and rebuilds the snapshot tree. Call after Plan::BindMetrics so
-  /// rows capture the operators' current metrics slots; call again
+  /// Records `plan`'s operators (registry rows, in plan order) and
+  /// rebuilds the snapshot tree over the connected ones. Call again
   /// after a structural rewrite (EnableSharding) — disconnected
-  /// leftovers of the rewrite (no output, nothing feeding them) are
-  /// excluded. No-op for unregistered labels.
-  void BindPlan(const std::string& label, Plan& plan);
+  /// leftovers of the rewrite (no output, nothing feeding them) drop out
+  /// of the tree. The operators must outlive Unregister. No-op for
+  /// unregistered labels.
+  void BindPlan(const std::string& label, const Plan& plan);
 
-  /// Drops the query's slots and tap. The caller must detach every
-  /// operator first (BindProfile(nullptr)) — after Unregister returns,
-  /// no snapshot can observe the query, but the slots are gone too.
+  /// Drops the query; after it returns, no snapshot can observe the
+  /// query's operators.
   void Unregister(const std::string& label);
 
   /// Copies a consistent-enough profile out; false if unknown label.
@@ -157,27 +140,24 @@ class QueryProfiler {
 
   std::vector<std::string> Labels() const;
 
-  /// Publishes per-query watermark gauges (sqp_query_watermark_lag,
-  /// sqp_query_source_watermark) — registered as a registry collector
-  /// by the engine so `/snapshot.json` and `\top` see event-time lag.
-  void Publish(SnapshotBuilder& b) const;
+  /// Publishes one query's operator rows (query=label, op, plan index)
+  /// and its watermark gauges (sqp_query_watermark_lag,
+  /// sqp_query_source_watermark) — the body of the engine's per-query
+  /// registry collector, so `/snapshot.json` and `\top` see event-time
+  /// lag next to the rows.
+  void Publish(const std::string& label, SnapshotBuilder& b) const;
 
  private:
   struct Node {
-    std::string name;
+    const Operator* op = nullptr;
     int index = 0;
     int depth = 0;
-    OpProfile* profile = nullptr;
-    OpMetrics* metrics = nullptr;
   };
   struct Entry {
     std::string text;
     uint64_t submit_ns = 0;
     SourceWatermark source;
-    /// Slot storage: deque for address stability across BindPlan
-    /// re-walks (operators hold raw pointers into it).
-    std::deque<OpProfile> slots;
-    std::map<std::pair<std::string, int>, OpProfile*> slot_by_key;
+    std::vector<const Operator*> ops;  // Plan order (registry rows).
     std::vector<Node> tree;
   };
 

@@ -42,7 +42,6 @@ void ProjectOp::Push(const Element& e, int /*port*/) {
 }
 
 void ProjectOp::PushBatch(ElementBatch& batch, int /*port*/) {
-  AssertSingleCaller();
   uint64_t tuples = 0;
   uint64_t puncts = 0;
   for (Element& e : batch) {
@@ -54,9 +53,7 @@ void ProjectOp::PushBatch(ElementBatch& batch, int /*port*/) {
     ++tuples;
     Emit(Element(ProjectRow(*e.tuple())));
   }
-  stats_.tuples_in += tuples;
-  stats_.puncts_in += puncts;
-  if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+  CountInBulk(tuples, puncts);
 }
 
 void ProjectOp::PushColumns(ColumnBatch& batch, int /*port*/) {

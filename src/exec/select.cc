@@ -17,7 +17,6 @@ void SelectOp::Push(const Element& e, int /*port*/) {
 }
 
 void SelectOp::PushBatch(ElementBatch& batch, int /*port*/) {
-  AssertSingleCaller();
   // Per-element work is only the predicate: passing elements are moved
   // straight into the coalesced output batch (no refcount traffic), and
   // in/out counters are settled once per batch instead of per element.
@@ -32,12 +31,10 @@ void SelectOp::PushBatch(ElementBatch& batch, int /*port*/) {
     ++tuples;
     if (Truthy(pred_->Eval(*e.tuple()))) Emit(std::move(e));
   }
-  stats_.tuples_in += tuples;
-  stats_.puncts_in += puncts;
-  if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+  CountInBulk(tuples, puncts);
 }
 
-void SelectOp::PushColumns(ColumnBatch& batch, int port) {
+void SelectOp::PushColumns(ColumnBatch& batch, int /*port*/) {
   CountInColumns(batch);
   if (vpred_ == nullptr || !vpred_->Filter(&batch)) {
     // Predicate didn't vectorize (or the batch doesn't fit the plan):

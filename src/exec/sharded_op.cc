@@ -307,10 +307,6 @@ void ShardedOp::DrainAndJoin() {
   }
   if (merge_worker_.joinable()) merge_worker_.join();
   running_.store(false, std::memory_order_release);
-  // Mirror the merge's out-counters into this op's stats so StatsString
-  // and selectivity read like the serial operator's.
-  stats_.tuples_out = merge_.stats().tuples_out;
-  stats_.puncts_out = merge_.stats().puncts_out;
 }
 
 void ShardedOp::StopAndJoin() {

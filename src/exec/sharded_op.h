@@ -124,14 +124,10 @@ class ShardedOp : public Operator {
   void Flush() override;
   size_t StateBytes() const override;
 
-  /// Binds the profile to the merge stage too: the merge is the fan-in
-  /// that emits the min-across-shards watermark downstream, so sharing
-  /// the slot makes the profile's watermark fields reflect post-merge
-  /// event time (what the rest of the chain actually observes).
-  void BindProfile(obs::OpProfile* profile) override {
-    Operator::BindProfile(profile);
-    merge_.BindProfile(profile);
-  }
+  /// The merge emits downstream (on its own thread, into its own slot):
+  /// this op's out-counters and watermark — post-merge event time, what
+  /// the rest of the chain actually observes — read from there.
+  const Operator& emitter() const override { return merge_; }
 
   int shards() const { return options_.shards; }
   ShardRouting routing() const { return options_.routing; }

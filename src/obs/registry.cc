@@ -59,20 +59,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return &e.histogram;
 }
 
-OpMetrics* MetricsRegistry::GetOpMetrics(const std::string& query,
-                                         const std::string& op, int index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string key = Key(query, {{op, std::to_string(index)}});
-  auto it = ops_by_key_.find(key);
-  if (it != ops_by_key_.end()) return &it->second->metrics;
-  OpEntry& e = op_entries_.emplace_back();
-  e.query = query;
-  e.op = op;
-  e.index = index;
-  ops_by_key_[key] = &e;
-  return &e.metrics;
-}
-
 void MetricsRegistry::AddCollector(const std::string& name,
                                    std::function<void(SnapshotBuilder&)> fn) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -113,9 +99,6 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
           builder.AddHistogram(e.name, e.labels, e.histogram.Data());
           break;
       }
-    }
-    for (const OpEntry& o : op_entries_) {
-      builder.AddOp(o.metrics.Snapshot(o.query, o.op, o.index));
     }
     for (const auto& c : collectors_) c.second(builder);
   }

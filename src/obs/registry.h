@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/op_metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 
@@ -42,10 +41,6 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name, LabelSet labels = {});
   Histogram* GetHistogram(const std::string& name, LabelSet labels = {});
 
-  /// Per-operator slot keyed by (query label, op name, plan index).
-  OpMetrics* GetOpMetrics(const std::string& query, const std::string& op,
-                          int index);
-
   /// Sampled lineage tracing (disabled until SetSampleEvery > 0).
   Tracer* tracer() { return &tracer_; }
   /// Convenience: sample every Nth element (0 = off).
@@ -63,7 +58,8 @@ class MetricsRegistry {
   void RemoveCollector(const std::string& name);
 
   /// Renders everything: registered metrics in registration order, then
-  /// per-op metrics, collectors, and the trace ring.
+  /// collectors (the engine's per-query collectors add the operator
+  /// rows), and the trace ring.
   Snapshot TakeSnapshot() const;
 
  private:
@@ -76,18 +72,10 @@ class MetricsRegistry {
     Gauge gauge;
     Histogram histogram;
   };
-  struct OpEntry {
-    std::string query;
-    std::string op;
-    int index = 0;
-    OpMetrics metrics;
-  };
 
   mutable std::mutex mu_;
   std::deque<Entry> entries_;
   std::map<std::string, Entry*> by_key_;
-  std::deque<OpEntry> op_entries_;
-  std::map<std::string, OpEntry*> ops_by_key_;
   std::vector<std::pair<std::string, std::function<void(SnapshotBuilder&)>>>
       collectors_;
   Tracer tracer_;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/op_metrics.h"
+#include "obs/op_counters.h"
 #include "obs/trace.h"
 
 namespace sqp {

@@ -12,11 +12,6 @@ uint64_t NowNs() {
           .count());
 }
 
-ThreadObsContext& ObsContext() {
-  thread_local ThreadObsContext ctx;
-  return ctx;
-}
-
 void Tracer::Record(uint64_t trace_id, uint32_t hop, const std::string& op,
                     uint64_t ts_ns) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -29,7 +29,7 @@ struct TraceEvent {
 /// elements pay only relaxed counter bumps. Must be a power of two.
 inline constexpr uint32_t kTimeSampleEvery = 16;
 
-/// Per-thread instrumentation context, shared by metrics self-timing and
+/// Per-thread instrumentation context, shared by self-timing and
 /// tracing. `child_ns` accumulates the inclusive time of completed
 /// nested Process calls so a parent can subtract them (self time);
 /// `trace_id` marks an active sampled tuple for the duration of the
@@ -46,7 +46,12 @@ struct ThreadObsContext {
   bool busy_sampled = false;
 };
 
-ThreadObsContext& ObsContext();
+/// Inline so the per-element path of Operator::Process reaches it
+/// without a call (constant-initialized: no TLS guard either).
+inline ThreadObsContext& ObsContext() {
+  static thread_local ThreadObsContext ctx;
+  return ctx;
+}
 
 /// Sampled tuple-lineage recorder: every Nth element entering an
 /// instrumented plan gets a trace id, and every operator it flows

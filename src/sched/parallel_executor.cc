@@ -143,9 +143,7 @@ bool ParallelExecutor::Enqueue(size_t stage, Item item) {
     if (stop_ || st.closed) return false;
   }
   const bool is_punct = item.e.is_punctuation();
-  // Queue-wait stamping is pay-for-what-you-profile: no clock read
-  // unless the consuming operator has a profile slot bound.
-  if (stages_[stage].op->profile() != nullptr) item.enq_ns = obs::NowNs();
+  item.enq_ns = obs::NowNs();
   st.q.push_back(std::move(item));
   st.q_rows += 1;
   ++st.enqueued;
@@ -173,10 +171,8 @@ void ParallelExecutor::EnqueueBatch(size_t stage, std::vector<Item>& items) {
   if (stop_ || st.closed) return;
   size_t chunk_rows = 0;
   for (const Item& item : items) chunk_rows += item.Weight();
-  if (stages_[stage].op->profile() != nullptr) {
-    const uint64_t now = obs::NowNs();  // One clock read per chunk.
-    for (Item& item : items) item.enq_ns = now;
-  }
+  const uint64_t now = obs::NowNs();  // One clock read per chunk.
+  for (Item& item : items) item.enq_ns = now;
   // Fast path: the whole chunk fits (or the queue is unbounded) — bulk
   // move without per-element bookkeeping.
   if (limit == 0 || st.q_rows + chunk_rows <= limit) {
@@ -289,23 +285,20 @@ void ParallelExecutor::WorkerLoop(size_t stage) {
     // A batch was claimed: wake every producer blocked on the bound,
     // then process outside the lock.
     st.not_full.notify_all();
-    if (obs::OpMetrics* m = op->metrics()) {
-      m->IncBatches();
-      m->UpdateQueueDepth(claimed);
-    }
-    if (obs::OpProfile* p = op->profile()) {
-      // One clock read per claim: attribute how long the claimed items
-      // sat in this stage's queue (producer-stamped at enqueue).
-      const uint64_t now = obs::NowNs();
-      uint64_t wait = 0, stamped = 0;
-      for (const Item& item : batch) {
-        if (item.enq_ns != 0 && now > item.enq_ns) {
-          wait += now - item.enq_ns;
-          ++stamped;
-        }
+    obs::OpCounters& slot = op->counters();
+    slot.IncBatches();
+    slot.UpdateQueueDepth(claimed);
+    // One clock read per claim: attribute how long the claimed items sat
+    // in this stage's queue (producer-stamped at enqueue).
+    const uint64_t now = obs::NowNs();
+    uint64_t wait = 0, stamped = 0;
+    for (const Item& item : batch) {
+      if (item.enq_ns != 0 && now > item.enq_ns) {
+        wait += now - item.enq_ns;
+        ++stamped;
       }
-      if (stamped != 0) p->AddQueueWait(wait, stamped);
     }
+    if (stamped != 0) slot.AddQueueWait(wait, stamped);
     auto t0 = std::chrono::steady_clock::now();
     uint64_t deliveries = 0;
     if (max_batch <= 1) {
@@ -418,11 +411,9 @@ void ParallelExecutor::CollectStats(obs::SnapshotBuilder& builder,
     obs::LabelSet labels = base_labels;
     labels.emplace_back("stage", std::to_string(i));
     labels.emplace_back("op", stages_[i].op->name());
-    // Mirror the queue high-water into the operator's own metrics slot
-    // so per-op views show queue pressure without asking the executor.
-    if (obs::OpMetrics* m = stages_[i].op->metrics()) {
-      m->UpdateQueueDepth(s.max_queue_depth);
-    }
+    // Mirror the queue high-water into the operator's own slot so
+    // per-op views show queue pressure without asking the executor.
+    stages_[i].op->counters().UpdateQueueDepth(s.max_queue_depth);
     sched::PublishStageStats(builder, labels, s);
   }
 }

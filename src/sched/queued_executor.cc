@@ -17,7 +17,6 @@ class QueuedExecutor::Relay : public Operator {
   /// them), so move each into its queue entry — no per-element
   /// shared_ptr refcount round-trip at the stage boundary.
   void PushBatch(ElementBatch& batch, int /*port*/) override {
-    AssertSingleCaller();
     uint64_t tuples = 0;
     uint64_t puncts = 0;
     for (Element& e : batch) {
@@ -28,9 +27,7 @@ class QueuedExecutor::Relay : public Operator {
       }
       exec_->Admit(next_, std::move(e));
     }
-    stats_.tuples_in += tuples;
-    stats_.puncts_in += puncts;
-    if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+    CountInBulk(tuples, puncts);
   }
 
   /// Columnar hand-off: the batch becomes one queue entry downstream —
@@ -84,9 +81,7 @@ bool QueuedExecutor::Admit(size_t stage, Element e) {
     return false;
   }
   Entry entry{std::move(e), seq_++, nullptr};
-  // Queue-wait stamping is pay-for-what-you-profile: no clock read
-  // unless the consuming operator has a profile slot bound.
-  if (s.op->profile() != nullptr) entry.enq_ns = obs::NowNs();
+  entry.enq_ns = obs::NowNs();
   queues_[stage].push_back(std::move(entry));
   q_rows_[stage] += 1;
   ++stats.enqueued;
@@ -115,7 +110,7 @@ bool QueuedExecutor::AdmitColumns(size_t stage, ColumnBatch&& batch) {
   Entry entry;
   entry.seq = seq_++;
   entry.cols = std::make_unique<ColumnBatch>(std::move(batch));
-  if (s.op->profile() != nullptr) entry.enq_ns = obs::NowNs();
+  entry.enq_ns = obs::NowNs();
   const size_t w = entry.Weight();
   queues_[stage].push_back(std::move(entry));
   q_rows_[stage] += w;
@@ -152,16 +147,16 @@ std::vector<OpView> QueuedExecutor::MakeViews() const {
 void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {
   std::deque<Entry>& q = queues_[stage];
   sched::StageStats& stats = stage_stats_[stage];
-  obs::OpProfile* prof = stages_[stage].op->profile();
-  const uint64_t now = prof != nullptr ? obs::NowNs() : 0;
+  obs::OpCounters& slot = stages_[stage].op->counters();
+  const uint64_t now = obs::NowNs();
   if (n == 1) {
     Entry entry = std::move(q.front());
     q.pop_front();
     ++stats.processed;
     q_rows_[stage] -= 1;
     stats.queue_depth = q_rows_[stage];
-    if (prof != nullptr && entry.enq_ns != 0 && now > entry.enq_ns) {
-      prof->AddQueueWait(now - entry.enq_ns, 1);
+    if (entry.enq_ns != 0 && now > entry.enq_ns) {
+      slot.AddQueueWait(now - entry.enq_ns, 1);
     }
     stages_[stage].op->Process(entry.e, 0);
     return;
@@ -171,14 +166,14 @@ void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {
   uint64_t wait = 0, stamped = 0;
   for (size_t i = 0; i < n; ++i) {
     Entry& front = q.front();
-    if (prof != nullptr && front.enq_ns != 0 && now > front.enq_ns) {
+    if (front.enq_ns != 0 && now > front.enq_ns) {
       wait += now - front.enq_ns;
       ++stamped;
     }
     scratch_.push_back(std::move(front.e));
     q.pop_front();
   }
-  if (stamped != 0) prof->AddQueueWait(wait, stamped);
+  if (stamped != 0) slot.AddQueueWait(wait, stamped);
   stats.processed += n;
   ++stats.batches;
   q_rows_[stage] -= n;
@@ -205,11 +200,9 @@ void QueuedExecutor::DeliverColumns(size_t stage) {
   ++stats.batches;
   q_rows_[stage] -= w;  // Weights are stable while queued.
   stats.queue_depth = q_rows_[stage];
-  if (obs::OpProfile* prof = stages_[stage].op->profile()) {
-    const uint64_t now = obs::NowNs();
-    if (entry.enq_ns != 0 && now > entry.enq_ns) {
-      prof->AddQueueWait(now - entry.enq_ns, 1);
-    }
+  const uint64_t now = obs::NowNs();
+  if (entry.enq_ns != 0 && now > entry.enq_ns) {
+    stages_[stage].op->counters().AddQueueWait(now - entry.enq_ns, 1);
   }
   stages_[stage].op->ProcessColumns(*entry.cols, 0);
 }
@@ -220,9 +213,8 @@ void QueuedExecutor::CollectStats(obs::SnapshotBuilder& builder,
     obs::LabelSet labels = base_labels;
     labels.emplace_back("stage", std::to_string(i));
     labels.emplace_back("op", stages_[i].op->name());
-    if (obs::OpMetrics* m = stages_[i].op->metrics()) {
-      m->UpdateQueueDepth(stage_stats_[i].max_queue_depth);
-    }
+    stages_[i].op->counters().UpdateQueueDepth(
+        stage_stats_[i].max_queue_depth);
     sched::PublishStageStats(builder, labels, stage_stats_[i]);
   }
 }

@@ -101,10 +101,14 @@ ResultQueue::Wait ResultQueue::WaitRows(
   };
   not_empty_.wait_until(lock, deadline, have_row);
 
-  for (const SessionRow& row : rows_) {
-    if (row.seq < cursor) continue;
-    if (out.rows.size() >= max_rows) break;
-    out.rows.push_back(row);
+  // Seqs are contiguous, so the cursor's row sits at a known offset from
+  // the front: no scan over the retained rows before it.
+  if (!rows_.empty()) {
+    const uint64_t front = rows_.front().seq;
+    for (uint64_t i = cursor > front ? cursor - front : 0;
+         i < rows_.size() && out.rows.size() < max_rows; ++i) {
+      out.rows.push_back(rows_[static_cast<size_t>(i)]);
+    }
   }
   out.closed = closed_.load(std::memory_order_relaxed);
   out.full = rows_.size() >= options_.limit;

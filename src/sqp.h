@@ -49,7 +49,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
-#include "obs/op_metrics.h"
+#include "obs/op_counters.h"
 #include "obs/registry.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"

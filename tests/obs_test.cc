@@ -11,7 +11,7 @@
 #include "exec/select.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/op_profile.h"
+#include "obs/op_counters.h"
 #include "obs/registry.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -141,10 +141,6 @@ TEST(MetricsConcurrencyTest, SameNameSameInstance) {
   obs::MetricsRegistry reg;
   EXPECT_EQ(reg.GetCounter("a", {{"k", "v"}}), reg.GetCounter("a", {{"k", "v"}}));
   EXPECT_NE(reg.GetCounter("a", {{"k", "v"}}), reg.GetCounter("a", {{"k", "w"}}));
-  EXPECT_EQ(reg.GetOpMetrics("q0", "select", 0),
-            reg.GetOpMetrics("q0", "select", 0));
-  EXPECT_NE(reg.GetOpMetrics("q0", "select", 0),
-            reg.GetOpMetrics("q0", "select", 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -217,18 +213,25 @@ TEST(SnapshotExportTest, JsonEscapesSpecials) {
 }
 
 // ---------------------------------------------------------------------------
-// Operator instrumentation: a bound plan reports in/out/selectivity,
+// Operator instrumentation: a published plan reports in/out/selectivity,
 // self time, and sampled lineage with zero per-operator code.
 
 TEST(OpInstrumentationTest, BoundChainReportsCounts) {
   obs::MetricsRegistry reg;
+  obs::QueryProfiler profiler;
   Plan plan;
   auto* sel = plan.Make<SelectOp>(Gt(Col(1), Lit(int64_t{499})));
   auto* proj = plan.Make<ProjectOp>(std::vector<ExprRef>{Col(1)});
   auto* sink = plan.Make<CollectorSink>();
   sel->SetOutput(proj);
   proj->SetOutput(sink);
-  plan.BindMetrics(reg, "q0");
+  // Published the way StreamEngine::Submit does it: a profiler entry
+  // read by one registry collector.
+  profiler.Register("q0", "select v from t where v > 499");
+  profiler.BindPlan("q0", plan);
+  reg.AddCollector("q0", [&profiler](obs::SnapshotBuilder& b) {
+    profiler.Publish("q0", b);
+  });
 
   int64_t v = 0;
   RunStream(sel, [&] { int64_t i = v++; return T(i, i % 1000); }, 10000);
@@ -264,7 +267,7 @@ TEST(OpInstrumentationTest, TracerRecordsLineage) {
   auto* sink = plan.Make<CollectorSink>();
   sel->SetOutput(proj);
   proj->SetOutput(sink);
-  plan.BindMetrics(reg, "q0");
+  for (const auto& op : plan.operators()) op->SetTracer(reg.tracer());
 
   int64_t v = 0;
   RunStream(sel, [&] { int64_t i = v++; return T(i, i); }, 1000);
@@ -321,7 +324,7 @@ TEST(OpInstrumentationTest, UnboundOperatorsReportNothing) {
 // Engine integration: StreamEngine::Metrics() end-to-end, serial and
 // parallel, snapshot taken while workers are live.
 
-TEST(EngineMetricsTest, SerialQueryReportsPerOpMetrics) {
+TEST(EngineMetricsTest, SerialQueryReportsPerOpRows) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto q = engine.Submit("select ts, len from packets where len > 500");
@@ -396,25 +399,55 @@ TEST(EngineMetricsTest, ParallelQueryPublishesStageStats) {
 }
 
 TEST(EngineMetricsTest, DisabledMetricsBindNothing) {
+  // Unpublished: the query still gets its label, but no registry rows,
+  // no profile and no latency histogram.
   StreamEngine engine;
   engine.SetMetricsEnabled(false);
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto q = engine.Submit("select ts, len from packets where len > 500");
   ASSERT_TRUE(q.ok());
-  EXPECT_TRUE((*q)->metrics_label().empty());
+  EXPECT_EQ((*q)->metrics_label(), "q0");
+  EXPECT_EQ((*q)->latency_histogram(), nullptr);
   gen::PacketGenerator packets(gen::PacketOptions{});
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(engine.Ingest("packets", packets.Next()).ok());
   }
   engine.FinishAll();
   EXPECT_TRUE(engine.Metrics().TakeSnapshot().ops.empty());
+  obs::QueryProfile p;
+  EXPECT_FALSE(engine.ProfileSnapshot(*q, &p));
+}
+
+TEST(EngineMetricsTest, RemoveDropsQueryRows) {
+  // Every Submit/Remove pair (each POST /query, each churn query) must
+  // leave the registry as it found it: the removed query's operator
+  // rows and latency histogram go with it.
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  gen::PacketGenerator packets(gen::PacketOptions{});
+  const obs::Snapshot base = engine.Metrics().TakeSnapshot();
+  for (int i = 0; i < 1000; ++i) {
+    auto q = engine.Submit("select ts, len from packets where len > 500");
+    ASSERT_TRUE(q.ok());
+    ASSERT_TRUE(engine.Ingest("packets", packets.Next()).ok());
+    if (i == 0) {
+      const obs::Snapshot live = engine.Metrics().TakeSnapshot();
+      EXPECT_GT(live.ops.size(), base.ops.size());
+      EXPECT_GT(live.samples.size(), base.samples.size());
+    }
+    ASSERT_TRUE(engine.Remove(*q).ok());
+  }
+  const obs::Snapshot after = engine.Metrics().TakeSnapshot();
+  EXPECT_EQ(after.ops.size(), base.ops.size());
+  EXPECT_EQ(after.samples.size(), base.samples.size());
+  EXPECT_TRUE(engine.ProfiledQueries().empty());
 }
 
 // ---------------------------------------------------------------------------
-// OpProfile: the hot-path half of the query profiler.
+// OpCounters: the always-on per-operator slot.
 
-TEST(OpProfileTest, AggregatesDeliveriesWaitAndStatePeaks) {
-  obs::OpProfile p;
+TEST(OpCountersTest, AggregatesDeliveriesWaitAndStatePeaks) {
+  obs::OpCounters p;
   p.CountSingle();
   p.CountSingle();
   p.ObserveBatch(10);
@@ -423,7 +456,7 @@ TEST(OpProfileTest, AggregatesDeliveriesWaitAndStatePeaks) {
   p.SampleState(100);
   p.SampleState(400);
   p.SampleState(200);  // State shrank; the peak must not.
-  obs::OpProfileData d = p.Snapshot();
+  obs::OpSnapshot d = p.Snapshot();
   EXPECT_EQ(d.singles, 2u);
   EXPECT_EQ(d.batch_rows.count, 2u);
   EXPECT_EQ(d.batch_rows.sum, 40u);
@@ -432,7 +465,7 @@ TEST(OpProfileTest, AggregatesDeliveriesWaitAndStatePeaks) {
   EXPECT_EQ(d.state_bytes, 200u);
   EXPECT_EQ(d.peak_state_bytes, 400u);
   // No watermark forwarded yet: the sentinel survives the snapshot.
-  EXPECT_EQ(d.wm_ts, obs::OpProfile::kNoWatermark);
+  EXPECT_EQ(d.wm_ts, obs::OpCounters::kNoWatermark);
   EXPECT_EQ(d.wm_count, 0u);
 
   p.OnWatermarkForward(42);
@@ -442,8 +475,8 @@ TEST(OpProfileTest, AggregatesDeliveriesWaitAndStatePeaks) {
   EXPECT_GT(d.wm_ns, 0u);
 }
 
-TEST(OpProfileTest, StateSamplingBacksOffGeometrically) {
-  obs::OpProfile p;
+TEST(OpCountersTest, StateSamplingBacksOffGeometrically) {
+  obs::OpCounters p;
   int calls = 0;
   for (int i = 0; i < 1000; ++i) {
     p.MaybeSampleState([&] {
@@ -456,6 +489,105 @@ TEST(OpProfileTest, StateSamplingBacksOffGeometrically) {
   EXPECT_GE(calls, 5);
   EXPECT_LE(calls, 20);
   EXPECT_EQ(p.Snapshot().state_bytes, 64u);
+}
+
+/// Rows delivered into an operator, however they arrived.
+uint64_t DeliveredRows(const obs::OpSnapshot& s) {
+  return s.singles + s.batch_rows.sum;
+}
+
+TEST(OpCountersTest, ProcessBatchAndColumnsCountAlike) {
+  // One element sequence (tuples and watermarks) through a select ->
+  // project -> count chain, delivered per element, as one row batch and
+  // as one column batch: every slot must end with the same in/out
+  // counts and the same number of delivered rows.
+  std::vector<Element> input;
+  for (int64_t i = 0; i < 500; ++i) {
+    input.push_back(Element(T(i, i % 100)));
+    if (i % 50 == 49) input.push_back(Element(Punctuation::Watermark(i)));
+  }
+  std::vector<std::vector<obs::OpSnapshot>> runs;
+  for (int mode = 0; mode < 3; ++mode) {
+    Plan plan;
+    auto* sel = plan.Make<SelectOp>(Gt(Col(1), Lit(int64_t{49})));
+    auto* proj = plan.Make<ProjectOp>(std::vector<ExprRef>{Col(0), Col(1)});
+    auto* sink = plan.Make<CountingSink>();
+    sel->SetOutput(proj);
+    proj->SetOutput(sink);
+    ElementBatch batch;
+    for (const Element& e : input) batch.push_back(e);
+    ColumnBatch cols;
+    if (mode == 0) {
+      for (const Element& e : batch) sel->Process(e);
+    } else if (mode == 1) {
+      sel->ProcessBatch(batch);
+    } else {
+      ASSERT_TRUE(ColumnBatch::FromRows(batch, &cols));
+      sel->ProcessColumns(cols);
+    }
+    std::vector<obs::OpSnapshot> slots;
+    for (const auto& op : plan.operators()) slots.push_back(op->stats());
+    runs.push_back(std::move(slots));
+  }
+  EXPECT_EQ(runs[0][0].tuples_in, 500u);
+  EXPECT_EQ(runs[0][0].tuples_out, 250u);
+  EXPECT_EQ(runs[0][2].tuples_in, 250u);
+  for (int mode = 1; mode < 3; ++mode) {
+    for (size_t i = 0; i < runs[0].size(); ++i) {
+      const obs::OpSnapshot& ref = runs[0][i];
+      const obs::OpSnapshot& got = runs[static_cast<size_t>(mode)][i];
+      EXPECT_EQ(got.tuples_in, ref.tuples_in) << mode << "/" << i;
+      EXPECT_EQ(got.tuples_out, ref.tuples_out) << mode << "/" << i;
+      EXPECT_EQ(got.puncts_in, ref.puncts_in) << mode << "/" << i;
+      EXPECT_EQ(got.puncts_out, ref.puncts_out) << mode << "/" << i;
+      EXPECT_EQ(DeliveredRows(got), DeliveredRows(ref)) << mode << "/" << i;
+      EXPECT_EQ(got.wm_ts, ref.wm_ts) << mode << "/" << i;
+    }
+  }
+}
+
+TEST(OpCountersTest, ScrapeWhileIngesting) {
+  // The slots' single writers (the ingest thread for the serial query,
+  // stage workers for the parallel one) race the scrape thread's
+  // registry and profile reads — TSan checks the relaxed load + store
+  // scheme in CI.
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto serial = engine.Submit("select ts, len from packets where len > 500");
+  auto parallel =
+      engine.Submit("select ts, len from packets where len > 500");
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_TRUE(engine.EnableParallel(*parallel).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      obs::Snapshot snap = engine.Metrics().TakeSnapshot();
+      obs::QueryProfile p;
+      engine.ProfileSnapshot("q0", &p);
+      engine.ProfileSnapshot("q1", &p);
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  gen::PacketGenerator packets(gen::PacketOptions{});
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", packets.Next()).ok());
+  }
+  engine.FinishAll();
+  stop = true;
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
+
+  for (QueryHandle* h : {*serial, *parallel}) {
+    obs::QueryProfile p;
+    ASSERT_TRUE(engine.ProfileSnapshot(h, &p));
+    ASSERT_FALSE(p.ops.empty());
+    EXPECT_EQ(p.ops.back().tuples_in, static_cast<uint64_t>(n));
+    EXPECT_EQ(p.ops.front().tuples_out, h->result_count());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -520,10 +652,12 @@ TEST(QueryProfilerTest, SnapshotTreeMatchesMetricsCounters) {
   auto* sink = plan.Make<CollectorSink>();
   sel->SetOutput(proj);
   proj->SetOutput(sink);
-  plan.BindMetrics(reg, "q0");
   obs::QueryProfiler::SourceWatermark* src =
       profiler.Register("q0", "select v from t where v > 499");
   profiler.BindPlan("q0", plan);
+  reg.AddCollector("q0", [&profiler](obs::SnapshotBuilder& b) {
+    profiler.Publish("q0", b);
+  });
 
   int64_t v = 0;
   RunStream(sel, [&] { int64_t i = v++; return T(i, i % 1000); }, 10000);
@@ -545,7 +679,7 @@ TEST(QueryProfilerTest, SnapshotTreeMatchesMetricsCounters) {
   EXPECT_EQ(p.ops[2].op, "select");
   EXPECT_EQ(p.ops[2].depth, 2);
 
-  // Row counters are the same atomics the registry snapshot renders.
+  // Row counters are the same slots the registry snapshot renders.
   obs::Snapshot snap = reg.TakeSnapshot();
   ASSERT_EQ(snap.ops.size(), 3u);
   for (const obs::OpProfileRow& row : p.ops) {
@@ -555,7 +689,7 @@ TEST(QueryProfilerTest, SnapshotTreeMatchesMetricsCounters) {
       matched = true;
       EXPECT_EQ(row.tuples_in, o.tuples_in);
       EXPECT_EQ(row.tuples_out, o.tuples_out);
-      EXPECT_DOUBLE_EQ(row.selectivity, o.Selectivity());
+      EXPECT_DOUBLE_EQ(row.Selectivity(), o.Selectivity());
     }
     EXPECT_TRUE(matched) << row.op;
   }
@@ -614,7 +748,7 @@ TEST(QueryProfilerTest, LagNeedsBothSourceAndOperatorWatermarks) {
   profiler.BindPlan("q1", plan);
   sel->Process(Element(Punctuation::Watermark(7)));
   ASSERT_TRUE(profiler.Snapshot("q1", &p));
-  EXPECT_EQ(p.source_wm_ts, obs::OpProfile::kNoWatermark);
+  EXPECT_EQ(p.source_wm_ts, obs::OpCounters::kNoWatermark);
   for (const obs::OpProfileRow& row : p.ops) {
     EXPECT_EQ(row.has_watermark, row.op == "select") << row.op;
     EXPECT_FALSE(row.has_lag);
@@ -634,7 +768,6 @@ TEST(QueryProfilerTest, UnregisterDropsAndLabelsList) {
   obs::QueryProfile p;
   EXPECT_TRUE(profiler.Snapshot("q0", &p));
   EXPECT_FALSE(profiler.Snapshot("q9", &p));
-  for (const auto& op : plan.operators()) op->BindProfile(nullptr);
   profiler.Unregister("q0");
   EXPECT_FALSE(profiler.Snapshot("q0", &p));
   EXPECT_TRUE(profiler.Labels().empty());

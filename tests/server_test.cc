@@ -367,6 +367,28 @@ TEST(ResultQueueTest, AckTrimsRetentionAndFreesCapacity) {
   EXPECT_EQ(q.lag(), 1u);
 }
 
+TEST(ResultQueueTest, CursorMidQueueAndBeforeFront) {
+  server::ResultQueueOptions opts;
+  opts.limit = 100;
+  server::ResultQueue q(opts);
+  for (int64_t i = 0; i < 10; ++i) EXPECT_TRUE(q.Push(Row(i, i)));
+  q.Ack(4);  // Front is now seq 4.
+  const auto now = std::chrono::steady_clock::now();
+  // Mid-queue cursor: starts exactly there, capped by max_rows.
+  auto got = q.WaitRows(7, 2, now);
+  ASSERT_EQ(got.rows.size(), 2u);
+  EXPECT_EQ(got.rows[0].seq, 7u);
+  EXPECT_EQ(got.rows[1].seq, 8u);
+  // A cursor before the front (an old cursor replayed) starts at the
+  // oldest retained row.
+  got = q.WaitRows(1, 100, now);
+  ASSERT_EQ(got.rows.size(), 6u);
+  EXPECT_EQ(got.rows.front().seq, 4u);
+  EXPECT_EQ(got.rows.back().seq, 9u);
+  // Past the end: nothing yet.
+  EXPECT_TRUE(q.WaitRows(10, 100, now).rows.empty());
+}
+
 TEST(ResultQueueTest, BlockPolicyTimesOutThenDrops) {
   server::ResultQueueOptions opts;
   opts.limit = 1;

@@ -518,6 +518,54 @@ TEST(ShardEngineTest, ShardMetricsReachTheRegistry) {
   EXPECT_GE(routed, 500.0);  // 500 tuples + broadcast flush-side puncts.
 }
 
+TEST(ShardEngineTest, ExplainAnalyzeOutCountsMatchTee) {
+  // The sharded group-by emits from its merge thread, into the merge's
+  // slot; its EXPLAIN ANALYZE and registry rows must still report what
+  // reached the query's output tee.
+  StreamEngine eng;
+  ASSERT_TRUE(eng.RegisterStream("syn", gen::PacketSchema()).ok());
+  auto q = eng.Submit(
+      "select tb, src_ip, count(*) from syn group by ts/60 as tb, src_ip");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ShardPlanOptions opts;
+  opts.shards = 2;
+  ASSERT_TRUE(eng.EnableSharding(*q, opts).ok());
+  ASSERT_EQ((*q)->sharded_ops().size(), 1u);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(eng.Ingest("syn", Pkt(i, i % 10, 0, 100)).ok());
+    if (i % 100 == 99) {
+      ASSERT_TRUE(
+          eng.IngestElement("syn", Element(Punctuation::Watermark(i))).ok());
+    }
+  }
+  eng.FinishAll();
+  ASSERT_GT((*q)->result_count(), 0u);
+
+  obs::QueryProfile p;
+  ASSERT_TRUE(eng.ProfileSnapshot(*q, &p));
+  ASSERT_FALSE(p.ops.empty());
+  // The root row feeds the tee; each deeper row feeds the row above it.
+  EXPECT_EQ(p.ops.front().tuples_out, (*q)->result_count());
+  for (size_t i = 1; i < p.ops.size(); ++i) {
+    ASSERT_EQ(p.ops[i].depth, p.ops[i - 1].depth + 1) << p.ops[i].op;
+    EXPECT_EQ(p.ops[i].tuples_out, p.ops[i - 1].tuples_in) << p.ops[i].op;
+  }
+  const ShardedOp* sharded = (*q)->sharded_ops()[0];
+  bool found = false;
+  for (const obs::OpProfileRow& row : p.ops) {
+    if (row.op != sharded->name()) continue;
+    found = true;
+    EXPECT_GT(row.tuples_out, 0u);
+    EXPECT_TRUE(row.has_watermark);
+    for (const obs::OpSnapshot& o : eng.Metrics().TakeSnapshot().ops) {
+      if (o.op == row.op && o.index == row.index) {
+        EXPECT_EQ(o.tuples_out, row.tuples_out);
+      }
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(ShardEngineTest, OrderingGuardsEnforced) {
   StreamEngine eng;
   ASSERT_TRUE(eng.RegisterStream("syn", gen::PacketSchema()).ok());

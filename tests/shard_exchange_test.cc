@@ -99,6 +99,25 @@ TEST(HashExchangeTest, PartitionsEveryTupleToExactlyOneShard) {
   EXPECT_LT(ex->SkewRatio(), 2.0);
 }
 
+TEST(HashExchangeTest, OutCountsMatchRoutedCounts) {
+  // Forward bypasses Emit (one element, many outputs); every delivery,
+  // broadcast watermarks included, must still land in the out-counters.
+  Plan plan;
+  auto* ex = plan.Make<HashExchangeOp>(
+      3, ShardRouting::kDisjoint, std::vector<std::vector<int>>{{1}});
+  for (int i = 0; i < 3; ++i) ex->SetShardOutput(i, plan.Make<CountingSink>());
+  for (int64_t i = 0; i < 300; ++i) {
+    ex->Process(Element(T(i, i % 11)));
+    if (i % 100 == 99) ex->Process(Element(Punctuation::Watermark(i)));
+  }
+  uint64_t routed = 0;
+  for (int i = 0; i < 3; ++i) routed += ex->routed(i);
+  const obs::OpSnapshot s = ex->stats();
+  EXPECT_EQ(s.tuples_out + s.puncts_out, routed);
+  EXPECT_EQ(s.puncts_out, 9u);  // 3 watermarks x 3 shards.
+  EXPECT_EQ(s.wm_ts, 299);
+}
+
 TEST(HashExchangeTest, WatermarkReachesEveryShard) {
   Plan plan;
   auto* ex = plan.Make<HashExchangeOp>(
