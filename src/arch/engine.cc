@@ -71,8 +71,9 @@ Status StreamEngine::RegisterStream(const std::string& name, SchemaRef schema,
   std::unique_lock<std::shared_mutex> reg(reg_mu_);
   SQP_RETURN_NOT_OK(
       catalog_.Register(name, std::move(schema), std::move(domains)));
-  stream_options_[name] = options;
-  ingest_counters_[name] =
+  StreamState& state = streams_[name];
+  state.options = options;
+  state.ingested =
       metrics_.GetCounter("sqp_stream_ingested_total", {{"stream", name}});
   return Status::OK();
 }
@@ -127,13 +128,13 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   const auto& from = handle->query_->analysis().ast.from;
   for (int i = 0; i < handle->query_->num_inputs(); ++i) {
     const std::string& stream = from[static_cast<size_t>(i)].name;
-    const StreamOptions& opt = stream_options_[stream];
-    Operator* entry = handle->query_->input(i);
-    // NOTE: CompiledQuery::Push handles ports internally; front-ends
-    // push into the query via a callback so port routing is preserved.
+    // Compile resolved `stream` in the catalog, which RegisterStream
+    // fills together with streams_.
+    const StreamOptions& opt = streams_.find(stream)->second.options;
+    // Front-ends push into the query via a callback so CompiledQuery's
+    // port routing is preserved.
     cql::CompiledQuery* q = handle->query_.get();
     Operator* target = nullptr;
-    (void)entry;
     if (opt.heartbeat_period > 0) {
       auto hb = std::make_unique<HeartbeatOp>(opt.heartbeat_period,
                                               opt.reorder_slack);
@@ -171,6 +172,12 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   // a replay racing ingest never double-delivers.
   if (dur_ != nullptr) handle->submit_seq_ = dur_->last_seq();
 
+  // Route ingest to the new query. Appending keeps every reader list in
+  // submission order, then tap order; taps_ is final from here on, so
+  // the Tap pointers stay valid until Remove.
+  for (const QueryHandle::Tap& tap : handle->taps_) {
+    streams_.find(tap.stream)->second.readers.push_back({handle.get(), &tap});
+  }
   queries_.push_back(std::move(handle));
   return queries_.back().get();
 }
@@ -365,14 +372,15 @@ Status StreamEngine::IngestElement(const std::string& stream,
   // Shared: delivery may overlap registration/teardown from a server
   // thread, but never another delivery (single ingest thread contract).
   std::shared_lock<std::shared_mutex> reg(reg_mu_);
-  if (catalog_.Lookup(stream) == nullptr) {
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) {
     return Status::NotFound("unknown stream: " + stream);
   }
   if (finished_) {
     return Status::InvalidArgument("engine already finished");
   }
-  auto ic = ingest_counters_.find(stream);
-  if (ic != ingest_counters_.end()) ic->second->Inc();
+  const StreamState& state = it->second;
+  state.ingested->Inc();
   // Archive-before-deliver: once delivery runs, the element must be
   // recoverable. (Group commit means the bytes may still sit in the
   // buffer for up to a flush interval — a crash inside that window
@@ -393,17 +401,14 @@ Status StreamEngine::IngestElement(const std::string& stream,
       return seq.status();
     }
   }
-  for (auto& q : queries_) {
-    for (const QueryHandle::Tap& tap : q->taps_) {
-      if (tap.stream != stream) continue;
-      q->ingested_ = true;
-      if (q->shed_gate_ != nullptr) {
-        // The gate forwards surviving elements into DeliverDirect via
-        // its CallbackSink output; shed tuples end here.
-        q->shed_gate_->Process(e, 0);
-      } else {
-        DeliverDirect(*q, tap, e);
-      }
+  for (const StreamState::Reader& r : state.readers) {
+    r.query->ingested_ = true;
+    if (r.query->shed_gate_ != nullptr) {
+      // The gate forwards surviving elements into DeliverDirect via its
+      // CallbackSink output; shed tuples end here.
+      r.query->shed_gate_->Process(e, 0);
+    } else {
+      DeliverDirect(*r.query, *r.tap, e);
     }
   }
   // Periodic checkpoint rides the ingest thread after delivery: the
@@ -577,6 +582,13 @@ Status StreamEngine::Remove(QueryHandle* handle) {
   profiler_.Unregister(label);
   events_.Emit(obs::EventKind::kQueryStop, label, handle->text_);
 
+  // Unroute it: only the streams it reads are touched.
+  for (const QueryHandle::Tap& tap : handle->taps_) {
+    std::erase_if(streams_.find(tap.stream)->second.readers,
+                  [handle](const StreamState::Reader& r) {
+                    return r.query == handle;
+                  });
+  }
   queries_.erase(queries_.begin() + static_cast<long>(index));
   return Status::OK();
 }

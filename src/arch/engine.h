@@ -319,6 +319,11 @@ class StreamEngine {
   Status EnableSharding(QueryHandle* handle, ShardPlanOptions options = {});
 
   /// Pushes one tuple (or punctuation) into every query reading `stream`.
+  /// Cost is O(readers of `stream`): one lookup finds the stream's reader
+  /// list, and queries on other streams are never visited. Readers are
+  /// delivered in query-submission order, then tap order (a self-join
+  /// gets the element on each port in turn). The list holds pointers
+  /// into each handle's taps_, which never change after Submit.
   Status Ingest(const std::string& stream, const TupleRef& tuple);
   Status IngestElement(const std::string& stream, const Element& e);
 
@@ -485,8 +490,22 @@ class StreamEngine {
   /// and teardown paths take it exclusive.
   mutable std::shared_mutex reg_mu_;
 
+  /// What ingest and recovery replay need about one stream, found with
+  /// one lookup. `readers` changes only under the exclusive reg_mu_:
+  /// Submit appends the new query's taps, Remove erases its entries.
+  struct StreamState {
+    StreamOptions options;
+    obs::Counter* ingested = nullptr;  // sqp_stream_ingested_total.
+    struct Reader {
+      QueryHandle* query;
+      const QueryHandle::Tap* tap;
+    };
+    std::vector<Reader> readers;
+  };
+
+  // Schemas for cql::Compile; ingest consults only streams_.
   cql::Catalog catalog_;
-  std::map<std::string, StreamOptions> stream_options_;
+  std::map<std::string, StreamState> streams_;
   // Outlives queries_ (destroyed later): operators hold its tracer.
   // Collectors that reference per-query state are only invoked via
   // TakeSnapshot, never during destruction.
@@ -495,7 +514,6 @@ class StreamEngine {
   // after): teardown paths emit events until the last handle dies.
   obs::EventLog events_;
   obs::QueryProfiler profiler_;
-  std::map<std::string, obs::Counter*> ingest_counters_;
   bool metrics_enabled_ = true;
   std::vector<std::unique_ptr<QueryHandle>> queries_;
   // Monotonic label sequence: labels stay unique across Remove()s (a

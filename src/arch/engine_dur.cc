@@ -234,17 +234,17 @@ Status StreamEngine::RecoverLocked() {
     if (!has.ok()) return has.status();
     if (!*has) break;
     if (rec.seq <= min_start) continue;
-    for (auto& q : queries_) {
-      uint64_t from = 0;
-      auto it = start_seq.find(q.get());
-      if (it != start_seq.end()) from = it->second;
-      if (rec.seq <= from) continue;
-      for (const QueryHandle::Tap& tap : q->taps_) {
-        if (tap.stream != rec.stream) continue;
-        q->ingested_ = true;
+    // Same routing as live ingest; a record of a stream this engine did
+    // not register reaches no query.
+    auto st = streams_.find(rec.stream);
+    if (st != streams_.end()) {
+      for (const StreamState::Reader& r : st->second.readers) {
+        auto it = start_seq.find(r.query);
+        if (it != start_seq.end() && rec.seq <= it->second) continue;
+        r.query->ingested_ = true;
         // Straight into DeliverDirect: replay must be lossless, so the
         // shed gate (whose query is never checkpointed) is bypassed.
-        DeliverDirect(*q, tap, rec.element);
+        DeliverDirect(*r.query, *r.tap, rec.element);
       }
     }
     if (rec.element.is_punctuation()) {

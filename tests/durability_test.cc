@@ -620,6 +620,71 @@ TEST(EngineDurabilityTest, ReplayIntoStopsAtSubmitBoundary) {
   EXPECT_EQ(Rows(*q), Rows(*rq));
 }
 
+TEST(EngineDurabilityTest, RecoveryRoutesEachRecordToItsStreamOnly) {
+  std::string dir = TempDir("routing");
+  const char* kPackets = "select ts, len from packets";
+  const char* kOther = "select ts, len from other";
+  const char* kQuiet = "select ts, len from quiet";
+  // Interleaved input, told apart by len: packets carry i, other 1000+i.
+  auto feed = [](StreamEngine& engine) {
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(engine.Ingest("packets", Pkt(i, 1, 6, i)).ok());
+      if (i < 60) {
+        ASSERT_TRUE(engine.Ingest("other", Pkt(i, 2, 6, 1000 + i)).ok());
+      }
+    }
+  };
+  auto register_all = [](StreamEngine& engine) {
+    for (const char* s : {"packets", "other", "quiet"}) {
+      ASSERT_TRUE(engine.RegisterStream(s, gen::PacketSchema()).ok());
+    }
+  };
+
+  // Run 1 checkpoints only the packets query, mid-run, and stops
+  // without a final checkpoint.
+  {
+    StreamEngine engine;
+    register_all(engine);
+    ASSERT_TRUE(engine.Submit(kPackets).ok());
+    dur::DurabilityOptions opt;
+    opt.checkpoint_every = 50;
+    opt.flush_interval_ms = 0;
+    ASSERT_TRUE(engine.EnableDurability(dir, opt).ok());
+    feed(engine);
+  }
+
+  // Run 2: the packets query resumes from the checkpoint; the other two
+  // replay from seq 0, and "quiet" was never ingested into.
+  StreamEngine engine;
+  register_all(engine);
+  auto qp = engine.Submit(kPackets);
+  auto qo = engine.Submit(kOther);
+  auto qq = engine.Submit(kQuiet);
+  ASSERT_TRUE(qp.ok() && qo.ok() && qq.ok());
+  ASSERT_TRUE(engine.EnableDurability(dir, {}).ok());
+  const RecoveryReport& rep = engine.recovery_report();
+  EXPECT_TRUE(rep.checkpoint_loaded);
+  EXPECT_GT(rep.checkpoint_position, 0u);
+  EXPECT_EQ(rep.restored_queries, 1u);
+  EXPECT_EQ(rep.replay_from_zero_queries, 2u);
+  EXPECT_EQ(rep.replayed_tuples, 160u);
+  EXPECT_EQ(rep.replayed_puncts, 0u);
+  engine.FinishAll();
+
+  StreamEngine ref;
+  register_all(ref);
+  auto rp = ref.Submit(kPackets);
+  auto ro = ref.Submit(kOther);
+  ASSERT_TRUE(rp.ok() && ro.ok());
+  feed(ref);
+  ref.FinishAll();
+  EXPECT_EQ((*qp)->result_count(), 100u);
+  EXPECT_EQ((*qo)->result_count(), 60u);
+  EXPECT_EQ((*qq)->result_count(), 0u);
+  EXPECT_EQ(Rows(*qp), Rows(*rp));
+  EXPECT_EQ(Rows(*qo), Rows(*ro));
+}
+
 TEST(EngineDurabilityTest, EnableTwiceRejected) {
   std::string dir = TempDir("twice");
   StreamEngine engine;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include "arch/engine.h"
 #include "common/rng.h"
 #include "stream/generators.h"
@@ -197,6 +201,174 @@ TEST(EngineTest, TwoStreamJoinThroughEngine) {
   engine.FinishAll();
   ASSERT_EQ((*q)->result_count(), 1u);
   EXPECT_EQ((*q)->results()[0]->at(1).AsInt(), 5);
+}
+
+// --- Per-stream routing: ingest reaches only the stream's readers ---
+
+std::vector<std::string> SortedRows(const QueryHandle* q) {
+  std::vector<std::string> rows;
+  for (const TupleRef& t : q->results()) rows.push_back(t->ToString());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(EngineRoutingTest, QueryOnOtherStreamIsNeverTouched) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  ASSERT_TRUE(engine.RegisterStream("other", gen::PacketSchema()).ok());
+  auto busy = engine.Submit("select ts from packets where len > 10");
+  auto idle = engine.Submit("select ts from other where len > 10");
+  ASSERT_TRUE(busy.ok() && idle.ok());
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", Pkt(i, 1, 6, 50)).ok());
+  }
+  ASSERT_TRUE(
+      engine.IngestElement("packets", Element(Punctuation::Watermark(100)))
+          .ok());
+
+  obs::QueryProfile p;
+  ASSERT_TRUE(engine.ProfileSnapshot(*idle, &p));
+  ASSERT_FALSE(p.ops.empty());
+  for (const obs::OpProfileRow& row : p.ops) {
+    EXPECT_EQ(row.tuples_in, 0u) << row.op;
+    EXPECT_EQ(row.puncts_in, 0u) << row.op;
+  }
+  // Never ingested into, so the pre-first-Ingest opt-ins still apply.
+  EXPECT_TRUE(engine.EnableColumnar(*idle).ok());
+  EXPECT_TRUE(engine.EnableParallel(*idle).ok());
+  EXPECT_FALSE(engine.EnableParallel(*busy).ok());
+  engine.FinishAll();
+  EXPECT_EQ((*busy)->result_count(), 100u);
+  EXPECT_EQ((*idle)->result_count(), 0u);
+}
+
+TEST(EngineRoutingTest, SelfJoinGetsElementOnBothPortsInTapOrder) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto q = engine.Submit(
+      "select a.ts, b.ts from packets a [range 100], packets b [range 100] "
+      "where a.src_ip = b.src_ip");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(engine.Ingest("packets", Pkt(1, 7, 6, 10)).ok());
+  ASSERT_TRUE(engine.Ingest("packets", Pkt(2, 7, 6, 10)).ok());
+  engine.FinishAll();
+
+  std::vector<std::pair<int64_t, int64_t>> got;
+  for (const TupleRef& t : (*q)->results()) {
+    got.emplace_back(t->at(0).AsInt(), t->at(1).AsInt());
+  }
+  // Each element enters port 0 (a), then port 1 (b). Tuple 1 meets only
+  // itself, on port 1. Tuple 2 on port 0 probes b = {1}, giving (2, 1);
+  // on port 1 it probes a = {1, 2}. Reversed taps would emit (1, 2)
+  // second instead.
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0], std::make_pair(int64_t{1}, int64_t{1}));
+  EXPECT_EQ(got[1], std::make_pair(int64_t{2}, int64_t{1}));
+  std::sort(got.begin() + 2, got.end());
+  EXPECT_EQ(got[2], std::make_pair(int64_t{1}, int64_t{2}));
+  EXPECT_EQ(got[3], std::make_pair(int64_t{2}, int64_t{2}));
+}
+
+TEST(EngineRoutingTest, SubmitAndRemoveBetweenIngests) {
+  const char* kKeepA = "select ts, len from packets where len > 100";
+  const char* kGone = "select ts from packets where protocol = 6";
+  const char* kKeepB = "select ts, src_ip from packets where len <= 100";
+  auto pkt = [](int64_t i) {
+    return Pkt(i, i % 5, i % 2 == 0 ? 6 : 17, i * 7 % 300);
+  };
+
+  StreamEngine ref;
+  ASSERT_TRUE(ref.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto ref_a = ref.Submit(kKeepA);
+  auto ref_b = ref.Submit(kKeepB);
+  ASSERT_TRUE(ref_a.ok() && ref_b.ok());
+
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto keep_a = engine.Submit(kKeepA);
+  size_t gone_seen = 0;
+  SubmitOptions count_gone;
+  count_gone.on_result = [&gone_seen](const TupleRef&) { ++gone_seen; };
+  auto gone = engine.Submit(kGone, count_gone);
+  auto keep_b = engine.Submit(kKeepB);
+  ASSERT_TRUE(keep_a.ok() && gone.ok() && keep_b.ok());
+
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", pkt(i)).ok());
+    ASSERT_TRUE(ref.Ingest("packets", pkt(i)).ok());
+  }
+  EXPECT_EQ(gone_seen, 20u);  // Even i are protocol 6.
+  ASSERT_TRUE(engine.Remove(*gone).ok());
+  for (int64_t i = 40; i < 80; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", pkt(i)).ok());
+    ASSERT_TRUE(ref.Ingest("packets", pkt(i)).ok());
+  }
+  EXPECT_EQ(gone_seen, 20u);
+
+  // The same text submitted again is a new query: it sees only what is
+  // ingested from now on.
+  auto again = engine.Submit(kGone);
+  ASSERT_TRUE(again.ok());
+  for (int64_t i = 80; i < 100; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", pkt(i)).ok());
+    ASSERT_TRUE(ref.Ingest("packets", pkt(i)).ok());
+  }
+  engine.FinishAll();
+  ref.FinishAll();
+  EXPECT_EQ(gone_seen, 20u);
+  EXPECT_EQ(SortedRows(*keep_a), SortedRows(*ref_a));
+  EXPECT_EQ(SortedRows(*keep_b), SortedRows(*ref_b));
+  ASSERT_EQ((*again)->result_count(), 10u);
+  EXPECT_EQ((*again)->results().front()->at(0).AsInt(), 80);
+}
+
+TEST(EngineRoutingTest, ConcurrentChurnLeavesStableQueryExact) {
+  const char* kStable = "select ts, len from packets where len > 100";
+  auto pkt = [](int64_t i) { return Pkt(i, i % 9, 6, i * 13 % 400); };
+
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  ASSERT_TRUE(engine.RegisterStream("other", gen::PacketSchema()).ok());
+  auto stable = engine.Submit(kStable);
+  ASSERT_TRUE(stable.ok());
+
+  // One ingest thread (the engine's contract) keeps going until the
+  // churn is over; a second thread submits and removes queries on both
+  // streams meanwhile.
+  std::atomic<bool> churn_done{false};
+  int64_t ingested = 0;
+  bool ingest_failed = false;
+  std::thread ingest([&] {
+    for (int64_t i = 0; i < 2000 || !churn_done.load(); ++i) {
+      ingest_failed = !engine.Ingest("packets", pkt(i)).ok() ||
+                      !engine.Ingest("other", pkt(i)).ok();
+      if (ingest_failed) return;
+      ingested = i + 1;
+    }
+  });
+  int churn_failures = 0;
+  for (int i = 0; i < 500; ++i) {
+    auto q = engine.Submit(i % 2 == 0
+                               ? "select ts from packets where len > 50"
+                               : "select ts from other where len > 50");
+    if (!q.ok() || !engine.Remove(*q).ok()) ++churn_failures;
+  }
+  churn_done = true;
+  ingest.join();
+  ASSERT_FALSE(ingest_failed);
+  EXPECT_EQ(churn_failures, 0);
+  engine.FinishAll();
+  EXPECT_EQ(engine.num_queries(), 1u);
+
+  StreamEngine ref;
+  ASSERT_TRUE(ref.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto ref_q = ref.Submit(kStable);
+  ASSERT_TRUE(ref_q.ok());
+  for (int64_t i = 0; i < ingested; ++i) {
+    ASSERT_TRUE(ref.Ingest("packets", pkt(i)).ok());
+  }
+  ref.FinishAll();
+  EXPECT_EQ(SortedRows(*stable), SortedRows(*ref_q));
 }
 
 // --- Opt-in threaded execution (EnableParallel) ---
