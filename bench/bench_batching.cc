@@ -8,11 +8,11 @@
 //    scheduling decision (policy Pick over fresh per-stage views) per
 //    element per stage; batched delivery amortizes it across the batch
 //    — the tutorial's Aurora "train" processing argument.
-//  - ParallelExecutor op-per-stage: max_batch = wake_batch = B bounds
-//    both the queue claim and the delivery unit, so B=1 is the classic
-//    element-at-a-time executor (a lock round-trip, a producer wakeup
-//    and a virtual Push per element) and larger B amortizes queue
-//    locks, wakeups and dispatch.
+//  - ParallelExecutor op-per-stage: max_batch = B is the wake
+//    threshold, the queue claim and the delivery unit, so B=1 is the
+//    classic element-at-a-time executor (a lock round-trip, a producer
+//    wakeup and a virtual Push per element) and larger B amortizes
+//    queue locks, wakeups and dispatch.
 //
 // Output counts must match across every configuration of a sweep — the
 // harness aborts otherwise. Microbenchmarks cover the directly-wired
@@ -176,7 +176,7 @@ RunResult RunQueued(const std::vector<Element>& input, size_t batch) {
   return {std::chrono::duration<double>(t1 - t0).count(), sink->tuples()};
 }
 
-/// Parallel, op-per-stage: max_batch = wake_batch = `batch`, so batch=1
+/// Parallel, op-per-stage: max_batch = `batch`, so batch=1
 /// is the classic element-at-a-time hand-off at every queue.
 RunResult RunParallel(const std::vector<Element>& input, size_t batch) {
   Plan plan;
@@ -188,7 +188,6 @@ RunResult RunParallel(const std::vector<Element>& input, size_t batch) {
     s.op = op;
     s.queue_limit = 512;
     s.backpressure = Backpressure::kBlock;
-    s.wake_batch = batch;
     s.max_batch = batch;
     stages.push_back(s);
   }
@@ -304,7 +303,7 @@ void PrintParallelSweep() {
   }
   t.Print(
       "Parallel op-per-stage 4-stage select->select->project->project "
-      "pipeline: hand-off batch size sweep (max_batch = wake_batch = B)");
+      "pipeline: hand-off batch size sweep (max_batch = B)");
   std::printf(
       "note: B=1 claims one element per lock acquisition and wakes the "
       "consumer per\nelement; larger B amortizes queue locks, wakeups "

@@ -129,8 +129,8 @@ struct RunConfig {
   std::vector<ExprRef> proj2;
 };
 
-/// Parallel op-per-stage run: wake_batch = max_batch = B. Columnar mode
-/// flips Stage.columnar so each worker converts its claimed run once
+/// Parallel op-per-stage run: max_batch = B. Columnar mode flips
+/// Stage.columnar so each worker converts its claimed run once
 /// and the chain stays columnar until the counting sink.
 RunResult Run(const std::vector<Element>& input, const RunConfig& cfg) {
   Plan plan;
@@ -143,7 +143,6 @@ RunResult Run(const std::vector<Element>& input, const RunConfig& cfg) {
     s.op = op;
     s.queue_limit = std::max<size_t>(512, cfg.batch);
     s.backpressure = Backpressure::kBlock;
-    s.wake_batch = cfg.batch;
     s.max_batch = cfg.batch;
     s.columnar = cfg.columnar;
     stages.push_back(s);

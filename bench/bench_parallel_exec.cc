@@ -198,7 +198,7 @@ RunResult RunParallel(const std::vector<Element>& input, size_t num_stages) {
     // heap tuples is far past L1/L2 and made every hop memory-cold).
     s.queue_limit = 512;
     s.backpressure = Backpressure::kBlock;
-    s.wake_batch = 128;
+    s.max_batch = 128;
     stages.push_back(s);
   }
   ParallelExecutor exec(stages, sink);

@@ -207,7 +207,7 @@ Status StreamEngine::EnableParallel(QueryHandle* handle,
   bool chain = false;
   // A sharded plan always runs whole-query: a ShardedOp's merge worker
   // drives the downstream edge, and op-per-stage mode would hand that
-  // same edge (a stage relay) to a stage worker too — two drivers, one
+  // same edge (a stage feed) to a stage worker too — two drivers, one
   // operator. The shard/merge threads already decouple the pipeline.
   if (q->num_inputs() == 1 && handle->sharded_ops_.empty()) {
     // Split the linear chain input -> ... -> root op-per-stage; the tee

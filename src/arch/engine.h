@@ -47,9 +47,10 @@ struct ParallelQueryOptions {
   size_t queue_limit = 1024;
   /// Full-queue behavior: block the ingesting thread or shed the tuple.
   Backpressure backpressure = Backpressure::kBlock;
-  /// Delivery granularity per stage (ParallelExecutor::Stage::max_batch):
-  /// the worker hands queued elements to each operator in ElementBatch
-  /// runs of at most this size. <= 1 delivers per element.
+  /// Hand-off batch size per stage (ParallelExecutor::Stage::max_batch):
+  /// the worker is woken once this many elements are queued and hands
+  /// them to its operator in ElementBatch runs of at most this size.
+  /// <= 1 delivers per element.
   size_t max_batch = 64;
 };
 

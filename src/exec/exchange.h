@@ -28,11 +28,6 @@ enum class ShardRouting { kDisjoint, kReplicated };
 
 const char* ShardRoutingName(ShardRouting r);
 
-/// Full-queue policy of the sharded executor's internal queues —
-/// mirrors sched::Backpressure without a layering dependency (sqp_sched
-/// links sqp_exec, not the reverse).
-enum class ShardBackpressure { kBlock, kDropNewest };
-
 /// The routing decision shared by HashExchangeOp (serial, unit-testable)
 /// and ShardedOp (threaded): element + port -> one shard, or broadcast.
 ///

@@ -2,17 +2,15 @@
 #define SQP_EXEC_SHARDED_OP_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/exchange.h"
+#include "exec/handoff.h"
 #include "exec/operator.h"
 #include "obs/event_log.h"
 #include "obs/snapshot.h"
@@ -35,23 +33,28 @@ struct ShardedOpOptions {
   std::vector<std::vector<int>> key_cols = {{}};
   /// Bound of each shard's input queue in elements (0 = unbounded).
   size_t queue_limit = 1024;
-  ShardBackpressure backpressure = ShardBackpressure::kBlock;
+  Backpressure backpressure = Backpressure::kBlock;
   /// Bound of the merge (fan-in) queue in elements (0 = unbounded).
   /// Shard workers block on it; the merge worker never blocks on
   /// shards, so there is no cycle to deadlock.
   size_t merge_queue_limit = 4096;
-  /// Producer wakes a shard worker only once this many elements are
-  /// queued (punctuations and queue-full wake immediately); workers
-  /// also poll on a ~1ms timeout so a sub-batch trickle is bounded.
-  size_t wake_batch = 64;
+  /// The one hand-off batch size (ParallelExecutor::Stage::max_batch):
+  /// a shard worker is woken once this many elements are queued
+  /// (punctuations and a full queue wake at once), delivers same-port
+  /// runs of at most this size as one ProcessBatch call, and its
+  /// replica's output reaches the merge in chunks of this size. Unlike
+  /// a stage, a shard worker claims its whole backlog per lock
+  /// acquisition. Workers also poll on a ~1ms timeout so a sub-batch
+  /// trickle is bounded.
+  size_t batch = 64;
   /// Input-side Flush calls expected before the drain starts; 0 = the
   /// input port count (binary operators receive one flush per side).
   int expected_flushes = 0;
   /// Columnar delivery inside each shard: the worker converts every
   /// claimed same-port run into a ColumnBatch (ColumnBatch::FromRows)
   /// and hands it to the replica as one ProcessColumns call, falling
-  /// back to per-element Process when conversion fails or the replica
-  /// does not support columns on that port. Routing and the merge stay
+  /// back to ProcessBatch when conversion fails or the replica does not
+  /// support columns on that port. Routing and the merge stay
   /// row-based — the hash exchange reads per-row keys and the merge
   /// re-serializes per element, so those are natural materialization
   /// boundaries.
@@ -150,55 +153,39 @@ class ShardedOp : public Operator {
                     const obs::LabelSet& base_labels) const;
 
  private:
-  class MergeFeed;
-
-  struct Item {
-    Element e;
-    int port;
-  };
-  /// One shard's queue + worker + replica + counters.
+  /// One shard's input channel + worker + replica + counters.
   struct ShardState {
-    mutable std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::deque<Item> q;
-    bool closed = false;
-    uint64_t dropped = 0;
-    uint64_t max_depth = 0;
-    /// Last kShardStall emission (ns, guarded by mu) — rate limiter.
+    ShardState(const ShardedOpOptions& o, HandoffChannel* merge, int shard,
+               std::unique_ptr<Operator> r)
+        : channel(o.queue_limit, o.backpressure, o.batch),
+          replica(std::move(r)),
+          feed(merge, shard, o.batch, /*columns=*/false) {}
+    HandoffChannel channel;
+    /// Last kShardStall emission (ns) — rate limiter, touched only by
+    /// the (single) Push caller.
     uint64_t last_stall_ns = 0;
-    std::atomic<uint64_t> routed{0};
     std::atomic<uint64_t> merged{0};
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<size_t> state_bytes{0};
     std::unique_ptr<Operator> replica;
-    std::unique_ptr<MergeFeed> feed;  // Replica output -> merge queue.
+    ChannelFeed feed;  // Replica output -> merge channel, port = shard.
     std::thread worker;
-  };
-  struct MergeItem {
-    Element e;
-    int shard;
-    bool shard_done;
   };
 
   void EnsureStarted();
-  bool EnqueueShard(int shard, Item item);
-  void EnqueueMerge(std::vector<MergeItem>& items);
+  void Enqueue(int shard, const Element& e, int port);
   void ShardLoop(int shard);
   void MergeLoop();
-  void DrainAndJoin();
-  void StopAndJoin();
+  void JoinWorkers();
 
   ShardedOpOptions options_;
   ShardRouter router_;
   int expected_flushes_;
+  /// Fan-in from every shard's feed; always kBlock (produced results
+  /// must never be shed — load shedding belongs at the input queues).
+  HandoffChannel merge_channel_;
   std::vector<std::unique_ptr<ShardState>> states_;
   ShardMergeOp merge_;
-
-  std::mutex merge_mu_;
-  std::condition_variable merge_not_empty_;
-  std::condition_variable merge_not_full_;
-  std::deque<MergeItem> merge_q_;
   std::thread merge_worker_;
 
   std::atomic<bool> running_{false};

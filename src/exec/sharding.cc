@@ -63,7 +63,7 @@ std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
     op_opts.queue_limit = options.queue_limit;
     op_opts.backpressure = options.backpressure;
     op_opts.merge_queue_limit = options.merge_queue_limit;
-    op_opts.wake_batch = options.wake_batch;
+    op_opts.batch = options.batch;
     op_opts.expected_flushes = static_cast<int>(key_cols.size());
     op_opts.columnar = options.columnar;
     op_opts.events = options.events;

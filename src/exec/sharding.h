@@ -51,9 +51,10 @@ struct ShardPlanOptions {
   /// replicated regardless of this preference.
   ShardRouting routing = ShardRouting::kDisjoint;
   size_t queue_limit = 1024;
-  ShardBackpressure backpressure = ShardBackpressure::kBlock;
+  Backpressure backpressure = Backpressure::kBlock;
   size_t merge_queue_limit = 4096;
-  size_t wake_batch = 64;
+  /// Hand-off batch size (ShardedOpOptions::batch).
+  size_t batch = 64;
   /// Columnar delivery inside each shard (ShardedOpOptions::columnar):
   /// replicas that support columns fold converted runs column-at-a-time.
   bool columnar = false;

@@ -2,31 +2,18 @@
 #define SQP_SCHED_PARALLEL_EXECUTOR_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "exec/handoff.h"
 #include "exec/operator.h"
 #include "sched/stage_stats.h"
 
 namespace sqp {
 
-/// What a stage's bounded input queue does when it is full.
-enum class Backpressure {
-  /// Producer blocks until the stage's worker frees a slot — loss-free,
-  /// propagates pressure upstream (the punctuation/feedback style of
-  /// inter-operator flow control).
-  kBlock,
-  /// The arriving element is dropped and counted — the classic DSMS
-  /// overload response (load shedding at the queue).
-  kDropNewest,
-};
-
 /// Runs a linear chain of operators with one worker thread per stage,
-/// connected by bounded queues — the threaded counterpart of
+/// connected by bounded Channels — the threaded counterpart of
 /// QueuedExecutor, trading its explicit scheduling policy for actual
 /// pipeline parallelism.
 ///
@@ -62,21 +49,17 @@ class ParallelExecutor {
     /// Input port elements from the upstream queue are delivered on
     /// (port 0 for plain chains; set when wrapping pre-wired plans).
     int in_port = 0;
-    /// The worker is only woken once this many elements are queued (or a
-    /// punctuation arrives, the queue fills, or the input closes) — the
-    /// hand-off granularity. Larger batches amortize wakeups and context
-    /// switches; 1 wakes the worker per element. Latency stays bounded:
-    /// workers also poll on a short timeout, so a sub-batch trickle is
-    /// picked up within ~1ms rather than sitting until the next batch.
-    size_t wake_batch = 64;
-    /// Hand-off granularity out of the stage's queue: the worker claims
-    /// at most this many elements per lock acquisition and delivers the
+    /// The stage's one hand-off batch size. The worker is woken once
+    /// this many elements are queued (or at once for a punctuation), and
+    /// it claims at most this many per lock acquisition and delivers the
     /// run as one Operator::ProcessBatch call, so batches keep
-    /// propagating downstream through Emit coalescing. <= 1 reproduces
-    /// the classic element-at-a-time executor loop — one lock
-    /// acquisition and one virtual Process per element. Order (tuples
-    /// and punctuations alike) is preserved either way, and the bound
-    /// also caps how long a claimed run can delay the relay flush.
+    /// propagating downstream through Emit coalescing. The upstream
+    /// stage's feed also sends in chunks of this size. <= 1 reproduces
+    /// the classic element-at-a-time executor loop: a lock acquisition,
+    /// a wakeup and one virtual Process per element. Order (tuples and
+    /// punctuations alike) is preserved either way. Latency stays
+    /// bounded: workers poll on a ~1 ms timeout, so a sub-batch trickle
+    /// does not sit until the next batch fills.
     size_t max_batch = 64;
     /// Columnar delivery: the worker converts each claimed same-port
     /// run of row elements into a ColumnBatch (ColumnBatch::FromRows)
@@ -116,7 +99,7 @@ class ParallelExecutor {
   void Stop();
 
   bool running() const { return running_; }
-  size_t num_stages() const { return stages_.size(); }
+  size_t num_stages() const { return states_.size(); }
 
   /// Snapshot of one stage's counters (safe to call while running).
   sched::StageStats stage_stats(size_t i) const;
@@ -132,68 +115,27 @@ class ParallelExecutor {
   size_t QueuedElements() const;
 
  private:
-  /// One queue slot: either a single row element (`cols == nullptr`) or
-  /// a whole columnar batch crossing the stage boundary without
-  /// materialization. Queue accounting (limits, depths, enqueued/
-  /// processed/dropped counters) is in *elements*: a columnar item
-  /// weighs its live rows plus punctuation slots, so `queue_limit`
-  /// bounds the same quantity either way.
-  struct Item {
-    Element e;
-    int port = 0;
-    std::unique_ptr<ColumnBatch> cols;
-    /// Enqueue timestamp for queue-wait attribution; stamped only when
-    /// the receiving stage's operator has a profile bound (0 = unstamped
-    /// — profiling disabled, no clock read on the hand-off path).
-    uint64_t enq_ns = 0;
-
-    /// Element count this item charges against queue accounting (min 1
-    /// so even a fully-filtered columnar batch holds a queue slot).
-    size_t Weight() const {
-      if (cols == nullptr) return 1;
-      size_t w = cols->ActiveRows() + cols->puncts.size();
-      return w == 0 ? 1 : w;
-    }
-  };
-
-  /// One stage's queue + worker + counters. Counters written by the
-  /// owning threads under `mu` or as relaxed atomics (read-mostly
-  /// snapshots); the queue itself is mutex+condvar, with batched pops so
-  /// the lock is taken once per batch, not per element.
+  /// One stage's input channel + worker + the counters the channel does
+  /// not keep. Channel weights are elements: a columnar item weighs its
+  /// live rows plus punctuation slots, so `queue_limit` bounds the same
+  /// quantity either way.
   struct StageState {
+    explicit StageState(const Stage& s)
+        : cfg(s), channel(s.queue_limit, s.backpressure, s.max_batch) {}
     Stage cfg;
-    mutable std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::deque<Item> q;
-    /// Sum of item weights in `q` (elements, not slots): what limits,
-    /// wake thresholds and depth counters measure. Guarded by mu.
-    size_t q_rows = 0;
-    /// No further input will ever be enqueued (drain cascade reached us).
-    bool closed = false;
-    // Counters (guarded by mu except busy_ns, owned by the worker).
-    uint64_t enqueued = 0;
-    uint64_t processed = 0;
-    uint64_t batches = 0;  // ProcessBatch deliveries (0 if max_batch <= 1).
-    uint64_t dropped = 0;
-    uint64_t max_depth = 0;
+    HandoffChannel channel;
+    // Written by the worker only.
+    std::atomic<uint64_t> processed{0};
+    std::atomic<uint64_t> batches{0};  // Batched deliveries.
     std::atomic<uint64_t> busy_ns{0};
     std::thread worker;
   };
 
-  class Relay;
-
-  bool Enqueue(size_t stage, Item item);
-  /// Appends a whole chunk under one lock acquisition (the relay path):
-  /// honors the limit per element, counts kDropNewest drops, and wakes
-  /// the consumer once per chunk instead of once per element.
-  void EnqueueBatch(size_t stage, std::vector<Item>& items);
-  void CloseStage(size_t stage);
   void WorkerLoop(size_t stage);
 
-  std::vector<Stage> stages_;
   std::vector<std::unique_ptr<StageState>> states_;
-  std::vector<std::unique_ptr<Relay>> relays_;
+  /// feeds_[i] is stage i's output into stage i+1's channel.
+  std::vector<std::unique_ptr<ChannelFeed>> feeds_;
   Operator* sink_;
   std::atomic<bool> stop_{false};
   bool started_ = false;

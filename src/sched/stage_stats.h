@@ -18,9 +18,9 @@ struct StageStats {
   uint64_t enqueued = 0;
   /// Elements popped from the queue and pushed into the operator.
   uint64_t processed = 0;
-  /// ProcessBatch deliveries into the stage's operator. 0 on pure
-  /// per-element paths (max_batch <= 1); processed/batches is the
-  /// realized batch size otherwise.
+  /// Batched (ProcessBatch/ProcessColumns) deliveries into the stage's
+  /// operator. 0 on pure per-element row paths (max_batch <= 1);
+  /// processed/batches is the realized batch size otherwise.
   uint64_t batches = 0;
   /// Elements lost at this stage's queue (bounded queue overflow).
   uint64_t dropped = 0;

@@ -65,6 +65,12 @@ struct SessionRow {
 /// Thread model: one producer (whichever thread drives the query's
 /// sink), any number of reader threads (HTTP connections — typically one
 /// at a time per client, but nothing breaks if a client overlaps).
+///
+/// Not a sqp::Channel: a Channel hands each item to one consumer once,
+/// while this queue keeps rows after a read until a cursor acknowledges
+/// them, lets several readers re-read from any retained seq, and times
+/// out a blocked producer. Folding that in would make Channel branch on
+/// which caller it serves.
 class ResultQueue {
  public:
   explicit ResultQueue(ResultQueueOptions options);

@@ -19,11 +19,11 @@
 #include "common/tuple.h"
 #include "common/value.h"
 
-// Stream elements, queues, arrival processes, workload generators.
+// Stream elements, channels, arrival processes, workload generators.
 #include "stream/arrival.h"
+#include "stream/channel.h"
 #include "stream/element.h"
 #include "stream/generators.h"
-#include "stream/queue.h"
 
 // Window taxonomy (slides 26-28).
 #include "window/count_window.h"

@@ -478,7 +478,6 @@ TEST(ColumnarEquivTest, ParallelExecutorColumnarMatchesRow) {
       s.op = op;
       s.queue_limit = 256;
       s.backpressure = Backpressure::kBlock;
-      s.wake_batch = 64;
       s.max_batch = 64;
       s.columnar = columnar;
       stages.push_back(s);
@@ -585,7 +584,6 @@ TEST(ColumnarEquivTest, ParallelColumnarStress) {
     s.op = op;
     s.queue_limit = 64;  // Small: forces constant blocking + wakeups.
     s.backpressure = Backpressure::kBlock;
-    s.wake_batch = 32;
     s.max_batch = 32;
     s.columnar = true;
     stages.push_back(s);

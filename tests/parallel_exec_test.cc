@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/column_batch.h"
 #include "exec/expr.h"
 #include "exec/plan.h"
 #include "exec/project.h"
@@ -205,6 +206,94 @@ TEST(ParallelExecutorTest, PunctuationsBypassFullQueues) {
   exec.Drain();
   ASSERT_EQ(sink->punctuations().size(), 1u);
   EXPECT_EQ(sink->punctuations()[0].ts, 100);
+}
+
+/// Pass-through that, on the trigger watermark, first emits one columnar
+/// batch of four tuples with two punctuation slots (ts 10 and 20).
+class ColumnarBurst : public Operator {
+ public:
+  static constexpr int64_t kTrigger = 1000;
+  ColumnarBurst() : Operator("columnar-burst") {}
+
+  void Push(const Element& e, int /*port*/ = 0) override {
+    CountIn(e);
+    if (e.is_punctuation() && e.ts() == kTrigger) {
+      ElementBatch rows;
+      rows.push_back(Element(MakeTuple(1, {Value(int64_t{1})})));
+      rows.push_back(Element(Punctuation::Watermark(10)));
+      rows.push_back(Element(MakeTuple(2, {Value(int64_t{2})})));
+      rows.push_back(Element(MakeTuple(3, {Value(int64_t{3})})));
+      rows.push_back(Element(Punctuation::Watermark(20)));
+      rows.push_back(Element(MakeTuple(4, {Value(int64_t{4})})));
+      ColumnBatch cols;
+      ASSERT_TRUE(ColumnBatch::FromRows(rows, &cols));
+      EmitColumns(std::move(cols));
+    }
+    Emit(e);
+  }
+};
+
+/// Records what reaches it; the first element parks the worker until
+/// the test opens the gate, so the stage's queue can be filled.
+class GatedRecorder : public Operator {
+ public:
+  GatedRecorder() : Operator("gated-recorder") {}
+
+  void Push(const Element& e, int /*port*/ = 0) override {
+    CountIn(e);
+    if (!entered.exchange(true)) {
+      while (!open.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    if (e.is_punctuation()) {
+      puncts.push_back(e.ts());
+    } else {
+      ++tuples;
+    }
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> open{false};
+  std::vector<int64_t> puncts;  // Read after Drain.
+  uint64_t tuples = 0;
+};
+
+TEST(ParallelExecutorTest, ShedColumnarBatchKeepsPunctuationsInOrder) {
+  Plan plan;
+  auto* burst = plan.Make<ColumnarBurst>();
+  auto* gate = plan.Make<GatedRecorder>();
+  std::vector<ParallelExecutor::Stage> stages = {
+      {burst, 0, Backpressure::kBlock, 0},
+      {gate, 4, Backpressure::kDropNewest, 0}};
+  ParallelExecutor exec(stages, nullptr);
+  exec.Start();
+  auto wait_for = [](auto done) {
+    for (int i = 0; i < 20000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return done();
+  };
+  // Park stage 1's worker on its first tuple, then fill its queue. The
+  // waits EXPECT rather than ASSERT so a failure still opens the gate.
+  exec.Arrive(Element(MakeTuple(0, {Value(int64_t{0})})));
+  EXPECT_TRUE(wait_for([&] { return gate->entered.load(); }));
+  for (int64_t i = 0; i < 4; ++i) {
+    exec.Arrive(Element(MakeTuple(i, {Value(i)})));
+  }
+  EXPECT_TRUE(
+      wait_for([&] { return exec.stage_stats(1).queue_depth == 4; }));
+  // The columnar batch meets the full kDropNewest queue: its four rows
+  // are shed, its two punctuation slots and the trigger still land.
+  exec.Arrive(Element(Punctuation::Watermark(ColumnarBurst::kTrigger)));
+  EXPECT_TRUE(wait_for([&] { return exec.stage_stats(1).enqueued == 8; }));
+  gate->open.store(true);
+  exec.Drain();
+  EXPECT_EQ(exec.stage_stats(1).dropped, 4u);
+  EXPECT_EQ(exec.dropped(), 4u);
+  EXPECT_EQ(gate->tuples, 5u);
+  EXPECT_EQ(gate->puncts,
+            (std::vector<int64_t>{10, 20, ColumnarBurst::kTrigger}));
 }
 
 TEST(ParallelExecutorTest, StopWhileQueuesFullJoinsCleanly) {

@@ -4,13 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/rng.h"
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
 #include "exec/reorder.h"
 #include "exec/select.h"
 #include "exec/union.h"
-#include "stream/queue.h"
+#include "stream/channel.h"
 
 namespace sqp {
 namespace {
@@ -52,25 +54,51 @@ TEST(ValueOrderPropertyTest, TotalOrderLaws) {
   }
 }
 
-TEST(StreamQueuePropertyTest, ConservationUnderRandomOps) {
+/// Minimal channel item: weight 1, punctuations bypass the bound.
+struct Slot {
+  bool punct = false;
+  size_t Weight() const { return 1; }
+  bool Bypass() const { return punct; }
+  template <typename Keep>
+  size_t Shed(Keep&&) {
+    return 1;
+  }
+};
+
+TEST(ChannelPropertyTest, ConservationUnderRandomOps) {
   Rng rng(202);
   for (uint64_t cap : {0u, 1u, 7u, 64u}) {
-    StreamQueue q(cap);
-    uint64_t accepted = 0, popped = 0;
+    Channel<Slot> ch(cap, Backpressure::kDropNewest, 4);
+    std::deque<Slot> out;
+    uint64_t offered = 0, accepted = 0, claimed = 0;
+    uint64_t tuples_in = 0, tuples_out = 0;
     for (int i = 0; i < 5000; ++i) {
       if (rng.Bernoulli(0.6)) {
-        if (q.Push(Element(MakeTuple(i, {Value(int64_t{i})})))) ++accepted;
-      } else if (q.Pop().has_value()) {
-        ++popped;
+        const bool punct = rng.Bernoulli(0.2);
+        ++offered;
+        PushResult r = ch.Push(Slot{punct});
+        if (punct) {
+          EXPECT_EQ(r, PushResult::kAccepted);
+        }
+        if (r == PushResult::kAccepted) {
+          ++accepted;
+          if (!punct) ++tuples_in;
+        }
+      } else if (ch.stats().depth > 0) {
+        EXPECT_EQ(ch.Claim(out, 1 + rng.Uniform(8)), ClaimResult::kClaimed);
+        claimed += out.size();
+        for (const Slot& s : out) tuples_out += s.punct ? 0 : 1;
       }
-      // Conservation: everything accepted is either popped or resident.
-      EXPECT_EQ(accepted, popped + q.size());
+      // Conservation: everything offered is accepted or dropped, and
+      // everything accepted is claimed or resident.
+      const ChannelStats st = ch.stats();
+      EXPECT_EQ(accepted + st.dropped, offered);
+      EXPECT_EQ(accepted, claimed + st.depth);
+      EXPECT_EQ(st.enqueued, accepted);
       if (cap > 0) {
-        EXPECT_LE(q.size(), cap);
+        EXPECT_LE(tuples_in - tuples_out, cap);
       }
     }
-    EXPECT_EQ(q.stats().pushed, accepted);
-    EXPECT_EQ(q.stats().popped, popped);
   }
 }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "exec/plan.h"
 #include "exec/sharded_op.h"
 #include "exec/window_join.h"
+#include "obs/event_log.h"
 #include "obs/registry.h"
 
 namespace sqp {
@@ -35,7 +38,7 @@ TEST(ShardStressTest, StatsReadersRaceTheWorkers) {
   ShardedOpOptions so;
   so.shards = 4;
   so.key_cols = {{1}};
-  so.wake_batch = 8;
+  so.batch = 8;
   auto* sharded = plan.Make<ShardedOp>(
       so, [](int) { return std::make_unique<GroupByAggregateOp>(Grouping()); });
   auto* sink = plan.Make<CountingSink>();
@@ -79,7 +82,7 @@ TEST(ShardStressTest, TinyQueuesBlockWithoutDeadlockOrLoss) {
   so.key_cols = {{1}, {1}};
   so.queue_limit = 4;        // Force constant producer blocking.
   so.merge_queue_limit = 4;  // And merge-side blocking too.
-  so.wake_batch = 2;
+  so.batch = 2;
   BinaryWindowJoinOp::Options j;
   j.left_cols = {1};
   j.right_cols = {1};
@@ -107,8 +110,8 @@ TEST(ShardStressTest, DropNewestShedsButNeverDropsPunctuations) {
   so.shards = 2;
   so.key_cols = {{1}};
   so.queue_limit = 2;
-  so.backpressure = ShardBackpressure::kDropNewest;
-  so.wake_batch = 64;  // Larger than the queue: the limit must wake.
+  so.backpressure = Backpressure::kDropNewest;
+  so.batch = 64;  // Larger than the queue: the limit must wake.
   // A deliberately slow replica so queues overflow: every tuple rescans
   // a growing window.
   GroupByOptions g;
@@ -138,6 +141,52 @@ TEST(ShardStressTest, DropNewestShedsButNeverDropsPunctuations) {
   // (CollectorSink keeps punctuations separately.)
   ASSERT_FALSE(sink->punctuations().empty());
   EXPECT_EQ(sink->punctuations().back().ts, 699);
+}
+
+/// Pass-through with a fixed per-element delay, so a tiny shard queue
+/// stays full and the producer has to block.
+class SlowReplica : public Operator {
+ public:
+  SlowReplica() : Operator("slow-replica") {}
+  void Push(const Element& e, int /*port*/ = 0) override {
+    CountIn(e);
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    Emit(e);
+  }
+};
+
+TEST(ShardStressTest, BlockedProducerReportsRateLimitedStall) {
+  Plan plan;
+  obs::EventLog events;
+  ShardedOpOptions so;
+  so.shards = 2;
+  so.key_cols = {{1}};
+  so.queue_limit = 2;
+  so.events = &events;
+  so.event_label = "q7";
+  auto* sharded = plan.Make<ShardedOp>(
+      so, [](int) { return std::make_unique<SlowReplica>(); });
+  auto* sink = plan.Make<CountingSink>();
+  sharded->SetOutput(sink);
+
+  auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 2000; ++i) {
+    sharded->Push(Element(T(i, i % 8)), 0);
+  }
+  sharded->Flush();
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(sink->tuples(), 2000u);  // kBlock: the stall lost nothing.
+  std::vector<obs::EngineEvent> tail = events.Tail();
+  ASSERT_FALSE(tail.empty());
+  for (const obs::EngineEvent& ev : tail) {
+    EXPECT_EQ(ev.kind, obs::EventKind::kShardStall);
+    EXPECT_EQ(ev.query, "q7");
+    EXPECT_NE(ev.message.find("queue full"), std::string::npos);
+  }
+  // Rate limit: at most one event per shard per started second.
+  EXPECT_LE(static_cast<double>(events.total()), 2.0 * (1.0 + secs));
 }
 
 TEST(ShardStressTest, DestructionWithoutFlushAbandonsCleanly) {

@@ -2,7 +2,6 @@
 
 #include "stream/arrival.h"
 #include "stream/element.h"
-#include "stream/queue.h"
 
 namespace sqp {
 namespace {
@@ -29,56 +28,6 @@ TEST(ElementTest, KeyPunctuation) {
   EXPECT_TRUE(e.punctuation().has_key);
   EXPECT_EQ(e.punctuation().key.AsInt(), 17);
   EXPECT_EQ(e.ToString(), "punct(ts<=5, key=17)");
-}
-
-// --- StreamQueue ---
-
-TEST(StreamQueueTest, FifoOrder) {
-  StreamQueue q;
-  q.Push(Element(MakeTuple(1, {})));
-  q.Push(Element(MakeTuple(2, {})));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.Pop()->ts(), 1);
-  EXPECT_EQ(q.Pop()->ts(), 2);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(StreamQueueTest, BoundedQueueDropsTuples) {
-  StreamQueue q(2);
-  EXPECT_TRUE(q.Push(Element(MakeTuple(1, {}))));
-  EXPECT_TRUE(q.Push(Element(MakeTuple(2, {}))));
-  EXPECT_FALSE(q.Push(Element(MakeTuple(3, {}))));
-  EXPECT_EQ(q.stats().dropped, 1u);
-  EXPECT_NEAR(q.DropRate(), 1.0 / 3.0, 1e-9);
-}
-
-TEST(StreamQueueTest, PunctuationNeverDropped) {
-  StreamQueue q(2);
-  q.Push(Element(MakeTuple(1, {})));
-  q.Push(Element(MakeTuple(2, {})));
-  EXPECT_TRUE(q.Push(Element(Punctuation::Watermark(5))));
-  // A data tuple was evicted to make room.
-  EXPECT_EQ(q.stats().dropped, 1u);
-  EXPECT_EQ(q.size(), 2u);
-  // The punctuation is still in the queue.
-  bool found = false;
-  while (auto e = q.Pop()) {
-    found |= e->is_punctuation();
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(StreamQueueTest, TracksBytesAndPeaks) {
-  StreamQueue q;
-  q.Push(Element(MakeTuple(1, {Value(std::string(100, 'x'))})));
-  size_t bytes_one = q.bytes();
-  EXPECT_GT(bytes_one, 100u);
-  q.Push(Element(MakeTuple(2, {Value(std::string(100, 'y'))})));
-  EXPECT_EQ(q.stats().peak_len, 2u);
-  q.Pop();
-  q.Pop();
-  EXPECT_EQ(q.bytes(), 0u);
-  EXPECT_GE(q.stats().peak_bytes, 2 * bytes_one - 16);
 }
 
 // --- Arrival processes ---
