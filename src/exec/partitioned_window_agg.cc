@@ -16,12 +16,11 @@ PartitionedWindowAggregateOp::PartitionedWindowAggregateOp(
     auto fn = AggregateFunction::Make(s.kind, s.param);
     assert(fn.ok());
     fns_.push_back(std::move(fn.value()));
-    if (!fns_.back().NewAccumulator()->invertible()) all_invertible_ = false;
   }
 }
 
-Value PartitionedWindowAggregateOp::InputOf(const AggSpec& s,
-                                            const Tuple& t) const {
+Value PartitionedWindowAggregateOp::InputOf(size_t i, const Tuple& t) const {
+  const AggSpec& s = agg_specs_[i];
   return s.input_col < 0 ? Value(int64_t{1})
                          : t.at(static_cast<size_t>(s.input_col));
 }
@@ -29,11 +28,10 @@ Value PartitionedWindowAggregateOp::InputOf(const AggSpec& s,
 void PartitionedWindowAggregateOp::Recompute(Partition& p) {
   ++recomputes_;
   for (size_t i = 0; i < fns_.size(); ++i) {
-    p.accs[i] = fns_[i].NewAccumulator();
-  }
-  for (const TupleRef& t : p.window.contents()) {
-    for (size_t i = 0; i < agg_specs_.size(); ++i) {
-      p.accs[i]->Add(InputOf(agg_specs_[i], *t));
+    if (p.accs[i]->invertible()) continue;
+    p.accs[i] = fns_[i].NewSlidingAccumulator();
+    for (const TupleRef& t : p.window.contents()) {
+      p.accs[i]->Add(InputOf(i, *t));
     }
   }
 }
@@ -50,24 +48,24 @@ void PartitionedWindowAggregateOp::Push(const Element& e, int /*port*/) {
   if (it == parts_.end()) {
     it = parts_.emplace(key, Partition(rows_)).first;
     for (const AggregateFunction& fn : fns_) {
-      it->second.accs.push_back(fn.NewAccumulator());
+      it->second.accs.push_back(fn.NewSlidingAccumulator());
     }
   }
   Partition& p = it->second;
 
   std::optional<TupleRef> evicted = p.window.Insert(t);
-  if (evicted.has_value() && !all_invertible_) {
-    Recompute(p);  // Window already holds the new tuple.
-  } else {
-    if (evicted.has_value()) {
-      for (size_t i = 0; i < agg_specs_.size(); ++i) {
-        p.accs[i]->Remove(InputOf(agg_specs_[i], **evicted));
-      }
+  bool replay = false;
+  for (size_t i = 0; i < p.accs.size(); ++i) {
+    Accumulator& acc = *p.accs[i];
+    if (acc.invertible()) {
+      if (evicted.has_value()) acc.Remove(InputOf(i, **evicted));
+    } else if (evicted.has_value()) {
+      replay = true;
+      continue;  // Rebuilt below; the window already holds the new tuple.
     }
-    for (size_t i = 0; i < agg_specs_.size(); ++i) {
-      p.accs[i]->Add(InputOf(agg_specs_[i], *t));
-    }
+    acc.Add(InputOf(i, *t));
   }
+  if (replay) Recompute(p);
 
   std::vector<Value> row;
   row.reserve(2 + p.accs.size());

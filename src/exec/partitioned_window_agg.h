@@ -17,8 +17,10 @@ namespace sqp {
 /// N rows, and each arriving tuple emits the aggregate over its
 /// partition's current window.
 ///
-/// Output row: [ts, partition key, agg values...]. Invertible aggregates
-/// update in O(1) on eviction; others replay the partition's window.
+/// Output row: [ts, partition key, agg values...]. Accumulators come from
+/// `NewSlidingAccumulator()`, so every exact aggregate evicts the oldest
+/// row incrementally; only blend and the sketches replay the partition's
+/// window on eviction.
 class PartitionedWindowAggregateOp : public Operator {
  public:
   PartitionedWindowAggregateOp(int partition_col, size_t rows,
@@ -29,6 +31,7 @@ class PartitionedWindowAggregateOp : public Operator {
   size_t StateBytes() const override;
 
   size_t num_partitions() const { return parts_.size(); }
+  /// Number of window replays triggered by aggregates that cannot evict.
   uint64_t recompute_count() const { return recomputes_; }
 
  private:
@@ -39,14 +42,14 @@ class PartitionedWindowAggregateOp : public Operator {
     explicit Partition(size_t rows) : window(rows) {}
   };
 
-  Value InputOf(const AggSpec& s, const Tuple& t) const;
+  Value InputOf(size_t i, const Tuple& t) const;
+  /// Rebuilds the accumulators that cannot evict from `p`'s window.
   void Recompute(Partition& p);
 
   int partition_col_;
   size_t rows_;
   std::vector<AggSpec> agg_specs_;
   std::vector<AggregateFunction> fns_;
-  bool all_invertible_ = true;
   std::unordered_map<Value, Partition, ValueHash> parts_;
   uint64_t recomputes_ = 0;
 };

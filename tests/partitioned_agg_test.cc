@@ -7,6 +7,7 @@
 #include "cql/planner.h"
 #include "exec/partitioned_window_agg.h"
 #include "exec/plan.h"
+#include "sliding_oracle.h"
 #include "stream/generators.h"
 
 namespace sqp {
@@ -38,53 +39,80 @@ TEST(PartitionedWindowAggTest, PerKeyWindowsIndependent) {
 }
 
 TEST(PartitionedWindowAggTest, NonInvertibleRecomputes) {
-  Plan plan;
-  auto* op = plan.Make<PartitionedWindowAggregateOp>(
-      1, 2, std::vector<AggSpec>{{AggKind::kMax, 2, 0.5}});
-  auto* sink = plan.Make<CollectorSink>();
-  op->SetOutput(sink);
-  op->Push(Element(T(1, 7, 100)));
-  op->Push(Element(T(2, 7, 50)));
-  op->Push(Element(T(3, 7, 30)));  // 100 evicted: max over [50,30] = 50.
-  EXPECT_EQ(sink->tuples()[2]->at(2).AsInt(), 50);
-  EXPECT_GE(op->recompute_count(), 1u);
+  // Max evicts through its monotonic deque: no replay.
+  {
+    Plan plan;
+    auto* op = plan.Make<PartitionedWindowAggregateOp>(
+        1, 2, std::vector<AggSpec>{{AggKind::kMax, 2, 0.5}});
+    auto* sink = plan.Make<CollectorSink>();
+    op->SetOutput(sink);
+    op->Push(Element(T(1, 7, 100)));
+    op->Push(Element(T(2, 7, 50)));
+    op->Push(Element(T(3, 7, 30)));  // 100 evicted: max over [50,30] = 50.
+    EXPECT_EQ(sink->tuples()[2]->at(2).AsInt(), 50);
+    EXPECT_EQ(op->recompute_count(), 0u);
+  }
+  // Blend cannot evict: eviction replays the partition's window.
+  {
+    Plan plan;
+    auto* op = plan.Make<PartitionedWindowAggregateOp>(
+        1, 2, std::vector<AggSpec>{{AggKind::kBlend, 2, 0.5}});
+    auto* sink = plan.Make<CollectorSink>();
+    op->SetOutput(sink);
+    op->Push(Element(T(1, 7, 100)));
+    op->Push(Element(T(2, 7, 50)));
+    op->Push(Element(T(3, 7, 30)));  // Blend over [50,30] = 40.
+    EXPECT_DOUBLE_EQ(sink->tuples()[2]->at(2).AsDouble(), 40.0);
+    EXPECT_GE(op->recompute_count(), 1u);
+  }
 }
 
-// Property: each emission equals the brute-force aggregate over that
-// key's last N tuples.
+// Property: each emission equals a fresh NewAccumulator() fold over that
+// key's last N values.
+
+using sliding_oracle::ExpectSameResult;
+using sliding_oracle::FreshFold;
+
 class PartitionedPropertyTest
     : public ::testing::TestWithParam<std::pair<size_t, AggKind>> {};
 
 TEST_P(PartitionedPropertyTest, MatchesBruteForce) {
   auto [rows, kind] = GetParam();
-  Plan plan;
-  auto* op = plan.Make<PartitionedWindowAggregateOp>(
-      1, rows, std::vector<AggSpec>{{kind, 2, 0.5}});
-  auto* sink = plan.Make<CollectorSink>();
-  op->SetOutput(sink);
+  for (sliding_oracle::Shape shape : sliding_oracle::kShapes) {
+    SCOPED_TRACE(sliding_oracle::ShapeName(shape));
+    Plan plan;
+    auto* op = plan.Make<PartitionedWindowAggregateOp>(
+        1, rows, std::vector<AggSpec>{{kind, 2, 0.5}});
+    auto* sink = plan.Make<CollectorSink>();
+    op->SetOutput(sink);
 
-  Rng rng(41);
-  std::map<int64_t, std::deque<int64_t>> brute;
-  for (int64_t i = 0; i < 2000; ++i) {
-    int64_t key = static_cast<int64_t>(rng.Uniform(7));
-    int64_t val = static_cast<int64_t>(rng.Uniform(1000));
-    op->Push(Element(T(i, key, val)));
-    auto& dq = brute[key];
-    dq.push_back(val);
-    if (dq.size() > rows) dq.pop_front();
-    double expect = 0;
-    if (kind == AggKind::kSum) {
-      for (int64_t v : dq) expect += static_cast<double>(v);
-    } else if (kind == AggKind::kMax) {
-      expect = -1e18;
-      for (int64_t v : dq) expect = std::max(expect, double(v));
-    } else {  // kAvg
-      for (int64_t v : dq) expect += static_cast<double>(v);
-      expect /= static_cast<double>(dq.size());
+    Rng rng(41);
+    sliding_oracle::ValueSource values(shape, 42);
+    std::map<int64_t, std::deque<Value>> brute;
+    for (int64_t i = 0; i < 2000; ++i) {
+      int64_t key = static_cast<int64_t>(rng.Uniform(7));
+      Value val = values.Next();
+      op->Push(Element(MakeTuple(i, {Value(i), Value(key), val})));
+      auto& dq = brute[key];
+      dq.push_back(val);
+      if (dq.size() > rows) dq.pop_front();
+      ExpectSameResult(sink->tuples().back()->at(2), FreshFold(kind, dq),
+                       "i=" + std::to_string(i));
+      if (HasFatalFailure()) return;
     }
-    ASSERT_NEAR(sink->tuples().back()->at(2).ToDouble(), expect, 1e-9)
-        << "i=" << i;
+    // Only aggregates that cannot evict ever replay a partition.
+    if (sliding_oracle::Evicts(kind)) {
+      EXPECT_EQ(op->recompute_count(), 0u);
+    } else {
+      EXPECT_GT(op->recompute_count(), 0u);
+    }
   }
+}
+
+std::string RowsKindName(
+    const ::testing::TestParamInfo<std::pair<size_t, AggKind>>& info) {
+  return std::string(AggKindName(info.param.second)) + "_n" +
+         std::to_string(info.param.first);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -93,10 +121,25 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(size_t{16}, AggKind::kSum),
                       std::make_pair(size_t{8}, AggKind::kMax),
                       std::make_pair(size_t{8}, AggKind::kAvg)),
-    [](const auto& info) {
-      return std::string(AggKindName(info.param.second)) + "_n" +
-             std::to_string(info.param.first);
-    });
+    RowsKindName);
+
+std::vector<std::pair<size_t, AggKind>> ExactKindCases() {
+  std::vector<std::pair<size_t, AggKind>> cases;
+  for (AggKind kind : sliding_oracle::kExactKinds) {
+    for (size_t rows : {1, 5}) cases.emplace_back(rows, kind);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(ExactKinds, PartitionedPropertyTest,
+                         ::testing::ValuesIn(ExactKindCases()), RowsKindName);
+
+INSTANTIATE_TEST_SUITE_P(
+    ReplayedKinds, PartitionedPropertyTest,
+    ::testing::Values(std::make_pair(size_t{5}, AggKind::kBlend),
+                      std::make_pair(size_t{5}, AggKind::kApproxMedian),
+                      std::make_pair(size_t{5}, AggKind::kApproxCountDistinct)),
+    RowsKindName);
 
 // --- CQL integration ---
 
