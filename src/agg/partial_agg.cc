@@ -1,51 +1,20 @@
 #include "agg/partial_agg.h"
 
-#include <cassert>
-
 namespace sqp {
-
-namespace {
-
-std::vector<AggregateFunction> MakeFns(const std::vector<AggSpec>& specs) {
-  std::vector<AggregateFunction> fns;
-  fns.reserve(specs.size());
-  for (const AggSpec& s : specs) {
-    auto fn = AggregateFunction::Make(s.kind, s.param);
-    assert(fn.ok());
-    fns.push_back(std::move(fn.value()));
-  }
-  return fns;
-}
-
-}  // namespace
 
 PartialAggregator::PartialAggregator(size_t slots, std::vector<int> key_cols,
                                      std::vector<AggSpec> aggs)
     : slots_(slots),
       key_cols_(std::move(key_cols)),
-      agg_specs_(std::move(aggs)),
-      fns_(MakeFns(agg_specs_)) {
+      aggs_(std::move(aggs)) {
   if (slots_ > 0) table_.resize(slots_);
 }
 
 PartialGroup PartialAggregator::NewGroup(Key key) const {
   PartialGroup g;
   g.key = std::move(key);
-  g.accs.reserve(fns_.size());
-  for (const AggregateFunction& fn : fns_) g.accs.push_back(fn.NewAccumulator());
+  g.accs = aggs_.NewAccs();
   return g;
-}
-
-void PartialAggregator::FoldInto(PartialGroup& g, const Tuple& t) const {
-  for (size_t i = 0; i < agg_specs_.size(); ++i) {
-    const AggSpec& s = agg_specs_[i];
-    // count(*) feeds a constant; others read their input column.
-    if (s.input_col < 0) {
-      g.accs[i]->Add(Value(int64_t{1}));
-    } else {
-      g.accs[i]->Add(t.at(static_cast<size_t>(s.input_col)));
-    }
-  }
 }
 
 void PartialAggregator::Add(const Tuple& t, std::vector<PartialGroup>* out) {
@@ -57,7 +26,7 @@ void PartialAggregator::Add(const Tuple& t, std::vector<PartialGroup>* out) {
     if (it == unbounded_.end()) {
       it = unbounded_.emplace(key, NewGroup(key)).first;
     }
-    FoldInto(it->second, t);
+    aggs_.Add(it->second.accs, t);
     return;
   }
 
@@ -73,7 +42,7 @@ void PartialAggregator::Add(const Tuple& t, std::vector<PartialGroup>* out) {
     slot.group = NewGroup(std::move(key));
     slot.occupied = true;
   }
-  FoldInto(slot.group, t);
+  aggs_.Add(slot.group.accs, t);
 }
 
 void PartialAggregator::Flush(std::vector<PartialGroup>* out) {
@@ -118,9 +87,6 @@ size_t PartialAggregator::MemoryBytes() const {
   return bytes;
 }
 
-FinalAggregator::FinalAggregator(std::vector<AggSpec> aggs)
-    : agg_specs_(std::move(aggs)) {}
-
 void FinalAggregator::Merge(PartialGroup group) {
   auto it = groups_.find(group.key);
   if (it == groups_.end()) {
@@ -139,7 +105,7 @@ std::vector<std::pair<Key, std::vector<Value>>> FinalAggregator::Results()
   for (const auto& [key, accs] : groups_) {
     std::vector<Value> vals;
     vals.reserve(accs.size());
-    for (const auto& a : accs) vals.push_back(a->Result());
+    AggSet::AppendResults(accs, &vals);
     out.emplace_back(key, std::move(vals));
   }
   return out;

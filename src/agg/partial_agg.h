@@ -6,24 +6,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "agg/aggregate_fn.h"
+#include "agg/agg_set.h"
 #include "common/tuple.h"
 
 namespace sqp {
 
-/// One aggregate expression inside a GROUP BY: `kind(input_col)`.
-struct AggSpec {
-  AggKind kind = AggKind::kCount;
-  /// Input column; -1 for count(*).
-  int input_col = -1;
-  /// Blend factor for kBlend.
-  double param = 0.5;
-};
-
 /// A group's partial state flowing from the low level to the high level.
 struct PartialGroup {
   Key key;
-  std::vector<std::unique_ptr<Accumulator>> accs;
+  AggSet::Accs accs;
 };
 
 /// Counters for the partial-aggregation experiments (E5).
@@ -67,12 +58,10 @@ class PartialAggregator {
   };
 
   PartialGroup NewGroup(Key key) const;
-  void FoldInto(PartialGroup& g, const Tuple& t) const;
 
   size_t slots_;
   std::vector<int> key_cols_;
-  std::vector<AggSpec> agg_specs_;
-  std::vector<AggregateFunction> fns_;
+  AggSet aggs_;
   // Fixed table when slots_ > 0; unbounded map otherwise.
   std::vector<Slot> table_;
   std::unordered_map<Key, PartialGroup, KeyHash> unbounded_;
@@ -82,7 +71,9 @@ class PartialAggregator {
 /// High-level merger of partial groups; holds the exact final answer.
 class FinalAggregator {
  public:
-  explicit FinalAggregator(std::vector<AggSpec> aggs);
+  /// Partials arrive with their own accumulators, so the high level
+  /// builds none from `aggs`; they only name what the partials carry.
+  explicit FinalAggregator(const std::vector<AggSpec>& /*aggs*/) {}
 
   void Merge(PartialGroup group);
 
@@ -92,9 +83,7 @@ class FinalAggregator {
   size_t num_groups() const { return groups_.size(); }
 
  private:
-  std::vector<AggSpec> agg_specs_;
-  std::unordered_map<Key, std::vector<std::unique_ptr<Accumulator>>, KeyHash>
-      groups_;
+  std::unordered_map<Key, AggSet::Accs, KeyHash> groups_;
 };
 
 }  // namespace sqp

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "agg/partial_agg.h"
+
 namespace sqp {
 
 DbSink::DbSink(SchemaRef schema, std::string name)

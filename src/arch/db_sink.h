@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "common/schema.h"
 #include "exec/expr.h"
 #include "exec/operator.h"

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "common/status.h"
 #include "exec/expr.h"
 

@@ -8,11 +8,9 @@ PartialAggOp::PartialAggOp(size_t slots, std::vector<int> key_cols,
                            std::vector<AggSpec> low_specs, int64_t window_size,
                            std::string name)
     : Operator(std::move(name)),
-      key_cols_(std::move(key_cols)),
-      low_specs_(std::move(low_specs)),
       window_size_(window_size),
-      agg_(std::make_unique<PartialAggregator>(slots, key_cols_, low_specs_)),
-      slots_(slots) {}
+      agg_(std::make_unique<PartialAggregator>(slots, std::move(key_cols),
+                                               std::move(low_specs))) {}
 
 const PartialAggStats& PartialAggOp::agg_stats() const {
   return agg_->stats();
@@ -26,7 +24,7 @@ void PartialAggOp::EmitPartials(std::vector<PartialGroup>* groups) {
     row.reserve(1 + g.key.parts.size() + g.accs.size());
     row.push_back(Value(bucket_start));
     for (const Value& v : g.key.parts) row.push_back(v);
-    for (const auto& acc : g.accs) row.push_back(acc->Result());
+    AggSet::AppendResults(g.accs, &row);
     Emit(Element(MakeTuple(bucket_start, std::move(row))));
   }
   groups->clear();

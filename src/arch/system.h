@@ -37,12 +37,9 @@ class PartialAggOp : public Operator {
   void EmitPartials(std::vector<PartialGroup>* groups);
   void CloseBucket();
 
-  std::vector<int> key_cols_;
-  std::vector<AggSpec> low_specs_;
   int64_t window_size_;
   int64_t current_bucket_ = INT64_MIN;
   std::unique_ptr<PartialAggregator> agg_;
-  size_t slots_;
 };
 
 /// Configuration of the end-to-end 3-level pipeline (slide 14):

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "common/schema.h"
 #include "cql/ast.h"
 #include "exec/expr.h"

@@ -4,7 +4,6 @@
 
 #include "cql/parser.h"
 #include "exec/aggregate_op.h"
-#include "exec/partitioned_window_agg.h"
 #include "exec/project.h"
 #include "exec/select.h"
 #include "exec/sym_hash_join.h"
@@ -240,152 +239,68 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
           "combining GROUP BY with a [partition by ...] window is not "
           "supported; partitioned windows already group per key");
     }
-    bool partitioned = aq.num_streams == 1 && !aq.has_group_by &&
-                       q.from[0].window.has_value() &&
-                       !q.from[0].partition_by.empty();
-    bool sliding = aq.num_streams == 1 && !aq.has_group_by &&
-                   q.from[0].window.has_value() && !partitioned;
+    const StreamRef& from = q.from[0];
+    const bool windowed = aq.num_streams == 1 && !aq.has_group_by &&
+                          from.window.has_value();
     Schema mid_schema;
-    GroupOutputLowering lower(aq, aliases, schemas);
-
-    // Result type of an aggregate over the input schema.
-    auto agg_type = [&](const AggSpec& s) {
-      switch (s.kind) {
-        case AggKind::kCount:
-        case AggKind::kCountDistinct:
-        case AggKind::kApproxCountDistinct:
-          return ValueType::kInt;
-        case AggKind::kAvg:
-        case AggKind::kStddev:
-        case AggKind::kMedian:
-        case AggKind::kApproxMedian:
-        case AggKind::kBlend:
-          return ValueType::kDouble;
-        default:
-          return s.input_col >= 0
-                     ? aq.combined.field(static_cast<size_t>(s.input_col)).type
-                     : ValueType::kInt;
-      }
-    };
-
-    if (partitioned) {
-      // `[partition by K rows N]`: per-key sliding aggregate.
-      int key_col = schemas[0]->FieldIndex(q.from[0].partition_by);
-      if (key_col < 0) {
-        return Status::NotFound("unknown partition column: " +
-                                q.from[0].partition_by);
-      }
-      std::vector<AggSpec> specs;
-      for (const ResolvedAgg& a : aq.aggs) specs.push_back(a.spec);
-      auto* pwa = cq->plan_.Make<PartitionedWindowAggregateOp>(
-          key_col, static_cast<size_t>(q.from[0].window->size), specs);
-      append(pwa);
-      desc += "partitioned-window-agg -> ";
-
-      // Output layout: [ts, key, aggs...].
-      std::vector<Field> mid_fields = {
-          {"ts", ValueType::kInt},
-          schemas[0]->field(static_cast<size_t>(key_col))};
-      for (size_t a = 0; a < aq.aggs.size(); ++a) {
-        mid_fields.push_back({aq.aggs[a].text, agg_type(aq.aggs[a].spec)});
-      }
-      mid_schema = Schema(std::move(mid_fields));
-
-      std::vector<ExprRef> post;
-      std::vector<std::string> names;
-      for (size_t i = 0; i < q.select.size(); ++i) {
-        const SelectItem& item = q.select[i];
-        names.push_back(DeriveName(item, i));
-        if (item.expr->kind == AstExpr::Kind::kIdent &&
-            item.expr->name == q.from[0].partition_by) {
-          post.push_back(Col(1));
-        } else if (item.expr->kind == AstExpr::Kind::kIdent &&
-                   schemas[0]->has_ordering() &&
-                   schemas[0]->FieldIndex(item.expr->name) ==
-                       schemas[0]->ordering_index()) {
-          post.push_back(Col(0));
-        } else if (item.expr->kind == AstExpr::Kind::kCall) {
-          std::string text = item.expr->ToString();
-          bool found = false;
-          for (size_t a = 0; a < aq.aggs.size(); ++a) {
-            if (aq.aggs[a].text == text) {
-              post.push_back(Col(static_cast<int>(2 + a)));
-              found = true;
-              break;
-            }
-          }
-          if (!found) return Status::Internal("aggregate not found: " + text);
-        } else {
-          return Status::Unimplemented(
-              "partitioned-window SELECT items must be the partition "
-              "column, the ordering attribute, or aggregates");
+    std::vector<ExprRef> post;
+    std::vector<std::string> names;
+    if (windowed) {
+      // Sliding aggregate over the stream's [RANGE/ROWS] window, or per
+      // key over `[partition by K rows N]`.
+      int key_col = -1;
+      if (!from.partition_by.empty()) {
+        key_col = schemas[0]->FieldIndex(from.partition_by);
+        if (key_col < 0) {
+          return Status::NotFound("unknown partition column: " +
+                                  from.partition_by);
         }
       }
-      auto* proj = cq->plan_.Make<ProjectOp>(post, "project-out");
-      append(proj);
-      desc += "project";
-      std::vector<Field> out_fields;
-      for (size_t i = 0; i < post.size(); ++i) {
-        auto type = post[i]->Check(mid_schema);
-        if (!type.ok()) return type.status();
-        out_fields.push_back({names[i], *type});
-      }
-      cq->output_schema_ = Schema(std::move(out_fields));
-    } else if (sliding) {
-      // Sliding-window aggregate over the stream's [RANGE/ROWS] window.
       std::vector<AggSpec> specs;
       for (const ResolvedAgg& a : aq.aggs) specs.push_back(a.spec);
-      auto* wagg =
-          cq->plan_.Make<WindowAggregateOp>(*q.from[0].window, specs);
-      append(wagg);
-      desc += "window-agg -> ";
-      // Output layout: [ts, aggs...]. Lower select items against it.
+      const char* op_name =
+          key_col < 0 ? "window-agg" : "partitioned-window-agg";
+      append(cq->plan_.Make<WindowAggregateOp>(*from.window, specs, op_name,
+                                               key_col));
+      desc += std::string(op_name) + " -> ";
+
+      // Output layout: [ts, partition key (when partitioned), aggs...].
       std::vector<Field> mid_fields = {{"ts", ValueType::kInt}};
-      for (const ResolvedAgg& a : aq.aggs) {
-        mid_fields.push_back({a.text, ValueType::kDouble});
+      if (key_col >= 0) {
+        mid_fields.push_back(schemas[0]->field(static_cast<size_t>(key_col)));
       }
+      const int first_agg = static_cast<int>(mid_fields.size());
+      SQP_RETURN_NOT_OK(AggSet::AppendFields(specs, aq.combined, &mid_fields));
       mid_schema = Schema(std::move(mid_fields));
-      std::vector<ExprRef> post;
-      std::vector<std::string> names;
+
       for (size_t i = 0; i < q.select.size(); ++i) {
         const SelectItem& item = q.select[i];
         names.push_back(DeriveName(item, i));
-        if (item.expr->kind == AstExpr::Kind::kCall) {
-          std::string t = item.expr->ToString();
-          bool found = false;
-          for (size_t a = 0; a < aq.aggs.size(); ++a) {
-            if (aq.aggs[a].text == t) {
-              post.push_back(Col(static_cast<int>(1 + a)));
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            return Status::Internal("aggregate not found: " + t);
-          }
-        } else if (item.expr->kind == AstExpr::Kind::kIdent &&
+        const AstExpr& x = *item.expr;
+        if (key_col >= 0 && x.kind == AstExpr::Kind::kIdent &&
+            x.name == from.partition_by) {
+          post.push_back(Col(1));
+        } else if (x.kind == AstExpr::Kind::kIdent &&
                    schemas[0]->has_ordering() &&
-                   schemas[0]->FieldIndex(item.expr->name) ==
+                   schemas[0]->FieldIndex(x.name) ==
                        schemas[0]->ordering_index()) {
           post.push_back(Col(0));
+        } else if (x.kind == AstExpr::Kind::kCall) {
+          std::string text = x.ToString();
+          size_t a = 0;
+          while (a < aq.aggs.size() && aq.aggs[a].text != text) ++a;
+          if (a == aq.aggs.size()) {
+            return Status::Internal("aggregate not found: " + text);
+          }
+          post.push_back(Col(first_agg + static_cast<int>(a)));
         } else {
           return Status::Unimplemented(
-              "windowed aggregate SELECT items must be aggregates or the "
-              "ordering attribute");
+              "windowed aggregate SELECT items must be aggregates, the "
+              "ordering attribute, or the partition column");
         }
       }
-      auto* proj = cq->plan_.Make<ProjectOp>(post, "project-out");
-      append(proj);
-      desc += "project";
-      // Output schema: compute types by checking against the mid layout.
-      std::vector<Field> out_fields;
-      for (size_t i = 0; i < post.size(); ++i) {
-        auto t = post[i]->Check(mid_schema);
-        if (!t.ok()) return t.status();
-        out_fields.push_back({names[i], *t});
-      }
-      cq->output_schema_ = Schema(std::move(out_fields));
     } else {
+      GroupOutputLowering lower(aq, aliases, schemas);
       GroupByOptions opt;
       opt.key_cols = aq.group_cols;
       for (const ResolvedAgg& a : aq.aggs) opt.aggs.push_back(a.spec);
@@ -402,8 +317,6 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
       append(gb);
       desc += "group-by -> ";
 
-      std::vector<ExprRef> post;
-      std::vector<std::string> names;
       for (size_t i = 0; i < q.select.size(); ++i) {
         const SelectItem& item = q.select[i];
         names.push_back(DeriveName(item, i));
@@ -411,17 +324,17 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
         if (!e.ok()) return e.status();
         post.push_back(std::move(*e));
       }
-      auto* proj = cq->plan_.Make<ProjectOp>(post, "project-out");
-      append(proj);
-      desc += "project";
-      std::vector<Field> out_fields;
-      for (size_t i = 0; i < post.size(); ++i) {
-        auto t = post[i]->Check(mid_schema);
-        if (!t.ok()) return t.status();
-        out_fields.push_back({names[i], *t});
-      }
-      cq->output_schema_ = Schema(std::move(out_fields));
     }
+    auto* proj = cq->plan_.Make<ProjectOp>(post, "project-out");
+    append(proj);
+    desc += "project";
+    std::vector<Field> out_fields;
+    for (size_t i = 0; i < post.size(); ++i) {
+      auto t = post[i]->Check(mid_schema);
+      if (!t.ok()) return t.status();
+      out_fields.push_back({names[i], *t});
+    }
+    cq->output_schema_ = Schema(std::move(out_fields));
   } else if (q.distinct) {
     std::vector<int> cols;
     std::vector<Field> out_fields;

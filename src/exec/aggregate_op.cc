@@ -1,31 +1,14 @@
 #include "exec/aggregate_op.h"
 
-#include <cassert>
-
 #include "exec/ckpt_util.h"
 
 namespace sqp {
-
-namespace {
-
-std::vector<AggregateFunction> MakeFns(const std::vector<AggSpec>& specs) {
-  std::vector<AggregateFunction> fns;
-  fns.reserve(specs.size());
-  for (const AggSpec& s : specs) {
-    auto fn = AggregateFunction::Make(s.kind, s.param);
-    assert(fn.ok());
-    fns.push_back(std::move(fn.value()));
-  }
-  return fns;
-}
-
-}  // namespace
 
 GroupByAggregateOp::GroupByAggregateOp(GroupByOptions options,
                                        std::string name)
     : Operator(std::move(name)),
       options_(std::move(options)),
-      fns_(MakeFns(options_.aggs)) {}
+      aggs_(options_.aggs) {}
 
 void GroupByAggregateOp::Push(const Element& e, int /*port*/) {
   CountIn(e);
@@ -55,21 +38,9 @@ void GroupByAggregateOp::FoldTuple(const Tuple& t) {
   KeyView key(t, options_.key_cols);
   auto it = groups.find(key);
   if (it == groups.end()) {
-    GroupState state;
-    state.accs.reserve(fns_.size());
-    for (const AggregateFunction& fn : fns_) {
-      state.accs.push_back(fn.NewAccumulator());
-    }
-    it = groups.emplace(key.Materialize(), std::move(state)).first;
+    it = groups.emplace(key.Materialize(), GroupState{aggs_.NewAccs()}).first;
   }
-  for (size_t i = 0; i < options_.aggs.size(); ++i) {
-    const AggSpec& s = options_.aggs[i];
-    if (s.input_col < 0) {
-      it->second.accs[i]->Add(Value(int64_t{1}));
-    } else {
-      it->second.accs[i]->Add(t.at(static_cast<size_t>(s.input_col)));
-    }
-  }
+  aggs_.Add(it->second.accs, t);
 }
 
 void GroupByAggregateOp::CloseBucketsThrough(int64_t watermark) {
@@ -93,7 +64,7 @@ void GroupByAggregateOp::EmitBucket(int64_t bucket, GroupMap& groups) {
     row.reserve(1 + key.parts.size() + state.accs.size());
     row.push_back(Value(out_ts));
     for (const Value& v : key.parts) row.push_back(v);
-    for (const auto& acc : state.accs) row.push_back(acc->Result());
+    AggSet::AppendResults(state.accs, &row);
     TupleRef out = MakeTuple(out_ts, std::move(row));
     if (options_.having != nullptr && !Truthy(options_.having->Eval(*out))) {
       continue;
@@ -126,19 +97,6 @@ size_t GroupByAggregateOp::open_groups() const {
   return n;
 }
 
-bool GroupByAggregateOp::CanCheckpointState(std::string* why) const {
-  for (const AggregateFunction& fn : fns_) {
-    if (!AggStateSerializable(fn.kind())) {
-      if (why != nullptr) {
-        *why = std::string("aggregate ") + AggKindName(fn.kind()) +
-               " has no state serializer";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 void GroupByAggregateOp::SaveState(dur::BufWriter& w) const {
   w.I64(max_ts_);
   w.U32(static_cast<uint32_t>(buckets_.size()));
@@ -167,7 +125,7 @@ Status GroupByAggregateOp::RestoreState(dur::BufReader& r) {
       Key key;
       SQP_RETURN_NOT_OK(ckpt::LoadKey(r, &key));
       GroupState state;
-      SQP_RETURN_NOT_OK(ckpt::LoadAccs(r, fns_, &state.accs));
+      SQP_RETURN_NOT_OK(ckpt::LoadAccs(r, aggs_, &state.accs));
       groups.emplace(std::move(key), std::move(state));
     }
   }
@@ -184,35 +142,7 @@ Result<Schema> GroupByAggregateOp::OutputSchema(const Schema& input,
     }
     fields.push_back(input.field(static_cast<size_t>(c)));
   }
-  for (const AggSpec& s : options.aggs) {
-    ValueType type;
-    switch (s.kind) {
-      case AggKind::kCount:
-      case AggKind::kCountDistinct:
-      case AggKind::kApproxCountDistinct:
-        type = ValueType::kInt;
-        break;
-      case AggKind::kAvg:
-      case AggKind::kStddev:
-      case AggKind::kMedian:
-      case AggKind::kApproxMedian:
-      case AggKind::kBlend:
-        type = ValueType::kDouble;
-        break;
-      default: {
-        if (s.input_col < 0 ||
-            static_cast<size_t>(s.input_col) >= input.num_fields()) {
-          return Status::InvalidArgument("aggregate input column out of range");
-        }
-        type = input.field(static_cast<size_t>(s.input_col)).type;
-      }
-    }
-    std::string name = std::string(AggKindName(s.kind));
-    if (s.input_col >= 0) {
-      name += "_" + input.field(static_cast<size_t>(s.input_col)).name;
-    }
-    fields.push_back(Field{std::move(name), type});
-  }
+  SQP_RETURN_NOT_OK(AggSet::AppendFields(options.aggs, input, &fields));
   return Schema::WithOrdering(std::move(fields), "ts");
 }
 

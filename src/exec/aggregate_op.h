@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "dur/checkpointable.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
@@ -86,13 +86,15 @@ class GroupByAggregateOp : public Operator,
 
   /// Checkpointing: open buckets/groups and their accumulators round-trip
   /// exactly, unless an aggregate is sketch-backed (no serializer).
-  bool CanCheckpointState(std::string* why) const override;
+  bool CanCheckpointState(std::string* why) const override {
+    return aggs_.CanCheckpoint(why);
+  }
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
  private:
   struct GroupState {
-    std::vector<std::unique_ptr<Accumulator>> accs;
+    AggSet::Accs accs;
   };
   using GroupMap = KeyMap<GroupState>;  // KeyView-probed (zero-alloc).
 
@@ -101,7 +103,7 @@ class GroupByAggregateOp : public Operator,
   void CloseBucketsThrough(int64_t watermark);
 
   GroupByOptions options_;
-  std::vector<AggregateFunction> fns_;
+  AggSet aggs_;
   // Buckets in timestamp order so close-out is oldest-first.
   std::map<int64_t, GroupMap> buckets_;  // bucket id -> groups
   int64_t max_ts_ = INT64_MIN;

@@ -1,10 +1,9 @@
 #ifndef SQP_EXEC_CKPT_UTIL_H_
 #define SQP_EXEC_CKPT_UTIL_H_
 
-#include <memory>
 #include <vector>
 
-#include "agg/aggregate_fn.h"
+#include "agg/agg_set.h"
 #include "common/tuple.h"
 #include "dur/codec.h"
 
@@ -34,9 +33,8 @@ inline Status LoadKey(dur::BufReader& r, Key* k) {
 /// u32 count, then per accumulator a u8 kind tag (restore-time sanity
 /// check) and the accumulator's own state. Returns false if any
 /// accumulator lacks a serializer — callers should have screened with
-/// AggStateSerializable via CanCheckpointState first.
-inline bool SaveAccs(dur::BufWriter& w,
-                     const std::vector<std::unique_ptr<Accumulator>>& accs) {
+/// AggSet::CanCheckpoint via CanCheckpointState first.
+inline bool SaveAccs(dur::BufWriter& w, const AggSet::Accs& accs) {
   w.U32(static_cast<uint32_t>(accs.size()));
   for (const auto& acc : accs) {
     w.U8(static_cast<uint8_t>(acc->kind()));
@@ -45,26 +43,22 @@ inline bool SaveAccs(dur::BufWriter& w,
   return true;
 }
 
-/// Rebuilds fresh accumulators from `fns` and loads their saved state.
-inline Status LoadAccs(dur::BufReader& r,
-                       const std::vector<AggregateFunction>& fns,
-                       std::vector<std::unique_ptr<Accumulator>>* out) {
+/// Rebuilds fresh accumulators from `aggs` and loads their saved state.
+inline Status LoadAccs(dur::BufReader& r, const AggSet& aggs,
+                       AggSet::Accs* out) {
   uint32_t n = 0;
   SQP_RETURN_NOT_OK(r.U32(&n));
-  if (n != fns.size()) {
+  if (n != aggs.size()) {
     return Status::Internal("checkpoint accumulator count mismatch");
   }
-  out->clear();
-  out->reserve(n);
+  *out = aggs.NewAccs();
   for (uint32_t i = 0; i < n; ++i) {
     uint8_t kind = 0;
     SQP_RETURN_NOT_OK(r.U8(&kind));
-    if (static_cast<AggKind>(kind) != fns[i].kind()) {
+    if (static_cast<AggKind>(kind) != aggs.specs()[i].kind) {
       return Status::Internal("checkpoint accumulator kind mismatch");
     }
-    auto acc = fns[i].NewAccumulator();
-    SQP_RETURN_NOT_OK(acc->LoadState(r));
-    out->push_back(std::move(acc));
+    SQP_RETURN_NOT_OK((*out)[i]->LoadState(r));
   }
   return Status::OK();
 }

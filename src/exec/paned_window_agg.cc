@@ -7,40 +7,19 @@ namespace sqp {
 
 PanedWindowAggregateOp::PanedWindowAggregateOp(Options options,
                                                std::string name)
-    : Operator(std::move(name)), options_(std::move(options)) {
+    : Operator(std::move(name)),
+      options_(std::move(options)),
+      aggs_(options_.aggs) {
   assert(options_.window > 0 && options_.slide > 0);
   assert(options_.slide <= options_.window);
   pane_ = std::gcd(options_.window, options_.slide);
-  for (const AggSpec& s : options_.aggs) {
-    auto fn = AggregateFunction::Make(s.kind, s.param);
-    assert(fn.ok());
-    fns_.push_back(std::move(fn.value()));
-  }
-  current_ = NewAccs();
-}
-
-PanedWindowAggregateOp::Accs PanedWindowAggregateOp::NewAccs() const {
-  Accs accs;
-  accs.reserve(fns_.size());
-  for (const AggregateFunction& fn : fns_) accs.push_back(fn.NewAccumulator());
-  return accs;
-}
-
-void PanedWindowAggregateOp::FoldTuple(const Tuple& t) {
-  for (size_t i = 0; i < options_.aggs.size(); ++i) {
-    const AggSpec& s = options_.aggs[i];
-    if (s.input_col < 0) {
-      current_[i]->Add(Value(int64_t{1}));
-    } else {
-      current_[i]->Add(t.at(static_cast<size_t>(s.input_col)));
-    }
-  }
+  current_ = aggs_.NewAccs();
 }
 
 void PanedWindowAggregateOp::ClosePane() {
   if (current_pane_ == INT64_MIN) return;
   panes_.emplace_back(current_pane_, std::move(current_));
-  current_ = NewAccs();
+  current_ = aggs_.NewAccs();
   // Retain only the panes the widest pending window can still need.
   size_t max_panes = static_cast<size_t>(options_.window / pane_);
   while (panes_.size() > max_panes) panes_.pop_front();
@@ -48,7 +27,7 @@ void PanedWindowAggregateOp::ClosePane() {
 
 void PanedWindowAggregateOp::EmitBoundary(int64_t boundary) {
   // Window covers [boundary - W, boundary): merge the covering panes.
-  Accs merged = NewAccs();
+  AggSet::Accs merged = aggs_.NewAccs();
   int64_t first_pane = (boundary - options_.window) / pane_;
   int64_t end_pane = boundary / pane_;
   for (const auto& [pane_id, accs] : panes_) {
@@ -62,7 +41,7 @@ void PanedWindowAggregateOp::EmitBoundary(int64_t boundary) {
   std::vector<Value> row;
   row.reserve(1 + merged.size());
   row.push_back(Value(boundary));
-  for (const auto& acc : merged) row.push_back(acc->Result());
+  AggSet::AppendResults(merged, &row);
   Emit(Element(MakeTuple(boundary, std::move(row))));
 }
 
@@ -104,7 +83,7 @@ void PanedWindowAggregateOp::Push(const Element& e, int /*port*/) {
     return;
   }
   AdvanceTo(e.tuple()->ts());
-  FoldTuple(*e.tuple());
+  aggs_.Add(current_, *e.tuple());
 }
 
 void PanedWindowAggregateOp::Flush() {

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "exec/operator.h"
 
 namespace sqp {
@@ -42,10 +42,6 @@ class PanedWindowAggregateOp : public Operator {
   uint64_t merges() const { return merges_; }
 
  private:
-  using Accs = std::vector<std::unique_ptr<Accumulator>>;
-
-  Accs NewAccs() const;
-  void FoldTuple(const Tuple& t);
   /// Closes panes and emits slide boundaries implied by time `now`
   /// (exclusive: panes containing `now` stay open).
   void AdvanceTo(int64_t now);
@@ -54,13 +50,13 @@ class PanedWindowAggregateOp : public Operator {
 
   Options options_;
   int64_t pane_;
-  std::vector<AggregateFunction> fns_;
+  AggSet aggs_;
 
   int64_t current_pane_ = INT64_MIN;  // Pane id of the open pane.
-  Accs current_;
+  AggSet::Accs current_;
   /// Closed panes, oldest first: (pane id, partials). Holds at most
   /// window/pane entries.
-  std::deque<std::pair<int64_t, Accs>> panes_;
+  std::deque<std::pair<int64_t, AggSet::Accs>> panes_;
   int64_t last_boundary_ = INT64_MIN;  // Last emitted window end.
   uint64_t merges_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "exec/punct_groupby.h"
 
-#include <cassert>
-
 #include "exec/ckpt_util.h"
 
 namespace sqp {
@@ -11,14 +9,7 @@ PunctuationGroupByOp::PunctuationGroupByOp(int key_col,
                                            std::string name)
     : Operator(std::move(name)),
       key_col_(key_col),
-      agg_specs_(std::move(aggs)) {
-  fns_.reserve(agg_specs_.size());
-  for (const AggSpec& s : agg_specs_) {
-    auto fn = AggregateFunction::Make(s.kind, s.param);
-    assert(fn.ok());
-    fns_.push_back(std::move(fn.value()));
-  }
-}
+      aggs_(std::move(aggs)) {}
 
 void PunctuationGroupByOp::EmitGroup(int64_t close_ts, const Value& key,
                                      GroupState& state) {
@@ -26,7 +17,7 @@ void PunctuationGroupByOp::EmitGroup(int64_t close_ts, const Value& key,
   row.reserve(2 + state.accs.size());
   row.push_back(Value(close_ts));
   row.push_back(key);
-  for (const auto& acc : state.accs) row.push_back(acc->Result());
+  AggSet::AppendResults(state.accs, &row);
   Emit(Element(MakeTuple(close_ts, std::move(row))));
 }
 
@@ -62,45 +53,21 @@ void PunctuationGroupByOp::Push(const Element& e, int /*port*/) {
   const Value& key = t.at(static_cast<size_t>(key_col_));
   auto it = groups_.find(key);
   if (it == groups_.end()) {
-    GroupState state;
-    state.accs.reserve(fns_.size());
-    for (const AggregateFunction& fn : fns_) {
-      state.accs.push_back(fn.NewAccumulator());
-    }
-    it = groups_.emplace(key, std::move(state)).first;
+    it = groups_.emplace(key, GroupState{aggs_.NewAccs()}).first;
   }
   it->second.last_ts = std::max(it->second.last_ts, t.ts());
-  for (size_t i = 0; i < agg_specs_.size(); ++i) {
-    const AggSpec& s = agg_specs_[i];
-    if (s.input_col < 0) {
-      it->second.accs[i]->Add(Value(int64_t{1}));
-    } else {
-      it->second.accs[i]->Add(t.at(static_cast<size_t>(s.input_col)));
-    }
-  }
+  aggs_.Add(it->second.accs, t);
 }
 
 void PunctuationGroupByOp::FoldRow(const ColumnBatch& batch, uint32_t row) {
   Value key = batch.cols[static_cast<size_t>(key_col_)].ValueAt(row);
   auto it = groups_.find(key);
   if (it == groups_.end()) {
-    GroupState state;
-    state.accs.reserve(fns_.size());
-    for (const AggregateFunction& fn : fns_) {
-      state.accs.push_back(fn.NewAccumulator());
-    }
-    it = groups_.emplace(std::move(key), std::move(state)).first;
+    it = groups_.emplace(std::move(key), GroupState{aggs_.NewAccs()}).first;
   }
   it->second.last_ts = std::max(it->second.last_ts, batch.ts[row]);
-  for (size_t i = 0; i < agg_specs_.size(); ++i) {
-    const AggSpec& s = agg_specs_[i];
-    if (s.input_col < 0) {
-      it->second.accs[i]->Add(Value(int64_t{1}));
-    } else {
-      it->second.accs[i]->Add(
-          batch.cols[static_cast<size_t>(s.input_col)].ValueAt(row));
-    }
-  }
+  aggs_.AddRow(it->second.accs,
+               [&](size_t c) { return batch.cols[c].ValueAt(row); });
 }
 
 void PunctuationGroupByOp::PushColumns(ColumnBatch& batch, int /*port*/) {
@@ -141,19 +108,6 @@ size_t PunctuationGroupByOp::StateBytes() const {
   return bytes;
 }
 
-bool PunctuationGroupByOp::CanCheckpointState(std::string* why) const {
-  for (const AggregateFunction& fn : fns_) {
-    if (!AggStateSerializable(fn.kind())) {
-      if (why != nullptr) {
-        *why = std::string("aggregate ") + AggKindName(fn.kind()) +
-               " has no state serializer";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 void PunctuationGroupByOp::SaveState(dur::BufWriter& w) const {
   w.U32(static_cast<uint32_t>(groups_.size()));
   for (const auto& [key, state] : groups_) {
@@ -172,7 +126,7 @@ Status PunctuationGroupByOp::RestoreState(dur::BufReader& r) {
     SQP_RETURN_NOT_OK(r.Val(&key));
     GroupState state;
     SQP_RETURN_NOT_OK(r.I64(&state.last_ts));
-    SQP_RETURN_NOT_OK(ckpt::LoadAccs(r, fns_, &state.accs));
+    SQP_RETURN_NOT_OK(ckpt::LoadAccs(r, aggs_, &state.accs));
     groups_.emplace(std::move(key), std::move(state));
   }
   return Status::OK();

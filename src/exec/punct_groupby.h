@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "dur/checkpointable.h"
 #include "exec/operator.h"
 #include "exec/sharding.h"
@@ -49,7 +49,7 @@ class PunctuationGroupByOp : public Operator,
   /// OneValueKeyHash) to the same shard as the group's tuples, so
   /// data-dependent close-out works unchanged under disjoint sharding.
   std::unique_ptr<Operator> CloneReplica() const override {
-    return std::make_unique<PunctuationGroupByOp>(key_col_, agg_specs_,
+    return std::make_unique<PunctuationGroupByOp>(key_col_, aggs_.specs(),
                                                   name());
   }
   std::vector<std::vector<int>> ShardKeyColumns() const override {
@@ -59,7 +59,9 @@ class PunctuationGroupByOp : public Operator,
 
   /// Checkpointing: every open group (accumulators + last activity ts)
   /// round-trips exactly, unless an aggregate is sketch-backed.
-  bool CanCheckpointState(std::string* why) const override;
+  bool CanCheckpointState(std::string* why) const override {
+    return aggs_.CanCheckpoint(why);
+  }
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
@@ -68,7 +70,7 @@ class PunctuationGroupByOp : public Operator,
 
  private:
   struct GroupState {
-    std::vector<std::unique_ptr<Accumulator>> accs;
+    AggSet::Accs accs;
     int64_t last_ts = INT64_MIN;
   };
 
@@ -80,8 +82,7 @@ class PunctuationGroupByOp : public Operator,
   void FoldRow(const ColumnBatch& batch, uint32_t row);
 
   int key_col_;
-  std::vector<AggSpec> agg_specs_;
-  std::vector<AggregateFunction> fns_;
+  AggSet aggs_;
   std::unordered_map<Value, GroupState, ValueHash> groups_;
 };
 

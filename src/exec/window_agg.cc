@@ -6,75 +6,49 @@ namespace sqp {
 
 WindowAggregateOp::WindowAggregateOp(WindowSpec window,
                                      std::vector<AggSpec> aggs,
-                                     std::string name)
+                                     std::string name, int partition_col)
     : Operator(std::move(name)),
       window_(window),
-      agg_specs_(std::move(aggs)) {
+      aggs_(std::move(aggs)),
+      partition_col_(partition_col) {
   assert(window_.Validate().ok());
-  fns_.reserve(agg_specs_.size());
-  for (const AggSpec& s : agg_specs_) {
-    auto fn = AggregateFunction::Make(s.kind, s.param);
-    assert(fn.ok());
-    fns_.push_back(std::move(fn.value()));
-    // A landmark window never evicts, so it takes the O(1) full form: a
-    // sliding min/max deque or first log would keep every value.
-    accs_.push_back(window_.kind == WindowKind::kTimeLandmark
-                        ? fns_.back().NewAccumulator()
-                        : fns_.back().NewSlidingAccumulator());
-  }
-  switch (window_.kind) {
-    case WindowKind::kTimeSliding:
-      time_buf_ = std::make_unique<TimeWindowBuffer>(window_.size);
-      break;
-    case WindowKind::kCountSliding:
-      count_buf_ =
-          std::make_unique<CountWindowBuffer>(static_cast<size_t>(window_.size));
-      break;
-    case WindowKind::kTimeLandmark:
-      // Landmark windows never expire: accumulators only.
-      break;
-    default:
-      assert(false && "WindowAggregateOp supports sliding/landmark windows");
-  }
+  assert((window_.kind == WindowKind::kTimeSliding ||
+          window_.kind == WindowKind::kCountSliding ||
+          window_.kind == WindowKind::kTimeLandmark) &&
+         "WindowAggregateOp supports sliding/landmark windows");
+  assert((partition_col_ < 0 || window_.kind == WindowKind::kCountSliding) &&
+         "partitioned windows are count windows");
+  if (partition_col_ < 0) whole_ = NewWindow();
 }
 
-Value WindowAggregateOp::InputOf(size_t i, const Tuple& t) const {
-  const AggSpec& s = agg_specs_[i];
-  return s.input_col < 0 ? Value(int64_t{1})
-                         : t.at(static_cast<size_t>(s.input_col));
+WindowAggregateOp::Window WindowAggregateOp::NewWindow() const {
+  Window w;
+  if (window_.kind == WindowKind::kTimeSliding) {
+    w.time_buf.emplace(window_.size);
+  } else if (window_.kind == WindowKind::kCountSliding) {
+    w.count_buf.emplace(static_cast<size_t>(window_.size));
+  }
+  // A landmark window never evicts, so it takes the O(1) full form: a
+  // sliding min/max deque or first log would keep every value.
+  w.accs = window_.kind == WindowKind::kTimeLandmark ? aggs_.NewAccs()
+                                                     : aggs_.NewSlidingAccs();
+  return w;
 }
 
-void WindowAggregateOp::Slide(const Tuple* added) {
-  bool replay = false;
-  for (size_t i = 0; i < accs_.size(); ++i) {
-    Accumulator& acc = *accs_[i];
-    if (acc.invertible()) {
-      // Expired tuples are the oldest the accumulator holds, in order.
-      for (const TupleRef& x : expired_) acc.Remove(InputOf(i, *x));
-    } else if (!expired_.empty()) {
-      replay = true;
-      continue;  // Rebuilt below; the buffer already holds `added`.
-    }
-    if (added != nullptr) acc.Add(InputOf(i, *added));
-  }
+void WindowAggregateOp::Slide(Window& w, const Tuple* added) {
+  const std::deque<TupleRef>& contents =
+      w.time_buf ? w.time_buf->contents() : w.count_buf->contents();
+  if (aggs_.Slide(w.accs, expired_, added, contents)) ++recomputes_;
   expired_.clear();
-  if (!replay) return;
-  ++recomputes_;
-  const std::deque<TupleRef>& window = time_buf_ != nullptr
-                                           ? time_buf_->contents()
-                                           : count_buf_->contents();
-  for (size_t i = 0; i < accs_.size(); ++i) {
-    if (accs_[i]->invertible()) continue;
-    accs_[i] = fns_[i].NewSlidingAccumulator();
-    for (const TupleRef& t : window) accs_[i]->Add(InputOf(i, *t));
-  }
 }
 
-void WindowAggregateOp::EmitCurrent(int64_t ts) {
+void WindowAggregateOp::EmitCurrent(int64_t ts, const Window& w,
+                                    const Value* key) {
   std::vector<Value> row;
-  row.reserve(1 + accs_.size());
+  row.reserve(2 + w.accs.size());
   row.push_back(Value(ts));
-  for (const auto& acc : accs_) row.push_back(acc->Result());
+  if (key != nullptr) row.push_back(*key);
+  AggSet::AppendResults(w.accs, &row);
   Emit(Element(MakeTuple(ts, std::move(row))));
 }
 
@@ -82,11 +56,11 @@ void WindowAggregateOp::Push(const Element& e, int /*port*/) {
   CountIn(e);
   if (e.is_punctuation()) {
     // Advance time so expiry happens even without new tuples.
-    if (time_buf_ != nullptr && !e.punctuation().has_key) {
-      time_buf_->AdvanceTo(e.punctuation().ts, &expired_);
+    if (whole_.time_buf && !e.punctuation().has_key) {
+      whole_.time_buf->AdvanceTo(e.punctuation().ts, &expired_);
       if (!expired_.empty()) {
-        Slide(nullptr);
-        EmitCurrent(e.punctuation().ts);
+        Slide(whole_, nullptr);
+        EmitCurrent(e.punctuation().ts, whole_, nullptr);
       }
     }
     Emit(e);
@@ -94,36 +68,52 @@ void WindowAggregateOp::Push(const Element& e, int /*port*/) {
   }
 
   const TupleRef& t = e.tuple();
+  Window* w = &whole_;
+  const Value* key = nullptr;
+  if (partition_col_ >= 0) {
+    key = &t->at(static_cast<size_t>(partition_col_));
+    auto it = parts_.find(*key);
+    if (it == parts_.end()) it = parts_.emplace(*key, NewWindow()).first;
+    w = &it->second;
+  }
   switch (window_.kind) {
     case WindowKind::kTimeSliding: {
-      time_buf_->Insert(t, &expired_);
+      w->time_buf->Insert(t, &expired_);
       // A tuple already older than the window expires on arrival, after
       // everything before it: it is never added, so never evicted either.
       const bool late = !expired_.empty() && expired_.back() == t;
       if (late) expired_.pop_back();
-      Slide(late ? nullptr : t.get());
+      Slide(*w, late ? nullptr : t.get());
       break;
     }
     case WindowKind::kCountSliding:
-      if (std::optional<TupleRef> evicted = count_buf_->Insert(t)) {
+      if (std::optional<TupleRef> evicted = w->count_buf->Insert(t)) {
         expired_.push_back(std::move(*evicted));
       }
-      Slide(t.get());
+      Slide(*w, t.get());
       break;
     case WindowKind::kTimeLandmark:
-      if (t->ts() >= window_.start) Slide(t.get());
+      if (t->ts() >= window_.start) aggs_.Add(w->accs, *t);
       break;
     default:
       break;
   }
-  EmitCurrent(t->ts());
+  EmitCurrent(t->ts(), *w, key);
+}
+
+size_t WindowAggregateOp::WindowBytes(const Window& w) {
+  size_t bytes = 0;
+  if (w.time_buf) bytes += w.time_buf->MemoryBytes();
+  if (w.count_buf) bytes += w.count_buf->MemoryBytes();
+  for (const auto& acc : w.accs) bytes += acc->MemoryBytes();
+  return bytes;
 }
 
 size_t WindowAggregateOp::StateBytes() const {
-  size_t bytes = sizeof(*this);
-  if (time_buf_ != nullptr) bytes += time_buf_->MemoryBytes();
-  if (count_buf_ != nullptr) bytes += count_buf_->MemoryBytes();
-  for (const auto& acc : accs_) bytes += acc->MemoryBytes();
+  size_t bytes = sizeof(*this) + WindowBytes(whole_);
+  for (const auto& [key, w] : parts_) {
+    bytes += key.MemoryBytes() + 32 + WindowBytes(w);
+  }
   return bytes;
 }
 

@@ -1,11 +1,12 @@
 #ifndef SQP_EXEC_WINDOW_AGG_H_
 #define SQP_EXEC_WINDOW_AGG_H_
 
-#include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "agg/partial_agg.h"
+#include "agg/agg_set.h"
 #include "exec/operator.h"
 #include "window/count_window.h"
 #include "window/time_window.h"
@@ -27,31 +28,47 @@ namespace sqp {
 ///
 /// Output row: [ts, agg...]. Supports time-sliding, count-sliding and
 /// landmark (agglomerative) windows (slide 27).
+///
+/// With a partition column this is CQL's partitioned window (slide 26
+/// "variants"; `[partition by K rows N]`): each key keeps its *own*
+/// count window of the last N rows, each tuple emits the aggregate over
+/// its key's window, and the output row is [ts, key, agg...].
 class WindowAggregateOp : public Operator {
  public:
+  /// `partition_col < 0`: one window over the whole stream. Otherwise
+  /// `window` must be count-sliding and applies per key.
   WindowAggregateOp(WindowSpec window, std::vector<AggSpec> aggs,
-                    std::string name = "window-agg");
+                    std::string name = "window-agg", int partition_col = -1);
 
   void Push(const Element& e, int port = 0) override;
   size_t StateBytes() const override;
 
+  size_t num_partitions() const { return parts_.size(); }
   /// Number of buffer replays triggered by aggregates that cannot evict.
   uint64_t recompute_count() const { return recomputes_; }
 
  private:
-  /// Evicts `expired_` from the accumulators, then adds `added` (when
+  /// One window's contents and accumulators: the whole stream's, or one
+  /// partition's. Landmark windows hold no buffer.
+  struct Window {
+    std::optional<TimeWindowBuffer> time_buf;
+    std::optional<CountWindowBuffer> count_buf;
+    AggSet::Accs accs;
+  };
+
+  Window NewWindow() const;
+  /// Evicts `expired_` from `w`'s accumulators, then adds `added` (when
   /// non-null); aggregates that cannot evict are rebuilt from the buffer.
-  void Slide(const Tuple* added);
-  void EmitCurrent(int64_t ts);
-  Value InputOf(size_t i, const Tuple& t) const;
+  void Slide(Window& w, const Tuple* added);
+  void EmitCurrent(int64_t ts, const Window& w, const Value* key);
+  static size_t WindowBytes(const Window& w);
 
   WindowSpec window_;
-  std::vector<AggSpec> agg_specs_;
-  std::vector<AggregateFunction> fns_;
-  std::vector<std::unique_ptr<Accumulator>> accs_;
+  AggSet aggs_;
+  int partition_col_;
 
-  std::unique_ptr<TimeWindowBuffer> time_buf_;
-  std::unique_ptr<CountWindowBuffer> count_buf_;
+  Window whole_;  ///< Unpartitioned state.
+  std::unordered_map<Value, Window, ValueHash> parts_;
   std::vector<TupleRef> expired_;  ///< Scratch, reused across tuples.
   uint64_t recomputes_ = 0;
 };

@@ -33,6 +33,7 @@
 #include "window/window_spec.h"
 
 // Aggregates and synopses (slides 34-38).
+#include "agg/agg_set.h"
 #include "agg/aggregate_fn.h"
 #include "agg/partial_agg.h"
 #include "synopsis/ams.h"
@@ -62,7 +63,6 @@
 #include "exec/mjoin.h"
 #include "exec/operator.h"
 #include "exec/paned_window_agg.h"
-#include "exec/partitioned_window_agg.h"
 #include "exec/plan.h"
 #include "exec/project.h"
 #include "exec/punct_groupby.h"

@@ -5,8 +5,8 @@
 
 #include "common/rng.h"
 #include "cql/planner.h"
-#include "exec/partitioned_window_agg.h"
 #include "exec/plan.h"
+#include "exec/window_agg.h"
 #include "sliding_oracle.h"
 #include "stream/generators.h"
 
@@ -19,8 +19,10 @@ TupleRef T(int64_t ts, int64_t key, int64_t val) {
 
 TEST(PartitionedWindowAggTest, PerKeyWindowsIndependent) {
   Plan plan;
-  auto* op = plan.Make<PartitionedWindowAggregateOp>(
-      1, 2, std::vector<AggSpec>{{AggKind::kSum, 2, 0.5}});
+  auto* op = plan.Make<WindowAggregateOp>(
+      WindowSpec::CountSliding(2),
+      std::vector<AggSpec>{{AggKind::kSum, 2, 0.5}},
+      "partitioned-window-agg", 1);
   auto* sink = plan.Make<CollectorSink>();
   op->SetOutput(sink);
 
@@ -42,8 +44,10 @@ TEST(PartitionedWindowAggTest, NonInvertibleRecomputes) {
   // Max evicts through its monotonic deque: no replay.
   {
     Plan plan;
-    auto* op = plan.Make<PartitionedWindowAggregateOp>(
-        1, 2, std::vector<AggSpec>{{AggKind::kMax, 2, 0.5}});
+    auto* op = plan.Make<WindowAggregateOp>(
+        WindowSpec::CountSliding(2),
+        std::vector<AggSpec>{{AggKind::kMax, 2, 0.5}},
+        "partitioned-window-agg", 1);
     auto* sink = plan.Make<CollectorSink>();
     op->SetOutput(sink);
     op->Push(Element(T(1, 7, 100)));
@@ -55,8 +59,10 @@ TEST(PartitionedWindowAggTest, NonInvertibleRecomputes) {
   // Blend cannot evict: eviction replays the partition's window.
   {
     Plan plan;
-    auto* op = plan.Make<PartitionedWindowAggregateOp>(
-        1, 2, std::vector<AggSpec>{{AggKind::kBlend, 2, 0.5}});
+    auto* op = plan.Make<WindowAggregateOp>(
+        WindowSpec::CountSliding(2),
+        std::vector<AggSpec>{{AggKind::kBlend, 2, 0.5}},
+        "partitioned-window-agg", 1);
     auto* sink = plan.Make<CollectorSink>();
     op->SetOutput(sink);
     op->Push(Element(T(1, 7, 100)));
@@ -64,6 +70,94 @@ TEST(PartitionedWindowAggTest, NonInvertibleRecomputes) {
     op->Push(Element(T(3, 7, 30)));  // Blend over [50,30] = 40.
     EXPECT_DOUBLE_EQ(sink->tuples()[2]->at(2).AsDouble(), 40.0);
     EXPECT_GE(op->recompute_count(), 1u);
+  }
+}
+
+TEST(PartitionedWindowAggTest, PunctuationPassesThroughUntouched) {
+  Plan plan;
+  auto* op = plan.Make<WindowAggregateOp>(
+      WindowSpec::CountSliding(2),
+      std::vector<AggSpec>{{AggKind::kSum, 2, 0.5}}, "partitioned-window-agg",
+      1);
+  std::string trace;  // 't' per tuple, 'w' per watermark, 'k' per CloseKey.
+  std::vector<TupleRef> rows;
+  CallbackSink sink([&](const Element& e) {
+    if (e.is_punctuation()) {
+      trace += e.punctuation().has_key ? 'k' : 'w';
+    } else {
+      trace += 't';
+      rows.push_back(e.tuple());
+    }
+  });
+  op->SetOutput(&sink);
+
+  std::map<int64_t, std::deque<int64_t>> brute;
+  auto push = [&](int64_t ts, int64_t key, int64_t val) {
+    op->Push(Element(T(ts, key, val)));
+    auto& dq = brute[key];
+    dq.push_back(val);
+    if (dq.size() > 2) dq.pop_front();
+    int64_t want = 0;
+    for (int64_t v : dq) want += v;
+    ASSERT_FALSE(rows.empty());
+    EXPECT_EQ(rows.back()->at(2).AsInt(), want) << "ts=" << ts;
+  };
+  push(1, 7, 10);
+  push(2, 8, 5);
+  push(3, 7, 20);
+  op->Push(Element(Punctuation::Watermark(100)));
+  op->Push(Element(Punctuation::CloseKey(101, Value(int64_t{7}))));
+  // Both forwarded in order; neither emits an aggregate row.
+  EXPECT_EQ(trace, "tttwk");
+  // Neither closed or expired a window: key 7 still holds [10, 20].
+  push(4, 7, 30);  // [20, 30] -> 50.
+  push(5, 8, 1);   // [5, 1] -> 6.
+  EXPECT_EQ(trace, "tttwktt");
+  EXPECT_EQ(op->num_partitions(), 2u);
+}
+
+// A partition is a window: with a constant key, `[partition by K rows N]`
+// emits the same aggregate columns, row for row, as `[rows N]`.
+TEST(PartitionedWindowAggTest, ConstantKeyMatchesUnpartitionedWindow) {
+  std::vector<AggSpec> specs;
+  for (AggKind kind : sliding_oracle::kExactKinds) {
+    specs.push_back({kind, 2, 0.5});
+  }
+  specs.push_back({AggKind::kBlend, 2, 0.5});  // The replay path.
+  for (sliding_oracle::Shape shape : sliding_oracle::kShapes) {
+    SCOPED_TRACE(sliding_oracle::ShapeName(shape));
+    Plan plan;
+    auto* part = plan.Make<WindowAggregateOp>(
+        WindowSpec::CountSliding(5), specs, "partitioned-window-agg", 1);
+    auto* whole = plan.Make<WindowAggregateOp>(WindowSpec::CountSliding(5),
+                                               specs);
+    auto* part_sink = plan.Make<CollectorSink>();
+    auto* whole_sink = plan.Make<CollectorSink>();
+    part->SetOutput(part_sink);
+    whole->SetOutput(whole_sink);
+
+    sliding_oracle::ValueSource values(shape, 43);
+    for (int64_t i = 0; i < 500; ++i) {
+      TupleRef t = MakeTuple(i, {Value(i), Value(int64_t{3}), values.Next()});
+      part->Push(Element(t));
+      whole->Push(Element(t));
+    }
+    ASSERT_EQ(part_sink->count(), 500u);
+    ASSERT_EQ(whole_sink->count(), 500u);
+    for (size_t r = 0; r < 500; ++r) {
+      const Tuple& p = *part_sink->tuples()[r];
+      const Tuple& w = *whole_sink->tuples()[r];
+      ASSERT_EQ(p.arity(), w.arity() + 1);
+      EXPECT_EQ(p.at(0).AsInt(), w.at(0).AsInt());
+      for (size_t a = 0; a < specs.size(); ++a) {
+        const Value& pv = p.at(2 + a);
+        const Value& wv = w.at(1 + a);
+        EXPECT_EQ(pv.type(), wv.type()) << "row " << r << " agg " << a;
+        EXPECT_TRUE(pv == wv) << "row " << r << " agg " << a << ": "
+                              << pv.ToString() << " vs " << wv.ToString();
+      }
+    }
+    EXPECT_EQ(part->recompute_count(), whole->recompute_count());
   }
 }
 
@@ -81,8 +175,9 @@ TEST_P(PartitionedPropertyTest, MatchesBruteForce) {
   for (sliding_oracle::Shape shape : sliding_oracle::kShapes) {
     SCOPED_TRACE(sliding_oracle::ShapeName(shape));
     Plan plan;
-    auto* op = plan.Make<PartitionedWindowAggregateOp>(
-        1, rows, std::vector<AggSpec>{{kind, 2, 0.5}});
+    auto* op = plan.Make<WindowAggregateOp>(
+        WindowSpec::CountSliding(static_cast<int64_t>(rows)),
+        std::vector<AggSpec>{{kind, 2, 0.5}}, "partitioned-window-agg", 1);
     auto* sink = plan.Make<CollectorSink>();
     op->SetOutput(sink);
 
@@ -183,6 +278,40 @@ TEST(PartitionedCqlTest, ParseAndRun) {
   EXPECT_EQ(last->at(2).AsInt(), 3);
 }
 
+// Every aggregate plan declares the types its rows carry: one query per
+// planner branch (sliding time, sliding count, partitioned, group-by).
+TEST(PartitionedCqlTest, OutputSchemaMatchesRowTypes) {
+  cql::Catalog cat = Cat();
+  const char* kAggs = "max(len), count(*), sum(len), avg(len)";
+  for (std::string query :
+       {std::string("select ") + kAggs + " from packets [range 60]",
+        std::string("select ") + kAggs + " from packets [rows 3]",
+        std::string("select src_ip, ") + kAggs +
+            " from packets [partition by src_ip rows 3]",
+        std::string("select src_ip, ") + kAggs +
+            " from packets group by src_ip"}) {
+    SCOPED_TRACE(query);
+    auto cq = cql::Compile(query, cat);
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    CollectorSink sink;
+    (*cq)->AttachSink(&sink);
+    for (int64_t i = 0; i < 6; ++i) {
+      (*cq)->Push(Element(Pkt(i, i % 2, 10 * (i + 1))));
+    }
+    (*cq)->Finish();
+    ASSERT_GT(sink.count(), 0u);
+    const Schema& schema = (*cq)->output_schema();
+    for (const TupleRef& row : sink.tuples()) {
+      ASSERT_EQ(row->arity(), schema.num_fields());
+      for (size_t c = 0; c < row->arity(); ++c) {
+        if (row->at(c).is_null()) continue;
+        EXPECT_EQ(row->at(c).type(), schema.field(c).type)
+            << "column " << schema.field(c).name;
+      }
+    }
+  }
+}
+
 TEST(PartitionedCqlTest, WhereAppliesBeforeWindow) {
   cql::Catalog cat = Cat();
   auto cq = cql::Compile(
@@ -245,8 +374,10 @@ TEST(PartitionedCqlTest, ParseErrors) {
 
 TEST(PartitionedWindowAggTest, StateScalesWithPartitionsNotStream) {
   Plan plan;
-  auto* op = plan.Make<PartitionedWindowAggregateOp>(
-      1, 8, std::vector<AggSpec>{{AggKind::kSum, 2, 0.5}});
+  auto* op = plan.Make<WindowAggregateOp>(
+      WindowSpec::CountSliding(8),
+      std::vector<AggSpec>{{AggKind::kSum, 2, 0.5}},
+      "partitioned-window-agg", 1);
   auto* sink = plan.Make<CountingSink>();
   op->SetOutput(sink);
   Rng rng(42);
