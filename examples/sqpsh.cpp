@@ -2,7 +2,7 @@
 // built-in synthetic streams.
 //
 //   sqpsh [--tuples N] [--rows K] [--parallel] [--columnar] [--shards N]
-//         [--trace-every N] [--http PORT] [--linger SECS]
+//         [--trace-every N] [--serve PORT] [--linger SECS]
 //         [--adaptive-shed] [--shed-target N]
 //         <query|command> [<query|command> ...]
 //
@@ -32,7 +32,7 @@
 //      group by ts/60 as tb, src_ip having count(*) > 5"
 //
 //   # Scrapeable run: serve /metrics while ingesting, keep serving 30s.
-//   ./build/examples/sqpsh --http 9464 --linger 30 --parallel
+//   ./build/examples/sqpsh --serve 9464 --linger 30 --parallel
 //     --adaptive-shed '\top' "select ts from packets where len > 256"
 //
 //   # Continuous-query server: ingest at 20k tuples/s per stream while
@@ -77,17 +77,18 @@ void Usage() {
       "                    (joins, keyed group-bys) across N replica\n"
       "                    threads behind a hash exchange\n"
       "  --trace-every N   sample every Nth tuple's lineage (default off)\n"
-      "  --http PORT       serve GET /metrics (Prometheus), /snapshot.json,\n"
-      "                    /series.json while running (0 = ephemeral port)\n"
-      "  --linger SECS     keep the process (and --http endpoint) alive\n"
+      "  --linger SECS     keep the process (and --serve endpoint) alive\n"
       "                    SECS seconds after the run finishes\n"
       "  --adaptive-shed   attach monitor-driven load shedding to each\n"
       "                    parallel query (requires --parallel)\n"
       "  --shed-target N   backlog the shedding controller holds\n"
       "                    (default 256 elements)\n"
-      "  --serve PORT      run the continuous-query server: clients POST\n"
-      "                    CQL to /query and stream results back over\n"
-      "                    /session/<id>/results (0 = ephemeral port)\n"
+      "  --serve PORT      run the engine's HTTP server: clients POST CQL\n"
+      "                    to /query and stream results back over\n"
+      "                    /session/<id>/results; scrapers read /metrics\n"
+      "                    (Prometheus), /snapshot.json, /series.json,\n"
+      "                    /events.json, /profile/<q>.json (0 = ephemeral\n"
+      "                    port)\n"
       "  --rate N          pace ingest at N tuples/s per stream (serve\n"
       "                    mode; 0 = full speed, the default)\n"
       "  --punct N         inject an event-time watermark into every stream\n"
@@ -329,7 +330,6 @@ int main(int argc, char** argv) {
   bool parallel = false;
   bool columnar = false;
   int64_t trace_every = 0;
-  int64_t http_port = -1;  // < 0 = no endpoint.
   int64_t linger_s = 0;
   bool adaptive_shed = false;
   double shed_target = 256.0;
@@ -362,10 +362,6 @@ int main(int argc, char** argv) {
       columnar = true;
     } else if (std::strcmp(argv[i], "--trace-every") == 0 && i + 1 < argc) {
       trace_every = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--http") == 0 && i + 1 < argc) {
-      http_port = std::atoll(argv[++i]);
-    } else if (std::strncmp(argv[i], "--http=", 7) == 0) {
-      http_port = std::atoll(argv[i] + 7);
     } else if (std::strcmp(argv[i], "--linger") == 0 && i + 1 < argc) {
       linger_s = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--adaptive-shed") == 0) {
@@ -490,20 +486,10 @@ int main(int argc, char** argv) {
 
   // The continuous monitor backs \top, /series.json, and the adaptive
   // shedding loop; start it whenever any of those is requested.
-  if (top_mode || http_port >= 0 || adaptive_shed || serve_port >= 0) {
+  if (top_mode || adaptive_shed || serve_port >= 0) {
     obs::MonitorOptions mopt;
     mopt.period_ms = 50;
     engine.StartMonitor(mopt);
-  }
-  if (http_port >= 0) {
-    auto bound = engine.ServeMetrics(static_cast<int>(http_port));
-    if (!bound.ok()) {
-      std::fprintf(stderr, "--http failed: %s\n",
-                   bound.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("serving http://localhost:%d/metrics (also /snapshot.json, "
-                "/series.json, /events.json, /profile/<q>.json)\n\n", *bound);
   }
   if (serve_port >= 0) {
     server::QueryServerOptions sopt;
@@ -517,7 +503,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("query server on http://localhost:%d "
-                "(POST /query, GET /session/<id>/results)\n\n", *bound);
+                "(POST /query, GET /session/<id>/results, /metrics, "
+                "/snapshot.json, /series.json, /events.json, "
+                "/profile/<q>.json)\n\n", *bound);
     std::fflush(stdout);
   }
 

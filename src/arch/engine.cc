@@ -428,25 +428,6 @@ obs::Monitor& StreamEngine::StartMonitor(obs::MonitorOptions options) {
   return *monitor_;
 }
 
-Result<int> StreamEngine::ServeMetrics(int port) {
-  if (http_ != nullptr && http_->serving()) {
-    return Status::AlreadyExists("metrics endpoint already on port " +
-                                 std::to_string(http_->port()));
-  }
-  if (monitor_ == nullptr) StartMonitor();
-  http_ = std::make_unique<obs::HttpExporter>(&metrics_, monitor_.get());
-  http_->SetEventLog(&events_);
-  http_->SetProfileSource(
-      [this](const std::string& label, std::string* json) {
-        obs::QueryProfile profile;
-        if (!profiler_.Snapshot(label, &profile)) return false;
-        *json = profile.ToJson();
-        return true;
-      });
-  SQP_RETURN_NOT_OK(http_->Serve(port));
-  return http_->port();
-}
-
 Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
                                             AdaptiveShedOptions options) {
   std::unique_lock<std::shared_mutex> reg(reg_mu_);

@@ -16,7 +16,6 @@
 #include "exec/reorder.h"
 #include "exec/sharding.h"
 #include "obs/event_log.h"
-#include "obs/http_exporter.h"
 #include "obs/monitor.h"
 #include "obs/registry.h"
 #include "sched/parallel_executor.h"
@@ -387,19 +386,15 @@ class StreamEngine {
   obs::Monitor* monitor() { return monitor_.get(); }
   const obs::Monitor* monitor() const { return monitor_.get(); }
 
-  /// Starts the HTTP scrape endpoint (GET /metrics, /snapshot.json,
-  /// /series.json) on `port` — 0 binds an ephemeral port. Starts the
-  /// monitor (default options) if it is not already running, so
-  /// /series.json has history. Returns the bound port.
-  Result<int> ServeMetrics(int port);
-  const obs::HttpExporter* http_exporter() const { return http_.get(); }
-
-  /// Starts the multi-client continuous-query server (server::
-  /// QueryServer) on `port` — 0 binds an ephemeral port. Clients POST
-  /// CQL to /query, receive a session id, and stream results back via
-  /// long-poll GET /session/<id>/results with cursor resume. Returns the
-  /// bound port. Defined in src/server/engine_serve.cc (the server
-  /// subsystem layers above the engine).
+  /// Starts the engine's HTTP surface (server::QueryServer) on `port` —
+  /// 0 binds an ephemeral port. Clients POST CQL to /query, receive a
+  /// session id, and stream results back via long-poll GET
+  /// /session/<id>/results with cursor resume; scrapers read /metrics,
+  /// /snapshot.json, /series.json, /events.json and /profile/<q>.json
+  /// from the same port. Starts the monitor (default options) before the
+  /// listener accepts if none exists, so /series.json has history.
+  /// Returns the bound port. Defined in src/server/engine_serve.cc (the
+  /// server subsystem layers above the engine).
   Result<int> Serve(int port);
   Result<int> Serve(int port, const server::QueryServerOptions& options);
   server::QueryServer* query_server() { return server_.get(); }
@@ -533,10 +528,9 @@ class StreamEngine {
   obs::Counter* dur_replay_ctr_ = nullptr;
   uint64_t latency_sample_every_ = 256;
   // Declared after queries_ so teardown runs observation-first: the
-  // exporter stops serving, then the monitor joins its sampler (whose
-  // tick listeners read query state), and only then do queries die.
+  // monitor joins its sampler (whose tick listeners read query state)
+  // before queries die.
   std::unique_ptr<obs::Monitor> monitor_;
-  std::unique_ptr<obs::HttpExporter> http_;
   // Declared last: destroyed first, so the query server stops its
   // listener and closes sessions (which reference query handles) before
   // anything above dies. shared_ptr: QueryServer is incomplete here.

@@ -27,6 +27,9 @@ Status NetListener::Start(int port, Handler handler,
   if (!handler) {
     return Status::InvalidArgument("listener needs a connection handler");
   }
+  if (options.max_concurrent <= 0) {
+    return Status::InvalidArgument("max_concurrent must be positive");
+  }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
@@ -126,14 +129,6 @@ void NetListener::AcceptLoop() {
       tv.tv_sec = options_.send_timeout_ms / 1000;
       tv.tv_usec = (options_.send_timeout_ms % 1000) * 1000;
       ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-
-    if (options_.max_concurrent <= 0) {
-      // Sequential mode: the accept thread is the handler thread.
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      handler_(fd);
-      ::close(fd);
-      continue;
     }
 
     std::lock_guard<std::mutex> lock(mu_);

@@ -25,26 +25,23 @@ struct NetListenerOptions {
   /// never a thread forever. <= 0 leaves the socket blocking.
   int recv_timeout_ms = 5000;
   int send_timeout_ms = 5000;
-  /// 0: connections are handled sequentially on the accept thread (the
-  /// metrics-exporter mode — one scraper, no concurrency needed).
-  /// N > 0: each connection gets its own handler thread, at most N live
-  /// at once; connections beyond the cap receive `overflow_response`
-  /// (if non-empty) and are closed without ever reaching the handler.
-  int max_concurrent = 0;
+  /// Each connection gets its own handler thread, at most this many live
+  /// at once (must be positive); connections beyond the cap receive
+  /// `overflow_response` (if non-empty) and are closed without ever
+  /// reaching the handler.
+  int max_concurrent = 128;
   /// Raw bytes (typically a pre-rendered HTTP 503) sent to a connection
   /// rejected by the cap. Empty = close silently.
   std::string overflow_response;
 };
 
-/// The one TCP accept/dispatch loop shared by every HTTP-ish endpoint in
-/// the tree (obs::HttpExporter, server::QueryServer): binds a port,
+/// The TCP accept/dispatch loop under server::QueryServer: binds a port,
 /// accepts connections on a background thread, applies per-connection
 /// timeouts and the concurrency cap, and hands each accepted fd to the
-/// handler. The listener owns every fd it accepts — handlers read and
-/// write but must NOT close; the fd is closed after the handler returns
-/// (sequential mode) or when its thread is reaped (concurrent mode), so
-/// Stop() can safely shutdown(2) in-flight connections without racing an
-/// fd reuse.
+/// handler on its own thread. The listener owns every fd it accepts —
+/// handlers read and write but must NOT close; the fd is closed when its
+/// thread is reaped, so Stop() can safely shutdown(2) in-flight
+/// connections without racing an fd reuse.
 class NetListener {
  public:
   using Handler = std::function<void(int fd)>;
@@ -75,7 +72,7 @@ class NetListener {
   uint64_t overflowed() const {
     return overflowed_.load(std::memory_order_relaxed);
   }
-  /// Handler threads currently live (concurrent mode).
+  /// Handler threads currently live.
   int active_connections() const {
     return active_.load(std::memory_order_relaxed);
   }

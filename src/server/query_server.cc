@@ -35,6 +35,9 @@ Status QueryServer::Start(int port) {
     return Status::AlreadyExists("query server already started");
   }
   stopping_.store(false, std::memory_order_release);
+  // Before the listener accepts: /series.json reads the monitor from
+  // handler threads, so it must exist before the first one runs.
+  if (engine_->monitor() == nullptr) engine_->StartMonitor();
   engine_->Metrics().AddCollector(
       "server", [this](obs::SnapshotBuilder& b) { PublishMetrics(b); });
   collector_registered_ = true;
@@ -97,8 +100,12 @@ void QueryServer::HandleConnection(int fd) {
   if (!ReadHttpRequest(fd, &req)) return;  // Listener closes the fd.
   requests_.fetch_add(1, std::memory_order_relaxed);
 
+  // HEAD answers every GET route but the streaming one, without a body.
+  const bool head = req.method == "HEAD";
+  const bool get = req.method == "GET" || head;
   const std::string& p = req.path;
-  // /session/<id>[/results | /close]
+  Response r;
+  // /session/<id>[/results | /profile | /close]
   if (p.rfind("/session/", 0) == 0) {
     std::string rest = p.substr(9);
     size_t slash = rest.find('/');
@@ -108,10 +115,9 @@ void QueryServer::HandleConnection(int fd) {
       HandleResults(fd, id, req);
       return;
     }
-    Response r;
-    if (tail.empty() && req.method == "GET") {
+    if (tail.empty() && get) {
       r = HandleSessionInfo(id);
-    } else if (tail == "/profile" && req.method == "GET") {
+    } else if (tail == "/profile" && get) {
       r = HandleSessionProfile(id, req);
     } else if ((tail.empty() && req.method == "DELETE") ||
                (tail == "/close" && req.method == "POST")) {
@@ -120,27 +126,37 @@ void QueryServer::HandleConnection(int fd) {
       r = Response{405, "application/json",
                    ErrorJson("method not allowed", "")};
     }
-    WriteHttpResponse(fd, r.code, r.content_type, r.body);
-    return;
-  }
-
-  Response r;
-  if (p == "/query" && req.method == "POST") {
+  } else if (p == "/query" && req.method == "POST") {
     r = HandleSubmit(req);
-  } else if (p == "/sessions" && req.method == "GET") {
+  } else if (p == "/metrics" && get) {
+    r = Response{200, "text/plain; version=0.0.4; charset=utf-8",
+                 engine_->Metrics().TakeSnapshot().ToPrometheus()};
+  } else if (p == "/snapshot.json" && get) {
+    r = Response{200, "application/json",
+                 engine_->Metrics().TakeSnapshot().ToJson()};
+  } else if (p == "/series.json" && get) {
+    r = Response{200, "application/json", engine_->monitor()->SeriesJson()};
+  } else if (p.rfind("/profile/", 0) == 0 && get) {
+    // /profile/<label>.json (the suffix is optional).
+    std::string label = p.substr(9);
+    if (label.size() > 5 && label.compare(label.size() - 5, 5, ".json") == 0) {
+      label.resize(label.size() - 5);
+    }
+    r = ProfileResponse(label, req);
+  } else if (p == "/sessions" && get) {
     r = HandleSessions();
-  } else if (p == "/events.json" && req.method == "GET") {
+  } else if (p == "/events.json" && get) {
     r = HandleEvents(req);
-  } else if (p == "/stats" && req.method == "GET") {
+  } else if (p == "/stats" && get) {
     r = HandleStats();
-  } else if (p == "/healthz" && req.method == "GET") {
+  } else if (p == "/healthz" && get) {
     r = Response{200, "text/plain; charset=utf-8", "ok\n"};
-  } else if (p == "/" && req.method == "GET") {
+  } else if (p == "/" && get) {
     r = HandleRoot();
   } else {
     r = Response{404, "application/json", ErrorJson("not found", p)};
   }
-  WriteHttpResponse(fd, r.code, r.content_type, r.body);
+  WriteHttpResponse(fd, r.code, r.content_type, r.body, head);
 }
 
 QueryServer::Response QueryServer::HandleSubmit(const HttpRequest& req) {
@@ -380,21 +396,28 @@ QueryServer::Response QueryServer::HandleSessionInfo(const std::string& id) {
 
 QueryServer::Response QueryServer::HandleSessionProfile(
     const std::string& id, const HttpRequest& req) {
-  obs::QueryProfile profile;
+  std::string label;
   {
     // Holding mu_ pins the handle: CloseSession nulls it under the same
-    // lock before the engine tears the query down. The snapshot itself
-    // only reads operator atomics, so the critical section stays short.
+    // lock before the engine tears the query down.
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) {
       return {404, "application/json", ErrorJson("no such session", id)};
     }
-    if (!engine_->ProfileSnapshot(it->second->handle, &profile)) {
-      return {404, "application/json",
-              ErrorJson("no profile",
-                        "profiling requires engine metrics to be enabled")};
-    }
+    label = it->second->handle->metrics_label();
+  }
+  return ProfileResponse(label, req);
+}
+
+QueryServer::Response QueryServer::ProfileResponse(
+    const std::string& label, const HttpRequest& req) const {
+  obs::QueryProfile profile;
+  if (label.empty() || !engine_->ProfileSnapshot(label, &profile)) {
+    return {404, "application/json",
+            ErrorJson("no profile",
+                      "unknown query '" + label +
+                          "' (profiling requires engine metrics)")};
   }
   const std::string* format = req.Param("format");
   if (format != nullptr && *format == "text") {
@@ -500,7 +523,9 @@ QueryServer::Response QueryServer::HandleRoot() {
       "\"GET /session/<id>\",\"GET /session/<id>/results?cursor=&max=&wait_ms=\","
       "\"GET /session/<id>/profile?format=json|text\","
       "\"DELETE /session/<id>\",\"GET /sessions\",\"GET /stats\","
-      "\"GET /events.json?after=&max=\",\"GET /healthz\"]}\n";
+      "\"GET /metrics\",\"GET /snapshot.json\",\"GET /series.json\","
+      "\"GET /events.json?after=&max=\","
+      "\"GET /profile/<q>.json?format=json|text\",\"GET /healthz\"]}\n";
   return {200, "application/json", body};
 }
 

@@ -28,10 +28,10 @@ namespace server {
 struct QueryServerOptions {
   /// Caps on concurrent queries / total retained rows (HTTP 429 beyond).
   AdmissionOptions admission;
-  /// Socket behavior. The defaults here override NetListenerOptions':
-  /// concurrent handling (one thread per streaming client) with a
-  /// connection cap, and a long send timeout (a long-poll response can
-  /// legitimately sit idle while the client catches up).
+  /// Socket behavior. The defaults here override NetListenerOptions': a
+  /// JSON 503 past the connection cap, and a long send timeout (a
+  /// long-poll response can legitimately sit idle while the client
+  /// catches up).
   NetListenerOptions listener = MakeListenerDefaults();
   /// Per-session queue defaults; clients override per query via
   /// ?queue=&policy=&block_ms=.
@@ -49,7 +49,6 @@ struct QueryServerOptions {
 
   static NetListenerOptions MakeListenerDefaults() {
     NetListenerOptions o;
-    o.max_concurrent = 128;
     o.recv_timeout_ms = 5000;
     o.send_timeout_ms = 10000;
     o.overflow_response =
@@ -61,9 +60,10 @@ struct QueryServerOptions {
   }
 };
 
-/// The multi-client continuous-query front door: an HTTP endpoint where
-/// clients register standing CQL queries against a running StreamEngine
-/// and stream their results back.
+/// The engine's one HTTP surface: clients register standing CQL queries
+/// against a running StreamEngine and stream their results back, and
+/// scrapers read the engine's metrics, monitor history, event log and
+/// query profiles from the same port.
 ///
 ///   POST /query?queue=N&policy=block|drop|shed&block_ms=M  (body: CQL)
 ///       -> 200 {"session":"s0",...} | 400 parse error | 429 admission
@@ -80,8 +80,17 @@ struct QueryServerOptions {
 ///          watermark lag (JSON by default, text with ?format=text)
 ///   DELETE /session/<id>      -> tear the query down (also POST
 ///                                /session/<id>/close)
+///   GET  /metrics              -> Prometheus text exposition
+///   GET  /snapshot.json        -> full metrics snapshot
+///   GET  /series.json          -> monitor time-series history
 ///   GET  /events.json?after=&max=  -> engine structured event log
+///   GET  /profile/<q>.json[?format=text] -> EXPLAIN ANALYZE for query
+///                                label <q> (same body as the session
+///                                profile)
 ///   GET  /sessions, /stats, /healthz, /
+///
+/// HEAD answers every GET route except /session/<id>/results, without
+/// the body.
 ///
 /// Teardown ordering (the no-deadlock contract with StreamEngine): a
 /// session's queue is Close()d — unblocking any producer stuck in a full
@@ -96,7 +105,8 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Binds and serves on `port` (0 = ephemeral). Also registers the
-  /// "server" collector in the engine's metrics registry.
+  /// "server" collector in the engine's metrics registry, and starts the
+  /// engine's monitor (default options) when it has none.
   Status Start(int port);
 
   /// Stops the listener and closes every session queue WITHOUT touching
@@ -131,6 +141,11 @@ class QueryServer {
   Response HandleSessionInfo(const std::string& id);
   Response HandleSessionProfile(const std::string& id,
                                 const HttpRequest& req);
+  /// The one profile responder, behind both profile routes: 404 for an
+  /// unknown or unpublished label, else EXPLAIN ANALYZE as JSON, or as
+  /// the text tree with ?format=text.
+  Response ProfileResponse(const std::string& label,
+                           const HttpRequest& req) const;
   Response HandleSessionClose(const std::string& id);
   Response HandleEvents(const HttpRequest& req);
   Response HandleSessions();

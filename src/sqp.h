@@ -8,8 +8,8 @@
 ///
 /// Layering (see DESIGN.md):
 ///   common -> stream/window/agg/synopsis -> exec -> sched/shed/opt/cql
-///   -> arch (3-level architecture + StreamEngine); hancock and xml are
-///   self-contained side libraries.
+///   -> arch (3-level architecture + StreamEngine) -> server (its HTTP
+///   surface); hancock and xml are self-contained side libraries.
 
 // Core value/tuple model and error handling.
 #include "common/rng.h"
@@ -47,7 +47,6 @@
 
 // Observability: engine-wide metrics registry, per-operator counters,
 // sampled lineage tracing, JSON/Prometheus export.
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/op_counters.h"
@@ -100,6 +99,9 @@
 #include "arch/engine.h"
 #include "arch/node.h"
 #include "arch/system.h"
+
+// The engine's HTTP surface: standing-query sessions and observability.
+#include "server/query_server.h"
 
 // Case-study side libraries.
 #include "hancock/program.h"

@@ -8,10 +8,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "arch/engine.h"
-#include "obs/http_exporter.h"
 #include "obs/monitor.h"
+#include "server/query_server.h"
 #include "stream/generators.h"
 
 namespace sqp {
@@ -327,9 +328,9 @@ TEST(EngineLatencyTest, SamplingDisabledRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP exporter, fetched by a real in-process client.
+// The engine's observability routes, fetched by a real in-process client.
 
-TEST(HttpExporterTest, ServesAllThreeEndpoints) {
+TEST(EngineHttpTest, ServesAllThreeEndpoints) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto q = engine.Submit("select ts from packets where len > 100");
@@ -337,7 +338,7 @@ TEST(HttpExporterTest, ServesAllThreeEndpoints) {
   obs::MonitorOptions mopt;
   mopt.period_ms = 0;  // Manual ticks keep the test deterministic.
   engine.StartMonitor(mopt);
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok()) << port.status().ToString();
   ASSERT_GT(*port, 0);
 
@@ -375,39 +376,41 @@ TEST(HttpExporterTest, ServesAllThreeEndpoints) {
 
   EXPECT_NE(FetchRaw(*port, "/nope").find("HTTP/1.0 404"),
             std::string::npos);
-  EXPECT_NE(FetchRaw(*port, "/").find("streamqp metrics exporter"),
-            std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/").find("/metrics"), std::string::npos);
   // Query strings are stripped before routing.
   EXPECT_NE(FetchRaw(*port, "/metrics?x=1").find("HTTP/1.0 200 OK"),
             std::string::npos);
 
-  // Second ServeMetrics while serving is rejected.
-  EXPECT_FALSE(engine.ServeMetrics(0).ok());
+  // Second Serve while serving is rejected.
+  EXPECT_FALSE(engine.Serve(0).ok());
   engine.FinishAll();
 }
 
-TEST(HttpExporterTest, StandaloneWithoutMonitor) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("hits")->Inc(3);
-  obs::HttpExporter exporter(&reg);
-  ASSERT_TRUE(exporter.Serve(0).ok());
-  const std::string series = FetchRaw(exporter.port(), "/series.json");
-  EXPECT_NE(series.find("\"series\":[]"), std::string::npos);
-  const std::string metrics = FetchRaw(exporter.port(), "/metrics");
+TEST(EngineHttpTest, RegistryCounterOnServedEngine) {
+  StreamEngine engine;
+  engine.Metrics().GetCounter("hits")->Inc(3);
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  const std::string metrics = FetchRaw(*port, "/metrics");
   EXPECT_NE(metrics.find("hits 3"), std::string::npos);
-  exporter.Stop();
-  EXPECT_FALSE(exporter.serving());
+  engine.query_server()->Stop();
+  EXPECT_FALSE(engine.query_server()->serving());
 }
 
-TEST(HttpExporterTest, RoutingTableDirect) {
-  obs::MetricsRegistry reg;
-  obs::HttpExporter exporter(&reg);
-  EXPECT_EQ(exporter.Handle("/metrics").code, 200);
-  EXPECT_EQ(exporter.Handle("/snapshot.json").code, 200);
-  EXPECT_EQ(exporter.Handle("/series.json").code, 200);
-  EXPECT_EQ(exporter.Handle("/").code, 200);
-  EXPECT_EQ(exporter.Handle("/missing").code, 404);
-  EXPECT_FALSE(exporter.Serve(70000).ok());  // Port out of range.
+TEST(EngineHttpTest, RoutingTable) {
+  StreamEngine engine;
+  EXPECT_FALSE(engine.Serve(70000).ok());  // Port out of range.
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  EXPECT_NE(FetchRaw(*port, "/metrics").find("HTTP/1.0 200"),
+            std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/snapshot.json").find("HTTP/1.0 200"),
+            std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/series.json").find("HTTP/1.0 200"),
+            std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/").find("HTTP/1.0 200"), std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/missing").find("HTTP/1.0 404"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +426,7 @@ TEST(MonitorEngineTest, ConcurrentTickIngestAndScrape) {
   obs::MonitorOptions mopt;
   mopt.period_ms = 1;
   engine.StartMonitor(mopt);
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok());
 
   std::atomic<bool> done{false};
@@ -445,6 +448,57 @@ TEST(MonitorEngineTest, ConcurrentTickIngestAndScrape) {
   EXPECT_GE(engine.monitor()->ticks(), 1u);
 }
 
+TEST(MonitorEngineTest, FourClientsScrapeConcurrently) {
+  // Handler threads run scrapes in parallel: two /metrics or
+  // /series.json handlers (registry snapshots, monitor reads) race each
+  // other, the 1 ms sampler and parallel ingest. Run under TSan in CI.
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto q = engine.Submit("select ts from packets where len > 100");
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(engine.EnableParallel(*q).ok());
+  obs::MonitorOptions mopt;
+  mopt.period_ms = 1;
+  engine.StartMonitor(mopt);
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok());
+
+  const std::vector<std::string> routes = {"/metrics", "/series.json",
+                                           "/profile/q0.json"};
+  std::atomic<bool> done{false};
+  std::atomic<int> ok{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      // At least two passes each, so the four overlap even if ingest
+      // ends first.
+      for (int pass = 0; pass < 2 || !done.load(std::memory_order_relaxed);
+           ++pass) {
+        for (const std::string& route : routes) {
+          if (FetchRaw(*port, route).rfind("HTTP/1.0 200 OK", 0) == 0) {
+            ok.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            failed.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  const int kTuples = 20000;
+  for (int i = 0; i < kTuples; ++i) {
+    ASSERT_TRUE(engine.Ingest("packets", Pkt(i, 1, 6, 200)).ok());
+  }
+  engine.FinishAll();
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(ok.load(), 4 * 2 * static_cast<int>(routes.size()));
+  EXPECT_EQ((*q)->result_count(), static_cast<size_t>(kTuples));
+  EXPECT_GE(engine.monitor()->ticks(), 1u);
+}
+
 TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
   // The profiler's scrape path (ProfileSnapshot, /profile/<q>.json,
   // /events.json) races parallel ingest; TSan in CI proves the snapshot
@@ -455,7 +509,7 @@ TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
       "select tb, count(*) from packets group by ts/60 as tb");
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(engine.EnableParallel(*q).ok());
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok());
 
   std::atomic<bool> done{false};

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -134,6 +135,87 @@ Streamed ParseStream(const std::string& payload) {
     }
   }
   return out;
+}
+
+/// Minimal JSON well-formedness check (RFC 8259 grammar, no semantics):
+/// parses one value at `i` and advances past it.
+bool JsonValue(const std::string& s, size_t& i) {
+  auto ws = [&] {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    }
+  };
+  auto str = [&] {
+    if (i >= s.size() || s[i] != '"') return false;
+    for (++i; i < s.size(); ++i) {
+      if (s[i] == '\\') {
+        ++i;
+      } else if (s[i] == '"') {
+        ++i;
+        return true;
+      } else if (static_cast<unsigned char>(s[i]) < 0x20) {
+        return false;
+      }
+    }
+    return false;
+  };
+  ws();
+  if (i >= s.size()) return false;
+  const char c = s[i];
+  if (c == '"') return str();
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    ++i;
+    ws();
+    if (i < s.size() && s[i] == close) {
+      ++i;
+      return true;
+    }
+    for (;;) {
+      if (c == '{') {
+        ws();
+        if (!str()) return false;
+        ws();
+        if (i >= s.size() || s[i++] != ':') return false;
+      }
+      if (!JsonValue(s, i)) return false;
+      ws();
+      if (i >= s.size()) return false;
+      if (s[i] == close) {
+        ++i;
+        return true;
+      }
+      if (s[i++] != ',') return false;
+    }
+  }
+  for (const std::string lit : {"true", "false", "null"}) {
+    if (s.compare(i, lit.size(), lit) == 0) {
+      i += lit.size();
+      return true;
+    }
+  }
+  if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) return false;
+  char* end = nullptr;
+  std::strtod(s.c_str() + i, &end);
+  i = static_cast<size_t>(end - s.c_str());
+  return true;
+}
+
+bool IsJson(const std::string& s) {
+  size_t i = 0;
+  if (!JsonValue(s, i)) return false;
+  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  return i == s.size();
+}
+
+/// The "op" names of a profile JSON body, in plan order.
+std::vector<std::string> ProfileOps(const std::string& body) {
+  std::vector<std::string> ops;
+  for (size_t p = body.find("\"op\":\""); p != std::string::npos;
+       p = body.find("\"op\":\"", p + 1)) {
+    ops.push_back(JsonStr(body.substr(p), "op"));
+  }
+  return ops;
 }
 
 uint64_t SeqOf(const std::string& row_line) {
@@ -794,16 +876,75 @@ TEST_F(QueryServerTest, ReplaySessionSeesArchivedPast) {
   EXPECT_GT(rows.size(), 0u);
 }
 
-// The metrics exporter rides the same listener now; make sure the
-// refactor kept it serving.
+// The metrics routes ride the query server's listener; make sure they
+// serve.
 TEST_F(QueryServerTest, MetricsExporterStillServesOverSharedListener) {
   (void)engine_.RegisterStream("packets", gen::PacketSchema());
-  auto bound = engine_.ServeMetrics(0);
+  auto bound = engine_.Serve(0);
   ASSERT_TRUE(bound.ok());
   std::string resp = Get(*bound, "/metrics");
   EXPECT_NE(resp.find(" 200 "), std::string::npos);
   std::string json = Get(*bound, "/snapshot.json");
   EXPECT_NE(json.find(" 200 "), std::string::npos);
+}
+
+// One engine.Serve port answers the session routes and the engine-level
+// observability routes side by side.
+TEST_F(QueryServerTest, OnePortServesSessionsAndObservability) {
+  int port = Serve();
+  std::string sid = Submit(port, "select ts, len from packets where len > 100");
+  ASSERT_FALSE(sid.empty());
+  gen::PacketGenerator generator(gen::PacketOptions{});
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(engine_.Ingest("packets", generator.Next()).ok());
+  }
+
+  // /metrics carries the engine's counters and the server's collector.
+  std::string metrics = Get(port, "/metrics");
+  EXPECT_NE(metrics.find(" 200 "), std::string::npos);
+  EXPECT_NE(metrics.find("sqp_stream_ingested_total"), std::string::npos);
+  EXPECT_NE(metrics.find("sqp_server_sessions"), std::string::npos);
+
+  // Serve started the monitor; /series.json shows its ticks.
+  ASSERT_NE(engine_.monitor(), nullptr);
+  engine_.monitor()->TickOnce();
+  engine_.monitor()->TickOnce();
+  std::string series = Body(Get(port, "/series.json"));
+  EXPECT_FALSE(IsJson("{\"ticks\":1,}"));  // The checker rejects bad JSON.
+  EXPECT_TRUE(IsJson(series)) << series.substr(0, 200);
+  size_t ticks = series.find("\"ticks\":");
+  ASSERT_NE(ticks, std::string::npos);
+  EXPECT_GE(std::atoll(series.c_str() + ticks + 8), 2);
+
+  // The label route and the session route render the same profile.
+  std::string session_profile =
+      Body(Get(port, "/session/" + sid + "/profile"));
+  std::string label = JsonStr(session_profile, "query");
+  ASSERT_FALSE(label.empty()) << session_profile;
+  std::string label_profile = Body(Get(port, "/profile/" + label + ".json"));
+  EXPECT_TRUE(IsJson(label_profile)) << label_profile.substr(0, 200);
+  EXPECT_FALSE(ProfileOps(session_profile).empty());
+  EXPECT_EQ(ProfileOps(label_profile), ProfileOps(session_profile));
+  EXPECT_NE(Get(port, "/profile/nope.json").find(" 404 "), std::string::npos);
+
+  // after=-2 clamps to 0 (every event), not to 2^64-2 (none).
+  std::string events = Body(Get(port, "/events.json?after=-2"));
+  EXPECT_TRUE(IsJson(events)) << events.substr(0, 200);
+  EXPECT_NE(events.find("query_submit"), std::string::npos);
+
+  // HEAD answers the non-streaming GET routes without a body...
+  std::string head = RawRequest(
+      port, "HEAD /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+  EXPECT_EQ(head.rfind("HTTP/1.0 200 OK", 0), 0u) << head;
+  std::string head_part, body_part;
+  ASSERT_TRUE(server::SplitHttpResponse(head, &head_part, &body_part));
+  EXPECT_TRUE(body_part.empty());
+  // ...but not the streaming results route.
+  EXPECT_NE(RawRequest(port, "HEAD /session/" + sid +
+                                 "/results HTTP/1.1\r\nHost: t\r\n"
+                                 "Connection: close\r\n\r\n")
+                .find(" 405 "),
+            std::string::npos);
 }
 
 }  // namespace
