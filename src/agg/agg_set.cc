@@ -31,7 +31,7 @@ AggSet::Accs AggSet::NewSlidingAccs() const {
 
 bool AggSet::Slide(Accs& accs, const std::vector<TupleRef>& expired,
                    const Tuple* added,
-                   const std::deque<TupleRef>& window) const {
+                   const FifoLog<TupleRef>& window) const {
   auto columns = [](const Tuple& t) {
     return [&t](size_t c) -> const Value& { return t.at(c); };
   };
@@ -58,6 +58,14 @@ bool AggSet::Slide(Accs& accs, const std::vector<TupleRef>& expired,
 
 void AggSet::AppendResults(const Accs& accs, std::vector<Value>* row) {
   for (const auto& acc : accs) row->push_back(acc->Result());
+}
+
+void AggSet::WriteResults(const Accs& accs, Value* out) {
+  for (const auto& acc : accs) *out++ = acc->Result();
+}
+
+void AggSet::Reset(const Accs& accs) {
+  for (const auto& acc : accs) acc->Reset();
 }
 
 Status AggSet::AppendFields(const std::vector<AggSpec>& specs,

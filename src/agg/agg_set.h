@@ -1,12 +1,12 @@
 #ifndef SQP_AGG_AGG_SET_H_
 #define SQP_AGG_AGG_SET_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "agg/aggregate_fn.h"
+#include "common/fifo_log.h"
 #include "common/schema.h"
 #include "common/tuple.h"
 
@@ -59,10 +59,14 @@ class AggSet {
   /// evict are rebuilt from `window`, which already holds `added` and no
   /// longer holds `expired`. Returns whether any aggregate was rebuilt.
   bool Slide(Accs& accs, const std::vector<TupleRef>& expired,
-             const Tuple* added, const std::deque<TupleRef>& window) const;
+             const Tuple* added, const FifoLog<TupleRef>& window) const;
 
   /// Appends each accumulator's result to an output row.
   static void AppendResults(const Accs& accs, std::vector<Value>* row);
+  /// Overwrites `out[0..size())` with each accumulator's result.
+  static void WriteResults(const Accs& accs, Value* out);
+  /// Returns every accumulator to its freshly built state.
+  static void Reset(const Accs& accs);
 
   /// Appends one field per aggregate, typed over rows of `input`: counts
   /// are ints, avg/stddev/median/blend doubles, the rest take their input

@@ -6,6 +6,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "common/fifo_log.h"
 #include "synopsis/distinct.h"
 #include "synopsis/gk_quantile.h"
 
@@ -117,6 +118,7 @@ class CountAcc : public Accumulator {
   void Remove(const Value& /*v*/) override { --n_; }
   bool invertible() const override { return true; }
   Value Result() const override { return Value(static_cast<int64_t>(n_)); }
+  void Reset() override { n_ = 0; }
   void Merge(const Accumulator& other) override { n_ += other.count(); }
   size_t MemoryBytes() const override { return sizeof(*this); }
   bool SaveState(dur::BufWriter& w) const override {
@@ -144,6 +146,12 @@ class SumAcc : public Accumulator {
   Value Result() const override {
     if (n_ == 0) return Value::Null();
     return saw_double_ ? Value(sum_) : Value(int_sum_);
+  }
+  void Reset() override {
+    n_ = 0;
+    saw_double_ = false;
+    sum_ = 0.0;
+    int_sum_ = 0;
   }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const SumAcc&>(other);
@@ -195,6 +203,10 @@ class MinMaxAcc : public Accumulator {
     if (best_.is_null() || (is_min_ ? v < best_ : v > best_)) best_ = v;
   }
   Value Result() const override { return best_; }
+  void Reset() override {
+    n_ = 0;
+    best_ = Value::Null();
+  }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const MinMaxAcc&>(other);
     n_ += o.n_;
@@ -236,6 +248,10 @@ class AvgAcc : public Accumulator {
   Value Result() const override {
     if (n_ == 0) return Value::Null();
     return Value(sum_ / static_cast<double>(n_));
+  }
+  void Reset() override {
+    n_ = 0;
+    sum_ = 0.0;
   }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const AvgAcc&>(other);
@@ -280,6 +296,11 @@ class StddevAcc : public Accumulator {
     double var = (sum_sq_ - sum_ * sum_ / nd) / (nd - 1.0);
     return Value(std::sqrt(std::max(0.0, var)));
   }
+  void Reset() override {
+    n_ = 0;
+    sum_ = 0.0;
+    sum_sq_ = 0.0;
+  }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const StddevAcc&>(other);
     n_ += o.n_;
@@ -302,46 +323,6 @@ class StddevAcc : public Accumulator {
  private:
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-};
-
-// Values in arrival order. pop_front advances a head index and compacts
-// once half the vector is dead, so every operation is O(1) amortized and
-// an empty log is just an empty vector.
-template <typename T>
-class FifoLog {
- public:
-  bool empty() const { return head_ == items_.size(); }
-  const T& front() const { return items_[head_]; }
-  const T& back() const { return items_.back(); }
-  typename std::vector<T>::const_iterator begin() const {
-    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
-  }
-  typename std::vector<T>::const_iterator end() const { return items_.end(); }
-  size_t size() const { return items_.size() - head_; }
-  size_t capacity_bytes() const { return items_.capacity() * sizeof(T); }
-
-  void clear() {
-    items_.clear();
-    head_ = 0;
-  }
-  void reserve(size_t n) { items_.reserve(head_ + n); }
-  void push_back(T v) { items_.push_back(std::move(v)); }
-  void pop_back() { items_.pop_back(); }
-  void pop_front() {
-    ++head_;
-    if (head_ == items_.size()) {
-      items_.clear();
-      head_ = 0;
-    } else if (head_ >= 16 && 2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-
- private:
-  std::vector<T> items_;
-  size_t head_ = 0;
 };
 
 // Holistic: buffers everything. This is exactly why [ABB+02] rules
@@ -367,6 +348,10 @@ class MedianAcc : public Accumulator {
     size_t m = sorted.size() / 2;
     if (sorted.size() % 2 == 1) return Value(sorted[m]);
     return Value((sorted[m - 1] + sorted[m]) / 2.0);
+  }
+  void Reset() override {
+    n_ = 0;
+    vals_.clear();
   }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const MedianAcc&>(other);
@@ -409,6 +394,12 @@ class CountDistinctAcc : public Accumulator {
   }
   Value Result() const override {
     return Value(static_cast<int64_t>(seen_.size()));
+  }
+  // A fresh set, not clear(): a cleared set keeps its bucket count, so
+  // SaveState would list the same values in another order.
+  void Reset() override {
+    n_ = 0;
+    seen_ = decltype(seen_)();
   }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const CountDistinctAcc&>(other);
@@ -485,6 +476,10 @@ class SlidingMinMaxAcc : public SlidingAccumulator {
   Value Result() const override {
     return cands_.empty() ? Value::Null() : cands_.front();
   }
+  void Reset() override {
+    n_ = 0;
+    cands_.clear();
+  }
   size_t MemoryBytes() const override {
     size_t bytes = sizeof(*this) + cands_.capacity_bytes();
     for (const Value& v : cands_) bytes += v.MemoryBytes() - sizeof(Value);
@@ -512,6 +507,10 @@ class SlidingCountDistinctAcc : public SlidingAccumulator {
   Value Result() const override {
     return Value(static_cast<int64_t>(refs_.size()));
   }
+  void Reset() override {
+    n_ = 0;
+    refs_.clear();
+  }
   size_t MemoryBytes() const override {
     size_t bytes = sizeof(*this);
     for (const auto& [v, refs] : refs_) bytes += v.MemoryBytes() + 24;
@@ -536,6 +535,10 @@ class SlidingFirstAcc : public SlidingAccumulator {
   Value Result() const override {
     return vals_.empty() ? Value::Null() : vals_.front();
   }
+  void Reset() override {
+    n_ = 0;
+    vals_.clear();
+  }
   size_t MemoryBytes() const override {
     size_t bytes = sizeof(*this) + vals_.capacity_bytes();
     for (const Value& v : vals_) bytes += v.MemoryBytes() - sizeof(Value);
@@ -557,6 +560,10 @@ class FirstLastAcc : public Accumulator {
     if (!is_first_ || n_ == 1) val_ = v;
   }
   Value Result() const override { return val_; }
+  void Reset() override {
+    n_ = 0;
+    val_ = Value::Null();
+  }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const FirstLastAcc&>(other);
     if (o.n_ == 0) return;
@@ -605,6 +612,10 @@ class BlendAcc : public Accumulator {
   Value Result() const override {
     return n_ == 0 ? Value::Null() : Value(sig_);
   }
+  void Reset() override {
+    n_ = 0;
+    sig_ = 0.0;
+  }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const BlendAcc&>(other);
     if (o.n_ == 0) return;
@@ -640,6 +651,10 @@ class ApproxMedianAcc : public Accumulator {
   Value Result() const override {
     return n_ == 0 ? Value::Null() : Value(gk_.Query(0.5));
   }
+  void Reset() override {
+    n_ = 0;
+    gk_.Clear();
+  }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const ApproxMedianAcc&>(other);
     n_ += o.n_;
@@ -665,6 +680,10 @@ class ApproxCountDistinctAcc : public Accumulator {
   }
   Value Result() const override {
     return Value(static_cast<int64_t>(hll_.Estimate() + 0.5));
+  }
+  void Reset() override {
+    n_ = 0;
+    hll_.Clear();
   }
   void Merge(const Accumulator& other) override {
     const auto& o = static_cast<const ApproxCountDistinctAcc&>(other);

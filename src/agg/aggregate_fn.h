@@ -71,6 +71,12 @@ class Accumulator {
   /// Current aggregate value (Null when no input yet, except count = 0).
   virtual Value Result() const = 0;
 
+  /// Returns the accumulator to its freshly built state, keeping any
+  /// buffer capacity, so an operator can reuse it for a new group
+  /// instead of building another: afterwards it behaves exactly like a
+  /// new accumulator from the same factory.
+  virtual void Reset() = 0;
+
   /// Merges another accumulator of the same kind into this one — the
   /// high-level step of two-level partial aggregation (slide 37).
   /// Precondition: both come from `NewAccumulator()`.

@@ -55,6 +55,16 @@ using TupleRef = std::shared_ptr<const Tuple>;
 TupleRef MakeTuple(int64_t ts, std::vector<Value> values);
 TupleRef MakeTuple(std::vector<Value> values);
 
+/// Sum of Tuple::MemoryBytes over a range of TupleRefs. Window buffers
+/// account their bytes this way, when asked, instead of walking every
+/// tuple's values on each insert and expiry.
+template <typename Range>
+size_t TupleBytes(const Range& tuples) {
+  size_t bytes = 0;
+  for (const TupleRef& t : tuples) bytes += t->MemoryBytes();
+  return bytes;
+}
+
 /// Hash of a subset of columns — the grouping/join key abstraction.
 struct Key {
   std::vector<Value> parts;
@@ -120,6 +130,25 @@ struct KeyEq {
 template <typename V>
 using KeyMap = std::unordered_map<Key, V, KeyHash, KeyEq>;
 using KeySet = std::unordered_set<Key, KeyHash, KeyEq>;
+
+/// Inserts `key` (absent from `map`) without allocating when `spares`
+/// holds a node extracted from an equal-width map: the node's key parts
+/// are overwritten in place and its value is kept as the caller left it.
+/// With no spare, materializes the key and builds the value with
+/// `make_value()`.
+template <typename V, typename MakeValue>
+typename KeyMap<V>::iterator InsertReusing(
+    KeyMap<V>& map, std::vector<typename KeyMap<V>::node_type>& spares,
+    const KeyView& key, MakeValue&& make_value) {
+  if (spares.empty()) {
+    return map.emplace(key.Materialize(), make_value()).first;
+  }
+  typename KeyMap<V>::node_type node = std::move(spares.back());
+  spares.pop_back();
+  std::vector<Value>& parts = node.key().parts;
+  for (size_t i = 0; i < parts.size(); ++i) parts[i] = key.part(i);
+  return map.insert(std::move(node)).position;
+}
 
 /// Extracts `cols` of `t` as a Key.
 Key ExtractKey(const Tuple& t, const std::vector<int>& cols);

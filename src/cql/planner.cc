@@ -242,9 +242,7 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
     const StreamRef& from = q.from[0];
     const bool windowed = aq.num_streams == 1 && !aq.has_group_by &&
                           from.window.has_value();
-    Schema mid_schema;
-    std::vector<ExprRef> post;
-    std::vector<std::string> names;
+    std::vector<Field> out_fields;
     if (windowed) {
       // Sliding aggregate over the stream's [RANGE/ROWS] window, or per
       // key over `[partition by K rows N]`.
@@ -258,33 +256,30 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
       }
       std::vector<AggSpec> specs;
       for (const ResolvedAgg& a : aq.aggs) specs.push_back(a.spec);
-      const char* op_name =
-          key_col < 0 ? "window-agg" : "partitioned-window-agg";
-      append(cq->plan_.Make<WindowAggregateOp>(*from.window, specs, op_name,
-                                               key_col));
-      desc += std::string(op_name) + " -> ";
 
-      // Output layout: [ts, partition key (when partitioned), aggs...].
-      std::vector<Field> mid_fields = {{"ts", ValueType::kInt}};
+      // Full row: [ts, partition key (when partitioned), aggs...].
+      std::vector<Field> row_fields = {{"ts", ValueType::kInt}};
       if (key_col >= 0) {
-        mid_fields.push_back(schemas[0]->field(static_cast<size_t>(key_col)));
+        row_fields.push_back(schemas[0]->field(static_cast<size_t>(key_col)));
       }
-      const int first_agg = static_cast<int>(mid_fields.size());
-      SQP_RETURN_NOT_OK(AggSet::AppendFields(specs, aq.combined, &mid_fields));
-      mid_schema = Schema(std::move(mid_fields));
+      const int first_agg = static_cast<int>(row_fields.size());
+      SQP_RETURN_NOT_OK(AggSet::AppendFields(specs, aq.combined, &row_fields));
 
+      // Every SELECT item is a plain ordinal of that row, so the
+      // aggregate emits the final row itself and needs no project.
+      std::vector<int> out_cols;
       for (size_t i = 0; i < q.select.size(); ++i) {
         const SelectItem& item = q.select[i];
-        names.push_back(DeriveName(item, i));
         const AstExpr& x = *item.expr;
+        int col = -1;
         if (key_col >= 0 && x.kind == AstExpr::Kind::kIdent &&
             x.name == from.partition_by) {
-          post.push_back(Col(1));
+          col = 1;
         } else if (x.kind == AstExpr::Kind::kIdent &&
                    schemas[0]->has_ordering() &&
                    schemas[0]->FieldIndex(x.name) ==
                        schemas[0]->ordering_index()) {
-          post.push_back(Col(0));
+          col = 0;
         } else if (x.kind == AstExpr::Kind::kCall) {
           std::string text = x.ToString();
           size_t a = 0;
@@ -292,13 +287,21 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
           if (a == aq.aggs.size()) {
             return Status::Internal("aggregate not found: " + text);
           }
-          post.push_back(Col(first_agg + static_cast<int>(a)));
+          col = first_agg + static_cast<int>(a);
         } else {
           return Status::Unimplemented(
               "windowed aggregate SELECT items must be aggregates, the "
               "ordering attribute, or the partition column");
         }
+        out_cols.push_back(col);
+        out_fields.push_back({DeriveName(item, i),
+                              row_fields[static_cast<size_t>(col)].type});
       }
+      const char* op_name =
+          key_col < 0 ? "window-agg" : "partitioned-window-agg";
+      append(cq->plan_.Make<WindowAggregateOp>(*from.window, specs, op_name,
+                                               key_col, std::move(out_cols)));
+      desc += op_name;
     } else {
       GroupOutputLowering lower(aq, aliases, schemas);
       GroupByOptions opt;
@@ -312,27 +315,22 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
       }
       auto mid = GroupByAggregateOp::OutputSchema(aq.combined, opt);
       if (!mid.ok()) return mid.status();
-      mid_schema = *mid;
       auto* gb = cq->plan_.Make<GroupByAggregateOp>(opt);
       append(gb);
       desc += "group-by -> ";
 
+      std::vector<ExprRef> post;
       for (size_t i = 0; i < q.select.size(); ++i) {
         const SelectItem& item = q.select[i];
-        names.push_back(DeriveName(item, i));
         auto e = lower.Lower(item.expr);
         if (!e.ok()) return e.status();
+        auto t = (*e)->Check(*mid);
+        if (!t.ok()) return t.status();
+        out_fields.push_back({DeriveName(item, i), *t});
         post.push_back(std::move(*e));
       }
-    }
-    auto* proj = cq->plan_.Make<ProjectOp>(post, "project-out");
-    append(proj);
-    desc += "project";
-    std::vector<Field> out_fields;
-    for (size_t i = 0; i < post.size(); ++i) {
-      auto t = post[i]->Check(mid_schema);
-      if (!t.ok()) return t.status();
-      out_fields.push_back({names[i], *t});
+      append(cq->plan_.Make<ProjectOp>(post, "project-out"));
+      desc += "project";
     }
     cq->output_schema_ = Schema(std::move(out_fields));
   } else if (q.distinct) {

@@ -1,5 +1,7 @@
 #include "exec/aggregate_op.h"
 
+#include <algorithm>
+
 #include "exec/ckpt_util.h"
 
 namespace sqp {
@@ -8,7 +10,9 @@ GroupByAggregateOp::GroupByAggregateOp(GroupByOptions options,
                                        std::string name)
     : Operator(std::move(name)),
       options_(std::move(options)),
-      aggs_(options_.aggs) {}
+      aggs_(options_.aggs),
+      scratch_(0, std::vector<Value>(1 + options_.key_cols.size() +
+                                     options_.aggs.size())) {}
 
 void GroupByAggregateOp::Push(const Element& e, int /*port*/) {
   CountIn(e);
@@ -33,12 +37,13 @@ void GroupByAggregateOp::FoldTuple(const Tuple& t) {
   int64_t bucket =
       options_.window_size > 0 ? t.ts() / options_.window_size : 0;
   GroupMap& groups = buckets_[bucket];
-  // Borrowed-view probe: folding into an existing group — the steady
-  // state — allocates nothing for the key.
+  // Borrowed-view probe: folding into an existing group allocates
+  // nothing for the key, and opening one reuses a closed group's node.
   KeyView key(t, options_.key_cols);
   auto it = groups.find(key);
   if (it == groups.end()) {
-    it = groups.emplace(key.Materialize(), GroupState{aggs_.NewAccs()}).first;
+    it = InsertReusing(groups, free_groups_, key,
+                       [this] { return GroupState{aggs_.NewAccs()}; });
   }
   aggs_.Add(it->second.accs, t);
 }
@@ -51,25 +56,43 @@ void GroupByAggregateOp::CloseBucketsThrough(int64_t watermark) {
     int64_t bucket_end = (it->first + 1) * options_.window_size - 1;
     if (bucket_end > watermark) break;
     EmitBucket(it->first, it->second);
+    Recycle(it->second);
     buckets_.erase(it);
   }
 }
 
-void GroupByAggregateOp::EmitBucket(int64_t bucket, GroupMap& groups) {
+void GroupByAggregateOp::Recycle(GroupMap& groups) {
+  // Keep as many spares as the largest closed bucket held groups, so the
+  // operator never holds more groups than at its peak and a bucket
+  // larger than its predecessor still opens them from the free list.
+  // Older spares go first, then the closed groups; the surplus is freed
+  // with the bucket.
+  max_closed_ = std::max(max_closed_, groups.size());
+  if (free_groups_.size() > max_closed_) free_groups_.resize(max_closed_);
+  while (free_groups_.size() < max_closed_ && !groups.empty()) {
+    GroupMap::node_type node = groups.extract(groups.begin());
+    AggSet::Reset(node.mapped().accs);
+    free_groups_.push_back(std::move(node));
+  }
+}
+
+void GroupByAggregateOp::EmitBucket(int64_t bucket, const GroupMap& groups) {
   int64_t out_ts = options_.window_size > 0
                        ? bucket * options_.window_size
                        : (max_ts_ == INT64_MIN ? 0 : max_ts_);
-  for (auto& [key, state] : groups) {
-    std::vector<Value> row;
-    row.reserve(1 + key.parts.size() + state.accs.size());
-    row.push_back(Value(out_ts));
-    for (const Value& v : key.parts) row.push_back(v);
-    AggSet::AppendResults(state.accs, &row);
-    TupleRef out = MakeTuple(out_ts, std::move(row));
-    if (options_.having != nullptr && !Truthy(options_.having->Eval(*out))) {
+  scratch_.set_ts(out_ts);
+  scratch_.at(0) = Value(out_ts);
+  const size_t first_agg = 1 + options_.key_cols.size();
+  for (const auto& [key, state] : groups) {
+    for (size_t i = 0; i < key.parts.size(); ++i) {
+      scratch_.at(1 + i) = key.parts[i];
+    }
+    AggSet::WriteResults(state.accs, &scratch_.at(first_agg));
+    if (options_.having != nullptr &&
+        !Truthy(options_.having->Eval(scratch_))) {
       continue;
     }
-    Emit(Element(std::move(out)));
+    Emit(Element(MakeTuple(out_ts, scratch_.values())));
   }
 }
 
@@ -79,14 +102,21 @@ void GroupByAggregateOp::Flush() {
   Operator::Flush();
 }
 
+size_t GroupByAggregateOp::GroupBytes(const Key& key,
+                                      const GroupState& state) {
+  size_t bytes = 32;  // Hash-table node overhead.
+  for (const Value& v : key.parts) bytes += v.MemoryBytes();
+  for (const auto& acc : state.accs) bytes += acc->MemoryBytes();
+  return bytes;
+}
+
 size_t GroupByAggregateOp::StateBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& [bucket, groups] : buckets_) {
-    for (const auto& [key, state] : groups) {
-      for (const Value& v : key.parts) bytes += v.MemoryBytes();
-      for (const auto& acc : state.accs) bytes += acc->MemoryBytes();
-      bytes += 32;  // Hash-table node overhead.
-    }
+    for (const auto& [key, state] : groups) bytes += GroupBytes(key, state);
+  }
+  for (const GroupMap::node_type& node : free_groups_) {
+    bytes += GroupBytes(node.key(), node.mapped());
   }
   return bytes;
 }

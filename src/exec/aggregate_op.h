@@ -42,6 +42,15 @@ struct GroupByOptions {
 /// Memory behaviour mirrors [ABB+02]: bounded iff the grouping columns
 /// have bounded domains within a window and no aggregate is holistic —
 /// measured, not assumed, via StateBytes() (experiment E4).
+///
+/// Steady state allocates only the rows it emits and each bucket's hash
+/// table. A closed bucket's group nodes move onto a free list, never
+/// longer than the largest closed bucket, and a new group takes one: its
+/// key is overwritten in place and its accumulators Reset. HAVING is
+/// evaluated on one reused scratch row, so a group that fails it costs
+/// no allocation. Hash tables are not reused: group order within a
+/// bucket, the order rows are emitted and checkpointed in, follows the
+/// table's growth.
 class GroupByAggregateOp : public Operator,
                            public ShardableOperator,
                            public CheckpointableOperator {
@@ -99,14 +108,24 @@ class GroupByAggregateOp : public Operator,
   using GroupMap = KeyMap<GroupState>;  // KeyView-probed (zero-alloc).
 
   void FoldTuple(const Tuple& t);
-  void EmitBucket(int64_t bucket, GroupMap& groups);
+  void EmitBucket(int64_t bucket, const GroupMap& groups);
   void CloseBucketsThrough(int64_t watermark);
+  /// Moves a closed bucket's groups onto the free list.
+  void Recycle(GroupMap& groups);
+  static size_t GroupBytes(const Key& key, const GroupState& state);
 
   GroupByOptions options_;
   AggSet aggs_;
   // Buckets in timestamp order so close-out is oldest-first.
   std::map<int64_t, GroupMap> buckets_;  // bucket id -> groups
   int64_t max_ts_ = INT64_MIN;
+  /// Reset groups of closed buckets, ready for reuse; never checkpointed
+  /// (it holds no results).
+  std::vector<GroupMap::node_type> free_groups_;
+  size_t max_closed_ = 0;  ///< Most groups any closed bucket held.
+  /// Output row [ts, key..., agg...] that HAVING reads before any
+  /// tuple is built.
+  Tuple scratch_;
 };
 
 }  // namespace sqp

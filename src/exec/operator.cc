@@ -73,21 +73,21 @@ uint64_t Operator::Timed(obs::ThreadObsContext& ctx, uint64_t scale,
   return total;
 }
 
-void Operator::ProcessTimed(const Element& e, int port) {
+void Operator::ProcessTimed(const Element& e, int port, bool traced) {
   obs::ThreadObsContext& ctx = obs::ObsContext();
   const bool entry = ctx.depth == 0;
   if (entry) {
-    if (tracer_ != nullptr && e.is_tuple()) {
+    if (traced && e.is_tuple()) {
       ctx.trace_id = tracer_->SampleArrival();
       ctx.hop = 0;
     }
     // Clock reads dominate the slot's cost on cheap operators, so only
     // every kTimeSampleEvery-th chain is timed; its self times are
     // scaled back up when recorded. Process already drew this chain's
-    // tick unless a tracer is bound. Traced elements are timed too (hop
+    // tick unless it is traced. Traced elements are timed too (hop
     // timestamps need a clock) but don't feed busy_ns.
-    ctx.busy_sampled = tracer_ == nullptr ||
-                       (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) == 0;
+    ctx.busy_sampled =
+        !traced || (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) == 0;
     ctx.timed = ctx.busy_sampled || ctx.trace_id != 0;
     if (!ctx.timed) {
       ++ctx.depth;
@@ -134,7 +134,7 @@ void Operator::RunBatch(Body&& body) {
 
 void Operator::ProcessBatch(ElementBatch& batch, int port) {
   if (batch.empty()) return;
-  if (tracer_ != nullptr) {
+  if (tracing()) {
     // Lineage tracing records per-element hop chains; take the exact
     // per-element path so sampled traces look identical under batching.
     for (const Element& e : batch) Process(e, port);
@@ -146,7 +146,7 @@ void Operator::ProcessBatch(ElementBatch& batch, int port) {
 
 void Operator::ProcessColumns(ColumnBatch& batch, int port) {
   if (batch.empty()) return;
-  if (tracer_ != nullptr) {
+  if (tracing()) {
     ElementBatch rows;
     batch.MaterializeRows(&rows);
     for (const Element& e : rows) Process(e, port);

@@ -56,17 +56,17 @@ class Operator {
   /// and Emit route elements through here, so every operator's slot
   /// records the delivery and, on one chain in kTimeSampleEvery, its
   /// self time — without any per-operator code. A bound lineage tracer
-  /// samples here too.
+  /// samples here too, while its sampling is on.
   void Process(const Element& e, int port = 0) {
     counters_.CountSingle();
     obs::ThreadObsContext& ctx = obs::ObsContext();
+    const bool traced = ctx.depth == 0 && tracing();
     const bool untimed =
         ctx.depth == 0
-            ? tracer_ == nullptr &&
-                  (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) != 0
+            ? !traced && (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) != 0
             : !ctx.timed;
     if (!untimed) {
-      ProcessTimed(e, port);
+      ProcessTimed(e, port, traced);
       return;
     }
     ++ctx.depth;
@@ -113,7 +113,9 @@ class Operator {
 
   /// Binds the sampled lineage tracer (see sqp::obs::Tracer); nullptr,
   /// the default, turns tracing off. Must happen before the operator
-  /// processes elements; the tracer must outlive its last Process.
+  /// processes elements; the tracer must outlive its last Process. A
+  /// bound tracer costs nothing until its sampling is enabled: only then
+  /// do elements take the per-element traced path.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// This operator's always-on accounting slot. Executors record
@@ -236,8 +238,12 @@ class Operator {
   int out_port_ = 0;
 
  private:
-  /// Out-of-line half of Process: sampled (or traced) chains.
-  void ProcessTimed(const Element& e, int port);
+  /// True when a bound tracer is sampling (EnableTracing can turn it on
+  /// at runtime).
+  bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
+  /// Out-of-line half of Process: sampled (or traced) chains. `traced`
+  /// is Process's tracing() reading for an entry element.
+  void ProcessTimed(const Element& e, int port, bool traced);
   /// The one timing helper: runs `body` one level deeper in the
   /// thread's call chain and records self time (inclusive time minus
   /// nested Process calls) times `scale` into busy_ns — 0 times only,

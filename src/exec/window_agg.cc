@@ -1,16 +1,19 @@
 #include "exec/window_agg.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace sqp {
 
 WindowAggregateOp::WindowAggregateOp(WindowSpec window,
                                      std::vector<AggSpec> aggs,
-                                     std::string name, int partition_col)
+                                     std::string name, int partition_col,
+                                     std::vector<int> out_cols)
     : Operator(std::move(name)),
       window_(window),
       aggs_(std::move(aggs)),
-      partition_col_(partition_col) {
+      partition_col_(partition_col),
+      out_cols_(std::move(out_cols)) {
   assert(window_.Validate().ok());
   assert((window_.kind == WindowKind::kTimeSliding ||
           window_.kind == WindowKind::kCountSliding ||
@@ -18,6 +21,13 @@ WindowAggregateOp::WindowAggregateOp(WindowSpec window,
          "WindowAggregateOp supports sliding/landmark windows");
   assert((partition_col_ < 0 || window_.kind == WindowKind::kCountSliding) &&
          "partitioned windows are count windows");
+  const int width =
+      (partition_col_ < 0 ? 1 : 2) + static_cast<int>(aggs_.size());
+  if (out_cols_.empty()) {
+    for (int c = 0; c < width; ++c) out_cols_.push_back(c);
+  }
+  assert(std::all_of(out_cols_.begin(), out_cols_.end(),
+                     [width](int c) { return c >= 0 && c < width; }));
   if (partition_col_ < 0) whole_ = NewWindow();
 }
 
@@ -36,7 +46,7 @@ WindowAggregateOp::Window WindowAggregateOp::NewWindow() const {
 }
 
 void WindowAggregateOp::Slide(Window& w, const Tuple* added) {
-  const std::deque<TupleRef>& contents =
+  const FifoLog<TupleRef>& contents =
       w.time_buf ? w.time_buf->contents() : w.count_buf->contents();
   if (aggs_.Slide(w.accs, expired_, added, contents)) ++recomputes_;
   expired_.clear();
@@ -44,11 +54,18 @@ void WindowAggregateOp::Slide(Window& w, const Tuple* added) {
 
 void WindowAggregateOp::EmitCurrent(int64_t ts, const Window& w,
                                     const Value* key) {
+  const int first_agg = key != nullptr ? 2 : 1;
   std::vector<Value> row;
-  row.reserve(2 + w.accs.size());
-  row.push_back(Value(ts));
-  if (key != nullptr) row.push_back(*key);
-  AggSet::AppendResults(w.accs, &row);
+  row.reserve(out_cols_.size());
+  for (int c : out_cols_) {
+    if (c == 0) {
+      row.push_back(Value(ts));
+    } else if (c < first_agg) {
+      row.push_back(*key);
+    } else {
+      row.push_back(w.accs[static_cast<size_t>(c - first_agg)]->Result());
+    }
+  }
   Emit(Element(MakeTuple(ts, std::move(row))));
 }
 

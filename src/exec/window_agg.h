@@ -27,7 +27,9 @@ namespace sqp {
 /// never evicts, so it keeps the O(1) `NewAccumulator()` forms instead.
 ///
 /// Output row: [ts, agg...]. Supports time-sliding, count-sliding and
-/// landmark (agglomerative) windows (slide 27).
+/// landmark (agglomerative) windows (slide 27). An output column list
+/// selects and orders ordinals of that row, so a query's final row is
+/// emitted here, one tuple per input tuple, with no project behind it.
 ///
 /// With a partition column this is CQL's partitioned window (slide 26
 /// "variants"; `[partition by K rows N]`): each key keeps its *own*
@@ -36,9 +38,11 @@ namespace sqp {
 class WindowAggregateOp : public Operator {
  public:
   /// `partition_col < 0`: one window over the whole stream. Otherwise
-  /// `window` must be count-sliding and applies per key.
+  /// `window` must be count-sliding and applies per key. `out_cols`
+  /// lists the emitted ordinals of the full row; empty emits it whole.
   WindowAggregateOp(WindowSpec window, std::vector<AggSpec> aggs,
-                    std::string name = "window-agg", int partition_col = -1);
+                    std::string name = "window-agg", int partition_col = -1,
+                    std::vector<int> out_cols = {});
 
   void Push(const Element& e, int port = 0) override;
   size_t StateBytes() const override;
@@ -66,6 +70,7 @@ class WindowAggregateOp : public Operator {
   WindowSpec window_;
   AggSet aggs_;
   int partition_col_;
+  std::vector<int> out_cols_;  ///< Ordinals of [ts, key?, agg...].
 
   Window whole_;  ///< Unpartitioned state.
   std::unordered_map<Value, Window, ValueHash> parts_;

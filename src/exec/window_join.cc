@@ -113,62 +113,61 @@ uint64_t BinaryWindowJoinOp::Probe(const Side& probe_side, const KeyView& key,
   return matches;
 }
 
-void BinaryWindowJoinOp::RemoveFromIndex(Side& side,
-                                         const std::vector<TupleRef>& expired) {
+void BinaryWindowJoinOp::RemoveFromIndex(Side& side) {
   if (side.strategy != JoinStrategy::kHash) return;
-  for (const TupleRef& t : expired) {
+  for (const TupleRef& t : expired_) {
     KeyView key(*t, side.key_cols);
     auto it = side.index.find(key);
     if (it == side.index.end()) continue;
     auto& vec = it->second;
-    for (auto vit = vec.begin(); vit != vec.end(); ++vit) {
-      if (vit->get() == t.get()) {
-        side.index_bytes -= t->MemoryBytes();
-        vec.erase(vit);
-        break;
-      }
-    }
-    if (vec.empty()) side.index.erase(it);
+    auto vit = std::find(vec.begin(), vec.end(), t);
+    if (vit != vec.end()) vec.erase(vit);
+    // Keep the emptied entry for the next new key. An entry is built
+    // only when no spare is left, so live plus spare entries never
+    // exceed the most keys the index ever held.
+    if (vec.empty()) side.spare_entries.push_back(side.index.extract(it));
   }
 }
 
-void BinaryWindowJoinOp::HandleExpired(int side,
-                                       const std::vector<TupleRef>& expired) {
-  RemoveFromIndex(sides_[side], expired);
-  if (side != 0 || !left_outer_) return;
-  // Outer semantics: a left tuple leaving the window unmatched will
-  // never match (right arrivals only probe the live window).
-  for (const TupleRef& t : expired) {
-    auto it = left_matched_.find(t.get());
-    if (it != left_matched_.end()) {
-      left_matched_.erase(it);
-    } else {
-      EmitUnmatchedLeft(*t, sides_[0].time_buf != nullptr
-                                ? sides_[0].time_buf->now()
-                                : t->ts());
+void BinaryWindowJoinOp::HandleExpired(int side) {
+  RemoveFromIndex(sides_[side]);
+  if (side == 0 && left_outer_) {
+    // Outer semantics: a left tuple leaving the window unmatched will
+    // never match (right arrivals only probe the live window).
+    for (const TupleRef& t : expired_) {
+      auto it = left_matched_.find(t.get());
+      if (it != left_matched_.end()) {
+        left_matched_.erase(it);
+      } else {
+        EmitUnmatchedLeft(*t, sides_[0].time_buf != nullptr
+                                  ? sides_[0].time_buf->now()
+                                  : t->ts());
+      }
     }
   }
+  expired_.clear();
 }
 
 void BinaryWindowJoinOp::Insert(Side& side, const TupleRef& t) {
-  std::vector<TupleRef> expired;
   if (side.time_buf != nullptr) {
-    side.time_buf->Insert(t, &expired);
-  } else {
-    auto evicted = side.count_buf->Insert(t);
-    if (evicted.has_value()) expired.push_back(std::move(*evicted));
+    side.time_buf->Insert(t, &expired_);
+  } else if (auto evicted = side.count_buf->Insert(t)) {
+    expired_.push_back(std::move(*evicted));
   }
-  if (side.strategy == JoinStrategy::kHash) {
-    side.index_bytes += t->MemoryBytes();
+  // A tuple already older than the window expires on arrival, after
+  // everything before it; it never enters the index. Expiring before
+  // indexing lets a new key reuse the entry an expired key just left.
+  const bool late = !expired_.empty() && expired_.back() == t;
+  HandleExpired(static_cast<int>(&side - &sides_[0]));
+  if (side.strategy == JoinStrategy::kHash && !late) {
     KeyView key(*t, side.key_cols);
     auto it = side.index.find(key);
     if (it == side.index.end()) {
-      it = side.index.emplace(key.Materialize(), std::vector<TupleRef>{})
-               .first;
+      it = InsertReusing(side.index, side.spare_entries, key,
+                         [] { return std::vector<TupleRef>{}; });
     }
     it->second.push_back(t);
   }
-  HandleExpired(static_cast<int>(&side - &sides_[0]), expired);
 }
 
 void BinaryWindowJoinOp::Push(const Element& e, int port) {
@@ -178,9 +177,8 @@ void BinaryWindowJoinOp::Push(const Element& e, int port) {
     if (!e.punctuation().has_key) {
       for (int s = 0; s < 2; ++s) {
         if (sides_[s].time_buf != nullptr) {
-          std::vector<TupleRef> expired;
-          sides_[s].time_buf->AdvanceTo(e.punctuation().ts, &expired);
-          HandleExpired(s, expired);
+          sides_[s].time_buf->AdvanceTo(e.punctuation().ts, &expired_);
+          HandleExpired(s);
         }
       }
     }
@@ -197,9 +195,8 @@ void BinaryWindowJoinOp::Push(const Element& e, int port) {
   // tuple's time, probe it, then insert into our own window (which also
   // invalidates our side).
   if (sides_[other].time_buf != nullptr) {
-    std::vector<TupleRef> expired;
-    sides_[other].time_buf->AdvanceTo(t->ts(), &expired);
-    HandleExpired(other, expired);
+    sides_[other].time_buf->AdvanceTo(t->ts(), &expired_);
+    HandleExpired(other);
   }
   Probe(sides_[other], key, *t, /*t_is_left=*/me == 0);
   Insert(sides_[me], t);
@@ -243,10 +240,13 @@ bool BinaryWindowJoinOp::CanShard(std::string* why) const {
 size_t BinaryWindowJoinOp::StateBytes() const {
   size_t bytes = sizeof(*this);
   for (const Side& s : sides_) {
-    if (s.time_buf != nullptr) bytes += s.time_buf->MemoryBytes();
-    if (s.count_buf != nullptr) bytes += s.count_buf->MemoryBytes();
-    bytes += s.index_bytes;
-    bytes += s.index.size() * 48;  // Bucket overhead.
+    const size_t window = s.time_buf != nullptr ? s.time_buf->MemoryBytes()
+                                                : s.count_buf->MemoryBytes();
+    bytes += window;
+    // A hash index holds exactly the window's tuples.
+    if (s.strategy == JoinStrategy::kHash) bytes += window;
+    // Bucket overhead, spare entries included.
+    bytes += (s.index.size() + s.spare_entries.size()) * 48;
   }
   bytes += left_matched_.size() * 16;
   return bytes;

@@ -44,6 +44,11 @@ struct WindowJoinStats {
 /// Windows are per-side (time- or count-based); probe strategy is
 /// per-side too: `left_strategy` is the strategy used to probe the
 /// *left* window (i.e. applied when a right tuple arrives).
+///
+/// Steady state allocates only the rows it emits: an index entry whose
+/// last tuple expired is kept as a spare node, with its vector's
+/// capacity, for the next new key, so live plus spare entries never
+/// exceed the most keys the index ever held.
 class BinaryWindowJoinOp : public Operator, public ShardableOperator {
  public:
   struct Options {
@@ -89,10 +94,12 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
     JoinStrategy strategy = JoinStrategy::kHash;
     std::unique_ptr<TimeWindowBuffer> time_buf;
     std::unique_ptr<CountWindowBuffer> count_buf;
+    using Index = KeyMap<std::vector<TupleRef>>;
     /// Hash index over the window (kHash only); lazily purged.
     /// KeyView-probed: arrivals and expiries never allocate for lookups.
-    KeyMap<std::vector<TupleRef>> index;
-    size_t index_bytes = 0;
+    Index index;
+    /// Emptied index entries, reused by the next new keys.
+    std::vector<Index::node_type> spare_entries;
   };
 
   void Insert(Side& side, const TupleRef& t);
@@ -100,9 +107,10 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
   /// `t`'s key columns (valid for the duration of the call).
   uint64_t Probe(const Side& probe_side, const KeyView& key, const Tuple& t,
                  bool t_is_left);
-  void RemoveFromIndex(Side& side, const std::vector<TupleRef>& expired);
-  /// Expiry hook: index cleanup plus outer-join emission for side 0.
-  void HandleExpired(int side, const std::vector<TupleRef>& expired);
+  void RemoveFromIndex(Side& side);
+  /// Expiry hook for `expired_`: index cleanup plus outer-join emission
+  /// for side 0. Clears `expired_`.
+  void HandleExpired(int side);
   void EmitJoined(const Tuple& left, const Tuple& right);
   void EmitUnmatchedLeft(const Tuple& left, int64_t ts);
 
@@ -111,6 +119,7 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
   bool left_outer_ = false;
   size_t right_arity_ = 0;
   Side sides_[2];
+  std::vector<TupleRef> expired_;  ///< Scratch, reused across calls.
   /// Left tuples that have participated in at least one result
   /// (left_outer only; entries are purged on expiry).
   std::unordered_set<const Tuple*> left_matched_;

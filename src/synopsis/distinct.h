@@ -1,6 +1,7 @@
 #ifndef SQP_SYNOPSIS_DISTINCT_H_
 #define SQP_SYNOPSIS_DISTINCT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,9 @@ class HyperLogLog {
   void Add(const Value& v);
 
   double Estimate() const;
+
+  /// Zeroes every register: the state of a new HLL of this precision.
+  void Clear() { std::fill(registers_.begin(), registers_.end(), 0); }
 
   /// Merges another HLL (same precision) — distributed distinct counting.
   void Merge(const HyperLogLog& other);

@@ -17,6 +17,12 @@ class GkQuantile {
 
   void Add(double x);
 
+  /// Empties the summary (keeping its capacity); eps is unchanged.
+  void Clear() {
+    n_ = 0;
+    summary_.clear();
+  }
+
   /// Merges another summary built with the same eps. The merged summary
   /// answers queries within ~2*eps rank error (the standard additive
   /// degradation of GK merges); Compress() keeps the size bounded.

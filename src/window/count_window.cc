@@ -3,12 +3,10 @@
 namespace sqp {
 
 std::optional<TupleRef> CountWindowBuffer::Insert(TupleRef t) {
-  bytes_ += t->MemoryBytes();
   buf_.push_back(std::move(t));
   if (buf_.size() > capacity_) {
     TupleRef evicted = std::move(buf_.front());
     buf_.pop_front();
-    bytes_ -= evicted->MemoryBytes();
     return evicted;
   }
   return std::nullopt;

@@ -1,9 +1,9 @@
 #ifndef SQP_WINDOW_COUNT_WINDOW_H_
 #define SQP_WINDOW_COUNT_WINDOW_H_
 
-#include <deque>
 #include <optional>
 
+#include "common/fifo_log.h"
 #include "common/tuple.h"
 
 namespace sqp {
@@ -17,18 +17,18 @@ class CountWindowBuffer {
   /// Inserts a tuple; returns the evicted tuple once the window is full.
   std::optional<TupleRef> Insert(TupleRef t);
 
-  const std::deque<TupleRef>& contents() const { return buf_; }
+  const FifoLog<TupleRef>& contents() const { return buf_; }
   size_t size() const { return buf_.size(); }
   bool empty() const { return buf_.empty(); }
   size_t capacity() const { return capacity_; }
   bool full() const { return buf_.size() == capacity_; }
 
-  size_t MemoryBytes() const { return bytes_; }
+  /// Total bytes of retained tuples, summed when asked.
+  size_t MemoryBytes() const { return TupleBytes(buf_); }
 
  private:
   size_t capacity_;
-  std::deque<TupleRef> buf_;
-  size_t bytes_ = 0;
+  FifoLog<TupleRef> buf_;
 };
 
 }  // namespace sqp

@@ -6,7 +6,6 @@ namespace sqp {
 
 void TimeWindowBuffer::Insert(TupleRef t, std::vector<TupleRef>* expired) {
   now_ = std::max(now_, t->ts());
-  bytes_ += t->MemoryBytes();
   buf_.push_back(std::move(t));
   Expire(expired);
 }
@@ -20,7 +19,6 @@ void TimeWindowBuffer::Expire(std::vector<TupleRef>* expired) {
   // Window covers (now - size, now]; drop anything at or below the bound.
   int64_t bound = now_ - size_;
   while (!buf_.empty() && buf_.front()->ts() <= bound) {
-    bytes_ -= buf_.front()->MemoryBytes();
     if (expired != nullptr) expired->push_back(std::move(buf_.front()));
     buf_.pop_front();
   }

@@ -222,6 +222,62 @@ TEST(AccumulatorTest, SlidingFactoryEvictsEveryExactKind) {
   }
 }
 
+// A group-by reuses a closed group's accumulators for the next group, so
+// Reset must leave nothing behind: fold A, Reset, fold B must equal a
+// fresh accumulator fed B, in result and in checkpoint bytes.
+TEST(AccumulatorTest, ResetEqualsFreshForEveryKind) {
+  const AggKind kAll[] = {
+      AggKind::kCount,  AggKind::kSum,           AggKind::kMin,
+      AggKind::kMax,    AggKind::kAvg,           AggKind::kStddev,
+      AggKind::kMedian, AggKind::kCountDistinct, AggKind::kFirst,
+      AggKind::kLast,   AggKind::kBlend,         AggKind::kApproxMedian,
+      AggKind::kApproxCountDistinct};
+  std::vector<Value> a, b;
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    a.push_back(i % 3 == 0 ? Value(50.0 * rng.NextDouble())
+                           : Value(rng.UniformRange(0, 39)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    b.push_back(Value(rng.UniformRange(100, 109)));
+  }
+  for (AggKind kind : kAll) {
+    auto fn = AggregateFunction::Make(kind, 0.5);
+    ASSERT_TRUE(fn.ok());
+    for (bool sliding : {false, true}) {
+      SCOPED_TRACE(std::string(AggKindName(kind)) +
+                   (sliding ? " sliding" : ""));
+      auto make = [&] {
+        return sliding ? fn->NewSlidingAccumulator() : fn->NewAccumulator();
+      };
+      auto reused = make();
+      auto fresh = make();
+      for (const Value& v : a) reused->Add(v);
+      reused->Reset();
+      EXPECT_EQ(reused->count(), 0u);
+      EXPECT_EQ(reused->Result(), fresh->Result());
+      for (const Value& v : b) {
+        reused->Add(v);
+        fresh->Add(v);
+      }
+      EXPECT_EQ(reused->Result(), fresh->Result());
+      EXPECT_EQ(reused->count(), fresh->count());
+      if (sliding && fresh->invertible()) {
+        // FIFO eviction still lines up with what was added since Reset.
+        reused->Remove(b[0]);
+        fresh->Remove(b[0]);
+        EXPECT_EQ(reused->Result(), fresh->Result());
+      }
+      if (!sliding && AggStateSerializable(kind)) {
+        dur::BufWriter wr, wf;
+        ASSERT_TRUE(reused->SaveState(wr));
+        ASSERT_TRUE(fresh->SaveState(wf));
+        EXPECT_EQ(wr.data(), wf.data());
+      }
+    }
+  }
+}
+
 TEST(AccumulatorTest, AvgAndRemove) {
   auto a = Acc(AggKind::kAvg);
   a->Add(Value(int64_t{2}));

@@ -154,6 +154,48 @@ TEST(GroupByTest, BoundedMemoryWithWindowUnboundedWithout) {
   EXPECT_LT(windowed->StateBytes() * 10, unwindowed->StateBytes());
 }
 
+// Closed groups wait on a free list for the next bucket: StateBytes
+// counts them, new groups drain them, and they never outnumber the
+// largest closed bucket.
+TEST(GroupByTest, ClosedGroupsAreReusedAndCounted) {
+  GroupByOptions opt;
+  opt.key_cols = {1};
+  opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 2, 0.5}};
+  opt.window_size = 100;
+  auto run = [&](GroupByAggregateOp& op,
+                 const std::vector<std::pair<int64_t, int64_t>>& rows) {
+    for (const auto& [ts, key] : rows) op.Push(Element(T(ts, key, 1)));
+  };
+  std::vector<std::pair<int64_t, int64_t>> eight, eight_later;
+  for (int64_t k = 0; k < 8; ++k) {
+    eight.push_back({k, k});
+    eight_later.push_back({500 + k, 10 + k});
+  }
+
+  GroupByAggregateOp fresh(opt);
+  const size_t empty = fresh.StateBytes();
+  CountingSink sink;
+  GroupByAggregateOp op(opt);
+  op.SetOutput(&sink);
+  run(op, eight);
+  const size_t full = op.StateBytes();
+  op.Push(Element(Punctuation::Watermark(99)));
+  EXPECT_EQ(sink.tuples(), 8u);
+  EXPECT_EQ(op.open_groups(), 0u);
+  EXPECT_EQ(op.StateBytes(), full);  // Eight spares, counted.
+
+  // Eight new keys take the eight spares: nothing is added.
+  run(op, eight_later);
+  EXPECT_EQ(op.open_groups(), 8u);
+  EXPECT_EQ(op.StateBytes(), full);
+  // A closed bucket of two never lowers the bound below eight.
+  op.Push(Element(Punctuation::Watermark(599)));
+  run(op, {{700, 1}, {701, 2}});
+  op.Push(Element(Punctuation::Watermark(799)));
+  EXPECT_EQ(op.StateBytes(), full);
+  EXPECT_GT(full, empty);
+}
+
 TEST(GroupByTest, OutputSchemaShape) {
   GroupByOptions opt;
   opt.key_cols = {1};

@@ -1,8 +1,10 @@
 // Allocation-counting tests for the zero-allocation key-probe paths:
 // this TU replaces global operator new to count heap allocations, then
 // asserts that steady-state probes (existing keys/groups) perform none.
-// Inserts of genuinely new keys are allowed to allocate — that is the
-// KeyView::Materialize contract.
+// Inserts of genuinely new keys may allocate only while no closed group
+// or expired index entry is left to reuse — that is the
+// KeyView::Materialize contract. Window operators allocate only the rows
+// they emit.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +16,16 @@
 #include <vector>
 
 #include "common/tuple.h"
+#include "cql/planner.h"
 #include "exec/aggregate_op.h"
 #include "exec/operator.h"
 #include "exec/project.h"
 #include "exec/punct_groupby.h"
 #include "exec/sym_hash_join.h"
+#include "exec/window_agg.h"
+#include "exec/window_join.h"
 #include "stream/element_batch.h"
+#include "stream/generators.h"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
@@ -154,6 +160,148 @@ TEST(AllocProbeTest, GroupByFoldIntoExistingGroupIsAllocationFree) {
   uint64_t allocs = CountAllocs([&] { agg.Push(next); });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(agg.open_groups(), 4u);
+}
+
+// Tumbling group-by on column 0 with count(*) and sum(col 1); `having`
+// optional. Rows are [ts, key, value].
+GroupByOptions TumblingOptions(ExprRef having = nullptr) {
+  GroupByOptions opt;
+  opt.key_cols = {0};
+  opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 1, 0.5}};
+  opt.window_size = 10;
+  opt.having = std::move(having);
+  return opt;
+}
+
+Element KeyedRow(int64_t ts, int64_t key) {
+  return Element(MakeTuple(ts, {Value(key), Value(ts)}));
+}
+
+TEST(AllocProbeTest, GroupByOpensGroupFromClosedBucketAllocationFree) {
+  GroupByAggregateOp agg(TumblingOptions());
+  CountingSink sink;
+  agg.SetOutput(&sink);
+  for (int64_t k = 0; k < 8; ++k) agg.Push(KeyedRow(k, k));
+  // Bucket 1's first tuple closes bucket 0: its 8 groups are emitted
+  // and parked for reuse.
+  agg.Push(KeyedRow(10, 0));
+  ASSERT_EQ(sink.tuples(), 8u);
+  std::vector<Element> next;
+  for (int64_t k = 1; k < 8; ++k) next.push_back(KeyedRow(10 + k, k));
+  uint64_t allocs = CountAllocs([&] {
+    for (const Element& e : next) agg.Push(e);
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(agg.open_groups(), 8u);
+}
+
+TEST(AllocProbeTest, GroupByBucketFailingHavingClosesAllocationFree) {
+  // count(*) is output column 2; no group reaches 100 rows.
+  GroupByAggregateOp agg(
+      TumblingOptions(Bin(BinOp::kGt, Col(2), Lit(int64_t{100}))));
+  CountingSink sink;
+  agg.SetOutput(&sink);
+  for (int64_t k = 0; k < 8; ++k) agg.Push(KeyedRow(k, k));
+  for (int64_t k = 0; k < 8; ++k) agg.Push(KeyedRow(10 + k, k));
+  ASSERT_EQ(agg.open_groups(), 8u);
+  Element close(Punctuation::Watermark(19));
+  uint64_t allocs = CountAllocs([&] { agg.Push(close); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(agg.open_groups(), 0u);
+  EXPECT_EQ(sink.tuples(), 0u);
+}
+
+TEST(AllocProbeTest, SlidingAggregateAllocatesOnlyItsOutputRow) {
+  // select avg(v), max(v) ... [range 5]: full row [ts, avg, max], output
+  // columns {1, 2}.
+  WindowAggregateOp agg(WindowSpec::TimeSliding(5),
+                        {{AggKind::kAvg, 1, 0.5}, {AggKind::kMax, 1, 0.5}},
+                        "window-agg", -1, {1, 2});
+  CollectorSink sink;
+  agg.SetOutput(&sink);
+  // Warm-up past the window's first deque block (32 tuples) and first
+  // expiries; the measured push lands mid-block.
+  for (int64_t i = 0; i < 40; ++i) agg.Push(KeyedRow(i, 0));
+  sink.Clear();
+  Element next = KeyedRow(40, 0);
+  uint64_t allocs = CountAllocs([&] { agg.Push(next); });
+  // One output tuple: make_shared<Tuple> plus its value vector.
+  EXPECT_EQ(allocs, 2u);
+  ASSERT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.tuples()[0]->arity(), 2u);
+  EXPECT_EQ(sink.tuples()[0]->at(1), Value(int64_t{40}));
+}
+
+TEST(AllocProbeTest, WindowJoinNewKeyAfterExpiryIsAllocationFree) {
+  BinaryWindowJoinOp::Options o;
+  o.left_cols = {0};
+  o.right_cols = {0};
+  o.left_window = WindowSpec::TimeSliding(100);
+  o.right_window = WindowSpec::TimeSliding(100);
+  BinaryWindowJoinOp join(o);
+  CountingSink sink;
+  join.SetOutput(&sink);
+  // One new key every 10 ticks: each arrival expires the key from 100
+  // ticks earlier while about ten stay live. The warm-up lets the window
+  // buffer and the index reach their steady capacity.
+  for (int64_t i = 0; i < 64; ++i) join.Push(KeyedRow(10 * i, i), 0);
+  // Key 64 expires key 54, whose emptied index entry it reuses; the
+  // right side is empty, so nothing matches.
+  Element next = KeyedRow(640, 64);
+  uint64_t allocs = CountAllocs([&] { join.Push(next, 0); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(sink.tuples(), 0u);
+}
+
+// Whole compiled queries over generated packets, measured after a
+// warm-up half: the E10 group-by (slides 13, 34-37) stays nearly
+// allocation-free per input element, and the sliding aggregate pays
+// about one output row per input element.
+TEST(AllocProbeTest, CompiledWindowQueriesAllocateLittlePerElement) {
+  cql::Catalog cat;
+  std::vector<FieldDomain> domains(gen::PacketSchema()->num_fields());
+  domains[gen::PacketCols::kProtocol] = {"protocol", true, 256};
+  ASSERT_TRUE(cat.Register("packets", gen::PacketSchema(), domains).ok());
+  gen::PacketOptions popt;
+  popt.seed = 1;
+  gen::PacketGenerator gen(popt);
+  std::vector<Element> input;
+  for (int i = 1; i <= 40000; ++i) {
+    TupleRef p = gen.Next();
+    const int64_t ts = p->ts();
+    input.push_back(Element(std::move(p)));
+    if (i % 1024 == 0) input.push_back(Element(Punctuation::Watermark(ts)));
+  }
+  const size_t half = input.size() / 2;
+  struct Case {
+    const char* text;
+    double max_allocs;
+    bool per_output;  // Bound per output row instead of per input.
+  };
+  const Case cases[] = {
+      {"select tb, src_ip, sum(len) from packets where protocol = 6 "
+       "group by ts/60 as tb, src_ip having count(*) > 5",
+       0.1, false},
+      {"select avg(len), max(len) from packets [range 60]", 2.0, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    auto cq = cql::Compile(c.text, cat);
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    CountingSink sink;
+    (*cq)->AttachSink(&sink);
+    for (size_t i = 0; i < half; ++i) (*cq)->Push(input[i]);
+    const uint64_t out_before = sink.tuples();
+    uint64_t allocs = CountAllocs([&] {
+      for (size_t i = half; i < input.size(); ++i) (*cq)->Push(input[i]);
+    });
+    const uint64_t outputs = sink.tuples() - out_before;
+    const double per =
+        static_cast<double>(allocs) /
+        static_cast<double>(c.per_output ? outputs : input.size() - half);
+    EXPECT_GT(outputs, 0u);
+    EXPECT_LE(per, c.max_allocs) << allocs << " allocations";
+  }
 }
 
 TEST(AllocProbeTest, DistinctDuplicateIsAllocationFree) {

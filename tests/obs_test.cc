@@ -295,6 +295,43 @@ TEST(OpInstrumentationTest, TracerRecordsLineage) {
   EXPECT_TRUE(found);
 }
 
+// The engine binds its registry's tracer to every operator, but sampling
+// stays off until EnableTracing: until then batches must stay batches.
+TEST(OpInstrumentationTest, BoundDisabledTracerKeepsBatches) {
+  obs::MetricsRegistry reg;
+  Plan plan;
+  auto* sel = plan.Make<SelectOp>(Lit(int64_t{1}));  // Pass-through.
+  auto* sink = plan.Make<CollectorSink>();
+  sel->SetOutput(sink);
+  for (const auto& op : plan.operators()) op->SetTracer(reg.tracer());
+
+  auto make_batch = [](int64_t first) {
+    ElementBatch batch;
+    for (int64_t i = first; i < first + 64; ++i) {
+      batch.push_back(Element(T(i, i)));
+    }
+    return batch;
+  };
+  ElementBatch batch = make_batch(0);
+  sel->ProcessBatch(batch);
+  obs::OpSnapshot s = sel->stats();
+  EXPECT_EQ(s.singles, 0u);
+  EXPECT_EQ(s.batch_rows.count, 1u);
+  EXPECT_EQ(s.batch_rows.sum, 64u);
+  EXPECT_EQ(sink->stats().singles, 0u);
+  EXPECT_EQ(sink->count(), 64u);
+  EXPECT_TRUE(reg.TakeSnapshot().trace.empty());
+
+  // Turning sampling on at runtime takes effect without rebinding.
+  reg.EnableTracing(1);
+  batch = make_batch(64);
+  sel->ProcessBatch(batch);
+  s = sel->stats();
+  EXPECT_EQ(s.singles, 64u);
+  EXPECT_EQ(s.batch_rows.count, 1u);
+  EXPECT_EQ(reg.TakeSnapshot().trace.size(), 2u * 64u);
+}
+
 TEST(OpInstrumentationTest, TraceRingWraps) {
   obs::Tracer tracer(4);
   tracer.SetSampleEvery(1);
