@@ -70,9 +70,10 @@ void Usage() {
       "  --tuples N        tuples to generate per stream (default 100000)\n"
       "  --rows K          result rows to print per query (default 10)\n"
       "  --parallel        run each query on the threaded executor\n"
-      "  --columnar        vectorized execution: stage workers deliver\n"
-      "                    tuple runs to select/project/group-by as\n"
-      "                    columnar batches (requires --parallel)\n"
+      "  --columnar        vectorized execution: stage workers and shard\n"
+      "                    replicas deliver tuple runs to select/project/\n"
+      "                    group-by as columnar batches (requires\n"
+      "                    --parallel or --shards)\n"
       "  --shards N        key-partition each query's stateful operators\n"
       "                    (joins, keyed group-bys) across N replica\n"
       "                    threads behind a hash exchange\n"
@@ -80,7 +81,7 @@ void Usage() {
       "  --linger SECS     keep the process (and --serve endpoint) alive\n"
       "                    SECS seconds after the run finishes\n"
       "  --adaptive-shed   attach monitor-driven load shedding to each\n"
-      "                    parallel query (requires --parallel)\n"
+      "                    single-input query (requires --parallel)\n"
       "  --shed-target N   backlog the shedding controller holds\n"
       "                    (default 256 elements)\n"
       "  --serve PORT      run the engine's HTTP server: clients POST CQL\n"
@@ -454,17 +455,6 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  if (adaptive_shed && !parallel) {
-    std::fprintf(stderr, "--adaptive-shed requires --parallel (the\n"
-                         "controller watches the executor queues)\n");
-    return 2;
-  }
-  if (columnar && !parallel) {
-    std::fprintf(stderr, "--columnar requires --parallel (serial ingest\n"
-                         "is element-at-a-time; only stage workers batch\n"
-                         "tuples into columns)\n");
-    return 2;
-  }
   if ((replay_mode || ignore_checkpoint || checkpoint_every > 0) &&
       durable_dir.empty()) {
     std::fprintf(stderr, "--replay/--ignore-checkpoint/--checkpoint-every "
@@ -509,11 +499,24 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
+  // One execution mode for every query on the command line; Submit
+  // refuses (and sqpsh exits) when a query's plan cannot run under it.
+  SubmitOptions submit;
+  submit.exec.columnar = columnar;
+  if (shards > 1) {
+    submit.exec.sharding.emplace();
+    submit.exec.sharding->shards = static_cast<int>(shards);
+  }
+  if (parallel) submit.exec.parallel.emplace();
+  if (adaptive_shed) {
+    submit.exec.shed.emplace();
+    submit.exec.shed->controller.target_queue = shed_target;
+  }
   std::vector<QueryHandle*> handles;
   for (const std::string& text : query_texts) {
-    auto q = engine.Submit(text);
+    auto q = engine.Submit(text, submit);
     if (!q.ok()) {
-      std::fprintf(stderr, "error compiling \"%s\":\n  %s\n", text.c_str(),
+      std::fprintf(stderr, "error submitting \"%s\":\n  %s\n", text.c_str(),
                    q.status().ToString().c_str());
       return 1;
     }
@@ -526,54 +529,30 @@ int main(int argc, char** argv) {
                     ? "BOUNDED"
                     : "UNBOUNDED",
                 (*q)->memory().explanation.c_str());
-    if (columnar) {
-      // Before EnableSharding/EnableParallel: both capture the flag
-      // when they build their replicas/stages.
-      Status st = engine.EnableColumnar(*q);
-      std::printf("vec   : %s\n",
-                  st.ok() ? "columnar" : st.ToString().c_str());
+    if (columnar) std::printf("vec   : columnar\n");
+    if (shards > 1 && !(*q)->sharded()) {
+      std::printf("shard : off (no shardable stateful operator)\n");
     }
-    if (shards > 1) {
-      // Before EnableParallel: the rewrite moves plan edges the
-      // executor's stages would otherwise capture.
-      ShardPlanOptions shopt;
-      shopt.shards = static_cast<int>(shards);
-      Status st = engine.EnableSharding(*q, shopt);
-      if (!st.ok()) {
-        std::printf("shard : off (%s)\n", st.ToString().c_str());
-      } else if (!(*q)->sharded()) {
-        std::printf("shard : off (no shardable stateful operator)\n");
+    for (const ShardRewrite& rw : (*q)->shard_rewrites()) {
+      if (rw.sharded != nullptr) {
+        std::printf("shard : %s x%d (%s routing)\n",
+                    rw.original->name().c_str(), rw.sharded->shards(),
+                    ShardRoutingName(rw.routing));
       } else {
-        for (const ShardRewrite& rw : (*q)->shard_rewrites()) {
-          if (rw.sharded != nullptr) {
-            std::printf("shard : %s x%d (%s routing)\n",
-                        rw.original->name().c_str(), rw.sharded->shards(),
-                        ShardRoutingName(rw.routing));
-          } else {
-            std::printf("shard : %s kept serial (%s)\n",
-                        rw.original->name().c_str(), rw.reason.c_str());
-          }
-        }
+        std::printf("shard : %s kept serial (%s)\n",
+                    rw.original->name().c_str(), rw.reason.c_str());
       }
     }
-    if (parallel) {
-      Status st = engine.EnableParallel(*q);
-      if (st.ok()) {
-        std::printf("exec  : parallel (one worker per stage)\n");
-        if (adaptive_shed) {
-          AdaptiveShedOptions sopt;
-          sopt.controller.target_queue = shed_target;
-          Status shed = engine.EnableAdaptiveShedding(*q, sopt);
-          if (shed.ok()) {
-            std::printf("shed  : adaptive (target backlog %.0f)\n",
-                        shed_target);
-          } else {
-            std::printf("shed  : off (%s)\n", shed.ToString().c_str());
-          }
-        }
+    if ((*q)->parallel()) {
+      const size_t stages = (*q)->parallel_executor()->num_stages();
+      if (stages == 1) {
+        std::printf("exec  : parallel (whole query on one worker)\n");
       } else {
-        std::printf("exec  : serial (%s)\n", st.ToString().c_str());
+        std::printf("exec  : parallel (%zu worker stages)\n", stages);
       }
+    }
+    if ((*q)->adaptive_shedding()) {
+      std::printf("shed  : adaptive (target backlog %.0f)\n", shed_target);
     }
     std::printf("\n");
     handles.push_back(*q);

@@ -90,39 +90,6 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   handle->sink_ = std::make_unique<CollectorSink>();
   handle->callback_ = std::move(options.on_result);
 
-  handle->metrics_label_ = "q" + std::to_string(query_seq_++);
-  const std::string& label = handle->metrics_label_;
-  if (metrics_enabled_) {
-    handle->latency_hist_ = std::make_unique<obs::Histogram>();
-  }
-
-  handle->tee_ = std::make_unique<TeeSink>(
-      options.collect ? handle->sink_.get() : nullptr, &handle->callback_,
-      handle->latency_hist_.get(), &handle->pending_ingest_ns_);
-  handle->query_->AttachSink(handle->tee_.get());
-
-  // Publish the query: its profiler entry (plus a source-side watermark
-  // tap) and one registry collector that renders its operator rows,
-  // watermark gauges and latency histogram from the live slots until
-  // Remove. After AttachSink so the plan root has its outward edge
-  // (BindPlan's liveness walk reads output()).
-  if (metrics_enabled_) {
-    for (const auto& op : handle->query_->plan().operators()) {
-      op->SetTracer(metrics_.tracer());
-    }
-    handle->profile_source_ = profiler_.Register(label, query_text);
-    profiler_.BindPlan(label, handle->query_->plan());
-    metrics_.AddCollector(
-        "query:" + label,
-        [this, label, hist = handle->latency_hist_.get()](
-            obs::SnapshotBuilder& b) {
-          b.AddHistogram("sqp_query_latency_ns", {{"query", label}},
-                         hist->Data());
-          profiler_.Publish(label, b);
-        });
-  }
-  events_.Emit(obs::EventKind::kQuerySubmit, label, query_text);
-
   // Wire per-input front-ends: reorder and/or heartbeat per the owning
   // stream's options.
   const auto& from = handle->query_->analysis().ast.from;
@@ -164,6 +131,43 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
     tap.port = i;
     handle->taps_.push_back(tap);
   }
+  // Refuse before anything is published: a rejected configuration must
+  // leave no label, collector, profile, event or listener behind.
+  SQP_RETURN_NOT_OK(ValidateExec(options.exec, *handle));
+
+  handle->metrics_label_ = "q" + std::to_string(query_seq_++);
+  const std::string& label = handle->metrics_label_;
+  if (metrics_enabled_) {
+    handle->latency_hist_ = std::make_unique<obs::Histogram>();
+  }
+
+  handle->tee_ = std::make_unique<TeeSink>(
+      options.collect ? handle->sink_.get() : nullptr, &handle->callback_,
+      handle->latency_hist_.get(), &handle->pending_ingest_ns_);
+  handle->query_->AttachSink(handle->tee_.get());
+
+  // Publish the query: its profiler entry (plus a source-side watermark
+  // tap) and one registry collector that renders its operator rows,
+  // watermark gauges and latency histogram from the live slots until
+  // Remove. After AttachSink so the plan root has its outward edge
+  // (BindPlan's liveness walk reads output()).
+  if (metrics_enabled_) {
+    for (const auto& op : handle->query_->plan().operators()) {
+      op->SetTracer(metrics_.tracer());
+    }
+    handle->profile_source_ = profiler_.Register(label, query_text);
+    profiler_.BindPlan(label, handle->query_->plan());
+    metrics_.AddCollector(
+        "query:" + label,
+        [this, label, hist = handle->latency_hist_.get()](
+            obs::SnapshotBuilder& b) {
+          b.AddHistogram("sqp_query_latency_ns", {{"query", label}},
+                         hist->Data());
+          profiler_.Publish(label, b);
+        });
+  }
+  events_.Emit(obs::EventKind::kQuerySubmit, label, query_text);
+  LowerExec(*handle, std::move(options.exec));
 
   // Stamp the archive boundary under the same exclusive lock that makes
   // the query live: every record at or below it was archived before any
@@ -182,151 +186,219 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   return queries_.back().get();
 }
 
-Status StreamEngine::EnableParallel(QueryHandle* handle,
-                                    ParallelQueryOptions options) {
-  std::unique_lock<std::shared_mutex> reg(reg_mu_);
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  if (handle->parallel_ != nullptr) {
-    return Status::InvalidArgument("query is already parallel");
+Status StreamEngine::ValidateExec(const ExecutionOptions& exec,
+                                  const QueryHandle& q) {
+  if (exec.sharding && exec.sharding->shards < 1) {
+    return Status::FailedPrecondition("exec.sharding: shards must be >= 1");
   }
-  if (handle->ingested_) {
-    return Status::InvalidArgument(
-        "EnableParallel must precede the first Ingest for this query");
+  if (exec.columnar && !exec.parallel && !exec.sharding) {
+    return Status::FailedPrecondition(
+        "exec.columnar needs exec.parallel or exec.sharding: serial ingest "
+        "delivers one element at a time");
   }
-  for (const QueryHandle::Tap& tap : handle->taps_) {
-    if (tap.entry != nullptr) {
-      return Status::InvalidArgument(
-          "parallel execution does not yet support reorder/heartbeat "
-          "front-ends");
+  if (exec.parallel) {
+    for (const QueryHandle::Tap& tap : q.taps_) {
+      if (tap.entry != nullptr) {
+        return Status::FailedPrecondition(
+            "exec.parallel does not support reorder/heartbeat front-ends "
+            "(stream '" + tap.stream + "')");
+      }
     }
   }
-
-  cql::CompiledQuery* q = handle->query_.get();
-  std::vector<ParallelExecutor::Stage> stages;
-  Operator* sink = nullptr;
-  bool chain = false;
-  // A sharded plan always runs whole-query: a ShardedOp's merge worker
-  // drives the downstream edge, and op-per-stage mode would hand that
-  // same edge (a stage feed) to a stage worker too — two drivers, one
-  // operator. The shard/merge threads already decouple the pipeline.
-  if (q->num_inputs() == 1 && handle->sharded_ops_.empty()) {
-    // Split the linear chain input -> ... -> root op-per-stage; the tee
-    // (collector + callback) stays attached as the executor's sink and
-    // runs on the last stage's worker.
-    chain = true;
-    int in_port = q->input_port(0);
-    for (Operator* op = q->input(0); op != nullptr && op != handle->tee_.get();
-         op = op->output()) {
-      ParallelExecutor::Stage s;
-      s.op = op;
-      s.queue_limit = options.queue_limit;
-      s.backpressure = options.backpressure;
-      s.max_batch = options.max_batch;
-      s.in_port = in_port;
-      // Columnar opt-in: the stage converts claimed runs only when the
-      // operator can actually evaluate them column-at-a-time.
-      s.columnar = handle->columnar_ && op->SupportsColumns(in_port);
-      in_port = op->output_port();  // Port the *next* stage is fed on.
-      stages.push_back(s);
+  if (exec.shed) {
+    if (q.taps_.size() != 1) {
+      return Status::FailedPrecondition(
+          "exec.shed supports single-input queries only");
     }
-    sink = handle->tee_.get();
-  } else {
-    // Joins/multi-input plans: run the whole compiled query as one
-    // stage. Ingest still decouples from processing; the plan's wiring
-    // (root -> tee) is left untouched, so no sink override.
-    handle->parallel_adapter_ = std::make_unique<QueryStageOp>(q);
-    ParallelExecutor::Stage s;
-    s.op = handle->parallel_adapter_.get();
-    s.queue_limit = options.queue_limit;
-    s.backpressure = options.backpressure;
-    s.max_batch = options.max_batch;
-    stages.push_back(s);
+    if (!exec.parallel && !exec.shed->backlog_probe) {
+      return Status::FailedPrecondition(
+          "exec.shed on a serial query needs a backlog_probe: there is no "
+          "executor queue to watch");
+    }
   }
-
-  handle->chain_mode_ = chain;
-  handle->parallel_ = std::make_unique<ParallelExecutor>(std::move(stages),
-                                                         sink);
-  handle->parallel_->Start();
-  // Per-stage queue stats join the registry through the shared
-  // StageStats path (one shape for serial and threaded executors).
-  const std::string& label = handle->metrics_label_;
-  metrics_.AddCollector(
-      "stages:" + label,
-      [exec = handle->parallel_.get(), label](obs::SnapshotBuilder& b) {
-        exec->CollectStats(b, {{"query", label}});
-      });
   return Status::OK();
 }
 
-Status StreamEngine::EnableColumnar(QueryHandle* handle) {
-  std::unique_lock<std::shared_mutex> reg(reg_mu_);
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  if (handle->ingested_) {
-    return Status::InvalidArgument(
-        "EnableColumnar must precede the first Ingest for this query");
+void StreamEngine::LowerExec(QueryHandle& handle, ExecutionOptions exec) {
+  QueryHandle* h = &handle;  // Captured by collectors and listeners.
+  cql::CompiledQuery* q = handle.query_.get();
+  const std::string& label = handle.metrics_label_;
+
+  // 1. Shard rewrite. First: the executor's stages capture plan edges
+  // the rewrite moves.
+  if (exec.sharding) {
+    exec.sharding->events = &events_;
+    exec.sharding->event_label = label;
+    handle.shard_rewrites_ =
+        ShardStatefulOps(q->plan(), *exec.sharding, exec.columnar);
+    for (const ShardRewrite& rw : handle.shard_rewrites_) {
+      if (rw.sharded == nullptr) continue;
+      // The rewrite fixed the plan-internal edges; the query's external
+      // edges (input taps, root) follow here.
+      q->ReplaceOperator(rw.original, rw.sharded);
+      handle.sharded_ops_.push_back(rw.sharded);
+    }
   }
-  if (handle->parallel_ != nullptr) {
-    return Status::InvalidArgument(
-        "EnableColumnar must precede EnableParallel (stages capture the "
-        "conversion flag when they are built)");
+  if (handle.sharded()) {
+    // The rewrite spliced new operators (each ShardedOp) into the plan:
+    // re-walk the profile tree, which adds their rows and drops the
+    // disconnected originals from the EXPLAIN ANALYZE view.
+    if (handle.profile_source_ != nullptr) {
+      for (ShardedOp* op : handle.sharded_ops_) {
+        op->SetTracer(metrics_.tracer());
+      }
+      profiler_.BindPlan(label, q->plan());
+    }
+    metrics_.AddCollector("shards:" + label,
+                          [h, label](obs::SnapshotBuilder& b) {
+                            for (const ShardedOp* op : h->sharded_ops_) {
+                              op->CollectStats(b, {{"query", label}});
+                            }
+                          });
   }
-  if (handle->sharded()) {
-    return Status::InvalidArgument(
-        "EnableColumnar must precede EnableSharding (replicas capture the "
-        "conversion flag when the plan is rewritten)");
+
+  // 2. Executor stages.
+  if (exec.parallel) {
+    ParallelExecutor::Stage base;
+    base.queue_limit = exec.parallel->queue_limit;
+    base.backpressure = exec.parallel->backpressure;
+    base.max_batch = exec.parallel->max_batch;
+    std::vector<ParallelExecutor::Stage> stages;
+    Operator* sink = nullptr;
+    // A sharded plan always runs whole-query: a ShardedOp's merge worker
+    // drives the downstream edge, and op-per-stage mode would hand that
+    // same edge (a stage feed) to a stage worker too — two drivers, one
+    // operator. The shard/merge threads already decouple the pipeline.
+    handle.chain_mode_ = q->num_inputs() == 1 && !handle.sharded();
+    if (handle.chain_mode_) {
+      // Split the linear chain input -> ... -> root op-per-stage; the tee
+      // (collector + callback) stays attached as the executor's sink and
+      // runs on the last stage's worker.
+      int in_port = q->input_port(0);
+      for (Operator* op = q->input(0);
+           op != nullptr && op != handle.tee_.get(); op = op->output()) {
+        ParallelExecutor::Stage s = base;
+        s.op = op;
+        s.in_port = in_port;
+        // Columnar stages convert claimed runs only when the operator
+        // can actually evaluate them column-at-a-time.
+        s.columnar = exec.columnar && op->SupportsColumns(in_port);
+        in_port = op->output_port();  // Port the *next* stage is fed on.
+        stages.push_back(s);
+      }
+      sink = handle.tee_.get();
+    } else {
+      // Joins/multi-input plans: run the whole compiled query as one
+      // stage. Ingest still decouples from processing; the plan's wiring
+      // (root -> tee) is left untouched, so no sink override.
+      handle.parallel_adapter_ = std::make_unique<QueryStageOp>(q);
+      base.op = handle.parallel_adapter_.get();
+      stages.push_back(base);
+    }
+    handle.parallel_ =
+        std::make_unique<ParallelExecutor>(std::move(stages), sink);
+    handle.parallel_->Start();
+    // Per-stage queue stats join the registry through the shared
+    // StageStats path (one shape for serial and threaded executors).
+    metrics_.AddCollector(
+        "stages:" + label,
+        [px = handle.parallel_.get(), label](obs::SnapshotBuilder& b) {
+          px->CollectStats(b, {{"query", label}});
+        });
   }
-  handle->columnar_ = true;
-  return Status::OK();
+
+  // 3. Shed gate and its control loop.
+  if (exec.shed) {
+    std::function<size_t()> probe = std::move(exec.shed->backlog_probe);
+    if (!probe) {
+      // Backlog (enqueued - processed) rather than instantaneous queue
+      // occupancy: workers pop whole batches, so q.size() can read 0
+      // while hundreds of elements are in flight inside a stage.
+      probe = [px = handle.parallel_.get()] {
+        size_t n = 0;
+        for (size_t i = 0; i < px->num_stages(); ++i) {
+          n += px->stage_stats(i).Backlog();
+        }
+        return n;
+      };
+    }
+    if (monitor_ == nullptr) StartMonitor();
+
+    handle.shedder_ = std::make_unique<FeedbackShedder>(exec.shed->controller);
+    handle.shed_gate_ =
+        std::make_unique<RandomDropOp>(0.0, exec.shed->seed, "shed-gate");
+    handle.shed_fwd_ = std::make_unique<CallbackSink>(
+        [this, h](const Element& e) { DeliverDirect(*h, h->taps_[0], e); });
+    handle.shed_gate_->SetOutput(handle.shed_fwd_.get());
+
+    // Shedding state joins every snapshot/scrape alongside the raw
+    // counters it is derived from.
+    metrics_.AddCollector(
+        "shed:" + label, [h, label](obs::SnapshotBuilder& b) {
+          obs::LabelSet ls{{"query", label}};
+          b.AddGauge("sqp_shed_drop_rate", ls, h->shed_gate_->drop_rate());
+          b.AddCounter("sqp_shed_dropped_total", ls,
+                       static_cast<double>(h->shed_gate_->dropped()));
+          b.AddGauge("sqp_shed_backlog", ls,
+                     static_cast<double>(
+                         h->shed_backlog_.load(std::memory_order_relaxed)));
+        });
+
+    // The loop itself: every monitor tick, observed backlog -> controller
+    // -> gate drop probability. Runs on the ticking thread with no locks
+    // held; the gate's rate is atomic.
+    monitor_->AddTickListener(
+        "shed:" + label,
+        [this, h, label, probe = std::move(probe)](uint64_t) {
+          size_t backlog = probe();
+          h->shed_backlog_.store(backlog, std::memory_order_relaxed);
+          const double rate = h->shedder_->Observe(backlog);
+          h->shed_gate_->set_drop_rate(rate);
+          // Gate transitions (crossing 1% drop probability) are
+          // lifecycle events; shed_active_ is only ever touched on this
+          // thread.
+          const bool active = rate > 0.01;
+          if (active != h->shed_active_) {
+            h->shed_active_ = active;
+            char msg[96];
+            std::snprintf(msg, sizeof(msg), "drop rate %.3f, backlog %zu",
+                          rate, backlog);
+            events_.Emit(active ? obs::EventKind::kShedActivated
+                                : obs::EventKind::kShedDeactivated,
+                         label, msg);
+          }
+        });
+  }
 }
 
 Status StreamEngine::EnableSharding(QueryHandle* handle,
                                     ShardPlanOptions options) {
   std::unique_lock<std::shared_mutex> reg(reg_mu_);
   if (handle == nullptr) return Status::InvalidArgument("null handle");
+  ExecutionOptions exec;
+  exec.sharding = std::move(options);
+  SQP_RETURN_NOT_OK(ValidateExec(exec, *handle));
   if (handle->sharded()) {
     return Status::AlreadyExists("sharding already enabled");
   }
-  if (handle->ingested_) {
-    return Status::InvalidArgument(
-        "EnableSharding must precede the first Ingest for this query");
+  // Any counted operator input (live ingest, recovery or ReplayInto)
+  // means the plan may hold state the rewrite would strand.
+  for (const auto& op : handle->query_->plan().operators()) {
+    const obs::OpCounters& c = op->counters();
+    if (c.tuples_in.load(std::memory_order_relaxed) != 0 ||
+        c.puncts_in.load(std::memory_order_relaxed) != 0) {
+      return Status::InvalidArgument(
+          "query has already received input; its state cannot be "
+          "resharded");
+    }
   }
   if (handle->parallel_ != nullptr) {
     return Status::InvalidArgument(
-        "EnableSharding must precede EnableParallel (the rewrite moves "
-        "plan edges the executor's stages captured)");
+        "query runs on a parallel executor whose stages hold the plan "
+        "edges the rewrite moves; shard it at Submit "
+        "(SubmitOptions::exec.sharding)");
   }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-
-  cql::CompiledQuery* q = handle->query_.get();
-  options.columnar = options.columnar || handle->columnar_;
-  options.events = &events_;
-  options.event_label = handle->metrics_label_;
-  handle->shard_rewrites_ = ShardStatefulOps(q->plan(), options);
-  for (const ShardRewrite& rw : handle->shard_rewrites_) {
-    if (rw.sharded == nullptr) continue;
-    // The rewrite fixed the plan-internal edges; the query's external
-    // edges (input taps, root) follow here.
-    q->ReplaceOperator(rw.original, rw.sharded);
-    handle->sharded_ops_.push_back(rw.sharded);
-  }
-  if (handle->sharded_ops_.empty()) return Status::OK();
-
-  const std::string& label = handle->metrics_label_;
-  // The rewrite spliced new operators (each ShardedOp) into the plan:
-  // re-walk the profile tree, which adds their rows and drops the
-  // disconnected originals from the EXPLAIN ANALYZE view.
-  if (handle->profile_source_ != nullptr) {
-    for (ShardedOp* op : handle->sharded_ops_) op->SetTracer(metrics_.tracer());
-    profiler_.BindPlan(label, q->plan());
-  }
-  metrics_.AddCollector("shards:" + label,
-                        [handle, label](obs::SnapshotBuilder& b) {
-                          for (const ShardedOp* op : handle->sharded_ops_) {
-                            op->CollectStats(b, {{"query", label}});
-                          }
-                        });
+  LowerExec(*handle, std::move(exec));
   return Status::OK();
 }
 
@@ -402,7 +474,6 @@ Status StreamEngine::IngestElement(const std::string& stream,
     }
   }
   for (const StreamState::Reader& r : state.readers) {
-    r.query->ingested_ = true;
     if (r.query->shed_gate_ != nullptr) {
       // The gate forwards surviving elements into DeliverDirect via its
       // CallbackSink output; shed tuples end here.
@@ -426,87 +497,6 @@ obs::Monitor& StreamEngine::StartMonitor(obs::MonitorOptions options) {
   }
   monitor_->Start();  // No-op in manual mode or when already running.
   return *monitor_;
-}
-
-Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
-                                            AdaptiveShedOptions options) {
-  std::unique_lock<std::shared_mutex> reg(reg_mu_);
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  if (handle->shed_gate_ != nullptr) {
-    return Status::AlreadyExists("adaptive shedding already enabled");
-  }
-  if (handle->taps_.size() != 1) {
-    return Status::InvalidArgument(
-        "adaptive shedding supports single-input queries only");
-  }
-  std::function<size_t()> probe = std::move(options.backlog_probe);
-  if (!probe) {
-    if (handle->parallel_ == nullptr) {
-      return Status::InvalidArgument(
-          "serial queries have no executor queue to watch: supply "
-          "AdaptiveShedOptions::backlog_probe");
-    }
-    // Backlog (enqueued - processed) rather than instantaneous queue
-    // occupancy: workers pop whole batches, so q.size() can read 0 while
-    // hundreds of elements are in flight inside a stage.
-    probe = [exec = handle->parallel_.get()] {
-      size_t n = 0;
-      for (size_t i = 0; i < exec->num_stages(); ++i) {
-        n += exec->stage_stats(i).Backlog();
-      }
-      return n;
-    };
-  }
-  if (monitor_ == nullptr) StartMonitor();
-
-  const std::string& label = handle->metrics_label_;
-
-  handle->shedder_ = std::make_unique<FeedbackShedder>(options.controller);
-  handle->shed_gate_ =
-      std::make_unique<RandomDropOp>(0.0, options.seed, "shed-gate");
-  handle->shed_fwd_ = std::make_unique<CallbackSink>(
-      [this, handle](const Element& e) {
-        DeliverDirect(*handle, handle->taps_[0], e);
-      });
-  handle->shed_gate_->SetOutput(handle->shed_fwd_.get());
-
-  // Shedding state joins every snapshot/scrape alongside the raw
-  // counters it is derived from.
-  metrics_.AddCollector(
-      "shed:" + label, [handle, label](obs::SnapshotBuilder& b) {
-        obs::LabelSet ls{{"query", label}};
-        b.AddGauge("sqp_shed_drop_rate", ls, handle->shed_gate_->drop_rate());
-        b.AddCounter("sqp_shed_dropped_total", ls,
-                     static_cast<double>(handle->shed_gate_->dropped()));
-        b.AddGauge("sqp_shed_backlog", ls,
-                   static_cast<double>(handle->shed_backlog_.load(
-                       std::memory_order_relaxed)));
-      });
-
-  // The loop itself: every monitor tick, observed backlog -> controller
-  // -> gate drop probability. Runs on the ticking thread with no locks
-  // held; the gate's rate is atomic.
-  monitor_->AddTickListener(
-      "shed:" + label,
-      [this, handle, label, probe = std::move(probe)](uint64_t) {
-        size_t backlog = probe();
-        handle->shed_backlog_.store(backlog, std::memory_order_relaxed);
-        const double rate = handle->shedder_->Observe(backlog);
-        handle->shed_gate_->set_drop_rate(rate);
-        // Gate transitions (crossing 1% drop probability) are lifecycle
-        // events; shed_active_ is only ever touched on this thread.
-        const bool active = rate > 0.01;
-        if (active != handle->shed_active_) {
-          handle->shed_active_ = active;
-          char msg[96];
-          std::snprintf(msg, sizeof(msg),
-                        "drop rate %.3f, backlog %zu", rate, backlog);
-          events_.Emit(active ? obs::EventKind::kShedActivated
-                              : obs::EventKind::kShedDeactivated,
-                       label, msg);
-        }
-      });
-  return Status::OK();
 }
 
 Status StreamEngine::Ingest(const std::string& stream, const TupleRef& tuple) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -39,8 +40,8 @@ struct StreamOptions {
   int64_t heartbeat_period = 0;
 };
 
-/// Tuning for one query moved onto the threaded executor
-/// (StreamEngine::EnableParallel).
+/// Tuning for one query run on the threaded executor
+/// (ExecutionOptions::parallel).
 struct ParallelQueryOptions {
   /// Bound per stage queue, in elements (0 = unbounded).
   size_t queue_limit = 1024;
@@ -53,7 +54,7 @@ struct ParallelQueryOptions {
   size_t max_batch = 64;
 };
 
-/// Tuning for StreamEngine::EnableAdaptiveShedding.
+/// Tuning for monitor-driven adaptive shedding (ExecutionOptions::shed).
 struct AdaptiveShedOptions {
   /// PI controller tuning: the backlog to hold and the gains mapping
   /// normalized backlog error to drop probability.
@@ -65,6 +66,37 @@ struct AdaptiveShedOptions {
   /// Serial queries have no executor queue and must supply a probe
   /// (e.g. an application-side buffer length).
   std::function<size_t()> backlog_probe;
+};
+
+/// How one standing query executes. Submit checks the options against
+/// the compiled plan before anything is published — a refusal is
+/// kFailedPrecondition and leaves nothing behind — then lowers them in
+/// one fixed order: shard rewrite, executor stages, shed gate.
+struct ExecutionOptions {
+  /// Vectorized delivery: executor stages and shard replicas hand
+  /// queued tuple runs to column-capable operators (select, project,
+  /// punctuated group-by) as ColumnBatches; output is bit-identical to
+  /// the row path. Needs `parallel` or `sharding`: serial ingest
+  /// delivers one element at a time.
+  bool columnar = false;
+  /// Key-partitioned data parallelism (ShardStatefulOps): each shardable
+  /// stateful operator (joins, keyed group-bys) becomes `shards`
+  /// replicas behind a hash exchange and a punctuation-correct merge;
+  /// the rest stay serial (QueryHandle::shard_rewrites() says why).
+  /// `shards` must be >= 1.
+  std::optional<ShardPlanOptions> sharding;
+  /// Threaded execution: Ingest only enqueues (blocking or shedding per
+  /// the options when the query falls behind) and FinishAll drains and
+  /// joins the workers. Single-input chains get one worker per
+  /// operator; other plans, and sharded ones, run whole on one worker.
+  /// Refused on streams with reorder/heartbeat front-ends.
+  std::optional<ParallelQueryOptions> parallel;
+  /// Closed-loop load shedding: a drop gate in front of the query whose
+  /// rate a FeedbackShedder sets from the query's backlog each monitor
+  /// tick (starting the monitor if none runs). Single-input queries
+  /// only; without `parallel`, AdaptiveShedOptions::backlog_probe is
+  /// required.
+  std::optional<AdaptiveShedOptions> shed;
 };
 
 /// Tuning for StreamEngine::Submit.
@@ -81,6 +113,8 @@ struct SubmitOptions {
   /// output goes to a bounded per-session queue instead of an unbounded
   /// in-process vector.
   bool collect = true;
+  /// Execution mode (default: serial, row at a time, no shedding).
+  ExecutionOptions exec;
 };
 
 /// What EnableDurability's recovery pass did, for operators and tests.
@@ -114,9 +148,9 @@ class QueryHandle {
  public:
   /// Rows produced so far (the engine collects by default).
   ///
-  /// For a parallel query (EnableParallel) the results are written by a
-  /// worker thread: read them only after FinishAll(), which joins the
-  /// workers.
+  /// For a parallel query (ExecutionOptions::parallel) the results are
+  /// written by a worker thread: read them only after FinishAll(), which
+  /// joins the workers.
   const std::vector<TupleRef>& results() const { return sink_->tuples(); }
   size_t result_count() const { return sink_->count(); }
   void ClearResults() { sink_->Clear(); }
@@ -134,33 +168,24 @@ class QueryHandle {
   /// and events ("q0", "q1", ... in submission order).
   const std::string& metrics_label() const { return metrics_label_; }
 
-  /// Optional streaming callback, invoked per output element in addition
-  /// to collection.
-  void OnResult(std::function<void(const TupleRef&)> fn) {
-    callback_ = std::move(fn);
-  }
-
   /// Measured end-to-end (ingest -> sink) latency histogram, in ns.
   /// Null when the query was submitted unpublished (SetMetricsEnabled).
   const obs::Histogram* latency_histogram() const {
     return latency_hist_.get();
   }
 
-  /// True once EnableColumnar opted this query into vectorized delivery.
-  bool columnar() const { return columnar_; }
-
-  /// True once EnableSharding spliced at least one ShardedOp into this
-  /// query's plan.
+  /// True once the shard rewrite spliced at least one ShardedOp into
+  /// this query's plan.
   bool sharded() const { return !sharded_ops_.empty(); }
   /// The spliced sharded operators (plan-owned), for stats inspection.
   const std::vector<ShardedOp*>& sharded_ops() const { return sharded_ops_; }
-  /// Rewrite report of EnableSharding: one entry per stateful operator,
-  /// spliced or skipped-with-reason.
+  /// Rewrite report of the shard rewrite: one entry per stateful
+  /// operator, spliced or skipped-with-reason.
   const std::vector<ShardRewrite>& shard_rewrites() const {
     return shard_rewrites_;
   }
 
-  /// True once EnableAdaptiveShedding attached a drop gate to this query.
+  /// True when the query runs behind an adaptive drop gate.
   bool adaptive_shedding() const { return shed_gate_ != nullptr; }
   /// Current drop probability of the adaptive gate (0 when detached).
   double shed_drop_rate() const {
@@ -193,17 +218,15 @@ class QueryHandle {
     int port;
   };
   std::vector<Tap> taps_;
-  // Set by EnableParallel: the threaded executor running this query's
-  // plan, plus the adapter operator for the whole-query fallback.
+  // The threaded executor running this query's plan (exec.parallel),
+  // plus the adapter operator for the whole-query fallback.
   // Declared after query_/tee_ so it is destroyed (joined) first.
   std::unique_ptr<Operator> parallel_adapter_;
   std::unique_ptr<ParallelExecutor> parallel_;
-  // Set by EnableSharding (plan-owned operators; handle only observes).
+  // Set by the shard rewrite (plan-owned; the handle only observes).
   std::vector<ShardedOp*> sharded_ops_;
   std::vector<ShardRewrite> shard_rewrites_;
   bool chain_mode_ = false;  // True: plan split op-per-stage.
-  bool columnar_ = false;    // Set by EnableColumnar.
-  bool ingested_ = false;    // Any element delivered yet?
   // Archive seq boundary at registration (set under the exclusive
   // registration lock by Submit, or by EnableDurability for queries that
   // predate it): records <= submit_seq_ were never delivered live to
@@ -217,9 +240,9 @@ class QueryHandle {
   // boundary.
   std::atomic<uint64_t> pending_ingest_ns_{0};
   uint64_t latency_countdown_ = 1;  // Ingest-thread only; fires at 0.
-  // Adaptive shedding (EnableAdaptiveShedding): ingest-side drop gate,
-  // its forwarding sink into the normal delivery path, the controller,
-  // and the last backlog it observed (written on the monitor thread).
+  // Adaptive shedding (exec.shed): ingest-side drop gate, its
+  // forwarding sink into the normal delivery path, the controller, and
+  // the last backlog it observed (written on the monitor thread).
   std::unique_ptr<RandomDropOp> shed_gate_;
   std::unique_ptr<Operator> shed_fwd_;
   std::unique_ptr<FeedbackShedder> shedder_;
@@ -243,9 +266,9 @@ class QueryHandle {
 ///   engine.FinishAll();
 ///
 /// Single-threaded by default; scheduling and shedding wrap around it
-/// (sqp/sched, sqp/shed) rather than inside it. Individual queries can
-/// opt into threaded execution with EnableParallel, which decouples
-/// ingest from processing behind bounded queues.
+/// (sqp/sched, sqp/shed) rather than inside it. Individual queries pick
+/// threaded, sharded, columnar or shed execution at Submit
+/// (SubmitOptions::exec).
 class StreamEngine {
  public:
   /// Registers a stream with optional domain metadata and per-stream
@@ -254,14 +277,15 @@ class StreamEngine {
                         std::vector<FieldDomain> domains = {},
                         StreamOptions options = {});
 
-  /// Compiles and installs a standing query. The handle stays valid
-  /// until Remove() or the engine's destruction.
+  /// Compiles and installs a standing query, lowered to the execution
+  /// mode in options.exec under the same lock that makes it live. The
+  /// handle stays valid until Remove() or the engine's destruction.
   ///
   /// Registration is safe against a concurrent Ingest from another
   /// thread (the query-server front door does exactly that): Submit,
-  /// Remove, and the Enable* calls take the registration lock
-  /// exclusively, Ingest takes it shared. Ingest itself must still come
-  /// from one thread at a time — operators are not concurrent.
+  /// Remove and EnableSharding take the registration lock exclusively,
+  /// Ingest takes it shared. Ingest itself must still come from one
+  /// thread at a time — operators are not concurrent.
   Result<QueryHandle*> Submit(const std::string& query_text) {
     return Submit(query_text, SubmitOptions{});
   }
@@ -276,46 +300,11 @@ class StreamEngine {
   /// downstream queue first), or the final flush could wedge.
   Status Remove(QueryHandle* handle);
 
-  /// Opt-in: moves `handle`'s physical plan onto a ParallelExecutor so
-  /// it runs concurrently with ingest. Single-input queries whose plan
-  /// is a linear operator chain get one worker thread *per operator*
-  /// (true pipeline parallelism); other plans run whole on one dedicated
-  /// worker. Either way, Ingest() then only enqueues — blocking or
-  /// shedding per `options` when the query falls behind — and
-  /// FinishAll() drains and joins the workers before results are read.
-  ///
-  /// Must be called after Submit and before the first Ingest touching
-  /// the query; unsupported for queries with reorder/heartbeat
-  /// front-ends (those run on the ingest thread and are not yet staged).
-  Status EnableParallel(QueryHandle* handle, ParallelQueryOptions options = {});
-
-  /// Opt-in vectorized execution: stages built by a later EnableParallel
-  /// deliver queued tuple runs to column-capable operators (select,
-  /// project, punctuated group-by) as ColumnBatches, evaluated by the
-  /// compiled column-at-a-time kernels (sqp::vec) with rows rebuilt only
-  /// at row-bound operators and sinks; a later EnableSharding folds
-  /// converted runs inside each shard replica the same way. Output is
-  /// bit-identical to the row path — operators whose expressions cannot
-  /// vectorize simply keep their row delivery.
-  ///
-  /// Must be called after Submit, before the first Ingest, and before
-  /// EnableSharding/EnableParallel (both capture the flag when they
-  /// build their stages/replicas). A serial query without EnableParallel
-  /// ingests element-at-a-time and gains nothing from the flag.
-  Status EnableColumnar(QueryHandle* handle);
-
-  /// Opt-in data parallelism: rewrites `handle`'s plan with
-  /// ShardStatefulOps, replacing each shardable stateful operator
-  /// (joins, keyed group-bys) with `options.shards` key-partitioned
-  /// replicas behind a hash exchange and a punctuation-correct merge.
-  /// Operators that refuse (count windows, global aggregates) are left
-  /// serial — inspect handle->shard_rewrites() for the per-operator
-  /// outcome. Per-shard counters (sqp_shard_*) join the engine registry.
-  ///
-  /// Must be called after Submit, before the first Ingest, and before
-  /// EnableParallel (which then runs the sharded plan in whole-query
-  /// mode — the shard/merge workers already provide the pipeline
-  /// decoupling that op-per-stage mode would add).
+  /// Shards an already submitted query, as ExecutionOptions::sharding
+  /// would have at Submit. Kept only for callers that shard after
+  /// registering; new code sets SubmitOptions::exec.sharding. Refuses a
+  /// query that is already sharded, has received input, or runs on a
+  /// parallel executor (whose stages hold the edges the rewrite moves).
   Status EnableSharding(QueryHandle* handle, ShardPlanOptions options = {});
 
   /// Pushes one tuple (or punctuation) into every query reading `stream`.
@@ -437,16 +426,6 @@ class StreamEngine {
   /// not block.
   Result<uint64_t> ReplayInto(QueryHandle* handle);
 
-  /// Closes the observation loop for one query: interposes a
-  /// RandomDropOp gate between Ingest and the query, attaches a
-  /// FeedbackShedder, and drives its Observe() from every monitor tick
-  /// with the query's measured backlog — the gate's drop probability
-  /// follows the controller. Starts the monitor (default options) if
-  /// needed. Single-input queries only; serial queries must supply
-  /// options.backlog_probe.
-  Status EnableAdaptiveShedding(QueryHandle* handle,
-                                AdaptiveShedOptions options = {});
-
   const cql::Catalog& catalog() const { return catalog_; }
   size_t num_queries() const { return queries_.size(); }
   const std::vector<std::unique_ptr<QueryHandle>>& queries() const {
@@ -463,6 +442,15 @@ class StreamEngine {
   /// front of this.
   void DeliverDirect(QueryHandle& q, const QueryHandle::Tap& tap,
                      const Element& e);
+
+  /// Checks `exec` against `q`'s compiled plan and front-ends; a refusal
+  /// is kFailedPrecondition (cql::Compile never returns that code).
+  static Status ValidateExec(const ExecutionOptions& exec,
+                             const QueryHandle& q);
+  /// The lowering pass for a validated `exec`: shard rewrite, then the
+  /// executor stages (with the columnar flag), then the shed gate and
+  /// its monitor tick listener. Requires reg_mu_ held exclusively.
+  void LowerExec(QueryHandle& q, ExecutionOptions exec);
 
   /// Checkpointing/recovery internals (src/arch/engine_dur.cc). All
   /// require reg_mu_ held (shared is enough for CheckpointLocked only

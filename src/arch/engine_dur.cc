@@ -241,7 +241,6 @@ Status StreamEngine::RecoverLocked() {
       for (const StreamState::Reader& r : st->second.readers) {
         auto it = start_seq.find(r.query);
         if (it != start_seq.end() && rec.seq <= it->second) continue;
-        r.query->ingested_ = true;
         // Straight into DeliverDirect: replay must be lossless, so the
         // shed gate (whose query is never checkpointed) is bypassed.
         DeliverDirect(*r.query, *r.tap, rec.element);
@@ -339,7 +338,6 @@ Result<uint64_t> StreamEngine::ReplayInto(QueryHandle* handle) {
     if (rec.seq > bound) break;  // Merged order is ascending.
     for (const QueryHandle::Tap& tap : handle->taps_) {
       if (tap.stream != rec.stream) continue;
-      handle->ingested_ = true;
       DeliverDirect(*handle, tap, rec.element);
       ++delivered;
     }

@@ -18,6 +18,8 @@ const char* StatusCodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kUnimplemented:
       return "Unimplemented";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
     case StatusCode::kParseError:
       return "ParseError";
     case StatusCode::kTypeError:

@@ -18,6 +18,9 @@ enum class StatusCode {
   kAlreadyExists,
   kResourceExhausted,
   kUnimplemented,
+  /// The request is well-formed but cannot apply to this object as it
+  /// is (e.g. an execution mode the compiled plan does not support).
+  kFailedPrecondition,
   kParseError,
   kTypeError,
   kInternal,
@@ -54,6 +57,9 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status ParseError(std::string msg) {
     return Status(StatusCode::kParseError, std::move(msg));

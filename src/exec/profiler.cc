@@ -165,7 +165,7 @@ void QueryProfiler::BindPlan(const std::string& label, const Plan& plan) {
     pos[ops[i].get()] = static_cast<int>(i);
   }
   // An operator is part of the live DAG when it has an output edge or
-  // something feeds it; a rewrite leftover (EnableSharding disconnects
+  // something feeds it; a rewrite leftover (the shard rewrite disconnects
   // the replaced original but keeps it plan-owned as the replica
   // template) has neither and is excluded.
   std::map<const Operator*, int> fed;

@@ -125,7 +125,7 @@ class QueryProfiler {
 
   /// Records `plan`'s operators (registry rows, in plan order) and
   /// rebuilds the snapshot tree over the connected ones. Call again
-  /// after a structural rewrite (EnableSharding) — disconnected
+  /// after a structural rewrite (the shard rewrite) — disconnected
   /// leftovers of the rewrite (no output, nothing feeding them) drop out
   /// of the tree. The operators must outlive Unregister. No-op for
   /// unregistered labels.

@@ -16,7 +16,8 @@ bool AllPortsKeyed(const std::vector<std::vector<int>>& cols) {
 }  // namespace
 
 std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
-                                           const ShardPlanOptions& options) {
+                                           const ShardPlanOptions& options,
+                                           bool columnar) {
   std::vector<ShardRewrite> rewrites;
   // Snapshot the candidates first: splicing adds ShardedOps to the plan,
   // and we must not revisit those (ShardedOp is not ShardableOperator,
@@ -65,7 +66,7 @@ std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
     op_opts.merge_queue_limit = options.merge_queue_limit;
     op_opts.batch = options.batch;
     op_opts.expected_flushes = static_cast<int>(key_cols.size());
-    op_opts.columnar = options.columnar;
+    op_opts.columnar = columnar;
     op_opts.events = options.events;
     op_opts.event_label = options.event_label;
 

@@ -55,9 +55,6 @@ struct ShardPlanOptions {
   size_t merge_queue_limit = 4096;
   /// Hand-off batch size (ShardedOpOptions::batch).
   size_t batch = 64;
-  /// Columnar delivery inside each shard (ShardedOpOptions::columnar):
-  /// replicas that support columns fold converted runs column-at-a-time.
-  bool columnar = false;
   /// Structured event sink + query label for backpressure-stall events,
   /// passed through to every spliced ShardedOp (nullptr = silent).
   obs::EventLog* events = nullptr;
@@ -80,16 +77,22 @@ struct ShardRewrite {
 /// original operators stay plan-owned (they serve as replica templates
 /// during the rewrite) but are disconnected from the DAG.
 ///
+/// `columnar` turns on columnar delivery inside each shard
+/// (ShardedOpOptions::columnar): replicas that support columns fold
+/// converted runs column-at-a-time.
+///
 /// Returns one entry per ShardableOperator found — spliced or skipped —
-/// so callers (StreamEngine::EnableSharding) can patch external edges
-/// (query input tables) and register shard metrics.
+/// so callers (the engine's execution lowering, ExecutionOptions::
+/// sharding) can patch external edges (query input tables) and register
+/// shard metrics.
 ///
 /// With options.shards <= 1 the plan is left untouched (every operator
 /// reports skipped); the shards=1 baseline in benchmarks instead builds
 /// a ShardedOp explicitly so the exchange overhead is measured, not
 /// bypassed.
 std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
-                                           const ShardPlanOptions& options);
+                                           const ShardPlanOptions& options,
+                                           bool columnar = false);
 
 }  // namespace sqp
 

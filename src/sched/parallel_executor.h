@@ -103,6 +103,8 @@ class ParallelExecutor {
 
   /// Snapshot of one stage's counters (safe to call while running).
   sched::StageStats stage_stats(size_t i) const;
+  /// The configuration stage `i` was built with.
+  const Stage& stage_config(size_t i) const { return states_[i]->cfg; }
   /// Publishes every stage's counters (sqp_stage_*) under
   /// {base_labels..., stage=i, op=name} — typically registered as a
   /// MetricsRegistry collector by whoever owns the executor. Safe to

@@ -226,30 +226,28 @@ QueryServer::Response QueryServer::HandleSubmit(const HttpRequest& req) {
   // engine's QueryHandle and may fire during engine teardown, after this
   // QueryServer is gone.
   sopts.on_result = [sess](const TupleRef& t) { sess->queue.Push(t); };
+  if (policy == "shed") {
+    AdaptiveShedOptions shed;
+    shed.controller.target_queue =
+        std::max<double>(1.0, static_cast<double>(qopts.limit) / 2.0);
+    shed.backlog_probe = [sess] { return sess->queue.depth(); };
+    sopts.exec.shed = std::move(shed);
+  }
   Result<QueryHandle*> submitted = engine_->Submit(req.body, sopts);
   if (!submitted.ok()) {
     admission_.Release(qopts.limit);
+    // cql::Compile never fails with kFailedPrecondition: that is the
+    // execution lowering refusing the shed gate for this plan.
+    if (submitted.status().code() == StatusCode::kFailedPrecondition) {
+      return {409, "application/json",
+              ErrorJson("shed setup", submitted.status().message())};
+    }
     return {400, "application/json",
             ErrorJson("parse error", submitted.status().message())};
   }
   sess->handle = *submitted;
   sess->schema = sess->handle->output_schema().ToString();
   sess->plan = sess->handle->plan_desc();
-
-  if (policy == "shed") {
-    AdaptiveShedOptions shed;
-    shed.controller.target_queue =
-        std::max<double>(1.0, static_cast<double>(qopts.limit) / 2.0);
-    shed.backlog_probe = [sess] { return sess->queue.depth(); };
-    Status s = engine_->EnableAdaptiveShedding(sess->handle, shed);
-    if (!s.ok()) {
-      sess->queue.Close();
-      engine_->Remove(sess->handle);
-      sess->handle = nullptr;
-      admission_.Release(qopts.limit);
-      return {409, "application/json", ErrorJson("shed setup", s.message())};
-    }
-  }
 
   uint64_t replayed = 0;
   if (replay) {

@@ -67,6 +67,8 @@ struct QueryServerOptions {
 ///
 ///   POST /query?queue=N&policy=block|drop|shed&block_ms=M  (body: CQL)
 ///       -> 200 {"session":"s0",...} | 400 parse error | 429 admission
+///          | 409 shed setup (policy=shed on a plan the gate cannot
+///          front, e.g. a multi-input join)
 ///   GET  /session/<id>/results?cursor=C&max=N&wait_ms=W
 ///       -> chunked NDJSON: one {"seq":..,"ts":..,"row":[..]} line per
 ///          row (seq >= C), closed by a {"next_cursor":..,"finished":..}

@@ -16,9 +16,9 @@ namespace sqp {
 /// 1/(1-p) to stay approximately unbiased — `scale_factor()` exposes it.
 ///
 /// `drop_rate` and `dropped` are atomic so a monitoring/control thread
-/// (StreamEngine::EnableAdaptiveShedding) can retune the rate and read
-/// the loss counter while the data path runs. The data path itself must
-/// stay single-threaded (rng_ is not synchronized).
+/// (the engine's adaptive shedding, ExecutionOptions::shed) can retune
+/// the rate and read the loss counter while the data path runs. The data
+/// path itself must stay single-threaded (rng_ is not synchronized).
 class RandomDropOp : public Operator {
  public:
   RandomDropOp(double drop_rate, uint64_t seed,

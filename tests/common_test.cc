@@ -28,6 +28,8 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 TEST(StatusTest, EveryCodeHasName) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kParseError), "ParseError");
   EXPECT_STREQ(StatusCodeName(StatusCode::kTypeError), "TypeError");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kFailedPrecondition),
+               "FailedPrecondition");
   EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted),
                "ResourceExhausted");
 }

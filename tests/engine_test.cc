@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "arch/engine.h"
@@ -64,10 +65,11 @@ TEST(EngineTest, IngestAfterFinishRejected) {
 TEST(EngineTest, CallbackStreamsResults) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit("select ts, len from packets where len > 10");
-  ASSERT_TRUE(q.ok());
   std::vector<int64_t> seen;
-  (*q)->OnResult([&](const TupleRef& t) { seen.push_back(t->at(1).AsInt()); });
+  SubmitOptions opts;
+  opts.on_result = [&](const TupleRef& t) { seen.push_back(t->at(1).AsInt()); };
+  auto q = engine.Submit("select ts, len from packets where len > 10", opts);
+  ASSERT_TRUE(q.ok());
   (void)engine.Ingest("packets", Pkt(1, 1, 6, 5));
   (void)engine.Ingest("packets", Pkt(2, 1, 6, 50));
   EXPECT_EQ(seen, std::vector<int64_t>{50});
@@ -233,10 +235,9 @@ TEST(EngineRoutingTest, QueryOnOtherStreamIsNeverTouched) {
     EXPECT_EQ(row.tuples_in, 0u) << row.op;
     EXPECT_EQ(row.puncts_in, 0u) << row.op;
   }
-  // Never ingested into, so the pre-first-Ingest opt-ins still apply.
-  EXPECT_TRUE(engine.EnableColumnar(*idle).ok());
-  EXPECT_TRUE(engine.EnableParallel(*idle).ok());
-  EXPECT_FALSE(engine.EnableParallel(*busy).ok());
+  // Never fed, so the post-Submit shard rewrite still applies to it.
+  EXPECT_TRUE(engine.EnableSharding(*idle).ok());
+  EXPECT_FALSE(engine.EnableSharding(*busy).ok());
   engine.FinishAll();
   EXPECT_EQ((*busy)->result_count(), 100u);
   EXPECT_EQ((*idle)->result_count(), 0u);
@@ -371,7 +372,7 @@ TEST(EngineRoutingTest, ConcurrentChurnLeavesStableQueryExact) {
   EXPECT_EQ(SortedRows(*stable), SortedRows(*ref_q));
 }
 
-// --- Opt-in threaded execution (EnableParallel) ---
+// --- Opt-in threaded execution (ExecutionOptions::parallel) ---
 
 TEST(EngineParallelTest, ChainQueryMatchesSerial) {
   const char* kQuery =
@@ -398,9 +399,10 @@ TEST(EngineParallelTest, ChainQueryMatchesSerial) {
 
   StreamEngine par;
   ASSERT_TRUE(par.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto pq = par.Submit(kQuery);
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
+  auto pq = par.Submit(kQuery, popts);
   ASSERT_TRUE(pq.ok());
-  ASSERT_TRUE(par.EnableParallel(*pq).ok());
   EXPECT_TRUE((*pq)->parallel());
   // Single-input plan: one worker per operator of the chain.
   ASSERT_NE((*pq)->parallel_executor(), nullptr);
@@ -423,12 +425,14 @@ TEST(EngineParallelTest, JoinQueryRunsWholePlanOnWorker) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("syn", gen::PacketSchema()).ok());
   ASSERT_TRUE(engine.RegisterStream("synack", gen::PacketSchema()).ok());
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
   auto q = engine.Submit(
       "select s.ts, a.ts - s.ts as rtt "
       "from syn s [range 100], synack a [range 100] "
-      "where s.src_ip = a.dst_ip");
+      "where s.src_ip = a.dst_ip",
+      popts);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.EnableParallel(*q).ok());
   // Multi-input plans fall back to one whole-query stage.
   EXPECT_EQ((*q)->parallel_executor()->num_stages(), 1u);
 
@@ -456,24 +460,165 @@ TEST(EngineParallelTest, JoinQueryRunsWholePlanOnWorker) {
   }
 }
 
-TEST(EngineParallelTest, EnableParallelValidation) {
+// --- One configuration path (SubmitOptions::exec) ---
+
+TupleRef Packet(int64_t ts, int64_t src, int64_t dst, int64_t len) {
+  return MakeTuple(ts, {Value(ts), Value(src), Value(dst), Value(int64_t{1}),
+                        Value(int64_t{2}), Value(int64_t{6}), Value(len),
+                        Value(int64_t{0}), Value(int64_t{0}), Value("")});
+}
+
+std::multiset<std::string> RowSet(const QueryHandle* q) {
+  std::multiset<std::string> rows;
+  for (const TupleRef& t : q->results()) rows.insert(t->ToString());
+  return rows;
+}
+
+/// Runs `query` under `exec` over one fixed feed: every tuple goes to
+/// `packets` and, alternately, to `syn` or `synack`, with a watermark on
+/// all three every 100 tuples.
+/// Checks that the handle runs the mode it was given: a stateless query
+/// has nothing to shard, and an op-per-stage chain (more than one stage)
+/// converts runs to columns exactly when `exec.columnar` asks.
+std::multiset<std::string> RunUnder(const std::string& query,
+                                    const ExecutionOptions& exec,
+                                    bool stateful = false) {
   StreamEngine engine;
-  StreamOptions opts;
-  opts.reorder_slack = 8;
+  for (const char* s : {"packets", "syn", "synack"}) {
+    EXPECT_TRUE(engine.RegisterStream(s, gen::PacketSchema()).ok());
+  }
+  SubmitOptions opts;
+  opts.exec = exec;
+  auto q = engine.Submit(query, opts);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return {};
+  EXPECT_EQ((*q)->parallel(), exec.parallel.has_value());
+  EXPECT_EQ((*q)->sharded(), stateful && exec.sharding.has_value());
+  const ParallelExecutor* px = (*q)->parallel_executor();
+  if (px != nullptr && px->num_stages() > 1) {
+    bool columnar_stage = false;
+    for (size_t i = 0; i < px->num_stages(); ++i) {
+      columnar_stage = columnar_stage || px->stage_config(i).columnar;
+    }
+    EXPECT_EQ(columnar_stage, exec.columnar);
+  }
+  Rng rng(19);
+  for (int64_t i = 0; i < 3000; ++i) {
+    const int64_t ts = i / 2;
+    TupleRef t = Packet(ts, static_cast<int64_t>(rng.Uniform(16)),
+                        static_cast<int64_t>(rng.Uniform(16)),
+                        static_cast<int64_t>(rng.Uniform(1500)));
+    EXPECT_TRUE(engine.Ingest("packets", t).ok());
+    EXPECT_TRUE(engine.Ingest(i % 2 == 0 ? "syn" : "synack", t).ok());
+    if (i % 100 == 99) {
+      for (const char* s : {"packets", "syn", "synack"}) {
+        EXPECT_TRUE(
+            engine.IngestElement(s, Element(Punctuation::Watermark(ts)))
+                .ok());
+      }
+    }
+  }
+  engine.FinishAll();
+  return RowSet(*q);
+}
+
+TEST(EngineExecTest, EveryModeMatchesSerial) {
+  const std::vector<std::string> queries = {
+      "select ts, len * 2 as l2 from packets where len > 700",
+      "select tb, src_ip, count(*), sum(len) from packets "
+      "group by ts/60 as tb, src_ip",
+      "select s.ts, a.ts - s.ts as rtt "
+      "from syn s [range 40], synack a [range 40] "
+      "where s.src_ip = a.dst_ip",
+  };
+  struct Mode {
+    const char* name;
+    bool parallel;
+    bool columnar;
+    int shards;  // 0 = no sharding.
+  };
+  const Mode modes[] = {
+      {"parallel", true, false, 0},       {"parallel+columnar", true, true, 0},
+      {"shards4", false, false, 4},       {"shards4+parallel", true, false, 4},
+      {"shards4+parallel+columnar", true, true, 4},
+  };
+  for (const std::string& query : queries) {
+    const bool stateful = query != queries[0];
+    const std::multiset<std::string> serial = RunUnder(query, {}, stateful);
+    EXPECT_GT(serial.size(), 0u) << query;
+    for (const Mode& m : modes) {
+      ExecutionOptions exec;
+      exec.columnar = m.columnar;
+      if (m.parallel) exec.parallel.emplace();
+      if (m.shards > 0) {
+        exec.sharding.emplace();
+        exec.sharding->shards = m.shards;
+      }
+      EXPECT_EQ(RunUnder(query, exec, stateful), serial)
+          << m.name << ": " << query;
+    }
+  }
+}
+
+TEST(EngineExecTest, RefusedSubmitPublishesNothing) {
+  StreamEngine engine;
+  StreamOptions slack;
+  slack.reorder_slack = 8;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  ASSERT_TRUE(engine.RegisterStream("synack", gen::PacketSchema()).ok());
   ASSERT_TRUE(
-      engine.RegisterStream("disordered", gen::PacketSchema(), {}, opts).ok());
+      engine.RegisterStream("disordered", gen::PacketSchema(), {}, slack)
+          .ok());
+  const std::string chain = "select ts from packets where len > 0";
+  const std::string join =
+      "select s.ts from packets s [range 10], synack a [range 10] "
+      "where s.src_ip = a.dst_ip";
+  AdaptiveShedOptions probed;
+  probed.backlog_probe = [] { return size_t{0}; };
 
-  auto fronted = engine.Submit("select ts from disordered where len > 0");
-  ASSERT_TRUE(fronted.ok());
-  EXPECT_FALSE(engine.EnableParallel(*fronted).ok());  // Has a front-end.
+  struct Refusal {
+    const char* why;
+    std::string query;
+    ExecutionOptions exec;
+  };
+  std::vector<Refusal> refusals(5);
+  refusals[0] = {"parallel with a reorder front-end",
+                 "select ts from disordered where len > 0", {}};
+  refusals[0].exec.parallel.emplace();
+  refusals[1] = {"shed on a multi-input query", join, {}};
+  refusals[1].exec.shed = probed;
+  refusals[2] = {"shed on a serial query with no probe", chain, {}};
+  refusals[2].exec.shed.emplace();
+  refusals[3] = {"shards < 1", chain, {}};
+  refusals[3].exec.sharding.emplace();
+  refusals[3].exec.sharding->shards = 0;
+  refusals[4] = {"columnar with neither parallel nor shards", chain, {}};
+  refusals[4].exec.columnar = true;
 
-  auto late = engine.Submit("select ts from packets where len > 0");
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(engine.Ingest("packets", Pkt(1, 1, 6, 10)).ok());
-  EXPECT_FALSE(engine.EnableParallel(*late).ok());  // Already ingested.
-
-  EXPECT_FALSE(engine.EnableParallel(nullptr).ok());
+  for (const Refusal& r : refusals) {
+    SubmitOptions opts;
+    opts.exec = r.exec;
+    auto q = engine.Submit(r.query, opts);
+    ASSERT_FALSE(q.ok()) << r.why;
+    EXPECT_EQ(q.status().code(), StatusCode::kFailedPrecondition) << r.why;
+  }
+  // No handle, registry collector, profile, monitor tick listener (the
+  // shed refusals never started the monitor) or lifecycle event.
+  EXPECT_EQ(engine.num_queries(), 0u);
+  EXPECT_TRUE(engine.ProfiledQueries().empty());
+  const obs::Snapshot snap = engine.Metrics().TakeSnapshot();
+  EXPECT_TRUE(snap.ops.empty());
+  for (const obs::Sample& smp : snap.samples) {
+    for (const auto& [key, value] : smp.labels) {
+      EXPECT_NE(key, "query") << smp.name;
+    }
+  }
+  EXPECT_EQ(engine.monitor(), nullptr);
+  EXPECT_EQ(engine.Events().total(), 0u);
+  // And no label was spent: the next accepted query is still q0.
+  auto ok = engine.Submit(chain);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ((*ok)->metrics_label(), "q0");
   engine.FinishAll();
 }
 

@@ -420,9 +420,10 @@ TEST(EngineHttpTest, RoutingTable) {
 TEST(MonitorEngineTest, ConcurrentTickIngestAndScrape) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit("select ts from packets where len > 100");
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
+  auto q = engine.Submit("select ts from packets where len > 100", popts);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.EnableParallel(*q).ok());
   obs::MonitorOptions mopt;
   mopt.period_ms = 1;
   engine.StartMonitor(mopt);
@@ -454,9 +455,10 @@ TEST(MonitorEngineTest, FourClientsScrapeConcurrently) {
   // other, the 1 ms sampler and parallel ingest. Run under TSan in CI.
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit("select ts from packets where len > 100");
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
+  auto q = engine.Submit("select ts from packets where len > 100", popts);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.EnableParallel(*q).ok());
   obs::MonitorOptions mopt;
   mopt.period_ms = 1;
   engine.StartMonitor(mopt);
@@ -505,10 +507,11 @@ TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
   // reads only atomics and registration-time copies.
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
   auto q = engine.Submit(
-      "select tb, count(*) from packets group by ts/60 as tb");
+      "select tb, count(*) from packets group by ts/60 as tb", popts);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.EnableParallel(*q).ok());
   auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok());
 
@@ -591,25 +594,21 @@ TEST(MonitorEngineTest, TopStringCarriesWatermarkLag) {
 TEST(AdaptiveSheddingTest, Validation) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit("select ts from packets");
-  ASSERT_TRUE(q.ok());
   // Serial query without a probe has nothing to observe.
-  EXPECT_FALSE(engine.EnableAdaptiveShedding(*q).ok());
-  EXPECT_FALSE(engine.EnableAdaptiveShedding(nullptr).ok());
-  AdaptiveShedOptions opt;
-  opt.backlog_probe = [] { return size_t{0}; };
-  ASSERT_TRUE(engine.EnableAdaptiveShedding(*q, opt).ok());
+  SubmitOptions unprobed;
+  unprobed.exec.shed.emplace();
+  EXPECT_FALSE(engine.Submit("select ts from packets", unprobed).ok());
+  SubmitOptions opt;
+  opt.exec.shed.emplace();
+  opt.exec.shed->backlog_probe = [] { return size_t{0}; };
+  auto q = engine.Submit("select ts from packets", opt);
+  ASSERT_TRUE(q.ok());
   EXPECT_TRUE((*q)->adaptive_shedding());
-  // Double-enable rejected.
-  EXPECT_FALSE(engine.EnableAdaptiveShedding(*q, opt).ok());
 }
 
 TEST(AdaptiveSheddingTest, ConvergesUnderOverloadAndRecovers) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto qr = engine.Submit("select ts from packets");
-  ASSERT_TRUE(qr.ok());
-  QueryHandle* q = *qr;
   obs::MonitorOptions mopt;
   mopt.period_ms = 0;  // The test drives ticks deterministically.
   engine.StartMonitor(mopt);
@@ -619,10 +618,13 @@ TEST(AdaptiveSheddingTest, ConvergesUnderOverloadAndRecovers) {
   // needs a ~50% drop rate.
   size_t sim_queue = 0;
   const double kTarget = 20.0;
-  AdaptiveShedOptions sopt;
-  sopt.controller.target_queue = kTarget;
-  sopt.backlog_probe = [&sim_queue] { return sim_queue; };
-  ASSERT_TRUE(engine.EnableAdaptiveShedding(q, sopt).ok());
+  SubmitOptions sopt;
+  sopt.exec.shed.emplace();
+  sopt.exec.shed->controller.target_queue = kTarget;
+  sopt.exec.shed->backlog_probe = [&sim_queue] { return sim_queue; };
+  auto qr = engine.Submit("select ts from packets", sopt);
+  ASSERT_TRUE(qr.ok());
+  QueryHandle* q = *qr;
 
   uint64_t ingested = 0;
   size_t prev_results = 0;

@@ -398,9 +398,10 @@ TEST(EngineMetricsTest, SerialQueryReportsPerOpRows) {
 TEST(EngineMetricsTest, ParallelQueryPublishesStageStats) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit("select ts, len from packets where len > 500");
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
+  auto q = engine.Submit("select ts, len from packets where len > 500", popts);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.EnableParallel(*q).ok());
 
   gen::PacketGenerator packets(gen::PacketOptions{});
   for (int i = 0; i < 5000; ++i) {
@@ -591,11 +592,12 @@ TEST(OpCountersTest, ScrapeWhileIngesting) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto serial = engine.Submit("select ts, len from packets where len > 500");
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
   auto parallel =
-      engine.Submit("select ts, len from packets where len > 500");
+      engine.Submit("select ts, len from packets where len > 500", popts);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(engine.EnableParallel(*parallel).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scrapes{0};

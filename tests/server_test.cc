@@ -780,6 +780,35 @@ TEST_F(QueryServerTest, ShedPolicyAttachesTheController) {
   EXPECT_NE(Del(port, "/session/" + sid).find(" 200 "), std::string::npos);
 }
 
+TEST_F(QueryServerTest, ShedOnAJoinIsRefusedWithNothingRegistered) {
+  ASSERT_TRUE(engine_.RegisterStream("synack", gen::PacketSchema()).ok());
+  int port = Serve();
+  const size_t queries = engine_.num_queries();
+  std::string resp = Post(port, "/query?policy=shed",
+                          "select s.ts from packets s [range 10], "
+                          "synack a [range 10] where s.src_ip = a.dst_ip");
+  // A plan the shed gate cannot front is a 409, not a CQL parse error.
+  EXPECT_NE(resp.find(" 409 "), std::string::npos) << resp;
+  EXPECT_EQ(JsonStr(Body(resp), "error"), "shed setup");
+  EXPECT_EQ(engine_.num_queries(), queries);
+  EXPECT_NE(Get(port, "/stats").find("\"sessions\":0"), std::string::npos);
+  const std::string events = Body(Get(port, "/events.json"));
+  EXPECT_EQ(events.find("query_submit"), std::string::npos) << events;
+  EXPECT_EQ(events.find("query_stop"), std::string::npos) << events;
+}
+
+TEST_F(QueryServerTest, ShedSessionIsGatedBeforeItsFirstRow) {
+  int port = Serve();
+  std::string sid = Submit(port, "select ts from packets", "?policy=shed");
+  ASSERT_FALSE(sid.empty());
+  ASSERT_EQ(engine_.num_queries(), 1u);
+  const QueryHandle* q = engine_.queries()[0].get();
+  // Submit installed the gate with the query: nothing was ingested yet.
+  EXPECT_TRUE(q->adaptive_shedding());
+  EXPECT_EQ(q->shed_dropped(), 0u);
+  EXPECT_NE(Del(port, "/session/" + sid).find(" 200 "), std::string::npos);
+}
+
 TEST_F(QueryServerTest, BadQueryAndBadRoutesReportErrors) {
   int port = Serve();
   std::string bad = Post(port, "/query", "select nonsense !!");

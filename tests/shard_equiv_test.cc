@@ -496,17 +496,15 @@ RunCqlBothWays(const std::string& query, bool join_inputs, bool also_parallel,
     EXPECT_TRUE(e->RegisterStream("syn", gen::PacketSchema()).ok());
     EXPECT_TRUE(e->RegisterStream("synack", gen::PacketSchema()).ok());
   }
+  SubmitOptions opts;
+  opts.exec.sharding.emplace();
+  opts.exec.sharding->shards = 4;
+  if (also_parallel) opts.exec.parallel.emplace();
   auto sq = serial.Submit(query);
-  auto pq = shard_eng.Submit(query);
+  auto pq = shard_eng.Submit(query, opts);
   EXPECT_TRUE(sq.ok()) << sq.status().ToString();
   EXPECT_TRUE(pq.ok()) << pq.status().ToString();
-  ShardPlanOptions opts;
-  opts.shards = 4;
-  EXPECT_TRUE(shard_eng.EnableSharding(*pq, opts).ok());
   EXPECT_TRUE((*pq)->sharded());
-  if (also_parallel) {
-    EXPECT_TRUE(shard_eng.EnableParallel(*pq).ok());
-  }
   if (sharded_handle_out != nullptr) *sharded_handle_out = *pq;
 
   Rng rng(3);
@@ -643,8 +641,11 @@ TEST(ShardEngineTest, ExplainAnalyzeOutCountsMatchTee) {
 TEST(ShardEngineTest, OrderingGuardsEnforced) {
   StreamEngine eng;
   ASSERT_TRUE(eng.RegisterStream("syn", gen::PacketSchema()).ok());
+  SubmitOptions popts;
+  popts.exec.parallel.emplace();
   auto q = eng.Submit(
-      "select tb, src_ip, count(*) from syn group by ts/60 as tb, src_ip");
+      "select tb, src_ip, count(*) from syn group by ts/60 as tb, src_ip",
+      popts);
   ASSERT_TRUE(q.ok());
 
   EXPECT_FALSE(eng.EnableSharding(nullptr).ok());
@@ -652,9 +653,8 @@ TEST(ShardEngineTest, OrderingGuardsEnforced) {
   zero.shards = 0;
   EXPECT_FALSE(eng.EnableSharding(*q, zero).ok());
 
-  // EnableParallel first: sharding must refuse (the stage captured the
-  // plan edges the rewrite would move).
-  ASSERT_TRUE(eng.EnableParallel(*q).ok());
+  // Parallel query: sharding must refuse (the stage captured the plan
+  // edges the rewrite would move).
   EXPECT_FALSE(eng.EnableSharding(*q).ok());
 
   // After the first ingest: refuse as well.
