@@ -507,7 +507,7 @@ int main(int argc, char** argv) {
     submit.exec.sharding.emplace();
     submit.exec.sharding->shards = static_cast<int>(shards);
   }
-  if (parallel) submit.exec.parallel.emplace();
+  submit.exec.parallel = parallel;
   if (adaptive_shed) {
     submit.exec.shed.emplace();
     submit.exec.shed->controller.target_queue = shed_target;
@@ -557,6 +557,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
     handles.push_back(*q);
   }
+  // The headers must reach a redirected stdout before the (possibly
+  // paced, lingering) run: a server stopped with kill never flushes.
+  std::fflush(stdout);
 
   // After Submit (recovery restores checkpointed state into the standing
   // queries, matched by query text) and before the first Ingest.

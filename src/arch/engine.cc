@@ -8,6 +8,13 @@ namespace sqp {
 
 namespace {
 
+/// Stage tuning of every parallel query (ExecutionOptions::parallel): a
+/// bounded queue that blocks the ingesting thread when full, and 64-
+/// element hand-off batches.
+constexpr size_t kParallelQueueLimit = 1024;
+constexpr Backpressure kParallelBackpressure = Backpressure::kBlock;
+constexpr size_t kParallelBatch = 64;
+
 /// Forwards every element to the collector (when retention is on) and
 /// the optional callback, and claims the query's pending end-to-end
 /// latency sample (armed at ingest) when an output tuple arrives.
@@ -191,10 +198,22 @@ Status StreamEngine::ValidateExec(const ExecutionOptions& exec,
   if (exec.sharding && exec.sharding->shards < 1) {
     return Status::FailedPrecondition("exec.sharding: shards must be >= 1");
   }
-  if (exec.columnar && !exec.parallel && !exec.sharding) {
-    return Status::FailedPrecondition(
-        "exec.columnar needs exec.parallel or exec.sharding: serial ingest "
-        "delivers one element at a time");
+  if (exec.columnar && !exec.parallel) {
+    // Without executor stages, columns are converted only inside shard
+    // replicas: the shard rewrite must splice at least one.
+    bool spliced = false;
+    if (exec.sharding) {
+      for (const ShardRewrite& rw :
+           PlanShardRewrites(q.query_->plan(), exec.sharding->shards)) {
+        spliced = spliced || rw.reason.empty();
+      }
+    }
+    if (!spliced) {
+      return Status::FailedPrecondition(
+          "exec.columnar needs exec.parallel, or exec.sharding that splices "
+          "a shard (shards > 1 and a shardable stateful operator): serial "
+          "ingest delivers one element at a time");
+    }
   }
   if (exec.parallel) {
     for (const QueryHandle::Tap& tap : q.taps_) {
@@ -227,10 +246,8 @@ void StreamEngine::LowerExec(QueryHandle& handle, ExecutionOptions exec) {
   // 1. Shard rewrite. First: the executor's stages capture plan edges
   // the rewrite moves.
   if (exec.sharding) {
-    exec.sharding->events = &events_;
-    exec.sharding->event_label = label;
-    handle.shard_rewrites_ =
-        ShardStatefulOps(q->plan(), *exec.sharding, exec.columnar);
+    handle.shard_rewrites_ = ShardStatefulOps(q->plan(), *exec.sharding,
+                                              exec.columnar, &events_, label);
     for (const ShardRewrite& rw : handle.shard_rewrites_) {
       if (rw.sharded == nullptr) continue;
       // The rewrite fixed the plan-internal edges; the query's external
@@ -260,9 +277,9 @@ void StreamEngine::LowerExec(QueryHandle& handle, ExecutionOptions exec) {
   // 2. Executor stages.
   if (exec.parallel) {
     ParallelExecutor::Stage base;
-    base.queue_limit = exec.parallel->queue_limit;
-    base.backpressure = exec.parallel->backpressure;
-    base.max_batch = exec.parallel->max_batch;
+    base.queue_limit = kParallelQueueLimit;
+    base.backpressure = kParallelBackpressure;
+    base.max_batch = kParallelBatch;
     std::vector<ParallelExecutor::Stage> stages;
     Operator* sink = nullptr;
     // A sharded plan always runs whole-query: a ShardedOp's merge worker

@@ -40,20 +40,6 @@ struct StreamOptions {
   int64_t heartbeat_period = 0;
 };
 
-/// Tuning for one query run on the threaded executor
-/// (ExecutionOptions::parallel).
-struct ParallelQueryOptions {
-  /// Bound per stage queue, in elements (0 = unbounded).
-  size_t queue_limit = 1024;
-  /// Full-queue behavior: block the ingesting thread or shed the tuple.
-  Backpressure backpressure = Backpressure::kBlock;
-  /// Hand-off batch size per stage (ParallelExecutor::Stage::max_batch):
-  /// the worker is woken once this many elements are queued and hands
-  /// them to its operator in ElementBatch runs of at most this size.
-  /// <= 1 delivers per element.
-  size_t max_batch = 64;
-};
-
 /// Tuning for monitor-driven adaptive shedding (ExecutionOptions::shed).
 struct AdaptiveShedOptions {
   /// PI controller tuning: the backlog to hold and the gains mapping
@@ -76,8 +62,9 @@ struct ExecutionOptions {
   /// Vectorized delivery: executor stages and shard replicas hand
   /// queued tuple runs to column-capable operators (select, project,
   /// punctuated group-by) as ColumnBatches; output is bit-identical to
-  /// the row path. Needs `parallel` or `sharding`: serial ingest
-  /// delivers one element at a time.
+  /// the row path. Needs `parallel`, or `sharding` that splices at
+  /// least one shard rewrite: serial ingest delivers one element at a
+  /// time.
   bool columnar = false;
   /// Key-partitioned data parallelism (ShardStatefulOps): each shardable
   /// stateful operator (joins, keyed group-bys) becomes `shards`
@@ -85,12 +72,12 @@ struct ExecutionOptions {
   /// the rest stay serial (QueryHandle::shard_rewrites() says why).
   /// `shards` must be >= 1.
   std::optional<ShardPlanOptions> sharding;
-  /// Threaded execution: Ingest only enqueues (blocking or shedding per
-  /// the options when the query falls behind) and FinishAll drains and
-  /// joins the workers. Single-input chains get one worker per
-  /// operator; other plans, and sharded ones, run whole on one worker.
-  /// Refused on streams with reorder/heartbeat front-ends.
-  std::optional<ParallelQueryOptions> parallel;
+  /// Threaded execution: Ingest only enqueues (blocking when the query
+  /// falls behind by a full 1024-element stage queue) and FinishAll
+  /// drains and joins the workers. Single-input chains get one worker
+  /// per operator; other plans, and sharded ones, run whole on one
+  /// worker. Refused on streams with reorder/heartbeat front-ends.
+  bool parallel = false;
   /// Closed-loop load shedding: a drop gate in front of the query whose
   /// rate a FeedbackShedder sets from the query's backlog each monitor
   /// tick (starting the monitor if none runs). Single-input queries

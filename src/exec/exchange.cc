@@ -47,54 +47,6 @@ int ShardRouter::Route(const Element& e, int port) {
                           static_cast<size_t>(shards_));
 }
 
-HashExchangeOp::HashExchangeOp(int shards, ShardRouting routing,
-                               std::vector<std::vector<int>> key_cols_by_port,
-                               std::string name)
-    : Operator(std::move(name)),
-      router_(shards, routing, std::move(key_cols_by_port)),
-      outs_(static_cast<size_t>(shards)),
-      routed_(static_cast<size_t>(shards), 0) {}
-
-void HashExchangeOp::SetShardOutput(int shard, Operator* op, int port) {
-  outs_[static_cast<size_t>(shard)] = ShardOut{op, port};
-}
-
-void HashExchangeOp::Forward(const Element& e, int shard) {
-  ++routed_[static_cast<size_t>(shard)];
-  // Multi-output fan-out can't use Emit (one out_): count each delivery.
-  CountOut(e);
-  const ShardOut& o = outs_[static_cast<size_t>(shard)];
-  if (o.op != nullptr) o.op->Process(e, o.port);
-}
-
-void HashExchangeOp::Push(const Element& e, int port) {
-  CountIn(e);
-  int target = router_.Route(e, port);
-  if (target == ShardRouter::kBroadcast) {
-    for (int i = 0; i < router_.shards(); ++i) Forward(e, i);
-    return;
-  }
-  Forward(e, target);
-}
-
-void HashExchangeOp::Flush() {
-  for (const ShardOut& o : outs_) {
-    if (o.op != nullptr) o.op->Flush();
-  }
-}
-
-double HashExchangeOp::SkewRatio() const {
-  uint64_t total = 0;
-  uint64_t peak = 0;
-  for (uint64_t r : routed_) {
-    total += r;
-    peak = std::max(peak, r);
-  }
-  if (total == 0) return 1.0;
-  double mean = static_cast<double>(total) / static_cast<double>(routed_.size());
-  return static_cast<double>(peak) / mean;
-}
-
 ShardMergeOp::ShardMergeOp(int shards, ShardRouting routing, std::string name)
     : Operator(std::move(name)),
       shards_(shards),

@@ -28,8 +28,8 @@ enum class ShardRouting { kDisjoint, kReplicated };
 
 const char* ShardRoutingName(ShardRouting r);
 
-/// The routing decision shared by HashExchangeOp (serial, unit-testable)
-/// and ShardedOp (threaded): element + port -> one shard, or broadcast.
+/// ShardedOp's routing decision: element + port -> one shard, or
+/// broadcast.
 ///
 /// Watermarks always broadcast (every shard's windows must advance).
 /// Key-addressed punctuations (CloseKey) follow their key under disjoint
@@ -60,52 +60,6 @@ class ShardRouter {
   ShardRouting routing_;
   std::vector<std::vector<int>> key_cols_;
   uint64_t rr_ = 0;
-};
-
-/// Hash-partition exchange: routes each arriving element to one of N
-/// shard outputs (or all of them) per ShardRouter. The serial half of
-/// the data-parallel exchange — ShardedOp adds the queues and threads.
-///
-/// Single-caller like every operator; the shard outputs are invoked
-/// synchronously on the caller's thread.
-class HashExchangeOp : public Operator {
- public:
-  HashExchangeOp(int shards, ShardRouting routing,
-                 std::vector<std::vector<int>> key_cols_by_port,
-                 std::string name = "exchange");
-
-  /// Wires shard `i`'s output. All shards must be wired before the
-  /// first Push.
-  void SetShardOutput(int shard, Operator* op, int port = 0);
-
-  void Push(const Element& e, int port = 0) override;
-
-  /// Forwards the flush to every shard output (each exactly once per
-  /// upstream flush, preserving the per-port flush count binary
-  /// operators rely on).
-  void Flush() override;
-
-  /// Elements delivered to shard i (broadcasts count once per shard, so
-  /// the replicated mode's ingest amplification is visible here).
-  uint64_t routed(int shard) const {
-    return routed_[static_cast<size_t>(shard)];
-  }
-  /// Max over shards of routed / mean routed (1.0 = perfectly even).
-  double SkewRatio() const;
-
-  int shards() const { return router_.shards(); }
-
- private:
-  struct ShardOut {
-    Operator* op = nullptr;
-    int port = 0;
-  };
-
-  void Forward(const Element& e, int shard);
-
-  ShardRouter router_;
-  std::vector<ShardOut> outs_;
-  std::vector<uint64_t> routed_;
 };
 
 /// Punctuation-correct fan-in of N shard output streams back into one.

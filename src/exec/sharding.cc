@@ -15,60 +15,55 @@ bool AllPortsKeyed(const std::vector<std::vector<int>>& cols) {
 
 }  // namespace
 
-std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
-                                           const ShardPlanOptions& options,
-                                           bool columnar) {
+std::vector<ShardRewrite> PlanShardRewrites(const Plan& plan, int shards) {
   std::vector<ShardRewrite> rewrites;
-  // Snapshot the candidates first: splicing adds ShardedOps to the plan,
-  // and we must not revisit those (ShardedOp is not ShardableOperator,
-  // but iterating a vector being appended to is asking for trouble).
-  std::vector<Operator*> candidates;
-  for (const auto& op : plan.operators()) candidates.push_back(op.get());
-
-  for (Operator* op : candidates) {
-    auto* shardable = dynamic_cast<ShardableOperator*>(op);
+  for (const auto& op : plan.operators()) {
+    const auto* shardable = dynamic_cast<const ShardableOperator*>(op.get());
     if (shardable == nullptr) continue;
 
     ShardRewrite rw;
-    rw.original = op;
-    if (options.shards <= 1) {
-      rw.reason = "shards<=1";
-      rewrites.push_back(std::move(rw));
-      continue;
-    }
+    rw.original = op.get();
     std::string why;
-    if (!shardable->CanShard(&why)) {
+    if (shards <= 1) {
+      rw.reason = "shards<=1";
+    } else if (!shardable->CanShard(&why)) {
       rw.reason = why.empty() ? "not shardable" : why;
-      rewrites.push_back(std::move(rw));
-      continue;
+    } else {
+      std::vector<std::vector<int>> key_cols = shardable->ShardKeyColumns();
+      if (key_cols.size() >= 2) {
+        if (!AllPortsKeyed(key_cols)) rw.routing = ShardRouting::kReplicated;
+      } else if (key_cols.empty() || key_cols[0].empty()) {
+        // Unary with no partition key: round-robin would scatter one
+        // group's tuples across shards.
+        rw.reason = "no partition key";
+      }
     }
+    rewrites.push_back(std::move(rw));
+  }
+  return rewrites;
+}
 
-    std::vector<std::vector<int>> key_cols = shardable->ShardKeyColumns();
-    const bool binary = key_cols.size() >= 2;
-    ShardRouting routing = ShardRouting::kDisjoint;
-    if (binary) {
-      routing = options.routing;
-      if (!AllPortsKeyed(key_cols)) routing = ShardRouting::kReplicated;
-    } else if (key_cols.empty() || key_cols[0].empty()) {
-      // Unary with no partition key: round-robin would scatter one
-      // group's tuples across shards.
-      rw.reason = "no partition key";
-      rewrites.push_back(std::move(rw));
-      continue;
-    }
+std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
+                                           const ShardPlanOptions& options,
+                                           bool columnar,
+                                           obs::EventLog* events,
+                                           const std::string& event_label) {
+  // Decide first: splicing adds ShardedOps to the plan, and the walk must
+  // not see those.
+  std::vector<ShardRewrite> rewrites = PlanShardRewrites(plan, options.shards);
+  for (ShardRewrite& rw : rewrites) {
+    if (!rw.reason.empty()) continue;
+    Operator* op = rw.original;
+    auto* shardable = dynamic_cast<ShardableOperator*>(op);
 
     ShardedOpOptions op_opts;
     op_opts.shards = options.shards;
-    op_opts.routing = routing;
-    op_opts.key_cols = key_cols;
-    op_opts.queue_limit = options.queue_limit;
-    op_opts.backpressure = options.backpressure;
-    op_opts.merge_queue_limit = options.merge_queue_limit;
-    op_opts.batch = options.batch;
-    op_opts.expected_flushes = static_cast<int>(key_cols.size());
+    op_opts.routing = rw.routing;
+    op_opts.key_cols = shardable->ShardKeyColumns();
+    op_opts.expected_flushes = static_cast<int>(op_opts.key_cols.size());
     op_opts.columnar = columnar;
-    op_opts.events = options.events;
-    op_opts.event_label = options.event_label;
+    op_opts.events = events;
+    op_opts.event_label = event_label;
 
     ShardedOp* sharded = plan.Make<ShardedOp>(
         op_opts, [shardable](int) { return shardable->CloneReplica(); },
@@ -82,10 +77,7 @@ std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
       }
     }
     op->SetOutput(nullptr);
-
     rw.sharded = sharded;
-    rw.routing = routing;
-    rewrites.push_back(std::move(rw));
   }
   return rewrites;
 }

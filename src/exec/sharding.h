@@ -41,24 +41,12 @@ class ShardableOperator {
   virtual bool CanShard(std::string* why) const = 0;
 };
 
-/// Knobs of the ShardStatefulOps rewrite; the per-operator routing mode
-/// is derived (see ShardRewrite::routing), everything else passes
-/// through to each spliced ShardedOp.
+/// The ShardStatefulOps rewrite's one knob. Each spliced ShardedOp
+/// takes its routing from its operator's key columns (ShardRewrite::
+/// routing) and its queues and batch size from ShardedOpOptions'
+/// defaults.
 struct ShardPlanOptions {
   int shards = 4;
-  /// Preferred routing for binary operators. Unary operators are always
-  /// disjoint; a join with an unkeyed input port falls back to
-  /// replicated regardless of this preference.
-  ShardRouting routing = ShardRouting::kDisjoint;
-  size_t queue_limit = 1024;
-  Backpressure backpressure = Backpressure::kBlock;
-  size_t merge_queue_limit = 4096;
-  /// Hand-off batch size (ShardedOpOptions::batch).
-  size_t batch = 64;
-  /// Structured event sink + query label for backpressure-stall events,
-  /// passed through to every spliced ShardedOp (nullptr = silent).
-  obs::EventLog* events = nullptr;
-  std::string event_label;
 };
 
 /// One operator's outcome under the rewrite: either spliced (sharded !=
@@ -71,15 +59,26 @@ struct ShardRewrite {
   std::string reason;
 };
 
+/// The rewrite's per-operator decision, made without touching `plan`:
+/// one entry per ShardableOperator, with `reason` empty (and `routing`
+/// set) exactly when ShardStatefulOps would splice it. Binary operators
+/// route disjoint when every input port is keyed, replicated otherwise;
+/// unary operators need a partition key. With shards <= 1 every entry
+/// is skipped.
+std::vector<ShardRewrite> PlanShardRewrites(const Plan& plan, int shards);
+
 /// Plan rewrite: replaces every shardable stateful operator in `plan`
-/// with a ShardedOp running `options.shards` replicas of it, rewiring
-/// upstream outputs and inheriting the original's downstream edge. The
-/// original operators stay plan-owned (they serve as replica templates
-/// during the rewrite) but are disconnected from the DAG.
+/// (per PlanShardRewrites) with a ShardedOp running `options.shards`
+/// replicas of it, rewiring upstream outputs and inheriting the
+/// original's downstream edge. The original operators stay plan-owned
+/// (they serve as replica templates during the rewrite) but are
+/// disconnected from the DAG.
 ///
 /// `columnar` turns on columnar delivery inside each shard
 /// (ShardedOpOptions::columnar): replicas that support columns fold
-/// converted runs column-at-a-time.
+/// converted runs column-at-a-time. `events` and `event_label` pass
+/// through to every spliced ShardedOp for backpressure-stall events
+/// (nullptr = silent).
 ///
 /// Returns one entry per ShardableOperator found — spliced or skipped —
 /// so callers (the engine's execution lowering, ExecutionOptions::
@@ -92,7 +91,9 @@ struct ShardRewrite {
 /// bypassed.
 std::vector<ShardRewrite> ShardStatefulOps(Plan& plan,
                                            const ShardPlanOptions& options,
-                                           bool columnar = false);
+                                           bool columnar = false,
+                                           obs::EventLog* events = nullptr,
+                                           const std::string& event_label = {});
 
 }  // namespace sqp
 

@@ -400,7 +400,7 @@ TEST(EngineParallelTest, ChainQueryMatchesSerial) {
   StreamEngine par;
   ASSERT_TRUE(par.RegisterStream("packets", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto pq = par.Submit(kQuery, popts);
   ASSERT_TRUE(pq.ok());
   EXPECT_TRUE((*pq)->parallel());
@@ -426,7 +426,7 @@ TEST(EngineParallelTest, JoinQueryRunsWholePlanOnWorker) {
   ASSERT_TRUE(engine.RegisterStream("syn", gen::PacketSchema()).ok());
   ASSERT_TRUE(engine.RegisterStream("synack", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = engine.Submit(
       "select s.ts, a.ts - s.ts as rtt "
       "from syn s [range 100], synack a [range 100] "
@@ -492,7 +492,7 @@ std::multiset<std::string> RunUnder(const std::string& query,
   auto q = engine.Submit(query, opts);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   if (!q.ok()) return {};
-  EXPECT_EQ((*q)->parallel(), exec.parallel.has_value());
+  EXPECT_EQ((*q)->parallel(), exec.parallel);
   EXPECT_EQ((*q)->sharded(), stateful && exec.sharding.has_value());
   const ParallelExecutor* px = (*q)->parallel_executor();
   if (px != nullptr && px->num_stages() > 1) {
@@ -549,7 +549,7 @@ TEST(EngineExecTest, EveryModeMatchesSerial) {
     for (const Mode& m : modes) {
       ExecutionOptions exec;
       exec.columnar = m.columnar;
-      if (m.parallel) exec.parallel.emplace();
+      exec.parallel = m.parallel;
       if (m.shards > 0) {
         exec.sharding.emplace();
         exec.sharding->shards = m.shards;
@@ -581,10 +581,10 @@ TEST(EngineExecTest, RefusedSubmitPublishesNothing) {
     std::string query;
     ExecutionOptions exec;
   };
-  std::vector<Refusal> refusals(5);
+  std::vector<Refusal> refusals(7);
   refusals[0] = {"parallel with a reorder front-end",
                  "select ts from disordered where len > 0", {}};
-  refusals[0].exec.parallel.emplace();
+  refusals[0].exec.parallel = true;
   refusals[1] = {"shed on a multi-input query", join, {}};
   refusals[1].exec.shed = probed;
   refusals[2] = {"shed on a serial query with no probe", chain, {}};
@@ -594,6 +594,18 @@ TEST(EngineExecTest, RefusedSubmitPublishesNothing) {
   refusals[3].exec.sharding->shards = 0;
   refusals[4] = {"columnar with neither parallel nor shards", chain, {}};
   refusals[4].exec.columnar = true;
+  // Columnar without parallel runs only inside shard replicas, so a
+  // sharding request that splices nothing leaves it nowhere to run.
+  refusals[5] = {"columnar with shards 1",
+                 "select tb, src_ip, count(*) from packets "
+                 "group by ts/60 as tb, src_ip",
+                 {}};
+  refusals[5].exec.columnar = true;
+  refusals[5].exec.sharding.emplace();
+  refusals[5].exec.sharding->shards = 1;
+  refusals[6] = {"columnar with shards but nothing shardable", chain, {}};
+  refusals[6].exec.columnar = true;
+  refusals[6].exec.sharding.emplace();
 
   for (const Refusal& r : refusals) {
     SubmitOptions opts;

@@ -421,7 +421,7 @@ TEST(MonitorEngineTest, ConcurrentTickIngestAndScrape) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = engine.Submit("select ts from packets where len > 100", popts);
   ASSERT_TRUE(q.ok());
   obs::MonitorOptions mopt;
@@ -456,7 +456,7 @@ TEST(MonitorEngineTest, FourClientsScrapeConcurrently) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = engine.Submit("select ts from packets where len > 100", popts);
   ASSERT_TRUE(q.ok());
   obs::MonitorOptions mopt;
@@ -508,7 +508,7 @@ TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = engine.Submit(
       "select tb, count(*) from packets group by ts/60 as tb", popts);
   ASSERT_TRUE(q.ok());

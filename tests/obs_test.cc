@@ -399,7 +399,7 @@ TEST(EngineMetricsTest, ParallelQueryPublishesStageStats) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = engine.Submit("select ts, len from packets where len > 500", popts);
   ASSERT_TRUE(q.ok());
 
@@ -593,7 +593,7 @@ TEST(OpCountersTest, ScrapeWhileIngesting) {
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto serial = engine.Submit("select ts, len from packets where len > 500");
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto parallel =
       engine.Submit("select ts, len from packets where len > 500", popts);
   ASSERT_TRUE(serial.ok());

@@ -499,7 +499,7 @@ RunCqlBothWays(const std::string& query, bool join_inputs, bool also_parallel,
   SubmitOptions opts;
   opts.exec.sharding.emplace();
   opts.exec.sharding->shards = 4;
-  if (also_parallel) opts.exec.parallel.emplace();
+  if (also_parallel) opts.exec.parallel = true;
   auto sq = serial.Submit(query);
   auto pq = shard_eng.Submit(query, opts);
   EXPECT_TRUE(sq.ok()) << sq.status().ToString();
@@ -642,7 +642,7 @@ TEST(ShardEngineTest, OrderingGuardsEnforced) {
   StreamEngine eng;
   ASSERT_TRUE(eng.RegisterStream("syn", gen::PacketSchema()).ok());
   SubmitOptions popts;
-  popts.exec.parallel.emplace();
+  popts.exec.parallel = true;
   auto q = eng.Submit(
       "select tb, src_ip, count(*) from syn group by ts/60 as tb, src_ip",
       popts);

@@ -74,92 +74,6 @@ TEST(ShardRouterTest, EmptyKeyColumnsRoundRobin) {
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 0, 1, 2}));
 }
 
-// --- HashExchangeOp ---
-
-TEST(HashExchangeTest, PartitionsEveryTupleToExactlyOneShard) {
-  Plan plan;
-  auto* ex = plan.Make<HashExchangeOp>(
-      4, ShardRouting::kDisjoint, std::vector<std::vector<int>>{{1}});
-  std::vector<CollectorSink*> sinks;
-  for (int i = 0; i < 4; ++i) {
-    sinks.push_back(plan.Make<CollectorSink>());
-    ex->SetShardOutput(i, sinks.back());
-  }
-  const int n = 400;
-  for (int64_t i = 0; i < n; ++i) ex->Push(Element(T(i, i % 37)), 0);
-
-  uint64_t total = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(sinks[static_cast<size_t>(i)]->count(), ex->routed(i));
-    total += ex->routed(i);
-  }
-  EXPECT_EQ(total, static_cast<uint64_t>(n));
-  EXPECT_EQ(ex->stats().tuples_out, static_cast<uint64_t>(n));
-  // 37 keys over 4 shards: roughly even.
-  EXPECT_LT(ex->SkewRatio(), 2.0);
-}
-
-TEST(HashExchangeTest, OutCountsMatchRoutedCounts) {
-  // Forward bypasses Emit (one element, many outputs); every delivery,
-  // broadcast watermarks included, must still land in the out-counters.
-  Plan plan;
-  auto* ex = plan.Make<HashExchangeOp>(
-      3, ShardRouting::kDisjoint, std::vector<std::vector<int>>{{1}});
-  for (int i = 0; i < 3; ++i) ex->SetShardOutput(i, plan.Make<CountingSink>());
-  for (int64_t i = 0; i < 300; ++i) {
-    ex->Process(Element(T(i, i % 11)));
-    if (i % 100 == 99) ex->Process(Element(Punctuation::Watermark(i)));
-  }
-  uint64_t routed = 0;
-  for (int i = 0; i < 3; ++i) routed += ex->routed(i);
-  const obs::OpSnapshot s = ex->stats();
-  EXPECT_EQ(s.tuples_out + s.puncts_out, routed);
-  EXPECT_EQ(s.puncts_out, 9u);  // 3 watermarks x 3 shards.
-  EXPECT_EQ(s.wm_ts, 299);
-}
-
-TEST(HashExchangeTest, WatermarkReachesEveryShard) {
-  Plan plan;
-  auto* ex = plan.Make<HashExchangeOp>(
-      3, ShardRouting::kDisjoint, std::vector<std::vector<int>>{{1}});
-  std::vector<CollectorSink*> sinks;
-  for (int i = 0; i < 3; ++i) {
-    sinks.push_back(plan.Make<CollectorSink>());
-    ex->SetShardOutput(i, sinks.back());
-  }
-  ex->Push(Element(Punctuation::Watermark(9)), 0);
-  for (auto* s : sinks) {
-    ASSERT_EQ(s->punctuations().size(), 1u);
-    EXPECT_EQ(s->punctuations()[0].ts, 9);
-  }
-}
-
-TEST(HashExchangeTest, FlushFansOutOncePerShard) {
-  Plan plan;
-  auto* ex = plan.Make<HashExchangeOp>(
-      2, ShardRouting::kDisjoint, std::vector<std::vector<int>>{{1}});
-  std::vector<CountingSink*> sinks;
-  std::vector<int> flushes(2, 0);
-  // CountingSink doesn't record flushes; interpose callback operators.
-  class FlushCounter : public Operator {
-   public:
-    explicit FlushCounter(int* n) : Operator("flush-counter"), n_(n) {}
-    void Push(const Element& e, int = 0) override { CountIn(e); }
-    void Flush() override { ++*n_; }
-
-   private:
-    int* n_;
-  };
-  auto* f0 = plan.Make<FlushCounter>(&flushes[0]);
-  auto* f1 = plan.Make<FlushCounter>(&flushes[1]);
-  ex->SetShardOutput(0, f0);
-  ex->SetShardOutput(1, f1);
-  ex->Flush();
-  EXPECT_EQ(flushes[0], 1);
-  EXPECT_EQ(flushes[1], 1);
-  (void)sinks;
-}
-
 // --- ShardMergeOp ---
 
 TEST(ShardMergeTest, ForwardsTuplesInArrivalOrder) {
