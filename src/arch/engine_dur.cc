@@ -176,16 +176,40 @@ Status StreamEngine::RecoverLocked() {
       std::vector<CheckpointableOperator*> ops;
       std::string why;
       if (!CollectCheckpointOps(*q, &ops, &why)) break;
+      // A saved state that does not fit the plan (corrupt, or an older
+      // layout) leaves the query as built and it replays from seq 0, as
+      // CheckpointableOperator promises.
       if (ops.size() != qc.op_states.size()) {
-        return Status::Internal(StrFormat(
-            "checkpoint #%llu holds %zu operator states but the plan for "
-            "\"%s\" has %zu checkpointable operators",
-            static_cast<unsigned long long>(ckpt.id), qc.op_states.size(),
-            q->text_.c_str(), ops.size()));
+        events_.Emit(obs::EventKind::kCheckpointRestored, q->metrics_label_,
+                     StrFormat("checkpoint holds %zu operator states, the "
+                               "plan has %zu; replaying from seq 0",
+                               qc.op_states.size(), ops.size()));
+        break;
       }
-      for (size_t j = 0; j < ops.size(); ++j) {
+      // Keep the operators' fresh state, to put back if a restore fails
+      // part way.
+      std::vector<std::string> fresh;
+      fresh.reserve(ops.size());
+      for (const CheckpointableOperator* op : ops) {
+        dur::BufWriter w;
+        op->SaveState(w);
+        fresh.push_back(w.Take());
+      }
+      Status restore;
+      for (size_t j = 0; j < ops.size() && restore.ok(); ++j) {
         dur::BufReader r(qc.op_states[j]);
-        SQP_RETURN_NOT_OK(ops[j]->RestoreState(r));
+        restore = ops[j]->RestoreState(r);
+      }
+      if (!restore.ok()) {
+        for (size_t j = 0; j < ops.size(); ++j) {
+          dur::BufReader r(fresh[j]);
+          SQP_RETURN_NOT_OK(ops[j]->RestoreState(r));
+        }
+        events_.Emit(obs::EventKind::kCheckpointRestored,
+                     q->metrics_label_,
+                     "state did not restore (" + restore.ToString() +
+                         "); replaying from seq 0");
+        break;
       }
       start_seq[q.get()] = ckpt.position;
       ++recovery_.restored_queries;

@@ -6,7 +6,6 @@
 #include "exec/aggregate_op.h"
 #include "exec/project.h"
 #include "exec/select.h"
-#include "exec/sym_hash_join.h"
 #include "exec/window_agg.h"
 #include "exec/window_join.h"
 
@@ -177,7 +176,6 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
     if (lf != nullptr) pre[0] = cq->plan_.Make<SelectOp>(lf, "select-left");
     if (rf != nullptr) pre[1] = cq->plan_.Make<SelectOp>(rf, "select-right");
 
-    Operator* join = nullptr;
     bool w0 = q.from[0].window.has_value();
     bool w1 = q.from[1].window.has_value();
     if (w0 != w1) {
@@ -185,20 +183,16 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
           "either both join inputs must be windowed or neither");
     }
     // Join columns: left side indexes are combined (= stream-0 local).
-    std::vector<int> lcols = aq.join_left_cols;
-    std::vector<int> rcols = aq.join_right_cols;
+    // Unwindowed inputs join over landmark windows that never expire:
+    // the symmetric hash join [WA91].
+    auto opt = BinaryWindowJoinOp::Options::Unwindowed(aq.join_left_cols,
+                                                       aq.join_right_cols);
     if (w0) {
-      BinaryWindowJoinOp::Options opt;
-      opt.left_cols = lcols;
-      opt.right_cols = rcols;
       opt.left_window = *q.from[0].window;
       opt.right_window = *q.from[1].window;
-      join = cq->plan_.Make<BinaryWindowJoinOp>(opt);
-      desc += "window-join -> ";
-    } else {
-      join = cq->plan_.Make<SymmetricHashJoinOp>(lcols, rcols);
-      desc += "sym-hash-join -> ";
     }
+    Operator* join = cq->plan_.Make<BinaryWindowJoinOp>(opt);
+    desc += w0 ? "window-join -> " : "window-join[landmark] -> ";
     for (int s = 0; s < 2; ++s) {
       if (pre[s] != nullptr) {
         pre[s]->SetOutput(join, s);

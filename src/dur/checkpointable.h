@@ -10,8 +10,9 @@ namespace sqp {
 
 /// Mixin for operators whose in-memory state can round-trip through a
 /// checkpoint (dur::Checkpoint). Implemented by the stateful synopses
-/// the CQL planner emits — windowed group-by, punctuated group-by,
-/// symmetric hash join, distinct — plus the result collector.
+/// the CQL planner emits — group-by, punctuated group-by, the
+/// window join (sliding or landmark windows), distinct — plus the
+/// result collector.
 ///
 /// Contract: SaveState on a quiescent operator (the single driving
 /// thread is parked in the checkpoint) followed by RestoreState on a

@@ -15,6 +15,39 @@ const char* JoinStrategyName(JoinStrategy s) {
   return "?";
 }
 
+BinaryWindowJoinOp::Options BinaryWindowJoinOp::Options::Unwindowed(
+    std::vector<int> left_cols, std::vector<int> right_cols) {
+  return {.left_cols = std::move(left_cols),
+          .right_cols = std::move(right_cols),
+          .left_window = WindowSpec::Landmark(INT64_MIN),
+          .right_window = WindowSpec::Landmark(INT64_MIN)};
+}
+
+const FifoLog<TupleRef>& BinaryWindowJoinOp::Side::contents() const {
+  if (time_buf != nullptr) return time_buf->contents();
+  if (count_buf != nullptr) return count_buf->contents();
+  return landmark;
+}
+
+void BinaryWindowJoinOp::Side::Reset() {
+  time_buf.reset();
+  count_buf.reset();
+  landmark.clear();
+  landmark_bytes = 0;
+  index.clear();
+  spare_entries.clear();
+  assert(window.Validate().ok());
+  if (window.kind == WindowKind::kTimeSliding) {
+    time_buf = std::make_unique<TimeWindowBuffer>(window.size);
+  } else if (window.kind == WindowKind::kCountSliding) {
+    count_buf =
+        std::make_unique<CountWindowBuffer>(static_cast<size_t>(window.size));
+  } else {
+    assert(window.kind == WindowKind::kTimeLandmark &&
+           "window join supports sliding and landmark windows");
+  }
+}
+
 BinaryWindowJoinOp::BinaryWindowJoinOp(Options options, std::string name)
     : Operator(std::move(name)),
       options_(std::move(options)),
@@ -27,19 +60,11 @@ BinaryWindowJoinOp::BinaryWindowJoinOp(Options options, std::string name)
   sides_[0].strategy = options_.left_strategy;
   sides_[1].strategy = options_.right_strategy;
   assert(!left_outer_ || right_arity_ > 0);
-  for (Side& s : sides_) {
-    assert(s.window.Validate().ok());
-    switch (s.window.kind) {
-      case WindowKind::kTimeSliding:
-        s.time_buf = std::make_unique<TimeWindowBuffer>(s.window.size);
-        break;
-      case WindowKind::kCountSliding:
-        s.count_buf = std::make_unique<CountWindowBuffer>(
-            static_cast<size_t>(s.window.size));
-        break;
-      default:
-        assert(false && "window join supports sliding windows");
-    }
+  for (int s = 0; s < 2; ++s) {
+    Side& side = sides_[s];
+    side.logs_landmark =
+        side.strategy == JoinStrategy::kNestedLoop || (s == 0 && left_outer_);
+    side.Reset();
   }
 }
 
@@ -87,28 +112,21 @@ uint64_t BinaryWindowJoinOp::Probe(const Side& probe_side, const KeyView& key,
   // Nested loop: scan the window buffer, comparing each candidate's key
   // columns directly against the already-extracted probe key — no
   // per-candidate key construction.
-  auto scan = [&](const auto& contents) {
-    const std::vector<int>& cols = probe_side.key_cols;
-    for (const TupleRef& match : contents) {
-      ++jstats_.nl_comparisons;
-      bool eq = cols.size() == key.size();
-      for (size_t c = 0; eq && c < cols.size(); ++c) {
-        eq = match->at(static_cast<size_t>(cols[c])) == key.part(c);
-      }
-      if (eq) {
-        ++matches;
-        if (t_is_left) {
-          EmitJoined(t, *match);
-        } else {
-          EmitJoined(*match, t);
-        }
+  const std::vector<int>& cols = probe_side.key_cols;
+  for (const TupleRef& match : probe_side.contents()) {
+    ++jstats_.nl_comparisons;
+    bool eq = cols.size() == key.size();
+    for (size_t c = 0; eq && c < cols.size(); ++c) {
+      eq = match->at(static_cast<size_t>(cols[c])) == key.part(c);
+    }
+    if (eq) {
+      ++matches;
+      if (t_is_left) {
+        EmitJoined(t, *match);
+      } else {
+        EmitJoined(*match, t);
       }
     }
-  };
-  if (probe_side.time_buf != nullptr) {
-    scan(probe_side.time_buf->contents());
-  } else {
-    scan(probe_side.count_buf->contents());
   }
   return matches;
 }
@@ -130,6 +148,7 @@ void BinaryWindowJoinOp::RemoveFromIndex(Side& side) {
 }
 
 void BinaryWindowJoinOp::HandleExpired(int side) {
+  if (expired_.empty()) return;
   RemoveFromIndex(sides_[side]);
   if (side == 0 && left_outer_) {
     // Outer semantics: a left tuple leaving the window unmatched will
@@ -148,26 +167,40 @@ void BinaryWindowJoinOp::HandleExpired(int side) {
   expired_.clear();
 }
 
-void BinaryWindowJoinOp::Insert(Side& side, const TupleRef& t) {
-  if (side.time_buf != nullptr) {
-    side.time_buf->Insert(t, &expired_);
-  } else if (auto evicted = side.count_buf->Insert(t)) {
-    expired_.push_back(std::move(*evicted));
+void BinaryWindowJoinOp::Side::Append(const TupleRef& t,
+                                      std::vector<TupleRef>* expired) {
+  if (time_buf != nullptr) {
+    time_buf->Insert(t, expired);
+  } else if (count_buf != nullptr) {
+    if (auto evicted = count_buf->Insert(t)) {
+      expired->push_back(std::move(*evicted));
+    }
+  } else if (t->ts() >= window.start) {
+    landmark_bytes += t->MemoryBytes();
+    if (logs_landmark) landmark.push_back(t);
+  } else {
+    expired->push_back(t);
   }
+}
+
+void BinaryWindowJoinOp::Insert(Side& side, const TupleRef& t) {
+  side.Append(t, &expired_);
   // A tuple already older than the window expires on arrival, after
   // everything before it; it never enters the index. Expiring before
   // indexing lets a new key reuse the entry an expired key just left.
   const bool late = !expired_.empty() && expired_.back() == t;
   HandleExpired(static_cast<int>(&side - &sides_[0]));
-  if (side.strategy == JoinStrategy::kHash && !late) {
-    KeyView key(*t, side.key_cols);
-    auto it = side.index.find(key);
-    if (it == side.index.end()) {
-      it = InsertReusing(side.index, side.spare_entries, key,
-                         [] { return std::vector<TupleRef>{}; });
-    }
-    it->second.push_back(t);
+  if (side.strategy == JoinStrategy::kHash && !late) side.AddToIndex(t);
+}
+
+void BinaryWindowJoinOp::Side::AddToIndex(const TupleRef& t) {
+  KeyView key(*t, key_cols);
+  auto it = index.find(key);
+  if (it == index.end()) {
+    it = InsertReusing(index, spare_entries, key,
+                       [] { return std::vector<TupleRef>{}; });
   }
+  it->second.push_back(t);
 }
 
 void BinaryWindowJoinOp::Push(const Element& e, int port) {
@@ -204,20 +237,12 @@ void BinaryWindowJoinOp::Push(const Element& e, int port) {
 
 void BinaryWindowJoinOp::Flush() {
   if (++flushes_ < 2) return;
-  if (left_outer_) {
+  if (left_outer_ && flushes_ == 2) {
     // End of stream: everything still in the left window that never
-    // matched is reported unmatched.
-    auto drain = [&](const auto& contents) {
-      for (const TupleRef& t : contents) {
-        if (left_matched_.count(t.get()) == 0) {
-          EmitUnmatchedLeft(*t, t->ts());
-        }
-      }
-    };
-    if (sides_[0].time_buf != nullptr) {
-      drain(sides_[0].time_buf->contents());
-    } else if (sides_[0].count_buf != nullptr) {
-      drain(sides_[0].count_buf->contents());
+    // matched is reported unmatched, once (a join restored from a
+    // post-flush checkpoint is flushed again).
+    for (const TupleRef& t : sides_[0].contents()) {
+      if (left_matched_.count(t.get()) == 0) EmitUnmatchedLeft(*t, t->ts());
     }
   }
   Operator::Flush();
@@ -240,16 +265,107 @@ bool BinaryWindowJoinOp::CanShard(std::string* why) const {
 size_t BinaryWindowJoinOp::StateBytes() const {
   size_t bytes = sizeof(*this);
   for (const Side& s : sides_) {
-    const size_t window = s.time_buf != nullptr ? s.time_buf->MemoryBytes()
-                                                : s.count_buf->MemoryBytes();
-    bytes += window;
-    // A hash index holds exactly the window's tuples.
-    if (s.strategy == JoinStrategy::kHash) bytes += window;
+    if (s.time_buf == nullptr && s.count_buf == nullptr) {
+      // Landmark: the tuples once, and the log's references if any.
+      bytes += s.landmark_bytes + s.landmark.capacity_bytes();
+    } else {
+      const size_t window = TupleBytes(s.contents());
+      bytes += window;
+      // A hash index holds exactly the window's tuples.
+      if (s.strategy == JoinStrategy::kHash) bytes += window;
+    }
     // Bucket overhead, spare entries included.
     bytes += (s.index.size() + s.spare_entries.size()) * 48;
   }
   bytes += left_matched_.size() * 16;
   return bytes;
+}
+
+namespace {
+// Leads the saved state. The retired unwindowed join's layout began with
+// its flush count (0-2) as an I64, so it never parses as this one.
+constexpr uint32_t kStateTag = 0x314e4a57;  // "WJN1"
+}  // namespace
+
+void BinaryWindowJoinOp::SaveState(dur::BufWriter& w) const {
+  w.U32(kStateTag);
+  w.I64(flushes_);
+  for (int s = 0; s < 2; ++s) {
+    const Side& side = sides_[s];
+    w.U8(static_cast<uint8_t>(side.window.kind));
+    if (side.time_buf != nullptr) w.I64(side.time_buf->now());
+    if (side.time_buf == nullptr && side.count_buf == nullptr &&
+        !side.logs_landmark) {
+      // Only the index holds this landmark side: save it key by key, as
+      // a hash probe reads only each key's arrival order.
+      size_t n = 0;
+      for (const auto& entry : side.index) n += entry.second.size();
+      w.U32(static_cast<uint32_t>(n));
+      for (const auto& entry : side.index) {
+        for (const TupleRef& t : entry.second) w.Tup(*t);
+      }
+      continue;
+    }
+    const FifoLog<TupleRef>& contents = side.contents();
+    w.U32(static_cast<uint32_t>(contents.size()));
+    for (const TupleRef& t : contents) {
+      w.Tup(*t);
+      if (s == 0 && left_outer_) w.U8(left_matched_.count(t.get()) != 0);
+    }
+  }
+}
+
+Status BinaryWindowJoinOp::RestoreState(dur::BufReader& r) {
+  uint32_t tag = 0;
+  SQP_RETURN_NOT_OK(r.U32(&tag));
+  if (tag != kStateTag) {
+    return Status::Internal("window join: unknown checkpoint layout");
+  }
+  int64_t flushes = 0;
+  SQP_RETURN_NOT_OK(r.I64(&flushes));
+  flushes_ = static_cast<int>(flushes);
+  left_matched_.clear();
+  expired_.clear();
+  for (int s = 0; s < 2; ++s) {
+    Side& side = sides_[s];
+    side.Reset();
+    uint8_t kind = 0;
+    SQP_RETURN_NOT_OK(r.U8(&kind));
+    if (kind != static_cast<uint8_t>(side.window.kind)) {
+      return Status::Internal("window join: checkpoint window kind mismatch");
+    }
+    int64_t now = INT64_MIN;
+    if (side.time_buf != nullptr) SQP_RETURN_NOT_OK(r.I64(&now));
+    uint32_t n = 0;
+    SQP_RETURN_NOT_OK(r.U32(&n));
+    for (uint32_t i = 0; i < n; ++i) {
+      TupleRef t;
+      SQP_RETURN_NOT_OK(r.Tup(&t));
+      uint8_t matched = 0;
+      if (s == 0 && left_outer_) SQP_RETURN_NOT_OK(r.U8(&matched));
+      // Re-appending in the saved order rebuilds the window exactly:
+      // what was saved was inside it, so nothing may expire on the way.
+      side.Append(t, &expired_);
+      if (!expired_.empty()) {
+        expired_.clear();
+        return Status::Internal("window join: checkpoint tuple outside window");
+      }
+      if (matched != 0) left_matched_.insert(t.get());
+      if (side.strategy == JoinStrategy::kHash) side.AddToIndex(t);
+    }
+    // INT64_MIN: this side's clock never moved.
+    if (side.time_buf != nullptr && now != INT64_MIN) {
+      if (now < INT64_MIN + side.window.size) {
+        return Status::Internal("window join: checkpoint clock out of range");
+      }
+      side.time_buf->AdvanceTo(now, &expired_);
+      if (!expired_.empty()) {
+        expired_.clear();
+        return Status::Internal("window join: checkpoint clock past window");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace sqp

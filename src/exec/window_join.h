@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fifo_log.h"
+#include "dur/checkpointable.h"
 #include "exec/operator.h"
 #include "exec/sharding.h"
 #include "window/count_window.h"
@@ -41,15 +43,23 @@ struct WindowJoinStats {
 ///   2. insert the tuple into A's window,
 ///   3. invalidate expired tuples in A's window.
 ///
-/// Windows are per-side (time- or count-based); probe strategy is
-/// per-side too: `left_strategy` is the strategy used to probe the
-/// *left* window (i.e. applied when a right tuple arrives).
+/// Windows are per-side (time- or count-sliding, or landmark); probe
+/// strategy is per-side too: `left_strategy` is the strategy used to
+/// probe the *left* window (i.e. applied when a right tuple arrives).
+///
+/// Landmark windows on both sides make this the unwindowed symmetric
+/// hash join [WA91] (slide 31), which is how the CQL planner lowers a
+/// join of two unwindowed streams: a landmark side keeps every tuple
+/// from `window.start` on and never expires, so it takes input in any
+/// timestamp order.
 ///
 /// Steady state allocates only the rows it emits: an index entry whose
 /// last tuple expired is kept as a spare node, with its vector's
 /// capacity, for the next new key, so live plus spare entries never
 /// exceed the most keys the index ever held.
-class BinaryWindowJoinOp : public Operator, public ShardableOperator {
+class BinaryWindowJoinOp : public Operator,
+                           public ShardableOperator,
+                           public CheckpointableOperator {
  public:
   struct Options {
     std::vector<int> left_cols;
@@ -64,6 +74,11 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
     /// the SYN/SYN-ACK monitor (connection attempts that never complete).
     bool left_outer = false;
     size_t right_arity = 0;
+
+    /// The unwindowed join: landmark windows that start at the
+    /// beginning of time on both sides, hash-probed.
+    static Options Unwindowed(std::vector<int> left_cols,
+                              std::vector<int> right_cols);
   };
 
   explicit BinaryWindowJoinOp(Options options,
@@ -81,11 +96,20 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
   std::vector<std::vector<int>> ShardKeyColumns() const override {
     return {options_.left_cols, options_.right_cols};
   }
-  /// Time windows shard cleanly (expiry is by timestamp, identical on
-  /// every replica). Count windows don't: a shard's last-N of its slice
-  /// is not the stream's last-N. Outer joins don't either: pad-row
-  /// timestamps come from the window's shard-local clock.
+  /// Time and landmark windows shard cleanly (expiry is by timestamp,
+  /// or never, identical on every replica). Count windows don't: a
+  /// shard's last-N of its slice is not the stream's last-N. Outer joins
+  /// don't either: pad-row timestamps come from the window's shard-local
+  /// clock.
   bool CanShard(std::string* why) const override;
+
+  /// Checkpointing: a leading format tag, the flush count, then per side
+  /// the window kind, its clock (time windows), and its tuples in
+  /// arrival order (key by key for a landmark side that only its index
+  /// holds), each followed by its matched flag on an outer join's left
+  /// side. Restore rebuilds the hash indexes and emits nothing.
+  void SaveState(dur::BufWriter& w) const override;
+  Status RestoreState(dur::BufReader& r) override;
 
  private:
   struct Side {
@@ -94,12 +118,30 @@ class BinaryWindowJoinOp : public Operator, public ShardableOperator {
     JoinStrategy strategy = JoinStrategy::kHash;
     std::unique_ptr<TimeWindowBuffer> time_buf;
     std::unique_ptr<CountWindowBuffer> count_buf;
+    /// Landmark window: appended in arrival order, never popped, and
+    /// kept only where that order is read (a nested-loop scan, the outer
+    /// drain). A hash-probed landmark side is otherwise its index alone.
+    bool logs_landmark = false;
+    FifoLog<TupleRef> landmark;
+    /// Sum of MemoryBytes over the landmark window, kept as it grows so
+    /// StateBytes does not walk a window that never shrinks.
+    size_t landmark_bytes = 0;
     using Index = KeyMap<std::vector<TupleRef>>;
     /// Hash index over the window (kHash only); lazily purged.
     /// KeyView-probed: arrivals and expiries never allocate for lookups.
     Index index;
     /// Emptied index entries, reused by the next new keys.
     std::vector<Index::node_type> spare_entries;
+
+    /// The window's tuples in arrival order (none for a landmark side
+    /// without a log).
+    const FifoLog<TupleRef>& contents() const;
+    /// Appends `t` to the window; tuples that leave it (`t` itself if it
+    /// is already outside) go to `expired`.
+    void Append(const TupleRef& t, std::vector<TupleRef>* expired);
+    void AddToIndex(const TupleRef& t);
+    /// Empties the window and index, as built.
+    void Reset();
   };
 
   void Insert(Side& side, const TupleRef& t);

@@ -68,7 +68,6 @@
 #include "exec/reorder.h"
 #include "exec/select.h"
 #include "exec/streamify.h"
-#include "exec/sym_hash_join.h"
 #include "exec/union.h"
 #include "exec/window_agg.h"
 #include "exec/window_join.h"

@@ -21,7 +21,6 @@
 #include "exec/operator.h"
 #include "exec/project.h"
 #include "exec/punct_groupby.h"
-#include "exec/sym_hash_join.h"
 #include "exec/window_agg.h"
 #include "exec/window_join.h"
 #include "stream/element_batch.h"
@@ -126,7 +125,8 @@ TEST(AllocProbeTest, SymHashJoinExistingKeyPushIsAllocationFree) {
   // Warm up one key on the left side far enough that the bucket vector
   // has spare capacity; then a further same-key push probes the (empty-
   // for-this-key) right table and appends — zero allocations.
-  SymmetricHashJoinOp join({0}, {0});
+  BinaryWindowJoinOp join(
+      BinaryWindowJoinOp::Options::Unwindowed({0}, {0}));
   CountingSink sink;
   join.SetOutput(&sink);
   std::vector<Element> warm;

@@ -19,8 +19,8 @@
 #include "exec/operator.h"
 #include "exec/project.h"
 #include "exec/select.h"
-#include "exec/sym_hash_join.h"
 #include "exec/window_agg.h"
+#include "exec/window_join.h"
 #include "sched/parallel_executor.h"
 #include "sched/policies.h"
 #include "sched/queued_executor.h"
@@ -96,7 +96,7 @@ class SelfJoinStage : public Operator {
  public:
   SelfJoinStage()
       : Operator("self-join"),
-        join_({0}, {0}),
+        join_(BinaryWindowJoinOp::Options::Unwindowed({0}, {0})),
         bridge_([this](const Element& e) { Emit(e); }) {
     join_.SetOutput(&bridge_);
   }
@@ -117,7 +117,7 @@ class SelfJoinStage : public Operator {
   }
 
  private:
-  SymmetricHashJoinOp join_;
+  BinaryWindowJoinOp join_;
   CallbackSink bridge_;
 };
 

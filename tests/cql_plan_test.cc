@@ -188,7 +188,8 @@ TEST(CompileTest, JoinWithoutWindowsUsesSymmetricHash) {
       "select s.ts from syn s, synack a where s.src_ip = a.dst_ip", cat);
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
   EXPECT_EQ((*cq)->memory().verdict, MemoryVerdict::kUnbounded);
-  EXPECT_NE((*cq)->plan_desc().find("sym-hash-join"), std::string::npos);
+  EXPECT_NE((*cq)->plan_desc().find("window-join[landmark]"),
+            std::string::npos);
 }
 
 TEST(CompileTest, CompileErrors) {

@@ -343,19 +343,33 @@ TEST(DurCheckpointTest, CorruptLatestFallsBackToPrevious) {
 constexpr char kAggQuery[] =
     "select tb, protocol, count(*), sum(len) from packets "
     "group by ts/10 as tb, protocol";
+// rtt-shaped self-joins: a windowed one, and the same join unwindowed
+// (landmark windows that never expire).
+constexpr char kWindowedJoin[] =
+    "select a.ts, a.ts - b.ts as gap "
+    "from packets a [range 20], packets b [range 20] "
+    "where a.src_ip = b.src_ip";
+constexpr char kUnwindowedJoin[] =
+    "select a.ts, a.ts - b.ts as gap from packets a, packets b "
+    "where a.src_ip = b.src_ip";
+// Plan shapes whose every operator checkpoints: recovery must restore
+// them, not replay them.
+const char* const kRestoredQueries[] = {kAggQuery, kWindowedJoin,
+                                        kUnwindowedJoin};
+
+TupleRef NthPkt(int i) { return Pkt(i, i % 7, i % 2 == 0 ? 6 : 17, i % 512); }
 
 void IngestRange(StreamEngine& engine, int from, int to) {
   for (int i = from; i < to; ++i) {
-    ASSERT_TRUE(
-        engine.Ingest("packets", Pkt(i, i % 7, i % 2 == 0 ? 6 : 17, i % 512))
-            .ok());
+    ASSERT_TRUE(engine.Ingest("packets", NthPkt(i)).ok());
   }
 }
 
-std::vector<std::string> ReferenceRows(int tuples) {
+std::vector<std::string> ReferenceRows(int tuples,
+                                       const char* query = kAggQuery) {
   StreamEngine ref;
   EXPECT_TRUE(ref.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = ref.Submit(kAggQuery);
+  auto q = ref.Submit(query);
   EXPECT_TRUE(q.ok());
   IngestRange(ref, 0, tuples);
   ref.FinishAll();
@@ -364,10 +378,11 @@ std::vector<std::string> ReferenceRows(int tuples) {
 
 std::vector<std::string> RecoverRows(const std::string& dir,
                                      bool use_checkpoint,
-                                     RecoveryReport* report = nullptr) {
+                                     RecoveryReport* report = nullptr,
+                                     const char* query = kAggQuery) {
   StreamEngine engine;
   EXPECT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit(kAggQuery);
+  auto q = engine.Submit(query);
   EXPECT_TRUE(q.ok());
   dur::DurabilityOptions opt;
   opt.use_checkpoint = use_checkpoint;
@@ -379,80 +394,207 @@ std::vector<std::string> RecoverRows(const std::string& dir,
 }
 
 TEST(EngineDurabilityTest, FinishedRunReplaysIdentically) {
-  std::string dir = TempDir("finished");
   const int kTuples = 500;
-  std::vector<std::string> live;
-  {
-    StreamEngine engine;
-    ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-    auto q = engine.Submit(kAggQuery);
-    ASSERT_TRUE(q.ok());
-    dur::DurabilityOptions opt;
-    opt.checkpoint_every = 100;
-    ASSERT_TRUE(engine.EnableDurability(dir, opt).ok());
-    EXPECT_FALSE(engine.recovery_report().recovered);
-    IngestRange(engine, 0, kTuples);
-    engine.FinishAll();
-    live = Rows(*q);
+  for (const char* query : kRestoredQueries) {
+    SCOPED_TRACE(query);
+    std::string dir = TempDir("finished");
+    std::vector<std::string> live;
+    {
+      StreamEngine engine;
+      ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+      auto q = engine.Submit(query);
+      ASSERT_TRUE(q.ok());
+      dur::DurabilityOptions opt;
+      opt.checkpoint_every = 100;
+      ASSERT_TRUE(engine.EnableDurability(dir, opt).ok());
+      EXPECT_FALSE(engine.recovery_report().recovered);
+      IngestRange(engine, 0, kTuples);
+      engine.FinishAll();
+      live = Rows(*q);
+    }
+    EXPECT_FALSE(live.empty());
+    EXPECT_EQ(live, ReferenceRows(kTuples, query));
+
+    // Checkpoint-restore path: the final checkpoint holds everything, so
+    // nothing replays.
+    RecoveryReport rep;
+    EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/true, &rep, query), live);
+    EXPECT_TRUE(rep.recovered);
+    EXPECT_TRUE(rep.checkpoint_loaded);
+    EXPECT_EQ(rep.restored_queries, 1u);
+    EXPECT_EQ(rep.replay_from_zero_queries, 0u);
+    EXPECT_EQ(rep.replayed_tuples + rep.replayed_puncts, 0u);
+
+    // Full-replay audit path reproduces the same multiset from seq 0.
+    EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/false, &rep, query), live);
+    EXPECT_EQ(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
+    EXPECT_EQ(rep.restored_queries, 0u);
   }
-  EXPECT_EQ(live, ReferenceRows(kTuples));
-
-  // Checkpoint-restore path: the final checkpoint holds everything, so
-  // nothing replays.
-  RecoveryReport rep;
-  EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/true, &rep), live);
-  EXPECT_TRUE(rep.recovered);
-  EXPECT_TRUE(rep.checkpoint_loaded);
-  EXPECT_EQ(rep.restored_queries, 1u);
-  EXPECT_EQ(rep.replayed_tuples + rep.replayed_puncts, 0u);
-
-  // Full-replay audit path reproduces the same multiset from seq 0.
-  EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/false, &rep), live);
-  EXPECT_EQ(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
-  EXPECT_EQ(rep.restored_queries, 0u);
 }
 
 TEST(EngineDurabilityTest, SigkillMidRunRecoversEquivalently) {
-  std::string dir = TempDir("sigkill");
   const int kTuples = 700;
+  for (const char* query : kRestoredQueries) {
+    SCOPED_TRACE(query);
+    std::string dir = TempDir("sigkill");
 
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: durable run that dies hard mid-stream — no FinishAll, no
-    // destructors, a torn archive tail is fair game.
-    StreamEngine engine;
-    if (!engine.RegisterStream("packets", gen::PacketSchema()).ok()) _exit(3);
-    if (!engine.Submit(kAggQuery).ok()) _exit(3);
-    dur::DurabilityOptions opt;
-    opt.checkpoint_every = 150;
-    opt.flush_interval_ms = 0;  // Inline flush: every append hits the OS.
-    if (!engine.EnableDurability(dir, opt).ok()) _exit(3);
-    for (int i = 0; i < kTuples; ++i) {
-      (void)engine.Ingest("packets",
-                          Pkt(i, i % 7, i % 2 == 0 ? 6 : 17, i % 512));
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Child: durable run that dies hard mid-stream — no FinishAll, no
+      // destructors, a torn archive tail is fair game.
+      StreamEngine engine;
+      if (!engine.RegisterStream("packets", gen::PacketSchema()).ok()) {
+        _exit(3);
+      }
+      if (!engine.Submit(query).ok()) _exit(3);
+      dur::DurabilityOptions opt;
+      opt.checkpoint_every = 150;
+      opt.flush_interval_ms = 0;  // Inline flush: every append hits the OS.
+      if (!engine.EnableDurability(dir, opt).ok()) _exit(3);
+      for (int i = 0; i < kTuples; ++i) {
+        (void)engine.Ingest("packets", NthPkt(i));
+      }
+      raise(SIGKILL);
+      _exit(4);  // Unreachable.
     }
-    raise(SIGKILL);
-    _exit(4);  // Unreachable.
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(wstatus));
+    ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+    // Inline flush means the archive holds all 700 records, so recovery
+    // must reproduce the uninterrupted run exactly (as a multiset).
+    RecoveryReport rep;
+    std::vector<std::string> recovered =
+        RecoverRows(dir, /*use_checkpoint=*/true, &rep, query);
+    EXPECT_TRUE(rep.checkpoint_loaded);  // checkpoint_every fired.
+    EXPECT_GT(rep.checkpoint_position, 0u);
+    EXPECT_EQ(rep.restored_queries, 1u);
+    EXPECT_EQ(rep.replay_from_zero_queries, 0u);
+    EXPECT_GT(rep.replayed_tuples, 0u);  // The suffix past the checkpoint.
+    EXPECT_LT(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
+    EXPECT_EQ(recovered, ReferenceRows(kTuples, query));
+
+    // And checkpoint restore + suffix == full replay of the same archive.
+    EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/false, nullptr, query),
+              recovered);
   }
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(wstatus));
-  ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+}
 
-  // Inline flush means the archive holds all 700 records, so recovery
-  // must reproduce the uninterrupted run exactly (as a multiset).
+// A durable run of `queries` over the first `tuples` packets, finished,
+// so its last checkpoint covers everything.
+void FinishedDurableRun(const std::string& dir,
+                        const std::vector<const char*>& queries, int tuples) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  for (const char* query : queries) ASSERT_TRUE(engine.Submit(query).ok());
+  ASSERT_TRUE(engine.EnableDurability(dir, {}).ok());
+  IngestRange(engine, 0, tuples);
+  engine.FinishAll();
+}
+
+// Writes `c` as the newest checkpoint in `dir`.
+void WriteNewestCheckpoint(const std::string& dir, dur::Checkpoint c) {
+  auto latest = dur::ReadLatestCheckpoint(dir);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  c.id = latest->id + 1;
+  ASSERT_TRUE(dur::WriteCheckpoint(dir, c, /*keep=*/4).ok());
+}
+
+TEST(EngineDurabilityTest, UnparsableStateReplaysThatQueryOnly) {
+  const char* kSelect = "select ts, len from packets where len > 300";
+  // The aggregate query's last saved state (its collector's) becomes two
+  // junk bytes, so its group-by has already restored when the collector
+  // fails and must be put back as built; or that state is missing, so the
+  // checkpoint no longer fits the plan. The select's checkpoint stays
+  // intact either way.
+  for (bool drop : {false, true}) {
+    SCOPED_TRACE(drop ? "collector state dropped" : "collector state junk");
+    std::string dir = TempDir(drop ? "missing-state" : "bad-state");
+    FinishedDurableRun(dir, {kAggQuery, kSelect}, 300);
+    auto ckpt = dur::ReadLatestCheckpoint(dir);
+    ASSERT_TRUE(ckpt.ok());
+    ASSERT_EQ(ckpt->queries.size(), 2u);
+    ASSERT_EQ(ckpt->queries[0].text, kAggQuery);
+    ASSERT_EQ(ckpt->queries[0].op_states.size(), 2u);
+    if (drop) {
+      ckpt->queries[0].op_states.pop_back();
+    } else {
+      ckpt->queries[0].op_states[1] = std::string("\x01\x02");
+    }
+    WriteNewestCheckpoint(dir, *ckpt);
+
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+    auto agg = engine.Submit(kAggQuery);
+    auto sel = engine.Submit(kSelect);
+    ASSERT_TRUE(agg.ok() && sel.ok());
+    Status st = engine.EnableDurability(dir, {});
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    const RecoveryReport& rep = engine.recovery_report();
+    EXPECT_TRUE(rep.checkpoint_loaded);
+    EXPECT_EQ(rep.restored_queries, 1u);
+    EXPECT_EQ(rep.replay_from_zero_queries, 1u);
+    EXPECT_EQ(rep.replayed_tuples, 300u);
+    engine.FinishAll();
+    EXPECT_EQ(Rows(*agg), ReferenceRows(300));
+    EXPECT_EQ(Rows(*sel), ReferenceRows(300, kSelect));
+  }
+}
+
+TEST(EngineDurabilityTest, RetiredJoinLayoutReplaysFromZero) {
+  std::string dir = TempDir("old-join");
+  const int kTuples = 300;
+  const int kPosition = 120;
+  FinishedDurableRun(dir, {kUnwindowedJoin}, kTuples);
+
+  // The unwindowed join's state as the retired symmetric hash join saved
+  // it after `kPosition` packets: I64 flushes, then per side a U32 key
+  // count and each key with its tuples (src_ip = i % 7).
+  dur::BufWriter join;
+  join.I64(0);
+  for (int side = 0; side < 2; ++side) {
+    join.U32(7);
+    for (int64_t src = 0; src < 7; ++src) {
+      join.U32(1);
+      join.Val(Value(src));
+      join.U32(static_cast<uint32_t>((kPosition - src + 6) / 7));
+      for (int i = static_cast<int>(src); i < kPosition; i += 7) {
+        join.Tup(*NthPkt(i));
+      }
+    }
+  }
+  // The collector's rows at that point: the reference run's prefix.
+  StreamEngine prefix;
+  ASSERT_TRUE(prefix.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto pq = prefix.Submit(kUnwindowedJoin);
+  ASSERT_TRUE(pq.ok());
+  IngestRange(prefix, 0, kPosition);
+  dur::BufWriter sink;
+  sink.U32(static_cast<uint32_t>((*pq)->results().size()));
+  for (const TupleRef& t : (*pq)->results()) sink.Tup(*t);
+  sink.U32(0);
+
+  dur::Checkpoint c;
+  c.position = kPosition;
+  c.next_seq = kTuples + 1;
+  dur::QueryCheckpoint qc;
+  qc.text = kUnwindowedJoin;
+  qc.included = true;
+  qc.op_states = {join.Take(), sink.Take()};
+  c.queries.push_back(qc);
+  WriteNewestCheckpoint(dir, c);
+
   RecoveryReport rep;
-  std::vector<std::string> recovered =
-      RecoverRows(dir, /*use_checkpoint=*/true, &rep);
-  EXPECT_TRUE(rep.checkpoint_loaded);  // checkpoint_every fired.
-  EXPECT_GT(rep.checkpoint_position, 0u);
-  EXPECT_GT(rep.replayed_tuples, 0u);  // The suffix past the checkpoint.
-  EXPECT_LT(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
-  EXPECT_EQ(recovered, ReferenceRows(kTuples));
-
-  // And checkpoint restore + suffix == full replay of the same archive.
-  EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/false), recovered);
+  std::vector<std::string> rows =
+      RecoverRows(dir, /*use_checkpoint=*/true, &rep, kUnwindowedJoin);
+  EXPECT_TRUE(rep.checkpoint_loaded);
+  EXPECT_EQ(rep.checkpoint_position, static_cast<uint64_t>(kPosition));
+  EXPECT_EQ(rep.restored_queries, 0u);
+  EXPECT_EQ(rep.replay_from_zero_queries, 1u);
+  EXPECT_EQ(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
+  EXPECT_EQ(rows, ReferenceRows(kTuples, kUnwindowedJoin));
 }
 
 TEST(EngineDurabilityTest, NonCheckpointableQueryFallsBackToFullReplay) {

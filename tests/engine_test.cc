@@ -530,6 +530,8 @@ TEST(EngineExecTest, EveryModeMatchesSerial) {
       "select s.ts, a.ts - s.ts as rtt "
       "from syn s [range 40], synack a [range 40] "
       "where s.src_ip = a.dst_ip",
+      "select s.ts, a.ts from syn s, synack a "
+      "where s.src_ip = a.dst_ip and s.dst_ip = a.src_ip",
   };
   struct Mode {
     const char* name;

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "dur/codec.h"
 #include "exec/merge_join.h"
 #include "exec/plan.h"
-#include "exec/sym_hash_join.h"
 #include "exec/window_join.h"
 #include "exec/xjoin.h"
 
@@ -20,8 +24,8 @@ TupleRef T(int64_t ts, int64_t key, int64_t payload = 0) {
 
 TEST(SymHashJoinTest, JoinsAcrossArrivalOrders) {
   Plan plan;
-  auto* j = plan.Make<SymmetricHashJoinOp>(std::vector<int>{1},
-                                           std::vector<int>{1});
+  auto* j = plan.Make<BinaryWindowJoinOp>(
+      BinaryWindowJoinOp::Options::Unwindowed({1}, {1}));
   auto* sink = plan.Make<CollectorSink>();
   j->SetOutput(sink);
 
@@ -37,8 +41,8 @@ TEST(SymHashJoinTest, JoinsAcrossArrivalOrders) {
 
 TEST(SymHashJoinTest, NoSelfJoinWithinOneSide) {
   Plan plan;
-  auto* j = plan.Make<SymmetricHashJoinOp>(std::vector<int>{1},
-                                           std::vector<int>{1});
+  auto* j = plan.Make<BinaryWindowJoinOp>(
+      BinaryWindowJoinOp::Options::Unwindowed({1}, {1}));
   auto* sink = plan.Make<CollectorSink>();
   j->SetOutput(sink);
   j->Push(Element(T(1, 7)), 0);
@@ -48,8 +52,8 @@ TEST(SymHashJoinTest, NoSelfJoinWithinOneSide) {
 
 TEST(SymHashJoinTest, CrossProductOfEqualKeys) {
   Plan plan;
-  auto* j = plan.Make<SymmetricHashJoinOp>(std::vector<int>{1},
-                                           std::vector<int>{1});
+  auto* j = plan.Make<BinaryWindowJoinOp>(
+      BinaryWindowJoinOp::Options::Unwindowed({1}, {1}));
   auto* sink = plan.Make<CountingSink>();
   j->SetOutput(sink);
   for (int i = 0; i < 3; ++i) j->Push(Element(T(i, 1)), 0);
@@ -59,8 +63,8 @@ TEST(SymHashJoinTest, CrossProductOfEqualKeys) {
 
 TEST(SymHashJoinTest, StateGrowsUnbounded) {
   Plan plan;
-  auto* j = plan.Make<SymmetricHashJoinOp>(std::vector<int>{1},
-                                           std::vector<int>{1});
+  auto* j = plan.Make<BinaryWindowJoinOp>(
+      BinaryWindowJoinOp::Options::Unwindowed({1}, {1}));
   auto* sink = plan.Make<CountingSink>();
   j->SetOutput(sink);
   size_t s0 = j->StateBytes();
@@ -338,6 +342,208 @@ TEST(XJoinTest, TighterBudgetMoreDiskIo) {
     return j->disk_write_bytes() + j->disk_read_bytes();
   };
   EXPECT_GT(disk_io(10000), disk_io(50000));
+}
+
+// --- Landmark windows and checkpoints ---
+
+TEST(WindowJoinTest, LandmarkJoinTakesAnyArrivalOrder) {
+  // Timestamps run backwards and interleave across sides; a landmark
+  // side never expires, so every equal-key pair across sides joins.
+  Plan plan;
+  auto* j = plan.Make<BinaryWindowJoinOp>(
+      BinaryWindowJoinOp::Options::Unwindowed({1}, {1}));
+  auto* sink = plan.Make<CollectorSink>();
+  j->SetOutput(sink);
+  std::string why;
+  EXPECT_TRUE(j->CanShard(&why)) << why;
+  Rng rng(40);
+  int64_t left[3] = {0, 0, 0};
+  int64_t right[3] = {0, 0, 0};
+  uint64_t pairs = 0;
+  size_t tuple_bytes = 0;
+  for (int64_t i = 0; i < 300; ++i) {
+    const int64_t key = static_cast<int64_t>(rng.Uniform(3));
+    const int side = rng.Uniform(2) == 0 ? 0 : 1;
+    pairs += static_cast<uint64_t>(side == 0 ? right[key] : left[key]);
+    ++(side == 0 ? left : right)[key];
+    TupleRef t = T(1000 - i * 7 % 500, key);
+    tuple_bytes += t->MemoryBytes();
+    j->Push(Element(t), side);
+    if (i % 40 == 0) j->Push(Element(Punctuation::Watermark(2000)), 0);
+  }
+  EXPECT_EQ(sink->count(), pairs);
+  // Every tuple is retained, and counted, however the state is held.
+  EXPECT_GE(j->StateBytes(), tuple_bytes);
+  EXPECT_EQ(sink->punctuations().size(), 8u);
+  for (const TupleRef& row : sink->tuples()) {
+    EXPECT_EQ(row->ts(), std::max(row->at(0).AsInt(), row->at(3).AsInt()));
+  }
+}
+
+TEST(WindowJoinTest, LandmarkOuterNestedLoopSeesWholeHistory) {
+  // Left outer over a left landmark side (drained at end of stream) and
+  // a nested-loop right landmark side: key 3 never arrives on the
+  // right, so exactly its left tuples come out padded, in arrival order.
+  auto o = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});
+  o.left_outer = true;
+  o.right_arity = 3;
+  o.right_strategy = JoinStrategy::kNestedLoop;
+  Plan plan;
+  auto* j = plan.Make<BinaryWindowJoinOp>(o);
+  auto* sink = plan.Make<CollectorSink>();
+  j->SetOutput(sink);
+  Rng rng(42);
+  int64_t left[4] = {0, 0, 0, 0};
+  int64_t right[4] = {0, 0, 0, 0};
+  uint64_t pairs = 0;
+  std::vector<int64_t> unmatched_ts;
+  for (int64_t i = 0; i < 300; ++i) {
+    const int side = rng.Uniform(2) == 0 ? 0 : 1;
+    const int64_t key = static_cast<int64_t>(rng.Uniform(side == 0 ? 4 : 3));
+    const int64_t ts = 1000 - i * 7 % 500;
+    pairs += static_cast<uint64_t>(side == 0 ? right[key] : left[key]);
+    ++(side == 0 ? left : right)[key];
+    if (side == 0 && key == 3) unmatched_ts.push_back(ts);
+    j->Push(Element(T(ts, key)), side);
+  }
+  j->Flush();
+  j->Flush();
+  ASSERT_GT(unmatched_ts.size(), 0u);
+  EXPECT_EQ(j->join_stats().results, pairs);
+  EXPECT_EQ(j->join_stats().unmatched_left, unmatched_ts.size());
+  std::vector<int64_t> padded_ts;
+  for (const TupleRef& row : sink->tuples()) {
+    if (row->at(3).is_null()) padded_ts.push_back(row->ts());
+  }
+  EXPECT_EQ(padded_ts, unmatched_ts);
+}
+
+std::vector<std::string> RowStrings(const CollectorSink& sink) {
+  std::vector<std::string> rows;
+  for (const TupleRef& t : sink.tuples()) rows.push_back(t->ToString());
+  return rows;
+}
+
+TEST(WindowJoinTest, RestoredJoinContinuesRowForRow) {
+  auto outer = JoinOpts(JoinStrategy::kHash, JoinStrategy::kNestedLoop, 30,
+                        50);
+  outer.left_outer = true;
+  outer.right_arity = 3;
+  auto counts = JoinOpts(JoinStrategy::kNestedLoop, JoinStrategy::kHash);
+  counts.left_window = WindowSpec::CountSliding(7);
+  counts.right_window = WindowSpec::CountSliding(5);
+  counts.left_outer = true;
+  counts.right_arity = 3;
+  // Landmark sides: hash-probed, held by the index alone; and kept in
+  // arrival order, for the outer drain (left) and a nested-loop scan
+  // (right).
+  auto landmark_outer = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});
+  landmark_outer.left_outer = true;
+  landmark_outer.right_arity = 3;
+  landmark_outer.right_strategy = JoinStrategy::kNestedLoop;
+  const std::pair<const char*, BinaryWindowJoinOp::Options> cases[] = {
+      {"time, outer", outer},
+      {"count, outer", counts},
+      {"landmark", BinaryWindowJoinOp::Options::Unwindowed({1}, {1})},
+      {"landmark, outer", landmark_outer},
+  };
+  // Slightly disordered timestamps, a watermark every 50 elements, and
+  // one watermark far ahead that empties the time windows and makes the
+  // next tuples late: only the saved clock tells a restored join so.
+  Rng rng(41);
+  std::vector<std::pair<Element, int>> input;
+  size_t after_jump = 0;
+  for (int64_t i = 0; i < 600; ++i) {
+    const int64_t ts = i / 2 + static_cast<int64_t>(rng.Uniform(4));
+    input.emplace_back(
+        Element(T(ts, static_cast<int64_t>(rng.Uniform(9)), i)),
+        static_cast<int>(rng.Uniform(2)));
+    if (i % 50 == 49) {
+      input.emplace_back(Element(Punctuation::Watermark(i / 2)), 0);
+    }
+    if (i == 300) {
+      input.emplace_back(Element(Punctuation::Watermark(i / 2 + 100)), 0);
+      after_jump = input.size();
+    }
+  }
+  auto feed = [&](BinaryWindowJoinOp* j, size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) j->Push(input[i].first, input[i].second);
+  };
+  for (const auto& [name, opt] : cases) {
+    SCOPED_TRACE(name);
+    Plan ref_plan;
+    auto* ref = ref_plan.Make<BinaryWindowJoinOp>(opt);
+    auto* ref_sink = ref_plan.Make<CollectorSink>();
+    ref->SetOutput(ref_sink);
+    feed(ref, 0, input.size());
+    ref->Flush();
+    ref->Flush();
+    ASSERT_GT(ref_sink->count(), 0u);
+    // Restored from a post-flush checkpoint and flushed again, as
+    // recovering a finished run does, the join adds no rows.
+    dur::BufWriter done;
+    ref->SaveState(done);
+    auto* again = ref_plan.Make<BinaryWindowJoinOp>(opt);
+    auto* again_sink = ref_plan.Make<CollectorSink>();
+    again->SetOutput(again_sink);
+    dur::BufReader done_reader(done.data());
+    ASSERT_TRUE(again->RestoreState(done_reader).ok());
+    again->Flush();
+    again->Flush();
+    EXPECT_EQ(again_sink->count(), 0u);
+
+    for (size_t split : {size_t{0}, size_t{137}, after_jump, input.size()}) {
+      SCOPED_TRACE(split);
+      Plan plan;
+      auto* before = plan.Make<BinaryWindowJoinOp>(opt);
+      auto* after = plan.Make<BinaryWindowJoinOp>(opt);
+      auto* sink = plan.Make<CollectorSink>();
+      before->SetOutput(sink);
+      after->SetOutput(sink);
+      feed(before, 0, split);
+      dur::BufWriter w;
+      before->SaveState(w);
+      const size_t emitted = sink->count();
+      dur::BufReader r(w.data());
+      ASSERT_TRUE(after->RestoreState(r).ok());
+      EXPECT_TRUE(r.done());
+      EXPECT_EQ(sink->count(), emitted);  // Restore emits nothing.
+      feed(after, split, input.size());
+      after->Flush();
+      after->Flush();
+      EXPECT_EQ(RowStrings(*sink), RowStrings(*ref_sink));
+    }
+  }
+}
+
+TEST(WindowJoinTest, RestoreRejectsOtherLayouts) {
+  auto sliding = JoinOpts(JoinStrategy::kHash, JoinStrategy::kHash);
+  auto landmark = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});
+  BinaryWindowJoinOp src(landmark);
+  src.Push(Element(T(1, 7)), 0);
+  src.Push(Element(T(2, 7)), 1);
+  dur::BufWriter w;
+  src.SaveState(w);
+  const std::string saved = w.Take();
+
+  BinaryWindowJoinOp same(landmark);
+  dur::BufReader ok(saved);
+  EXPECT_TRUE(same.RestoreState(ok).ok());
+  // Another window kind, a truncated state, and a state that starts
+  // with a flush count (the retired unwindowed join's layout).
+  BinaryWindowJoinOp other(sliding);
+  dur::BufReader kind(saved);
+  EXPECT_FALSE(other.RestoreState(kind).ok());
+  BinaryWindowJoinOp cut(landmark);
+  dur::BufReader truncated(std::string_view(saved).substr(0, 20));
+  EXPECT_FALSE(cut.RestoreState(truncated).ok());
+  dur::BufWriter old;
+  old.I64(0);
+  old.U32(0);
+  old.U32(0);
+  BinaryWindowJoinOp retired(landmark);
+  dur::BufReader old_reader(old.data());
+  EXPECT_FALSE(retired.RestoreState(old_reader).ok());
 }
 
 }  // namespace
