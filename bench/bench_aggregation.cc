@@ -93,7 +93,8 @@ void BM_GroupByThroughput(benchmark::State& state) {
   GroupByOptions opt;
   opt.key_cols = {1};
   opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 2, 0.5}};
-  opt.window_size = windowed ? 1000 : 0;
+  opt.window =
+      windowed ? WindowSpec::TimeTumbling(1000) : WindowSpec::Landmark();
   Rng rng(5);
   std::vector<TupleRef> tuples;
   for (int64_t i = 0; i < 10000; ++i) {

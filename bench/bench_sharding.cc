@@ -73,7 +73,7 @@ GroupByOptions Grouping() {
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCount, -1, 0.5},
             AggSpec{AggKind::kSum, 2, 0.5}};
-  g.window_size = 100;
+  g.window = WindowSpec::TimeTumbling(100);
   return g;
 }
 

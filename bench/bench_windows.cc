@@ -1,7 +1,9 @@
 // Experiment E11 (slide 27, window taxonomy): cost and state of the
 // window kinds — agglomerative (landmark), sliding, shifting (tumbling)
 // — maintained over the same stream, plus punctuation-based windows
-// (slide 28) on the auction workload.
+// (slide 28) on the auction workload and sliding windows with a slide
+// step over panes. Punctuated and paned windows are GroupByAggregateOp
+// windows.
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +12,9 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "exec/aggregate_op.h"
-#include "exec/paned_window_agg.h"
 #include "exec/plan.h"
 #include "exec/window_agg.h"
 #include "stream/generators.h"
-#include "window/punctuation_window.h"
 
 namespace sqp {
 namespace {
@@ -76,7 +76,7 @@ void PrintWindowKinds() {
     GroupByOptions opt;
     opt.key_cols = {};
     opt.aggs = {{AggKind::kSum, 1, 0.5}};
-    opt.window_size = 5000;
+    opt.window = WindowSpec::TimeTumbling(5000);
     auto* gb = plan.Make<GroupByAggregateOp>(opt);
     auto* sink = plan.Make<CountingSink>();
     gb->SetOutput(sink);
@@ -93,37 +93,37 @@ void PrintWindowKinds() {
 }
 
 void PrintPunctuationWindows() {
-  // Slide 28: auctions close on data-dependent punctuations.
+  // Slide 28: auctions close on data-dependent punctuations. The winning
+  // bid is max(amount) per auction, emitted when the auction closes.
   gen::AuctionGenerator auctions(gen::AuctionOptions{});
-  PunctuationWindowBuffer buf(gen::AuctionCols::kAuctionId);
-  uint64_t closed = 0, bids = 0;
-  size_t peak_open = 0, peak_buffered = 0;
-  double total_winning = 0;
+  Plan plan;
+  GroupByOptions opt;
+  opt.key_cols = {gen::AuctionCols::kAuctionId};
+  opt.aggs = {{AggKind::kMax, gen::AuctionCols::kAmount, 0.5}};
+  opt.window = WindowSpec::Punctuated();
+  auto* gb = plan.Make<GroupByAggregateOp>(opt);
+  auto* sink = plan.Make<CollectorSink>();
+  gb->SetOutput(sink);
+  uint64_t bids = 0;
+  size_t peak_open = 0, peak_state = 0;
   for (int i = 0; i < 100000; ++i) {
     Element e = auctions.Next();
-    if (e.is_punctuation()) {
-      auto groups = buf.OnPunctuation(e.punctuation());
-      for (auto& [key, tuples] : groups) {
-        ++closed;
-        double best = 0;
-        for (const TupleRef& t : tuples) {
-          best = std::max(best, t->at(gen::AuctionCols::kAmount).AsDouble());
-        }
-        total_winning += best;
-      }
-    } else {
-      ++bids;
-      buf.Insert(e.tuple());
-    }
-    peak_open = std::max(peak_open, buf.num_open_keys());
-    peak_buffered = std::max(peak_buffered, buf.buffered_tuples());
+    if (e.is_tuple()) ++bids;
+    gb->Push(e);
+    peak_open = std::max(peak_open, gb->open_groups());
+    peak_state = std::max(peak_state, gb->StateBytes());
   }
+  double total_winning = 0;
+  for (const TupleRef& row : sink->tuples()) {
+    total_winning += row->at(2).AsDouble();
+  }
+  const size_t closed = sink->count();
   Table t({"metric", "value"});
   t.AddRow({"bids", FmtInt(bids)});
   t.AddRow({"auctions closed by punctuation", FmtInt(closed)});
   t.AddRow({"mean winning bid", Fmt(total_winning / double(closed), 2)});
   t.AddRow({"peak open auctions", FmtInt(peak_open)});
-  t.AddRow({"peak buffered bids", FmtInt(peak_buffered)});
+  t.AddRow({"peak state (B)", FmtInt(peak_state)});
   t.Print("E11 / slide 28: punctuation-delimited auction windows");
   std::printf(
       "state stays bounded by the number of *open* auctions — punctuations\n"
@@ -169,17 +169,17 @@ void PrintPanedAblation() {
     size_t state_bytes = 0;
     {
       Plan plan;
-      PanedWindowAggregateOp::Options opt;
-      opt.window = w;
-      opt.slide = s;
+      GroupByOptions opt;
       opt.aggs = {{AggKind::kMax, 1, 0.5}};
-      auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+      opt.window = WindowSpec::TimeSliding(w, s);
+      auto* pw = plan.Make<GroupByAggregateOp>(opt);
       auto* sink = plan.Make<CountingSink>();
       pw->SetOutput(sink);
       for (const TupleRef& tup : tuples) pw->Push(Element(tup));
+      // Steady state: the last window's panes are all still live.
+      state_bytes = pw->StateBytes();
       pw->Flush();
       merges = pw->merges();
-      state_bytes = pw->StateBytes();
     }
     auto t2 = std::chrono::steady_clock::now();
     t.AddRow({std::to_string(w) + "/" + std::to_string(s),

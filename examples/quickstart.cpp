@@ -38,7 +38,7 @@ int main() {
   GroupByOptions agg;
   agg.aggs = {{AggKind::kCount, -1, 0.5},
               {AggKind::kAvg, gen::SensorCols::kTemperature, 0.5}};
-  agg.window_size = 60;
+  agg.window = WindowSpec::TimeTumbling(60);
   auto* per_minute = plan.Make<GroupByAggregateOp>(agg, "per-minute");
 
   // Sink: print each result row as it streams out.

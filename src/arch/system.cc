@@ -94,7 +94,7 @@ Result<std::unique_ptr<ThreeLevelSystem>> ThreeLevelSystem::Make(
     high_opt.key_cols.push_back(static_cast<int>(1 + k));
   }
   high_opt.aggs = decomposed->high_specs;
-  high_opt.window_size = config.window_size;
+  high_opt.window = WindowSpec::TimeTumbling(config.window_size);
   sys->final_agg_ = sys->plan_.Make<GroupByAggregateOp>(high_opt, "final-agg");
 
   // Finalizer projection: [ts, keys..., finalized values...].

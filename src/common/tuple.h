@@ -70,6 +70,9 @@ struct Key {
   std::vector<Value> parts;
 
   bool operator==(const Key& other) const { return parts == other.parts; }
+  /// KeyView's accessors, so InsertReusing takes either key shape.
+  const Value& part(size_t i) const { return parts[i]; }
+  Key Materialize() const { return *this; }
   std::string ToString() const;
 };
 
@@ -131,15 +134,15 @@ template <typename V>
 using KeyMap = std::unordered_map<Key, V, KeyHash, KeyEq>;
 using KeySet = std::unordered_set<Key, KeyHash, KeyEq>;
 
-/// Inserts `key` (absent from `map`) without allocating when `spares`
-/// holds a node extracted from an equal-width map: the node's key parts
-/// are overwritten in place and its value is kept as the caller left it.
-/// With no spare, materializes the key and builds the value with
-/// `make_value()`.
-template <typename V, typename MakeValue>
+/// Inserts `key` (a KeyView or a Key, absent from `map`) without
+/// allocating when `spares` holds a node extracted from an equal-width
+/// map: the node's key parts are overwritten in place and its value is
+/// kept as the caller left it. With no spare, materializes the key and
+/// builds the value with `make_value()`.
+template <typename V, typename K, typename MakeValue>
 typename KeyMap<V>::iterator InsertReusing(
     KeyMap<V>& map, std::vector<typename KeyMap<V>::node_type>& spares,
-    const KeyView& key, MakeValue&& make_value) {
+    const K& key, MakeValue&& make_value) {
   if (spares.empty()) {
     return map.emplace(key.Materialize(), make_value()).first;
   }

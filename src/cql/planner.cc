@@ -301,7 +301,9 @@ Result<std::unique_ptr<CompiledQuery>> Compile(const std::string& text,
       GroupByOptions opt;
       opt.key_cols = aq.group_cols;
       for (const ResolvedAgg& a : aq.aggs) opt.aggs.push_back(a.spec);
-      opt.window_size = aq.tumbling_size;
+      opt.window = aq.tumbling_size > 0
+                       ? WindowSpec::TimeTumbling(aq.tumbling_size)
+                       : WindowSpec::Landmark();
       if (q.having != nullptr) {
         auto h = lower.Lower(q.having);
         if (!h.ok()) return h.status();

@@ -1,64 +1,255 @@
 #include "exec/aggregate_op.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 
 #include "exec/ckpt_util.h"
 
 namespace sqp {
+
+namespace {
+
+Status CheckWindow(const GroupByOptions& options) {
+  const WindowSpec& w = options.window;
+  SQP_RETURN_NOT_OK(w.Validate());
+  switch (w.kind) {
+    case WindowKind::kTimeLandmark:
+      if (w.start != 0) {
+        return Status::InvalidArgument(
+            "group-by landmark window starts with the stream");
+      }
+      return Status::OK();
+    case WindowKind::kTimeTumbling:
+      return Status::OK();
+    case WindowKind::kTimeSliding:
+      if (w.slide <= 0) {
+        return Status::InvalidArgument(
+            "group-by sliding window needs a slide (emission step)");
+      }
+      return Status::OK();
+    case WindowKind::kPunctuation:
+      if (options.key_cols.size() != 1) {
+        return Status::InvalidArgument(
+            "punctuated group-by takes exactly one key column");
+      }
+      return Status::OK();
+    case WindowKind::kCountSliding:
+      break;
+  }
+  return Status::InvalidArgument("group-by cannot close groups by a " +
+                                 w.ToString() + " window");
+}
+
+}  // namespace
 
 GroupByAggregateOp::GroupByAggregateOp(GroupByOptions options,
                                        std::string name)
     : Operator(std::move(name)),
       options_(std::move(options)),
       aggs_(options_.aggs),
+      probe_key_{std::vector<Value>(options_.key_cols.size())},
       scratch_(0, std::vector<Value>(1 + options_.key_cols.size() +
-                                     options_.aggs.size())) {}
+                                     options_.aggs.size())) {
+  assert(CheckWindow(options_).ok());
+  const WindowSpec& w = options_.window;
+  switch (w.kind) {
+    case WindowKind::kTimeTumbling:
+      close_ = Close::kBucket;
+      width_ = w.size;
+      break;
+    case WindowKind::kTimeSliding:
+      // One pane per window is a tumbling bucket: nothing to merge.
+      close_ = w.slide == w.size ? Close::kBucket : Close::kPane;
+      width_ = std::gcd(w.size, w.slide);
+      hop_ = w.slide;
+      break;
+    case WindowKind::kPunctuation:
+      close_ = Close::kPunctuation;
+      break;
+    default:
+      close_ = Close::kAtFlush;
+      break;
+  }
+}
 
 void GroupByAggregateOp::Push(const Element& e, int /*port*/) {
   CountIn(e);
   if (e.is_punctuation()) {
-    const Punctuation& p = e.punctuation();
-    if (!p.has_key && options_.window_size > 0) {
-      CloseBucketsThrough(p.ts);
-    }
+    CloseOnPunctuation(e.punctuation());
     Emit(e);
     return;
   }
-  FoldTuple(*e.tuple());
-  // A tuple in a newer bucket proves older buckets are complete (the
-  // stream's ordering attribute is nondecreasing).
-  if (options_.window_size > 0) {
-    CloseBucketsThrough(max_ts_ - (max_ts_ % options_.window_size) - 1);
-  }
-}
-
-void GroupByAggregateOp::FoldTuple(const Tuple& t) {
-  max_ts_ = std::max(max_ts_, t.ts());
-  int64_t bucket =
-      options_.window_size > 0 ? t.ts() / options_.window_size : 0;
-  GroupMap& groups = buckets_[bucket];
+  const Tuple& t = *e.tuple();
   // Borrowed-view probe: folding into an existing group allocates
   // nothing for the key, and opening one reuses a closed group's node.
-  KeyView key(t, options_.key_cols);
+  aggs_.Add(GroupOf(t.ts(), KeyView(t, options_.key_cols)).accs, t);
+  CloseAfterTuple();
+}
+
+void GroupByAggregateOp::PushColumns(ColumnBatch& batch, int /*port*/) {
+  CountInColumns(batch);
+  // Merge live rows and punctuation slots back into stream order; rows
+  // fold straight from the typed arrays, punctuations run the same
+  // close-out as the row path.
+  auto punctuate = [this](const Punctuation& p) {
+    CloseOnPunctuation(p);
+    Emit(Element(p));
+  };
+  const size_t n = batch.ActiveRows();
+  size_t pi = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t r = batch.Active(k);
+    while (pi < batch.puncts.size() && batch.puncts[pi].pos <= r) {
+      punctuate(batch.puncts[pi++].punct);
+    }
+    for (size_t i = 0; i < options_.key_cols.size(); ++i) {
+      probe_key_.parts[i] =
+          batch.cols[static_cast<size_t>(options_.key_cols[i])].ValueAt(r);
+    }
+    aggs_.AddRow(GroupOf(batch.ts[r], probe_key_).accs,
+                 [&](size_t c) { return batch.cols[c].ValueAt(r); });
+    CloseAfterTuple();
+  }
+  while (pi < batch.puncts.size()) punctuate(batch.puncts[pi++].punct);
+}
+
+template <typename K>
+GroupByAggregateOp::GroupState& GroupByAggregateOp::GroupOf(int64_t ts,
+                                                            const K& key) {
+  max_ts_ = std::max(max_ts_, ts);
+  const int64_t bucket = width_ > 0 ? ts / width_ : 0;
+  if (last_bucket_ == buckets_.end() || last_bucket_->first != bucket) {
+    last_bucket_ = buckets_.try_emplace(bucket).first;
+  }
+  GroupMap& groups = last_bucket_->second;
   auto it = groups.find(key);
   if (it == groups.end()) {
     it = InsertReusing(groups, free_groups_, key,
                        [this] { return GroupState{aggs_.NewAccs()}; });
   }
-  aggs_.Add(it->second.accs, t);
+  it->second.last_ts = std::max(it->second.last_ts, ts);
+  return it->second;
+}
+
+void GroupByAggregateOp::CloseAfterTuple() {
+  // A tuple in a newer bucket proves older buckets (and windows ending
+  // at or before it) complete: the stream's ordering attribute is
+  // nondecreasing.
+  if (close_ == Close::kBucket) {
+    CloseBucketsThrough(max_ts_ - (max_ts_ % width_) - 1);
+  } else if (close_ == Close::kPane) {
+    CloseWindowsThrough(max_ts_ - 1);
+  }
+}
+
+void GroupByAggregateOp::CloseOnPunctuation(const Punctuation& p) {
+  switch (close_) {
+    case Close::kBucket:
+      if (!p.has_key) CloseBucketsThrough(p.ts);
+      break;
+    case Close::kPane:
+      if (!p.has_key) CloseWindowsThrough(p.ts);
+      break;
+    case Close::kPunctuation:
+      if (p.has_key) {
+        CloseKey(p.ts, p.key);
+      } else {
+        CloseQuietGroups(p.ts);
+      }
+      break;
+    case Close::kAtFlush:
+      break;
+  }
 }
 
 void GroupByAggregateOp::CloseBucketsThrough(int64_t watermark) {
-  if (options_.window_size <= 0) return;
   // Close every bucket that ends at or before the watermark.
   while (!buckets_.empty()) {
     auto it = buckets_.begin();
-    int64_t bucket_end = (it->first + 1) * options_.window_size - 1;
+    int64_t bucket_end = (it->first + 1) * width_ - 1;
     if (bucket_end > watermark) break;
-    EmitBucket(it->first, it->second);
-    Recycle(it->second);
-    buckets_.erase(it);
+    EmitGroups(it->first * width_, it->second);
+    RetireOldestBucket();
   }
+}
+
+void GroupByAggregateOp::CloseWindowsThrough(int64_t watermark) {
+  const int64_t window = options_.window.size;
+  while (!buckets_.empty()) {
+    // The next window holding data: the first one covering the oldest
+    // pane, so runs of empty windows are skipped, never emitted.
+    int64_t oldest = buckets_.begin()->first * width_;
+    int64_t end =
+        next_end_ > oldest ? next_end_ : (oldest / hop_ + 1) * hop_;
+    if (end - 1 > watermark) break;
+    EmitWindow(end);
+    next_end_ = end + hop_;
+    // Panes that start before the next window are needed by none.
+    while (!buckets_.empty() &&
+           buckets_.begin()->first * width_ < next_end_ - window) {
+      RetireOldestBucket();
+    }
+  }
+}
+
+void GroupByAggregateOp::EmitWindow(int64_t end) {
+  const int64_t start = end - options_.window.size;
+  for (auto pane = buckets_.lower_bound(start / width_);
+       pane != buckets_.end() && pane->first < end / width_; ++pane) {
+    for (const auto& [key, state] : pane->second) {
+      auto it = merged_.find(key);
+      if (it == merged_.end()) {
+        it = InsertReusing(merged_, merged_spares_, key,
+                           [this] { return GroupState{aggs_.NewAccs()}; });
+      }
+      for (size_t i = 0; i < state.accs.size(); ++i) {
+        it->second.accs[i]->Merge(*state.accs[i]);
+      }
+      merges_ += state.accs.size();
+    }
+  }
+  EmitGroups(start, merged_);
+  while (!merged_.empty()) {
+    GroupMap::node_type node = merged_.extract(merged_.begin());
+    AggSet::Reset(node.mapped().accs);
+    merged_spares_.push_back(std::move(node));
+  }
+}
+
+void GroupByAggregateOp::CloseQuietGroups(int64_t watermark) {
+  auto bucket = buckets_.find(0);
+  if (bucket == buckets_.end()) return;
+  GroupMap& groups = bucket->second;
+  size_t closed = 0;
+  for (auto it = groups.begin(); it != groups.end();) {
+    if (it->second.last_ts > watermark) {
+      ++it;
+      continue;
+    }
+    EmitGroup(watermark, it->first, it->second);
+    Park(groups.extract(it++));
+    ++closed;
+  }
+  TrimSpares(closed);
+}
+
+void GroupByAggregateOp::CloseKey(int64_t ts, const Value& key) {
+  auto bucket = buckets_.find(0);
+  if (bucket == buckets_.end()) return;
+  probe_key_.parts[0] = key;
+  auto it = bucket->second.find(probe_key_);
+  if (it == bucket->second.end()) return;
+  EmitGroup(ts, it->first, it->second);
+  Park(bucket->second.extract(it));
+  TrimSpares(1);
+}
+
+void GroupByAggregateOp::RetireOldestBucket() {
+  auto it = buckets_.begin();
+  if (it == last_bucket_) last_bucket_ = buckets_.end();
+  Recycle(it->second);
+  buckets_.erase(it);
 }
 
 void GroupByAggregateOp::Recycle(GroupMap& groups) {
@@ -67,38 +258,56 @@ void GroupByAggregateOp::Recycle(GroupMap& groups) {
   // larger than its predecessor still opens them from the free list.
   // Older spares go first, then the closed groups; the surplus is freed
   // with the bucket.
-  max_closed_ = std::max(max_closed_, groups.size());
-  if (free_groups_.size() > max_closed_) free_groups_.resize(max_closed_);
+  TrimSpares(groups.size());
   while (free_groups_.size() < max_closed_ && !groups.empty()) {
-    GroupMap::node_type node = groups.extract(groups.begin());
-    AggSet::Reset(node.mapped().accs);
-    free_groups_.push_back(std::move(node));
+    Park(groups.extract(groups.begin()));
   }
 }
 
-void GroupByAggregateOp::EmitBucket(int64_t bucket, const GroupMap& groups) {
-  int64_t out_ts = options_.window_size > 0
-                       ? bucket * options_.window_size
-                       : (max_ts_ == INT64_MIN ? 0 : max_ts_);
-  scratch_.set_ts(out_ts);
-  scratch_.at(0) = Value(out_ts);
-  const size_t first_agg = 1 + options_.key_cols.size();
-  for (const auto& [key, state] : groups) {
-    for (size_t i = 0; i < key.parts.size(); ++i) {
-      scratch_.at(1 + i) = key.parts[i];
-    }
-    AggSet::WriteResults(state.accs, &scratch_.at(first_agg));
-    if (options_.having != nullptr &&
-        !Truthy(options_.having->Eval(scratch_))) {
-      continue;
-    }
-    Emit(Element(MakeTuple(out_ts, scratch_.values())));
+void GroupByAggregateOp::TrimSpares(size_t closed) {
+  max_closed_ = std::max(max_closed_, closed);
+  if (free_groups_.size() > max_closed_) free_groups_.resize(max_closed_);
+}
+
+void GroupByAggregateOp::Park(GroupMap::node_type node) {
+  AggSet::Reset(node.mapped().accs);
+  node.mapped().last_ts = INT64_MIN;
+  free_groups_.push_back(std::move(node));
+}
+
+void GroupByAggregateOp::EmitGroups(int64_t ts, const GroupMap& groups) {
+  for (const auto& [key, state] : groups) EmitGroup(ts, key, state);
+}
+
+void GroupByAggregateOp::EmitGroup(int64_t ts, const Key& key,
+                                   const GroupState& state) {
+  scratch_.set_ts(ts);
+  scratch_.at(0) = Value(ts);
+  for (size_t i = 0; i < key.parts.size(); ++i) {
+    scratch_.at(1 + i) = key.parts[i];
   }
+  AggSet::WriteResults(state.accs,
+                       &scratch_.at(1 + options_.key_cols.size()));
+  if (options_.having != nullptr &&
+      !Truthy(options_.having->Eval(scratch_))) {
+    return;
+  }
+  Emit(Element(MakeTuple(ts, scratch_.values())));
 }
 
 void GroupByAggregateOp::Flush() {
-  for (auto& [bucket, groups] : buckets_) EmitBucket(bucket, groups);
+  if (close_ == Close::kPane) CloseWindowsThrough(INT64_MAX);
+  const int64_t landmark_ts = max_ts_ == INT64_MIN ? 0 : max_ts_;
+  for (const auto& [bucket, groups] : buckets_) {
+    for (const auto& [key, state] : groups) {
+      EmitGroup(close_ == Close::kPunctuation ? state.last_ts
+                : close_ == Close::kBucket    ? bucket * width_
+                                              : landmark_ts,
+                key, state);
+    }
+  }
   buckets_.clear();
+  last_bucket_ = buckets_.end();
   Operator::Flush();
 }
 
@@ -115,8 +324,10 @@ size_t GroupByAggregateOp::StateBytes() const {
   for (const auto& [bucket, groups] : buckets_) {
     for (const auto& [key, state] : groups) bytes += GroupBytes(key, state);
   }
-  for (const GroupMap::node_type& node : free_groups_) {
-    bytes += GroupBytes(node.key(), node.mapped());
+  for (const auto* spares : {&free_groups_, &merged_spares_}) {
+    for (const GroupMap::node_type& node : *spares) {
+      bytes += GroupBytes(node.key(), node.mapped());
+    }
   }
   return bytes;
 }
@@ -127,6 +338,9 @@ size_t GroupByAggregateOp::open_groups() const {
   return n;
 }
 
+// Layout: max ts, then each bucket's id and groups (key, accumulators).
+// A punctuated group appends its last ts, and a sliding window ends with
+// the next window end; tumbling and landmark state carries neither.
 void GroupByAggregateOp::SaveState(dur::BufWriter& w) const {
   w.I64(max_ts_);
   w.U32(static_cast<uint32_t>(buckets_.size()));
@@ -136,12 +350,15 @@ void GroupByAggregateOp::SaveState(dur::BufWriter& w) const {
     for (const auto& [key, state] : groups) {
       ckpt::SaveKey(w, key);
       ckpt::SaveAccs(w, state.accs);
+      if (close_ == Close::kPunctuation) w.I64(state.last_ts);
     }
   }
+  if (close_ == Close::kPane) w.I64(next_end_);
 }
 
 Status GroupByAggregateOp::RestoreState(dur::BufReader& r) {
   buckets_.clear();
+  last_bucket_ = buckets_.end();
   SQP_RETURN_NOT_OK(r.I64(&max_ts_));
   uint32_t nbuckets = 0;
   SQP_RETURN_NOT_OK(r.U32(&nbuckets));
@@ -156,14 +373,19 @@ Status GroupByAggregateOp::RestoreState(dur::BufReader& r) {
       SQP_RETURN_NOT_OK(ckpt::LoadKey(r, &key));
       GroupState state;
       SQP_RETURN_NOT_OK(ckpt::LoadAccs(r, aggs_, &state.accs));
+      if (close_ == Close::kPunctuation) {
+        SQP_RETURN_NOT_OK(r.I64(&state.last_ts));
+      }
       groups.emplace(std::move(key), std::move(state));
     }
   }
+  if (close_ == Close::kPane) SQP_RETURN_NOT_OK(r.I64(&next_end_));
   return Status::OK();
 }
 
 Result<Schema> GroupByAggregateOp::OutputSchema(const Schema& input,
                                                 const GroupByOptions& options) {
+  SQP_RETURN_NOT_OK(CheckWindow(options));
   std::vector<Field> fields;
   fields.push_back(Field{"ts", ValueType::kInt});
   for (int c : options.key_cols) {

@@ -13,6 +13,7 @@
 #include "exec/expr.h"
 #include "exec/operator.h"
 #include "exec/sharding.h"
+#include "window/window_spec.h"
 
 namespace sqp {
 
@@ -23,34 +24,45 @@ struct GroupByOptions {
   std::vector<int> key_cols;
   /// Aggregate expressions.
   std::vector<AggSpec> aggs;
-  /// Tumbling window width in ordering units; 0 = single group-by over the
-  /// whole (finite) stream, emitted at Flush. With a window, each bucket's
-  /// groups are emitted when the stream moves past the bucket (the
-  /// `group by time/60 as tb` pattern of slides 13/37).
-  int64_t window_size = 0;
+  /// When a group closes (the window taxonomy of slides 27-28):
+  /// - Landmark(): one group-by over the whole (finite) stream, emitted
+  ///   at Flush with ts = the max input ts.
+  /// - TimeTumbling(W): disjoint buckets [kW, (k+1)W), each emitted with
+  ///   ts = bucket start once the stream moves past it (the
+  ///   `group by time/60 as tb` pattern of slides 13/37).
+  /// - TimeSliding(W, S): a window [b-W, b) at every multiple b of S,
+  ///   folded into panes of width gcd(W, S) and emitted with ts = b-W,
+  ///   the window start. S == W is TimeTumbling(W).
+  /// - Punctuated(): exactly one key column. A CloseKey on it closes that
+  ///   group at the punctuation's ts, a watermark closes every group
+  ///   whose last tuple is at or below it, and Flush closes the rest at
+  ///   their last ts [TMSF03].
+  WindowSpec window = WindowSpec::Landmark();
   /// Optional HAVING predicate over the *output* row layout
   /// (see OutputSchema); null = keep all.
   ExprRef having;
 };
 
-/// Grouped aggregation operator.
+/// Grouped aggregation operator: the one operator that closes groups.
 ///
-/// Output row layout: [ts, key..., agg...] where ts is the window-bucket
-/// start (or the max input ts when unwindowed). Watermark punctuations
-/// close buckets at or below the watermark; Flush closes everything.
+/// Output row layout: [ts, key..., agg...], ts as the window defines it
+/// (see GroupByOptions::window). Watermarks close windows at or below
+/// them; Flush closes everything.
 ///
 /// Memory behaviour mirrors [ABB+02]: bounded iff the grouping columns
 /// have bounded domains within a window and no aggregate is holistic —
-/// measured, not assumed, via StateBytes() (experiment E4).
+/// measured, not assumed, via StateBytes() (experiment E4). A sliding
+/// window keeps W/gcd(W, S) panes of partials per key, so its state does
+/// not grow with the tuples in the window (E11).
 ///
 /// Steady state allocates only the rows it emits and each bucket's hash
-/// table. A closed bucket's group nodes move onto a free list, never
-/// longer than the largest closed bucket, and a new group takes one: its
-/// key is overwritten in place and its accumulators Reset. HAVING is
-/// evaluated on one reused scratch row, so a group that fails it costs
-/// no allocation. Hash tables are not reused: group order within a
-/// bucket, the order rows are emitted and checkpointed in, follows the
-/// table's growth.
+/// table. A closed bucket's (or pane's, or group's) nodes move onto a
+/// free list, never longer than the most groups closed at once, and a
+/// new group takes one: its key is overwritten in place and its
+/// accumulators Reset. HAVING is evaluated on one reused scratch row, so
+/// a group that fails it costs no allocation. Hash tables are not
+/// reused: group order within a bucket, the order rows are emitted and
+/// checkpointed in, follows the table's growth.
 class GroupByAggregateOp : public Operator,
                            public ShardableOperator,
                            public CheckpointableOperator {
@@ -61,9 +73,16 @@ class GroupByAggregateOp : public Operator,
   void Flush() override;
   size_t StateBytes() const override;
 
+  /// Columnar ingest: keys and aggregate inputs are read straight from
+  /// the typed arrays (no per-row Tuple); group rows and punctuations
+  /// still emit through the row path.
+  bool SupportsColumns(int /*port*/ = 0) const override { return true; }
+
   /// Partitioning on the full grouping key puts each group wholly on
   /// one shard, so ANY aggregate (holistic included) stays exact —
-  /// no partial-aggregate merge is ever needed.
+  /// no partial-aggregate merge is ever needed. A one-column key makes
+  /// CloseKey punctuations hash-route (via OneValueKeyHash) to the shard
+  /// holding the group they close.
   std::unique_ptr<Operator> CloneReplica() const override {
     return std::make_unique<GroupByAggregateOp>(options_, name());
   }
@@ -71,27 +90,33 @@ class GroupByAggregateOp : public Operator,
     return {options_.key_cols};
   }
   /// Global aggregates (no grouping key) have one group spanning every
-  /// shard; unwindowed grouped output stamps rows with the shard-local
-  /// max ts, so only windowed or punctuation-bounded plans stay
-  /// bit-identical.
+  /// shard; landmark output stamps rows with the shard-local max ts, so
+  /// only windowed or punctuation-bounded plans stay bit-identical.
   bool CanShard(std::string* why) const override {
     if (options_.key_cols.empty()) {
       if (why != nullptr) *why = "global aggregate spans all shards";
       return false;
     }
-    if (options_.window_size <= 0) {
+    if (close_ == Close::kAtFlush) {
       if (why != nullptr) *why = "unwindowed output ts is shard-local";
       return false;
     }
     return true;
   }
 
-  /// Output schema for the given input schema.
+  /// Output schema for the given input schema; rejects a window this
+  /// operator cannot close groups by.
   static Result<Schema> OutputSchema(const Schema& input,
                                      const GroupByOptions& options);
 
-  /// Number of currently open (bucket, group) pairs.
+  /// Number of currently open (bucket or pane, group) pairs.
   size_t open_groups() const;
+  /// Bucket or pane width: gcd(W, S) for a sliding window, W for a
+  /// tumbling one, 0 when Flush or punctuation closes groups.
+  int64_t pane_size() const { return width_; }
+  /// Accumulator merges performed combining panes (the cost panes
+  /// optimize: W/gcd(W, S) per key and slide, not one per tuple).
+  uint64_t merges() const { return merges_; }
 
   /// Checkpointing: open buckets/groups and their accumulators round-trip
   /// exactly, unless an aggregate is sketch-backed (no serializer).
@@ -101,28 +126,69 @@ class GroupByAggregateOp : public Operator,
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
+ protected:
+  void PushColumns(ColumnBatch& batch, int port) override;
+
  private:
+  /// What closes a group, fixed by the window at construction.
+  enum class Close { kAtFlush, kBucket, kPane, kPunctuation };
+
   struct GroupState {
     AggSet::Accs accs;
+    int64_t last_ts = INT64_MIN;  ///< Newest tuple (punctuated close-out).
   };
   using GroupMap = KeyMap<GroupState>;  // KeyView-probed (zero-alloc).
 
-  void FoldTuple(const Tuple& t);
-  void EmitBucket(int64_t bucket, const GroupMap& groups);
+  /// The group `key` (a KeyView or Key) of the bucket holding `ts`,
+  /// opened if absent.
+  template <typename K>
+  GroupState& GroupOf(int64_t ts, const K& key);
+  /// Emits what the stream's newest tuple (max_ts_) proves complete.
+  void CloseAfterTuple();
+  /// Closes what punctuation `p` completes; the caller forwards `p`.
+  void CloseOnPunctuation(const Punctuation& p);
   void CloseBucketsThrough(int64_t watermark);
+  void CloseWindowsThrough(int64_t watermark);
+  void CloseQuietGroups(int64_t watermark);
+  void CloseKey(int64_t ts, const Value& key);
+  /// Merges every key's panes in [end - W, end) and emits the window.
+  void EmitWindow(int64_t end);
+  void EmitGroups(int64_t ts, const GroupMap& groups);
+  void EmitGroup(int64_t ts, const Key& key, const GroupState& state);
+  /// Recycles the oldest bucket's groups and erases it.
+  void RetireOldestBucket();
   /// Moves a closed bucket's groups onto the free list.
   void Recycle(GroupMap& groups);
+  /// Resets a closed group's node and puts it on the free list.
+  void Park(GroupMap::node_type node);
+  /// Caps the free list at the most groups closed at once, `closed`
+  /// included.
+  void TrimSpares(size_t closed);
   static size_t GroupBytes(const Key& key, const GroupState& state);
 
   GroupByOptions options_;
   AggSet aggs_;
-  // Buckets in timestamp order so close-out is oldest-first.
+  Close close_;
+  int64_t width_ = 0;  ///< Bucket or pane width (kBucket, kPane).
+  int64_t hop_ = 0;    ///< Window slide (kPane).
+  // Buckets (or panes) in timestamp order so close-out is oldest-first;
+  // landmark and punctuated groups all live in bucket 0.
   std::map<int64_t, GroupMap> buckets_;  // bucket id -> groups
+  /// The bucket the newest tuple folded into, or buckets_.end().
+  std::map<int64_t, GroupMap>::iterator last_bucket_ = buckets_.end();
   int64_t max_ts_ = INT64_MIN;
+  int64_t next_end_ = INT64_MIN;  ///< First window end not yet emitted.
+  uint64_t merges_ = 0;
   /// Reset groups of closed buckets, ready for reuse; never checkpointed
   /// (it holds no results).
   std::vector<GroupMap::node_type> free_groups_;
   size_t max_closed_ = 0;  ///< Most groups any closed bucket held.
+  /// One window's per-key merge of its panes; empty between windows,
+  /// when its reset nodes wait in merged_spares_ for the next window.
+  GroupMap merged_;
+  std::vector<GroupMap::node_type> merged_spares_;
+  /// Owning key reused to probe by CloseKey values and columnar rows.
+  Key probe_key_;
   /// Output row [ts, key..., agg...] that HAVING reads before any
   /// tuple is built.
   Tuple scratch_;

@@ -21,6 +21,7 @@ WindowAggregateOp::WindowAggregateOp(WindowSpec window,
          "WindowAggregateOp supports sliding/landmark windows");
   assert((partition_col_ < 0 || window_.kind == WindowKind::kCountSliding) &&
          "partitioned windows are count windows");
+  assert(window_.slide == 0 && "a slide step is a GroupByAggregateOp window");
   const int width =
       (partition_col_ < 0 ? 1 : 2) + static_cast<int>(aggs_.size());
   if (out_cols_.empty()) {

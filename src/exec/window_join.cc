@@ -36,7 +36,7 @@ void BinaryWindowJoinOp::Side::Reset() {
   landmark_bytes = 0;
   index.clear();
   spare_entries.clear();
-  assert(window.Validate().ok());
+  assert(window.Validate().ok() && window.slide == 0);
   if (window.kind == WindowKind::kTimeSliding) {
     time_buf = std::make_unique<TimeWindowBuffer>(window.size);
   } else if (window.kind == WindowKind::kCountSliding) {
@@ -269,10 +269,11 @@ size_t BinaryWindowJoinOp::StateBytes() const {
       // Landmark: the tuples once, and the log's references if any.
       bytes += s.landmark_bytes + s.landmark.capacity_bytes();
     } else {
-      const size_t window = TupleBytes(s.contents());
-      bytes += window;
-      // A hash index holds exactly the window's tuples.
-      if (s.strategy == JoinStrategy::kHash) bytes += window;
+      bytes += TupleBytes(s.contents());
+      // A hash index shares the window's tuples: one reference each.
+      if (s.strategy == JoinStrategy::kHash) {
+        bytes += s.contents().size() * sizeof(TupleRef);
+      }
     }
     // Bucket overhead, spare entries included.
     bytes += (s.index.size() + s.spare_entries.size()) * 48;

@@ -27,8 +27,6 @@
 
 // Window taxonomy (slides 26-28).
 #include "window/count_window.h"
-#include "window/partitioned_window.h"
-#include "window/punctuation_window.h"
 #include "window/time_window.h"
 #include "window/window_spec.h"
 
@@ -61,10 +59,8 @@
 #include "exec/merge_join.h"
 #include "exec/mjoin.h"
 #include "exec/operator.h"
-#include "exec/paned_window_agg.h"
 #include "exec/plan.h"
 #include "exec/project.h"
-#include "exec/punct_groupby.h"
 #include "exec/reorder.h"
 #include "exec/select.h"
 #include "exec/streamify.h"

@@ -45,25 +45,6 @@ class TimeWindowBuffer {
   FifoLog<TupleRef> buf_;
 };
 
-/// Maps timestamps to disjoint tumbling buckets of width `size` — the
-/// `time/60 as tb` shifting window of GSQL (slides 13, 37).
-class TumblingAssigner {
- public:
-  explicit TumblingAssigner(int64_t size) : size_(size) {}
-
-  /// Bucket id containing `ts`.
-  int64_t BucketOf(int64_t ts) const { return ts / size_; }
-  /// First timestamp of bucket `b`.
-  int64_t BucketStart(int64_t b) const { return b * size_; }
-  /// One past the last timestamp of bucket `b`.
-  int64_t BucketEnd(int64_t b) const { return (b + 1) * size_; }
-
-  int64_t size() const { return size_; }
-
- private:
-  int64_t size_;
-};
-
 }  // namespace sqp
 
 #endif  // SQP_WINDOW_TIME_WINDOW_H_

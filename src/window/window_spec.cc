@@ -12,8 +12,6 @@ const char* WindowKindName(WindowKind kind) {
       return "landmark";
     case WindowKind::kCountSliding:
       return "count-sliding";
-    case WindowKind::kCountTumbling:
-      return "count-tumbling";
     case WindowKind::kPunctuation:
       return "punctuation";
   }
@@ -21,11 +19,15 @@ const char* WindowKindName(WindowKind kind) {
 }
 
 Status WindowSpec::Validate() const {
+  if (slide != 0 &&
+      (kind != WindowKind::kTimeSliding || slide < 0 || slide > size)) {
+    return Status::InvalidArgument(
+        "slide requires a time-sliding window and 0 < slide <= size");
+  }
   switch (kind) {
     case WindowKind::kTimeSliding:
     case WindowKind::kTimeTumbling:
     case WindowKind::kCountSliding:
-    case WindowKind::kCountTumbling:
       if (size <= 0) {
         return Status::InvalidArgument(std::string(WindowKindName(kind)) +
                                        " window requires positive size");
@@ -41,6 +43,7 @@ Status WindowSpec::Validate() const {
 std::string WindowSpec::ToString() const {
   std::string out = WindowKindName(kind);
   if (size > 0) out += " size=" + std::to_string(size);
+  if (slide > 0) out += " slide=" + std::to_string(slide);
   if (kind == WindowKind::kTimeLandmark) {
     out += " start=" + std::to_string(start);
   }

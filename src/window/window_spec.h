@@ -18,8 +18,6 @@ enum class WindowKind {
   kTimeLandmark,
   /// [ROWS N]: the last N tuples.
   kCountSliding,
-  /// Disjoint batches of N tuples.
-  kCountTumbling,
   /// Scope delimited by punctuations [TMSF03]; data-dependent length.
   kPunctuation,
 };
@@ -35,9 +33,13 @@ struct WindowSpec {
   int64_t size = 0;
   /// Landmark start time (kTimeLandmark only).
   int64_t start = 0;
+  /// Hop of a time-sliding window evaluated every `slide` units
+  /// (`[RANGE T SLIDE S]`, 0 < S <= T), or 0 when it slides with every
+  /// tuple. Only GroupByAggregateOp reads it.
+  int64_t slide = 0;
 
-  static WindowSpec TimeSliding(int64_t t) {
-    return {WindowKind::kTimeSliding, t, 0};
+  static WindowSpec TimeSliding(int64_t t, int64_t slide = 0) {
+    return {WindowKind::kTimeSliding, t, 0, slide};
   }
   static WindowSpec TimeTumbling(int64_t t) {
     return {WindowKind::kTimeTumbling, t, 0};
@@ -48,9 +50,6 @@ struct WindowSpec {
   static WindowSpec CountSliding(int64_t n) {
     return {WindowKind::kCountSliding, n, 0};
   }
-  static WindowSpec CountTumbling(int64_t n) {
-    return {WindowKind::kCountTumbling, n, 0};
-  }
   static WindowSpec Punctuated() { return {WindowKind::kPunctuation, 0, 0}; }
 
   /// Validates parameter ranges (positive sizes where required).
@@ -59,7 +58,8 @@ struct WindowSpec {
   std::string ToString() const;
 
   bool operator==(const WindowSpec& other) const {
-    return kind == other.kind && size == other.size && start == other.start;
+    return kind == other.kind && size == other.size && start == other.start &&
+           slide == other.slide;
   }
 };
 

@@ -3,10 +3,10 @@
 #include <set>
 
 #include "common/rng.h"
+#include "exec/aggregate_op.h"
 #include "exec/eddy.h"
 #include "exec/mjoin.h"
 #include "exec/plan.h"
-#include "exec/punct_groupby.h"
 #include "exec/select.h"
 #include "stream/generators.h"
 
@@ -236,13 +236,23 @@ TEST(MJoinTest, TwoWayDegeneratesToBinaryJoin) {
   EXPECT_EQ(sink->tuples()[0]->arity(), 6u);
 }
 
-// --- PunctuationGroupByOp ---
+// Grouped aggregation on one key column whose groups close on
+// punctuation [TMSF03].
+GroupByOptions PunctuatedBy(int key_col, std::vector<AggSpec> aggs) {
+  GroupByOptions opt;
+  opt.key_cols = {key_col};
+  opt.aggs = std::move(aggs);
+  opt.window = WindowSpec::Punctuated();
+  return opt;
+}
+
+// --- Punctuation-closed GroupByAggregateOp ---
 
 TEST(PunctGroupByTest, CloseKeyEmitsGroup) {
   Plan plan;
-  auto* gb = plan.Make<PunctuationGroupByOp>(
+  auto* gb = plan.Make<GroupByAggregateOp>(PunctuatedBy(
       1, std::vector<AggSpec>{{AggKind::kCount, -1, 0.5},
-                              {AggKind::kMax, 2, 0.5}});
+                              {AggKind::kMax, 2, 0.5}}));
   auto* sink = plan.Make<CollectorSink>();
   gb->SetOutput(sink);
   gb->Push(Element(T(1, 7, 10)));
@@ -261,8 +271,8 @@ TEST(PunctGroupByTest, CloseKeyEmitsGroup) {
 
 TEST(PunctGroupByTest, WatermarkClosesQuietGroups) {
   Plan plan;
-  auto* gb = plan.Make<PunctuationGroupByOp>(
-      1, std::vector<AggSpec>{{AggKind::kCount, -1, 0.5}});
+  auto* gb = plan.Make<GroupByAggregateOp>(PunctuatedBy(
+      1, std::vector<AggSpec>{{AggKind::kCount, -1, 0.5}}));
   auto* sink = plan.Make<CollectorSink>();
   gb->SetOutput(sink);
   gb->Push(Element(T(1, 7, 0)));
@@ -274,8 +284,8 @@ TEST(PunctGroupByTest, WatermarkClosesQuietGroups) {
 
 TEST(PunctGroupByTest, FlushClosesRemaining) {
   Plan plan;
-  auto* gb = plan.Make<PunctuationGroupByOp>(
-      1, std::vector<AggSpec>{{AggKind::kCount, -1, 0.5}});
+  auto* gb = plan.Make<GroupByAggregateOp>(PunctuatedBy(
+      1, std::vector<AggSpec>{{AggKind::kCount, -1, 0.5}}));
   auto* sink = plan.Make<CollectorSink>();
   gb->SetOutput(sink);
   gb->Push(Element(T(1, 1, 0)));
@@ -290,10 +300,10 @@ TEST(PunctGroupByTest, AuctionWinningBids) {
   // moment the auction's close punctuation arrives.
   gen::AuctionGenerator auctions(gen::AuctionOptions{});
   Plan plan;
-  auto* gb = plan.Make<PunctuationGroupByOp>(
+  auto* gb = plan.Make<GroupByAggregateOp>(PunctuatedBy(
       gen::AuctionCols::kAuctionId,
       std::vector<AggSpec>{{AggKind::kMax, gen::AuctionCols::kAmount, 0.5},
-                           {AggKind::kCount, -1, 0.5}});
+                           {AggKind::kCount, -1, 0.5}}));
   auto* sink = plan.Make<CollectorSink>();
   gb->SetOutput(sink);
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
+#include "dur/codec.h"
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
 
@@ -48,7 +51,7 @@ TEST(GroupByTest, TumblingWindowClosesBucketsInOrder) {
   GroupByOptions opt;
   opt.key_cols = {1};
   opt.aggs = {{AggKind::kCount, -1, 0.5}};
-  opt.window_size = 10;
+  opt.window = WindowSpec::TimeTumbling(10);
   Plan plan;
   auto* gb = plan.Make<GroupByAggregateOp>(opt);
   auto* sink = plan.Make<CollectorSink>();
@@ -70,7 +73,7 @@ TEST(GroupByTest, WatermarkPunctuationClosesBuckets) {
   GroupByOptions opt;
   opt.key_cols = {};
   opt.aggs = {{AggKind::kCount, -1, 0.5}};
-  opt.window_size = 10;
+  opt.window = WindowSpec::TimeTumbling(10);
   Plan plan;
   auto* gb = plan.Make<GroupByAggregateOp>(opt);
   auto* sink = plan.Make<CollectorSink>();
@@ -131,9 +134,9 @@ TEST(GroupByTest, BoundedMemoryWithWindowUnboundedWithout) {
   GroupByOptions bounded_opt;
   bounded_opt.key_cols = {1};
   bounded_opt.aggs = {{AggKind::kCount, -1, 0.5}};
-  bounded_opt.window_size = 100;
+  bounded_opt.window = WindowSpec::TimeTumbling(100);
   GroupByOptions unbounded_opt = bounded_opt;
-  unbounded_opt.window_size = 0;
+  unbounded_opt.window = WindowSpec::Landmark();
 
   Plan plan;
   auto* windowed = plan.Make<GroupByAggregateOp>(bounded_opt, "w");
@@ -161,7 +164,7 @@ TEST(GroupByTest, ClosedGroupsAreReusedAndCounted) {
   GroupByOptions opt;
   opt.key_cols = {1};
   opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 2, 0.5}};
-  opt.window_size = 100;
+  opt.window = WindowSpec::TimeTumbling(100);
   auto run = [&](GroupByAggregateOp& op,
                  const std::vector<std::pair<int64_t, int64_t>>& rows) {
     for (const auto& [ts, key] : rows) op.Push(Element(T(ts, key, 1)));
@@ -215,6 +218,133 @@ TEST(GroupByTest, OutputSchemaRejectsBadColumns) {
   GroupByOptions opt;
   opt.key_cols = {9};
   EXPECT_FALSE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+}
+
+TEST(GroupByTest, OutputSchemaRejectsWindowsItCannotClose) {
+  GroupByOptions opt;
+  opt.aggs = {{AggKind::kCount, -1, 0.5}};
+  opt.window = WindowSpec::TimeSliding(60);  // No slide step.
+  EXPECT_FALSE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+  opt.window = WindowSpec::CountSliding(10);
+  EXPECT_FALSE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+  opt.window = WindowSpec::Punctuated();  // Needs exactly one key column.
+  EXPECT_FALSE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+  opt.key_cols = {1};
+  EXPECT_TRUE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+  opt.window = WindowSpec::TimeSliding(60, 20);
+  EXPECT_TRUE(GroupByAggregateOp::OutputSchema(InputSchema(), opt).ok());
+}
+
+// --- Checkpoints ---
+
+// Rows in emission order, groups of one window sorted: a restored
+// bucket's hash table may order its groups differently.
+std::vector<std::string> Rows(const CollectorSink& sink) {
+  std::vector<std::string> out;
+  for (const TupleRef& t : sink.tuples()) out.push_back(t->ToString());
+  auto begin = out.begin();
+  for (size_t i = 1; i <= out.size(); ++i) {
+    if (i == out.size() ||
+        sink.tuples()[i]->ts() != sink.tuples()[i - 1]->ts()) {
+      std::sort(begin, out.begin() + static_cast<std::ptrdiff_t>(i));
+      begin = out.begin() + static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return out;
+}
+
+// Runs `prefix` then `suffix` through one operator, and `prefix`, a
+// checkpoint, and `suffix` through a fresh restored one: the restored
+// operator must emit exactly the uninterrupted one's rows from there on.
+void ExpectRestoredRunMatches(const GroupByOptions& opt,
+                              const std::vector<Element>& prefix,
+                              const std::vector<Element>& suffix) {
+  Plan plan;
+  auto* whole = plan.Make<GroupByAggregateOp>(opt);
+  auto* before = plan.Make<CollectorSink>();
+  whole->SetOutput(before);
+  for (const Element& e : prefix) whole->Push(e);
+  dur::BufWriter w;
+  whole->SaveState(w);
+  const size_t open_at_save = whole->open_groups();
+  auto* after = plan.Make<CollectorSink>();
+  whole->SetOutput(after);
+  for (const Element& e : suffix) whole->Push(e);
+  whole->Flush();
+
+  auto* restored = plan.Make<GroupByAggregateOp>(opt);
+  auto* resumed = plan.Make<CollectorSink>();
+  restored->SetOutput(resumed);
+  dur::BufReader r(w.data());
+  ASSERT_TRUE(restored->RestoreState(r).ok());
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(restored->open_groups(), open_at_save);
+  for (const Element& e : suffix) restored->Push(e);
+  restored->Flush();
+  ASSERT_FALSE(after->tuples().empty());
+  EXPECT_EQ(Rows(*resumed), Rows(*after));
+}
+
+TEST(GroupByTest, PunctuatedCheckpointKeepsLastActivity) {
+  GroupByOptions opt;
+  opt.key_cols = {1};
+  opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kMax, 2, 0.5}};
+  opt.window = WindowSpec::Punctuated();
+  // Key 8 was last active at ts 9, so the watermark at 5 must leave it
+  // open; key 9 (last at 4) closes. A restore that lost last_ts would
+  // close both, and Flush would stamp key 8 with the wrong ts.
+  std::vector<Element> prefix = {Element(T(1, 7, 10)), Element(T(2, 8, 20)),
+                                 Element(T(3, 7, 30)), Element(T(4, 9, 40)),
+                                 Element(T(9, 8, 50))};
+  std::vector<Element> suffix = {
+      Element(Punctuation::CloseKey(10, Value(int64_t{7}))),
+      Element(Punctuation::Watermark(5))};
+  ExpectRestoredRunMatches(opt, prefix, suffix);
+}
+
+TEST(GroupByTest, SlidingCheckpointKeepsNextWindow) {
+  GroupByOptions opt;
+  opt.key_cols = {1};
+  opt.aggs = {{AggKind::kSum, 2, 0.5}};
+  opt.window = WindowSpec::TimeSliding(30, 10);
+  std::vector<Element> prefix, suffix;
+  for (int64_t ts = 0; ts < 90; ts += 3) {
+    (ts < 45 ? prefix : suffix).push_back(Element(T(ts, ts % 2, ts)));
+  }
+  suffix.push_back(Element(Punctuation::Watermark(100)));
+  ExpectRestoredRunMatches(opt, prefix, suffix);
+}
+
+// The tumbling layout CQL plans checkpoint is unchanged from the one
+// the previous tumbling-only operator wrote, so its checkpoints restore.
+TEST(GroupByTest, TumblingCheckpointLayoutIsUnchanged) {
+  GroupByOptions opt;
+  opt.key_cols = {1};
+  opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 2, 0.5}};
+  opt.window = WindowSpec::TimeTumbling(10);
+  std::vector<Element> prefix = {Element(T(1, 7, 5)), Element(T(4, 8, 6)),
+                                 Element(T(12, 7, 1)), Element(T(15, 9, 2)),
+                                 Element(T(17, 7, 3))};
+  // Written by the tumbling-only operator for `prefix`: max ts 17, one
+  // open bucket (id 1) holding keys 9 and 7.
+  const std::string kSaved =
+      "1100000000000000010000000100000000000000020000000100000001090000"
+      "0000000000020000000001000000000000000101000000000000000000000000"
+      "0000004002000000000000000100000001070000000000000002000000000200"
+      "0000000000000102000000000000000000000000000010400400000000000000";
+  std::string bytes;
+  for (size_t i = 0; i + 1 < kSaved.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(kSaved.substr(i, 2), nullptr, 16)));
+  }
+  GroupByAggregateOp op(opt);
+  CountingSink sink;
+  op.SetOutput(&sink);
+  for (const Element& e : prefix) op.Push(e);
+  dur::BufWriter w;
+  op.SaveState(w);
+  EXPECT_EQ(w.data(), bytes);
+  ExpectRestoredRunMatches(opt, prefix, {Element(T(21, 7, 4))});
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "exec/aggregate_op.h"
 #include "exec/operator.h"
 #include "exec/project.h"
-#include "exec/punct_groupby.h"
 #include "exec/window_agg.h"
 #include "exec/window_join.h"
 #include "stream/element_batch.h"
@@ -149,7 +148,7 @@ TEST(AllocProbeTest, GroupByFoldIntoExistingGroupIsAllocationFree) {
   GroupByOptions opt;
   opt.key_cols = {0};
   opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 1, 0.5}};
-  opt.window_size = 0;  // Unwindowed: emission only at Flush.
+  opt.window = WindowSpec::Landmark();  // Unwindowed: emission only at Flush.
   GroupByAggregateOp agg(opt);
   CountingSink sink;
   agg.SetOutput(&sink);
@@ -168,7 +167,7 @@ GroupByOptions TumblingOptions(ExprRef having = nullptr) {
   GroupByOptions opt;
   opt.key_cols = {0};
   opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 1, 0.5}};
-  opt.window_size = 10;
+  opt.window = WindowSpec::TimeTumbling(10);
   opt.having = std::move(having);
   return opt;
 }
@@ -318,7 +317,9 @@ TEST(AllocProbeTest, DistinctDuplicateIsAllocationFree) {
 TEST(AllocProbeTest, PunctGroupByExistingGroupIsAllocationFree) {
   // Value-keyed grouping was already heterogeneous (probes by const
   // Value&); pin the zero-allocation property here so it stays true.
-  PunctuationGroupByOp agg(0, {{AggKind::kCount, -1, 0.5}});
+  GroupByAggregateOp agg({.key_cols = {0},
+                          .aggs = {{AggKind::kCount, -1, 0.5}},
+                          .window = WindowSpec::Punctuated()});
   CountingSink sink;
   agg.SetOutput(&sink);
   for (int64_t i = 0; i < 4; ++i) {

@@ -188,7 +188,7 @@ TEST(BatchEquivTest, GroupByAggregateMatchesPerElement) {
     GroupByOptions opt;
     opt.key_cols = {1};
     opt.aggs = {{AggKind::kCount, -1, 0.5}, {AggKind::kSum, 2, 0.5}};
-    opt.window_size = 128;
+    opt.window = WindowSpec::TimeTumbling(128);
     return std::make_unique<GroupByAggregateOp>(opt);
   };
   auto ref = make();

@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/aggregate_op.h"
 #include "exec/column_batch.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
 #include "exec/plan.h"
 #include "exec/project.h"
-#include "exec/punct_groupby.h"
 #include "exec/select.h"
 #include "exec/sharded_op.h"
 #include "exec/vector_expr.h"
@@ -373,6 +373,16 @@ TEST(ColumnarEquivTest, FuzzSelectProjectChainMatchesRowPath) {
   }
 }
 
+// Grouped aggregation on one key column whose groups close on
+// punctuation [TMSF03].
+GroupByOptions PunctuatedBy(int key_col, std::vector<AggSpec> aggs) {
+  GroupByOptions opt;
+  opt.key_cols = {key_col};
+  opt.aggs = std::move(aggs);
+  opt.window = WindowSpec::Punctuated();
+  return opt;
+}
+
 TEST(ColumnarEquivTest, PunctGroupByColumnarMatchesRow) {
   std::vector<AggSpec> aggs = {AggSpec{AggKind::kCount, -1, 0.5},
                                AggSpec{AggKind::kSum, 2, 0.5}};
@@ -391,17 +401,58 @@ TEST(ColumnarEquivTest, PunctGroupByColumnarMatchesRow) {
     }
   }
 
-  PunctuationGroupByOp ref(1, aggs);
+  GroupByAggregateOp ref(PunctuatedBy(1, aggs));
   RecordingSink ref_sink;
   ref.SetOutput(&ref_sink);
   DrivePerElement(&ref, input);
 
   for (size_t bs : kBatchSizes) {
-    PunctuationGroupByOp op(1, aggs);
+    GroupByAggregateOp op(PunctuatedBy(1, aggs));
     RecordingSink sink;
     op.SetOutput(&sink);
     DriveColumnar(&op, input, bs);
     ASSERT_EQ(sink.log(), ref_sink.log()) << "batch_size " << bs;
+  }
+}
+
+TEST(ColumnarEquivTest, GroupByEveryWindowColumnarMatchesRow) {
+  Rng rng(205);
+  std::vector<Element> input;
+  for (int64_t i = 0; i < 3000; ++i) {
+    input.push_back(Element(MakeTuple(
+        i, {Value(i), Value(static_cast<int64_t>(rng.Uniform(20))),
+            Value(i % 17)})));
+    if (rng.Uniform(64) == 0) {
+      input.push_back(Element(Punctuation::Watermark(i - 30)));
+    }
+  }
+  const std::pair<WindowSpec, std::vector<int>> shapes[] = {
+      {WindowSpec::Landmark(), {1}},
+      {WindowSpec::TimeTumbling(50), {1}},
+      {WindowSpec::TimeTumbling(50), {}},
+      {WindowSpec::TimeSliding(60, 20), {1, 2}},
+      {WindowSpec::TimeSliding(60, 20), {}},
+  };
+  for (const auto& [window, key_cols] : shapes) {
+    SCOPED_TRACE(window.ToString() + " keys " +
+                 std::to_string(key_cols.size()));
+    GroupByOptions opt;
+    opt.key_cols = key_cols;
+    opt.aggs = {AggSpec{AggKind::kCount, -1, 0.5},
+                AggSpec{AggKind::kMax, 2, 0.5}};
+    opt.window = window;
+    GroupByAggregateOp ref(opt);
+    RecordingSink ref_sink;
+    ref.SetOutput(&ref_sink);
+    DrivePerElement(&ref, input);
+    ASSERT_GT(ref_sink.log().size(), input.size() / 64);
+    for (size_t bs : kBatchSizes) {
+      GroupByAggregateOp op(opt);
+      RecordingSink sink;
+      op.SetOutput(&sink);
+      DriveColumnar(&op, input, bs);
+      ASSERT_EQ(sink.log(), ref_sink.log()) << "batch_size " << bs;
+    }
   }
 }
 
@@ -509,7 +560,7 @@ TEST(ColumnarEquivTest, ShardedColumnarMatchesSerial) {
                                AggSpec{AggKind::kMax, 2, 0.5}};
 
   Plan sp;
-  auto* serial = sp.Make<PunctuationGroupByOp>(1, aggs);
+  auto* serial = sp.Make<GroupByAggregateOp>(PunctuatedBy(1, aggs));
   auto* ssink = sp.Make<CollectorSink>();
   serial->SetOutput(ssink);
 
@@ -519,7 +570,9 @@ TEST(ColumnarEquivTest, ShardedColumnarMatchesSerial) {
   so.key_cols = {{1}};
   so.columnar = true;
   auto* sharded = pp.Make<ShardedOp>(
-      so, [&](int) { return std::make_unique<PunctuationGroupByOp>(1, aggs); });
+      so, [&](int) {
+        return std::make_unique<GroupByAggregateOp>(PunctuatedBy(1, aggs));
+      });
   auto* psink = pp.Make<CollectorSink>();
   sharded->SetOutput(psink);
 

@@ -212,6 +212,45 @@ TEST(WindowJoinTest, HashUsesMoreMemoryLessCpu) {
   EXPECT_EQ(hash_stats.results, nl_stats.results);   // Same output.
 }
 
+TEST(WindowJoinTest, HashStateExceedsNestedLoopOnlyByIndex) {
+  // The index and the window share each TupleRef: a hash side costs its
+  // window plus per-entry and per-reference index overhead, not the
+  // window's tuples twice.
+  constexpr int64_t kKeys = 50;
+  constexpr int64_t kRange = 200;
+  Rng rng(33);
+  std::vector<std::pair<int, TupleRef>> inputs;
+  for (int64_t ts = 1; ts <= 2000; ++ts) {
+    int64_t key = static_cast<int64_t>(rng.Uniform(kKeys));
+    inputs.emplace_back(ts % 2, T(ts, key, ts * 1000));
+  }
+  auto final_state = [&](JoinStrategy s) {
+    Plan plan;
+    auto* j = plan.Make<BinaryWindowJoinOp>(JoinOpts(s, s, kRange, kRange));
+    auto* sink = plan.Make<CountingSink>();
+    j->SetOutput(sink);
+    for (auto& [side, t] : inputs) j->Push(Element(t), side);
+    return j->StateBytes();
+  };
+  const size_t hash = final_state(JoinStrategy::kHash);
+  const size_t nl = final_state(JoinStrategy::kNestedLoop);
+  // Both windows end at the last ts, holding (now - range, now].
+  const int64_t now = inputs.back().second->ts();
+  size_t in_window = 0, window_bytes = 0;
+  for (auto& [side, t] : inputs) {
+    if (t->ts() > now - kRange) {
+      ++in_window;
+      window_bytes += t->MemoryBytes();
+    }
+  }
+  ASSERT_GT(hash, nl);
+  const size_t index = hash - nl;
+  EXPECT_GE(index, in_window * sizeof(TupleRef));
+  // At most every key, live or spare, on each side.
+  EXPECT_LE(index, in_window * sizeof(TupleRef) + 2 * kKeys * 48);
+  EXPECT_LT(index, window_bytes);
+}
+
 // --- Ordered merge (band) join ---
 
 TEST(MergeJoinTest, BandZeroIsTsEquijoin) {

@@ -2,9 +2,10 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 #include "common/rng.h"
-#include "exec/paned_window_agg.h"
+#include "exec/aggregate_op.h"
 #include "exec/plan.h"
 #include "exec/window_join.h"
 
@@ -15,62 +16,66 @@ TupleRef T(int64_t ts, int64_t v) {
   return MakeTuple(ts, {Value(ts), Value(v)});
 }
 
-// --- PanedWindowAggregateOp ---
+// --- Paned sliding windows (GroupByAggregateOp, TimeSliding(W, S)) ---
+
+GroupByOptions PanedOptions(int64_t window, int64_t slide, AggSpec agg,
+                            std::vector<int> key_cols = {}) {
+  GroupByOptions opt;
+  opt.key_cols = std::move(key_cols);
+  opt.aggs = {agg};
+  opt.window = WindowSpec::TimeSliding(window, slide);
+  return opt;
+}
 
 TEST(PanedWindowTest, PaneSizeIsGcd) {
-  PanedWindowAggregateOp::Options opt;
-  opt.window = 60;
-  opt.slide = 25;
-  opt.aggs = {{AggKind::kCount, -1, 0.5}};
   Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(60, 25, {AggKind::kCount, -1, 0.5}));
   EXPECT_EQ(pw->pane_size(), 5);
 }
 
 TEST(PanedWindowTest, TumblingSpecialCase) {
   // slide == window: panes degenerate to the window itself.
-  PanedWindowAggregateOp::Options opt;
-  opt.window = 10;
-  opt.slide = 10;
-  opt.aggs = {{AggKind::kSum, 1, 0.5}};
   Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(10, 10, {AggKind::kSum, 1, 0.5}));
   auto* sink = plan.Make<CollectorSink>();
   pw->SetOutput(sink);
   for (int64_t ts : {1, 5, 9, 11, 15, 21}) pw->Push(Element(T(ts, ts)));
   pw->Flush();
   ASSERT_EQ(sink->count(), 3u);
-  EXPECT_EQ(sink->tuples()[0]->ts(), 10);
+  EXPECT_EQ(sink->tuples()[0]->ts(), 0);  // Window start.
   EXPECT_EQ(sink->tuples()[0]->at(1).AsInt(), 15);  // 1+5+9.
   EXPECT_EQ(sink->tuples()[1]->at(1).AsInt(), 26);  // 11+15.
   EXPECT_EQ(sink->tuples()[2]->at(1).AsInt(), 21);
 }
 
 TEST(PanedWindowTest, OverlappingWindowsShareWork) {
-  PanedWindowAggregateOp::Options opt;
-  opt.window = 40;
-  opt.slide = 10;
-  opt.aggs = {{AggKind::kCount, -1, 0.5}};
   Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(40, 10, {AggKind::kCount, -1, 0.5}));
   auto* sink = plan.Make<CollectorSink>();
   pw->SetOutput(sink);
   // One tuple per tick for 100 ticks.
   for (int64_t ts = 0; ts < 100; ++ts) pw->Push(Element(T(ts, 1)));
   pw->Flush();
-  // Steady state: every window of 40 ticks holds 40 tuples.
+  // Steady state: every window of 40 ticks holds 40 tuples. Rows are
+  // stamped with the window start.
   std::map<int64_t, int64_t> rows;
   for (const TupleRef& r : sink->tuples()) rows[r->ts()] = r->at(1).AsInt();
-  EXPECT_EQ(rows[40], 40);
+  EXPECT_EQ(rows[0], 40);
+  EXPECT_EQ(rows[10], 40);
   EXPECT_EQ(rows[50], 40);
-  EXPECT_EQ(rows[90], 40);
   // Ramp-up windows are partial.
-  EXPECT_EQ(rows[10], 10);
-  EXPECT_EQ(rows[20], 20);
+  EXPECT_EQ(rows[-30], 10);
+  EXPECT_EQ(rows[-20], 20);
 }
 
 // Property: paned output equals a brute-force window scan, for several
-// (window, slide) shapes and aggregate kinds.
+// (window, slide) shapes and aggregate kinds, with no key and with one
+// key column; and it is complete: every window [b - W, b) at a multiple
+// b of S that holds a tuple of a key is emitted exactly once for that
+// key, and no empty window is emitted.
 struct PanedCase {
   int64_t window, slide;
   AggKind kind;
@@ -80,50 +85,75 @@ class PanedPropertyTest : public ::testing::TestWithParam<PanedCase> {};
 
 TEST_P(PanedPropertyTest, MatchesBruteForce) {
   auto [window, slide, kind] = GetParam();
-  PanedWindowAggregateOp::Options opt;
-  opt.window = window;
-  opt.slide = slide;
-  opt.aggs = {{kind, 1, 0.5}};
-  Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
-  auto* sink = plan.Make<CollectorSink>();
-  pw->SetOutput(sink);
-
   Rng rng(31);
-  std::vector<TupleRef> tuples;
+  std::vector<TupleRef> tuples;  // [ts, value, key]
   int64_t ts = 0;
   for (int i = 0; i < 1500; ++i) {
     ts += static_cast<int64_t>(rng.Uniform(3));
-    tuples.push_back(T(ts, static_cast<int64_t>(rng.Uniform(1000))));
+    // Occasional gaps longer than any window leave empty windows behind.
+    if (rng.Uniform(200) == 0) ts += 3 * window;
+    tuples.push_back(MakeTuple(
+        ts, {Value(ts), Value(static_cast<int64_t>(rng.Uniform(1000))),
+             Value(static_cast<int64_t>(rng.Uniform(4)))}));
   }
-  for (const TupleRef& t : tuples) pw->Push(Element(t));
-  pw->Flush();
 
-  auto brute = [&](int64_t boundary) {
-    double sum = 0, mx = -1e18;
-    int64_t count = 0;
+  for (bool keyed : {false, true}) {
+    SCOPED_TRACE(keyed ? "one key column" : "no key");
+    std::vector<int> key_cols;
+    if (keyed) key_cols = {2};
+    Plan plan;
+    auto* pw = plan.Make<GroupByAggregateOp>(
+        PanedOptions(window, slide, {kind, 1, 0.5}, key_cols));
+    auto* sink = plan.Make<CollectorSink>();
+    pw->SetOutput(sink);
+    for (const TupleRef& t : tuples) pw->Push(Element(t));
+    pw->Flush();
+
+    auto key_of = [&](const Tuple& t) {
+      return keyed ? t.at(2).AsInt() : int64_t{0};
+    };
+    auto brute = [&](int64_t boundary, int64_t key) {
+      double sum = 0, mx = -1e18;
+      int64_t count = 0;
+      for (const TupleRef& t : tuples) {
+        if (t->ts() >= boundary - window && t->ts() < boundary &&
+            key_of(*t) == key) {
+          sum += t->at(1).ToDouble();
+          mx = std::max(mx, t->at(1).ToDouble());
+          ++count;
+        }
+      }
+      switch (kind) {
+        case AggKind::kSum:
+          return sum;
+        case AggKind::kMax:
+          return mx;
+        default:
+          return static_cast<double>(count);
+      }
+    };
+    // Every (window end, key) that holds at least one tuple.
+    std::set<std::pair<int64_t, int64_t>> expected;
     for (const TupleRef& t : tuples) {
-      if (t->ts() >= boundary - window && t->ts() < boundary) {
-        sum += t->at(1).ToDouble();
-        mx = std::max(mx, t->at(1).ToDouble());
-        ++count;
+      for (int64_t b = (t->ts() / slide + 1) * slide; b <= t->ts() + window;
+           b += slide) {
+        expected.insert({b, key_of(*t)});
       }
     }
-    switch (kind) {
-      case AggKind::kSum:
-        return sum;
-      case AggKind::kMax:
-        return mx;
-      default:
-        return static_cast<double>(count);
-    }
-  };
 
-  ASSERT_GT(sink->count(), 10u);
-  for (const TupleRef& r : sink->tuples()) {
-    double expect = brute(r->ts());
-    EXPECT_NEAR(r->at(1).ToDouble(), expect, 1e-9)
-        << "boundary " << r->ts() << " w=" << window << " s=" << slide;
+    ASSERT_GT(sink->count(), 10u);
+    const size_t agg_col = keyed ? 2 : 1;
+    std::set<std::pair<int64_t, int64_t>> emitted;
+    for (const TupleRef& r : sink->tuples()) {
+      int64_t boundary = r->ts() + window;  // Rows carry the window start.
+      int64_t key = keyed ? r->at(1).AsInt() : 0;
+      EXPECT_TRUE(emitted.insert({boundary, key}).second)
+          << "window ending " << boundary << " emitted twice";
+      double expect = brute(boundary, key);
+      EXPECT_NEAR(r->at(agg_col).ToDouble(), expect, 1e-9)
+          << "boundary " << boundary << " w=" << window << " s=" << slide;
+    }
+    EXPECT_EQ(emitted, expected);
   }
 }
 
@@ -141,13 +171,33 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.slide);
     });
 
-TEST(PanedWindowTest, StateBoundedByPaneCount) {
-  PanedWindowAggregateOp::Options opt;
-  opt.window = 1000;
-  opt.slide = 100;
-  opt.aggs = {{AggKind::kSum, 1, 0.5}};
+TEST(PanedWindowTest, WatermarkClosesWindowsItPasses) {
   Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(20, 10, {AggKind::kCount, -1, 0.5}));
+  auto* sink = plan.Make<CollectorSink>();
+  pw->SetOutput(sink);
+  for (int64_t ts : {1, 5, 12}) pw->Push(Element(T(ts, 1)));
+  // Ts 12 completes the window ending at 10: [-10, 10) holds 1 and 5.
+  ASSERT_EQ(sink->count(), 1u);
+  EXPECT_EQ(sink->tuples()[0]->ts(), -10);
+  EXPECT_EQ(sink->tuples()[0]->at(1).AsInt(), 2);
+  pw->Push(Element(Punctuation::Watermark(18)));
+  EXPECT_EQ(sink->count(), 1u);  // [0, 20) may still get ts 19.
+  pw->Push(Element(Punctuation::Watermark(19)));
+  ASSERT_EQ(sink->count(), 2u);
+  EXPECT_EQ(sink->tuples()[1]->ts(), 0);
+  EXPECT_EQ(sink->tuples()[1]->at(1).AsInt(), 3);
+  pw->Flush();  // [10, 30) holds 12.
+  ASSERT_EQ(sink->count(), 3u);
+  EXPECT_EQ(sink->tuples()[2]->ts(), 10);
+  EXPECT_EQ(sink->tuples()[2]->at(1).AsInt(), 1);
+}
+
+TEST(PanedWindowTest, StateBoundedByPaneCount) {
+  Plan plan;
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(1000, 100, {AggKind::kSum, 1, 0.5}));
   auto* sink = plan.Make<CountingSink>();
   pw->SetOutput(sink);
   for (int64_t ts = 0; ts < 100000; ++ts) {
@@ -158,12 +208,9 @@ TEST(PanedWindowTest, StateBoundedByPaneCount) {
 }
 
 TEST(PanedWindowTest, LargeTimeJumpStaysCheap) {
-  PanedWindowAggregateOp::Options opt;
-  opt.window = 100;
-  opt.slide = 10;
-  opt.aggs = {{AggKind::kCount, -1, 0.5}};
   Plan plan;
-  auto* pw = plan.Make<PanedWindowAggregateOp>(opt);
+  auto* pw = plan.Make<GroupByAggregateOp>(
+      PanedOptions(100, 10, {AggKind::kCount, -1, 0.5}));
   auto* sink = plan.Make<CollectorSink>();
   pw->SetOutput(sink);
   pw->Push(Element(T(5, 1)));

@@ -179,7 +179,7 @@ TEST(GroupByPropertyTest, BucketCountsSumToInput) {
   Plan plan;
   GroupByOptions opt;
   opt.aggs = {{AggKind::kCount, -1, 0.5}};
-  opt.window_size = 16;
+  opt.window = WindowSpec::TimeTumbling(16);
   auto* gb = plan.Make<GroupByAggregateOp>(opt);
   uint64_t emitted_total = 0;
   auto* sink = plan.Make<CallbackSink>([&](const Element& e) {

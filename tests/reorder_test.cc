@@ -43,7 +43,7 @@ TEST(HeartbeatTest, DrivesDownstreamBucketCloseout) {
   auto* hb = plan.Make<HeartbeatOp>(5);
   GroupByOptions opt;
   opt.aggs = {{AggKind::kCount, -1, 0.5}};
-  opt.window_size = 10;
+  opt.window = WindowSpec::TimeTumbling(10);
   auto* gb = plan.Make<GroupByAggregateOp>(opt);
   auto* sink = plan.Make<CollectorSink>();
   hb->SetOutput(gb);
@@ -167,7 +167,7 @@ TEST(ReorderIntegrationTest, DisorderedPipelineMatchesSorted) {
     Plan plan;
     GroupByOptions opt;
     opt.aggs = {{AggKind::kCount, -1, 0.5}};
-    opt.window_size = 100;
+    opt.window = WindowSpec::TimeTumbling(100);
     auto* gb = plan.Make<GroupByAggregateOp>(opt);
     auto* sink = plan.Make<CollectorSink>();
     gb->SetOutput(sink);

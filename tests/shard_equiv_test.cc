@@ -16,7 +16,6 @@
 #include "dur/codec.h"
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
-#include "exec/punct_groupby.h"
 #include "exec/sharded_op.h"
 #include "exec/sharding.h"
 #include "exec/window_join.h"
@@ -178,7 +177,7 @@ TEST(ShardEquivTest, WindowedGroupByMatchesSerial) {
   GroupByOptions g;
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCount, -1, 0.5}, AggSpec{AggKind::kSum, 2, 0.5}};
-  g.window_size = 100;
+  g.window = WindowSpec::TimeTumbling(100);
 
   Plan sp;
   auto* serial = sp.Make<GroupByAggregateOp>(g);
@@ -222,7 +221,7 @@ TEST(ShardEquivTest, RecycledGroupByMatchesOracleAndCheckpoint) {
   GroupByOptions g;
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCount, -1, 0.5}, AggSpec{AggKind::kSum, 2, 0.5}};
-  g.window_size = 100;
+  g.window = WindowSpec::TimeTumbling(100);
   // Output [ts, key, count, sum]: keep groups with more than 12 rows.
   g.having = Bin(BinOp::kGt, Col(2), Lit(int64_t{12}));
 
@@ -284,12 +283,22 @@ TEST(ShardEquivTest, RecycledGroupByMatchesOracleAndCheckpoint) {
   EXPECT_EQ(Rows(*psink), Rows(expected));
 }
 
+// Grouped aggregation on one key column whose groups close on
+// punctuation [TMSF03].
+GroupByOptions PunctuatedBy(int key_col, std::vector<AggSpec> aggs) {
+  GroupByOptions opt;
+  opt.key_cols = {key_col};
+  opt.aggs = std::move(aggs);
+  opt.window = WindowSpec::Punctuated();
+  return opt;
+}
+
 TEST(ShardEquivTest, PunctuationGroupByCloseKeyMatchesSerial) {
   std::vector<AggSpec> aggs = {AggSpec{AggKind::kCount, -1, 0.5},
                                AggSpec{AggKind::kMax, 2, 0.5}};
 
   Plan sp;
-  auto* serial = sp.Make<PunctuationGroupByOp>(1, aggs);
+  auto* serial = sp.Make<GroupByAggregateOp>(PunctuatedBy(1, aggs));
   auto* ssink = sp.Make<CollectorSink>();
   serial->SetOutput(ssink);
 
@@ -298,7 +307,9 @@ TEST(ShardEquivTest, PunctuationGroupByCloseKeyMatchesSerial) {
   so.shards = 4;
   so.key_cols = {{1}};
   auto* sharded = pp.Make<ShardedOp>(
-      so, [&](int) { return std::make_unique<PunctuationGroupByOp>(1, aggs); });
+      so, [&](int) {
+        return std::make_unique<GroupByAggregateOp>(PunctuatedBy(1, aggs));
+      });
   auto* psink = pp.Make<CollectorSink>();
   sharded->SetOutput(psink);
 
@@ -384,7 +395,7 @@ TEST(ShardEquivTest, ShardsOfOneStillWorkThroughTheFullPath) {
   GroupByOptions g;
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCount, -1, 0.5}};
-  g.window_size = 10;
+  g.window = WindowSpec::TimeTumbling(10);
 
   Plan sp;
   auto* serial = sp.Make<GroupByAggregateOp>(g);

@@ -29,7 +29,7 @@ GroupByOptions Grouping() {
   GroupByOptions g;
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCount, -1, 0.5}};
-  g.window_size = 50;
+  g.window = WindowSpec::TimeTumbling(50);
   return g;
 }
 
@@ -117,7 +117,7 @@ TEST(ShardStressTest, DropNewestShedsButNeverDropsPunctuations) {
   GroupByOptions g;
   g.key_cols = {1};
   g.aggs = {AggSpec{AggKind::kCountDistinct, 2, 0.5}};
-  g.window_size = 1000;
+  g.window = WindowSpec::TimeTumbling(1000);
   auto* sharded = plan.Make<ShardedOp>(
       so, [&](int) { return std::make_unique<GroupByAggregateOp>(g); });
   auto* sink = plan.Make<CollectorSink>();

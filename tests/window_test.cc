@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "exec/aggregate_op.h"
+#include "exec/plan.h"
 #include "window/count_window.h"
-#include "window/partitioned_window.h"
-#include "window/punctuation_window.h"
 #include "window/time_window.h"
 #include "window/window_spec.h"
 
@@ -21,6 +21,19 @@ TEST(WindowSpecTest, Validation) {
   EXPECT_FALSE(WindowSpec::CountSliding(-5).Validate().ok());
   EXPECT_TRUE(WindowSpec::Landmark().Validate().ok());
   EXPECT_TRUE(WindowSpec::Punctuated().Validate().ok());
+}
+
+TEST(WindowSpecTest, SlideNeedsTimeSlidingWithinSize) {
+  EXPECT_TRUE(WindowSpec::TimeSliding(60, 10).Validate().ok());
+  EXPECT_TRUE(WindowSpec::TimeSliding(60, 60).Validate().ok());
+  EXPECT_FALSE(WindowSpec::TimeSliding(60, 61).Validate().ok());
+  EXPECT_FALSE(WindowSpec::TimeSliding(60, -1).Validate().ok());
+  WindowSpec tumbling = WindowSpec::TimeTumbling(60);
+  tumbling.slide = 10;
+  EXPECT_FALSE(tumbling.Validate().ok());
+  EXPECT_EQ(WindowSpec::TimeSliding(60, 10).ToString(),
+            "time-sliding size=60 slide=10");
+  EXPECT_FALSE(WindowSpec::TimeSliding(60, 10) == WindowSpec::TimeSliding(60));
 }
 
 TEST(WindowSpecTest, Names) {
@@ -78,15 +91,6 @@ TEST(TimeWindowTest, MemoryTracksContents) {
   EXPECT_EQ(w.MemoryBytes(), 0u);
 }
 
-TEST(TumblingAssignerTest, Buckets) {
-  TumblingAssigner a(60);
-  EXPECT_EQ(a.BucketOf(0), 0);
-  EXPECT_EQ(a.BucketOf(59), 0);
-  EXPECT_EQ(a.BucketOf(60), 1);
-  EXPECT_EQ(a.BucketStart(2), 120);
-  EXPECT_EQ(a.BucketEnd(2), 180);
-}
-
 // --- CountWindowBuffer ---
 
 TEST(CountWindowTest, EvictsOldestWhenFull) {
@@ -101,64 +105,55 @@ TEST(CountWindowTest, EvictsOldestWhenFull) {
   EXPECT_EQ(w.size(), 3u);
 }
 
-// --- PunctuationWindowBuffer ---
+// --- Punctuation windows (closed by GroupByAggregateOp) ---
+
+// count(*) grouped by column 1, groups closed by punctuation.
+struct PunctuatedCount {
+  PunctuatedCount() {
+    GroupByOptions opt;
+    opt.key_cols = {1};
+    opt.aggs = {{AggKind::kCount, -1, 0.5}};
+    opt.window = WindowSpec::Punctuated();
+    gb = plan.Make<GroupByAggregateOp>(opt);
+    sink = plan.Make<CollectorSink>();
+    gb->SetOutput(sink);
+  }
+  Plan plan;
+  GroupByAggregateOp* gb;
+  CollectorSink* sink;
+};
 
 TEST(PunctuationWindowTest, CloseKeyReleasesGroup) {
-  PunctuationWindowBuffer w(1);  // Key col 1.
-  w.Insert(MakeTuple(1, {Value(int64_t{1}), Value(int64_t{7})}));
-  w.Insert(MakeTuple(2, {Value(int64_t{2}), Value(int64_t{7})}));
-  w.Insert(MakeTuple(3, {Value(int64_t{3}), Value(int64_t{8})}));
-  EXPECT_EQ(w.num_open_keys(), 2u);
+  PunctuatedCount w;  // Key col 1.
+  w.gb->Push(Element(MakeTuple(1, {Value(int64_t{1}), Value(int64_t{7})})));
+  w.gb->Push(Element(MakeTuple(2, {Value(int64_t{2}), Value(int64_t{7})})));
+  w.gb->Push(Element(MakeTuple(3, {Value(int64_t{3}), Value(int64_t{8})})));
+  EXPECT_EQ(w.gb->open_groups(), 2u);
 
-  auto closed = w.OnPunctuation(Punctuation::CloseKey(3, Value(int64_t{7})));
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].first.AsInt(), 7);
-  EXPECT_EQ(closed[0].second.size(), 2u);
-  EXPECT_EQ(w.num_open_keys(), 1u);
-  EXPECT_EQ(w.buffered_tuples(), 1u);
+  w.gb->Push(Element(Punctuation::CloseKey(3, Value(int64_t{7}))));
+  ASSERT_EQ(w.sink->count(), 1u);
+  EXPECT_EQ(w.sink->tuples()[0]->at(1).AsInt(), 7);
+  EXPECT_EQ(w.sink->tuples()[0]->at(2).AsInt(), 2);  // Tuples in the group.
+  EXPECT_EQ(w.gb->open_groups(), 1u);
+  w.gb->Flush();
+  ASSERT_EQ(w.sink->count(), 2u);
+  EXPECT_EQ(w.sink->tuples()[1]->at(2).AsInt(), 1);  // One tuple left open.
 }
 
 TEST(PunctuationWindowTest, WatermarkClosesOldGroups) {
-  PunctuationWindowBuffer w(1);
-  w.Insert(MakeTuple(1, {Value(int64_t{1}), Value(int64_t{7})}));
-  w.Insert(MakeTuple(9, {Value(int64_t{9}), Value(int64_t{8})}));
-  auto closed = w.OnPunctuation(Punctuation::Watermark(5));
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].first.AsInt(), 7);
-  EXPECT_EQ(w.num_open_keys(), 1u);
+  PunctuatedCount w;
+  w.gb->Push(Element(MakeTuple(1, {Value(int64_t{1}), Value(int64_t{7})})));
+  w.gb->Push(Element(MakeTuple(9, {Value(int64_t{9}), Value(int64_t{8})})));
+  w.gb->Push(Element(Punctuation::Watermark(5)));
+  ASSERT_EQ(w.sink->count(), 1u);
+  EXPECT_EQ(w.sink->tuples()[0]->at(1).AsInt(), 7);
+  EXPECT_EQ(w.gb->open_groups(), 1u);
 }
 
 TEST(PunctuationWindowTest, CloseUnknownKeyIsNoop) {
-  PunctuationWindowBuffer w(1);
-  auto closed = w.OnPunctuation(Punctuation::CloseKey(1, Value(int64_t{42})));
-  EXPECT_TRUE(closed.empty());
-}
-
-// --- PartitionedCountWindow ---
-
-TEST(PartitionedWindowTest, IndependentPartitions) {
-  PartitionedCountWindow w({1}, 2);  // Partition by col 1, 2 rows each.
-  w.Insert(MakeTuple(1, {Value(int64_t{1}), Value(int64_t{10})}));
-  w.Insert(MakeTuple(2, {Value(int64_t{2}), Value(int64_t{10})}));
-  w.Insert(MakeTuple(3, {Value(int64_t{3}), Value(int64_t{20})}));
-  EXPECT_EQ(w.num_partitions(), 2u);
-
-  // Third insert into partition 10 evicts its oldest only.
-  auto evicted = w.Insert(MakeTuple(4, {Value(int64_t{4}), Value(int64_t{10})}));
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ((*evicted)->ts(), 1);
-
-  Key k10{{Value(int64_t{10})}};
-  EXPECT_EQ(w.Partition(k10).size(), 2u);
-  Key k20{{Value(int64_t{20})}};
-  EXPECT_EQ(w.Partition(k20).size(), 1u);
-  EXPECT_EQ(w.Contents().size(), 3u);
-}
-
-TEST(PartitionedWindowTest, UnknownPartitionEmpty) {
-  PartitionedCountWindow w({0}, 4);
-  Key k{{Value(int64_t{5})}};
-  EXPECT_TRUE(w.Partition(k).empty());
+  PunctuatedCount w;
+  w.gb->Push(Element(Punctuation::CloseKey(1, Value(int64_t{42}))));
+  EXPECT_EQ(w.sink->count(), 0u);
 }
 
 }  // namespace
