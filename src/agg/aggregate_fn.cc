@@ -371,6 +371,7 @@ class MedianAcc : public Accumulator {
     SQP_RETURN_NOT_OK(r.U64(&n_));
     uint32_t count = 0;
     SQP_RETURN_NOT_OK(r.U32(&count));
+    if (count != n_) return Status::Internal("median: count mismatch");
     vals_.clear();
     vals_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {

@@ -61,7 +61,7 @@ struct AdaptiveShedOptions {
 struct ExecutionOptions {
   /// Vectorized delivery: executor stages and shard replicas hand
   /// queued tuple runs to column-capable operators (select, project,
-  /// punctuated group-by) as ColumnBatches; output is bit-identical to
+  /// group-by) as ColumnBatches; output is bit-identical to
   /// the row path. Needs `parallel`, or `sharding` that splices at
   /// least one shard rewrite: serial ingest delivers one element at a
   /// time.

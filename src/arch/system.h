@@ -12,7 +12,6 @@
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
 #include "exec/project.h"
-#include "window/time_window.h"
 
 namespace sqp {
 

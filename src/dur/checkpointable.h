@@ -10,7 +10,8 @@ namespace sqp {
 
 /// Mixin for operators whose in-memory state can round-trip through a
 /// checkpoint (dur::Checkpoint). Implemented by the stateful synopses
-/// the CQL planner emits — group-by, punctuated group-by, the
+/// the CQL planner emits — group-by (under every window it closes), the
+/// window aggregate (sliding, landmark or partitioned windows), the
 /// window join (sliding or landmark windows), distinct — plus the
 /// result collector.
 ///

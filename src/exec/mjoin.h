@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 
 namespace sqp {
 
@@ -49,10 +49,11 @@ class MultiWindowJoinOp : public Operator {
  private:
   struct Side {
     StreamSpec spec;
-    TimeWindowBuffer buf;
+    WindowBuffer buf;
     std::unordered_map<Value, std::vector<TupleRef>, ValueHash> index;
 
-    explicit Side(const StreamSpec& s) : spec(s), buf(s.window) {}
+    explicit Side(const StreamSpec& s)
+        : spec(s), buf(WindowSpec::TimeSliding(s.window)) {}
   };
 
   void ExpireAll(int64_t now);

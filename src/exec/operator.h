@@ -1,17 +1,14 @@
 #ifndef SQP_EXEC_OPERATOR_H_
 #define SQP_EXEC_OPERATOR_H_
 
+#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
-
-#ifndef NDEBUG
-#include <atomic>
-#include <cassert>
 #include <thread>
-#endif
+#include <vector>
 
 #include "dur/checkpointable.h"
 #include "exec/column_batch.h"
@@ -220,7 +217,8 @@ class Operator {
 
   /// Debug check that every Push/Emit on this operator comes from one
   /// thread: the first caller claims ownership, later callers must match.
-  /// Compiled out in release builds.
+  /// The check is compiled out in release builds; `owner_` is not, so a
+  /// program built without NDEBUG can link a release library.
   void AssertSingleCaller() const {
 #ifndef NDEBUG
     std::thread::id self = std::this_thread::get_id();
@@ -269,9 +267,8 @@ class Operator {
   /// True only inside a ProcessBatch call with a wired output.
   bool coalescing_ = false;
   ElementBatch emit_buf_;
-#ifndef NDEBUG
-  mutable std::atomic<std::thread::id> owner_{};
-#endif
+  /// AssertSingleCaller's claimed thread (unused under NDEBUG).
+  [[maybe_unused]] mutable std::atomic<std::thread::id> owner_{};
 };
 
 /// Terminal operator that retains results for inspection (tests, examples).

@@ -19,7 +19,7 @@ StreamifyOp::StreamifyOp(StreamifyKind kind, int64_t window_size,
     : Operator(std::move(name)),
       kind_(kind),
       period_(period),
-      buf_(window_size) {}
+      buf_(WindowSpec::TimeSliding(window_size)) {}
 
 void StreamifyOp::Push(const Element& e, int /*port*/) {
   CountIn(e);

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "exec/operator.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 
 namespace sqp {
 
@@ -35,7 +35,7 @@ class StreamifyOp : public Operator {
 
   StreamifyKind kind_;
   int64_t period_;
-  TimeWindowBuffer buf_;
+  WindowBuffer buf_;
   int64_t last_snapshot_ = INT64_MIN;
 };
 

@@ -13,12 +13,11 @@ WindowAggregateOp::WindowAggregateOp(WindowSpec window,
       window_(window),
       aggs_(std::move(aggs)),
       partition_col_(partition_col),
-      out_cols_(std::move(out_cols)) {
-  assert(window_.Validate().ok());
-  assert((window_.kind == WindowKind::kTimeSliding ||
-          window_.kind == WindowKind::kCountSliding ||
-          window_.kind == WindowKind::kTimeLandmark) &&
-         "WindowAggregateOp supports sliding/landmark windows");
+      out_cols_(std::move(out_cols)),
+      // A partitioned operator keeps its windows in `parts_`.
+      whole_{WindowBuffer(window_, /*keep_log=*/false),
+             partition_col_ < 0 ? NewAccs() : AggSet::Accs{}} {
+  // `whole_`'s buffer has checked the window: sliding or landmark.
   assert((partition_col_ < 0 || window_.kind == WindowKind::kCountSliding) &&
          "partitioned windows are count windows");
   assert(window_.slide == 0 && "a slide step is a GroupByAggregateOp window");
@@ -29,27 +28,22 @@ WindowAggregateOp::WindowAggregateOp(WindowSpec window,
   }
   assert(std::all_of(out_cols_.begin(), out_cols_.end(),
                      [width](int c) { return c >= 0 && c < width; }));
-  if (partition_col_ < 0) whole_ = NewWindow();
 }
 
 WindowAggregateOp::Window WindowAggregateOp::NewWindow() const {
-  Window w;
-  if (window_.kind == WindowKind::kTimeSliding) {
-    w.time_buf.emplace(window_.size);
-  } else if (window_.kind == WindowKind::kCountSliding) {
-    w.count_buf.emplace(static_cast<size_t>(window_.size));
-  }
+  // Accumulators fold the tuples; the window keeps a landmark's none.
+  return {WindowBuffer(window_, /*keep_log=*/false), NewAccs()};
+}
+
+AggSet::Accs WindowAggregateOp::NewAccs() const {
   // A landmark window never evicts, so it takes the O(1) full form: a
   // sliding min/max deque or first log would keep every value.
-  w.accs = window_.kind == WindowKind::kTimeLandmark ? aggs_.NewAccs()
-                                                     : aggs_.NewSlidingAccs();
-  return w;
+  return window_.kind == WindowKind::kTimeLandmark ? aggs_.NewAccs()
+                                                   : aggs_.NewSlidingAccs();
 }
 
 void WindowAggregateOp::Slide(Window& w, const Tuple* added) {
-  const FifoLog<TupleRef>& contents =
-      w.time_buf ? w.time_buf->contents() : w.count_buf->contents();
-  if (aggs_.Slide(w.accs, expired_, added, contents)) ++recomputes_;
+  if (aggs_.Slide(w.accs, expired_, added, w.buf.contents())) ++recomputes_;
   expired_.clear();
 }
 
@@ -73,9 +67,10 @@ void WindowAggregateOp::EmitCurrent(int64_t ts, const Window& w,
 void WindowAggregateOp::Push(const Element& e, int /*port*/) {
   CountIn(e);
   if (e.is_punctuation()) {
-    // Advance time so expiry happens even without new tuples.
-    if (whole_.time_buf && !e.punctuation().has_key) {
-      whole_.time_buf->AdvanceTo(e.punctuation().ts, &expired_);
+    // Advance time so expiry happens even without new tuples (only an
+    // unpartitioned time window has a clock).
+    if (!e.punctuation().has_key) {
+      whole_.buf.AdvanceTo(e.punctuation().ts, &expired_);
       if (!expired_.empty()) {
         Slide(whole_, nullptr);
         EmitCurrent(e.punctuation().ts, whole_, nullptr);
@@ -94,35 +89,17 @@ void WindowAggregateOp::Push(const Element& e, int /*port*/) {
     if (it == parts_.end()) it = parts_.emplace(*key, NewWindow()).first;
     w = &it->second;
   }
-  switch (window_.kind) {
-    case WindowKind::kTimeSliding: {
-      w->time_buf->Insert(t, &expired_);
-      // A tuple already older than the window expires on arrival, after
-      // everything before it: it is never added, so never evicted either.
-      const bool late = !expired_.empty() && expired_.back() == t;
-      if (late) expired_.pop_back();
-      Slide(*w, late ? nullptr : t.get());
-      break;
-    }
-    case WindowKind::kCountSliding:
-      if (std::optional<TupleRef> evicted = w->count_buf->Insert(t)) {
-        expired_.push_back(std::move(*evicted));
-      }
-      Slide(*w, t.get());
-      break;
-    case WindowKind::kTimeLandmark:
-      if (t->ts() >= window_.start) aggs_.Add(w->accs, *t);
-      break;
-    default:
-      break;
-  }
+  // A tuple already outside the window leaves on arrival, after
+  // everything before it: it is never added, so never evicted either.
+  const bool admitted = w->buf.Insert(t, &expired_);
+  if (!admitted) expired_.pop_back();
+  Slide(*w, admitted ? t.get() : nullptr);
   EmitCurrent(t->ts(), *w, key);
 }
 
 size_t WindowAggregateOp::WindowBytes(const Window& w) {
-  size_t bytes = 0;
-  if (w.time_buf) bytes += w.time_buf->MemoryBytes();
-  if (w.count_buf) bytes += w.count_buf->MemoryBytes();
+  // The tuples the buffer holds: a landmark window folds and drops them.
+  size_t bytes = TupleBytes(w.buf.contents());
   for (const auto& acc : w.accs) bytes += acc->MemoryBytes();
   return bytes;
 }
@@ -133,6 +110,107 @@ size_t WindowAggregateOp::StateBytes() const {
     bytes += key.MemoryBytes() + 32 + WindowBytes(w);
   }
   return bytes;
+}
+
+bool WindowAggregateOp::CanCheckpointState(std::string* why) const {
+  // A sliding window's accumulators refold from its tuples; a landmark
+  // window keeps none, so it must save every accumulator.
+  return window_.kind != WindowKind::kTimeLandmark || aggs_.CanCheckpoint(why);
+}
+
+void WindowAggregateOp::SaveWindow(dur::BufWriter& w, const Window& win) const {
+  win.buf.Save(w);
+  w.U32(static_cast<uint32_t>(win.accs.size()));
+  dur::BufWriter state;
+  for (const auto& acc : win.accs) {
+    state.Clear();
+    const bool saved = acc->SaveState(state);
+    w.U8(static_cast<uint8_t>(acc->kind()));
+    w.U8(saved ? 1 : 0);
+    if (saved) w.Raw(state.data().data(), state.size());
+  }
+}
+
+// Layout: the window, or a u32 partition count and each partition's key
+// and window. A window is its buffer, then a u32 accumulator count and per
+// accumulator a u8 kind, a u8 "saved" flag and the saved state.
+void WindowAggregateOp::SaveState(dur::BufWriter& w) const {
+  if (partition_col_ < 0) {
+    SaveWindow(w, whole_);
+    return;
+  }
+  w.U32(static_cast<uint32_t>(parts_.size()));
+  for (const auto& [key, win] : parts_) {
+    w.Val(key);
+    SaveWindow(w, win);
+  }
+}
+
+Status WindowAggregateOp::RestoreWindow(dur::BufReader& r, const Value* key,
+                                        Window* win) const {
+  size_t arity = static_cast<size_t>(partition_col_ + 1);
+  for (const AggSpec& s : aggs_.specs()) {
+    arity = std::max(arity, static_cast<size_t>(s.input_col + 1));
+  }
+  SQP_RETURN_NOT_OK(win->buf.Restore(
+      r, [&](dur::BufReader&, const TupleRef& t) -> Status {
+        if (t->arity() < arity) {
+          return Status::Internal("window-agg: checkpoint tuple too narrow");
+        }
+        if (key != nullptr &&
+            t->at(static_cast<size_t>(partition_col_)) != *key) {
+          return Status::Internal("window-agg: checkpoint tuple in another "
+                                  "partition");
+        }
+        return Status::OK();
+      }));
+  win->accs = NewAccs();
+  for (const TupleRef& t : win->buf.contents()) aggs_.Add(win->accs, *t);
+  uint32_t n = 0;
+  SQP_RETURN_NOT_OK(r.U32(&n));
+  if (n != aggs_.size()) {
+    return Status::Internal("window-agg: checkpoint accumulator count mismatch");
+  }
+  for (const auto& acc : win->accs) {
+    uint8_t kind = 0;
+    uint8_t saved = 0;
+    SQP_RETURN_NOT_OK(r.U8(&kind));
+    SQP_RETURN_NOT_OK(r.U8(&saved));
+    if (kind != static_cast<uint8_t>(acc->kind())) {
+      return Status::Internal("window-agg: checkpoint accumulator kind mismatch");
+    }
+    // A landmark window has no tuples to refold an unsaved accumulator.
+    if (saved > 1 || (saved == 0 && !win->buf.logs())) {
+      return Status::Internal("window-agg: checkpoint accumulator not saved");
+    }
+    if (saved != 0) {
+      acc->Reset();
+      SQP_RETURN_NOT_OK(acc->LoadState(r));
+    }
+    // A sliding accumulator holds exactly the window's tuples.
+    if (win->buf.logs() && acc->count() != win->buf.contents().size()) {
+      return Status::Internal("window-agg: checkpoint accumulator count");
+    }
+  }
+  return Status::OK();
+}
+
+Status WindowAggregateOp::RestoreState(dur::BufReader& r) {
+  parts_.clear();
+  expired_.clear();
+  if (partition_col_ < 0) return RestoreWindow(r, nullptr, &whole_);
+  uint32_t n = 0;
+  SQP_RETURN_NOT_OK(r.U32(&n));
+  for (uint32_t i = 0; i < n; ++i) {
+    Value key;
+    SQP_RETURN_NOT_OK(r.Val(&key));
+    Window win = NewWindow();
+    SQP_RETURN_NOT_OK(RestoreWindow(r, &key, &win));
+    if (!parts_.emplace(std::move(key), std::move(win)).second) {
+      return Status::Internal("window-agg: checkpoint partition saved twice");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace sqp

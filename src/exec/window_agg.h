@@ -1,15 +1,14 @@
 #ifndef SQP_EXEC_WINDOW_AGG_H_
 #define SQP_EXEC_WINDOW_AGG_H_
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "agg/agg_set.h"
+#include "dur/checkpointable.h"
 #include "exec/operator.h"
-#include "window/count_window.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 #include "window/window_spec.h"
 
 namespace sqp {
@@ -35,7 +34,14 @@ namespace sqp {
 /// "variants"; `[partition by K rows N]`): each key keeps its *own*
 /// count window of the last N rows, each tuple emits the aggregate over
 /// its key's window, and the output row is [ts, key, agg...].
-class WindowAggregateOp : public Operator {
+///
+/// Checkpoints hold each window's tuples in arrival order (a partition's
+/// after its key), then every accumulator that serializes. Restore
+/// refolds the tuples into fresh accumulators, loads the saved ones over
+/// them (so a double sum continues bit for bit) and emits nothing. A
+/// landmark window keeps no tuples, so every one of its accumulators
+/// must serialize: `AggSet::CanCheckpoint`.
+class WindowAggregateOp : public Operator, public CheckpointableOperator {
  public:
   /// `partition_col < 0`: one window over the whole stream. Otherwise
   /// `window` must be count-sliding and applies per key. `out_cols`
@@ -47,25 +53,32 @@ class WindowAggregateOp : public Operator {
   void Push(const Element& e, int port = 0) override;
   size_t StateBytes() const override;
 
+  bool CanCheckpointState(std::string* why) const override;
+  void SaveState(dur::BufWriter& w) const override;
+  Status RestoreState(dur::BufReader& r) override;
+
   size_t num_partitions() const { return parts_.size(); }
   /// Number of buffer replays triggered by aggregates that cannot evict.
   uint64_t recompute_count() const { return recomputes_; }
 
  private:
   /// One window's contents and accumulators: the whole stream's, or one
-  /// partition's. Landmark windows hold no buffer.
+  /// partition's. A landmark window keeps no tuples.
   struct Window {
-    std::optional<TimeWindowBuffer> time_buf;
-    std::optional<CountWindowBuffer> count_buf;
+    WindowBuffer buf;
     AggSet::Accs accs;
   };
 
   Window NewWindow() const;
+  AggSet::Accs NewAccs() const;
   /// Evicts `expired_` from `w`'s accumulators, then adds `added` (when
   /// non-null); aggregates that cannot evict are rebuilt from the buffer.
   void Slide(Window& w, const Tuple* added);
   void EmitCurrent(int64_t ts, const Window& w, const Value* key);
   static size_t WindowBytes(const Window& w);
+  void SaveWindow(dur::BufWriter& w, const Window& win) const;
+  /// Restores `win`; `key` is its partition's, which every tuple carries.
+  Status RestoreWindow(dur::BufReader& r, const Value* key, Window* win) const;
 
   WindowSpec window_;
   AggSet aggs_;

@@ -23,49 +23,29 @@ BinaryWindowJoinOp::Options BinaryWindowJoinOp::Options::Unwindowed(
           .right_window = WindowSpec::Landmark(INT64_MIN)};
 }
 
-const FifoLog<TupleRef>& BinaryWindowJoinOp::Side::contents() const {
-  if (time_buf != nullptr) return time_buf->contents();
-  if (count_buf != nullptr) return count_buf->contents();
-  return landmark;
-}
-
 void BinaryWindowJoinOp::Side::Reset() {
-  time_buf.reset();
-  count_buf.reset();
-  landmark.clear();
-  landmark_bytes = 0;
+  buf.Clear();
   index.clear();
   spare_entries.clear();
-  assert(window.Validate().ok() && window.slide == 0);
-  if (window.kind == WindowKind::kTimeSliding) {
-    time_buf = std::make_unique<TimeWindowBuffer>(window.size);
-  } else if (window.kind == WindowKind::kCountSliding) {
-    count_buf =
-        std::make_unique<CountWindowBuffer>(static_cast<size_t>(window.size));
-  } else {
-    assert(window.kind == WindowKind::kTimeLandmark &&
-           "window join supports sliding and landmark windows");
-  }
 }
 
 BinaryWindowJoinOp::BinaryWindowJoinOp(Options options, std::string name)
     : Operator(std::move(name)),
       options_(std::move(options)),
       left_outer_(options_.left_outer),
-      right_arity_(options_.right_arity) {
-  sides_[0].key_cols = options_.left_cols;
-  sides_[1].key_cols = options_.right_cols;
-  sides_[0].window = options_.left_window;
-  sides_[1].window = options_.right_window;
-  sides_[0].strategy = options_.left_strategy;
-  sides_[1].strategy = options_.right_strategy;
+      right_arity_(options_.right_arity),
+      sides_{Side{.key_cols = options_.left_cols,
+                  .strategy = options_.left_strategy,
+                  .buf = WindowBuffer(options_.left_window,
+                                      options_.left_strategy ==
+                                              JoinStrategy::kNestedLoop ||
+                                          left_outer_)},
+             Side{.key_cols = options_.right_cols,
+                  .strategy = options_.right_strategy,
+                  .buf = WindowBuffer(options_.right_window,
+                                      options_.right_strategy ==
+                                          JoinStrategy::kNestedLoop)}} {
   assert(!left_outer_ || right_arity_ > 0);
-  for (int s = 0; s < 2; ++s) {
-    Side& side = sides_[s];
-    side.logs_landmark =
-        side.strategy == JoinStrategy::kNestedLoop || (s == 0 && left_outer_);
-    side.Reset();
-  }
 }
 
 void BinaryWindowJoinOp::EmitJoined(const Tuple& left, const Tuple& right) {
@@ -95,11 +75,9 @@ uint64_t BinaryWindowJoinOp::Probe(const Side& probe_side, const KeyView& key,
     auto it = probe_side.index.find(key);
     if (it == probe_side.index.end()) return 0;
     // Lazy deletion: skip entries no longer in the window.
-    int64_t bound = probe_side.time_buf != nullptr
-                        ? probe_side.time_buf->now() - probe_side.window.size
-                        : INT64_MIN;
+    const int64_t bound = probe_side.buf.ExpiryBound();
     for (const TupleRef& match : it->second) {
-      if (probe_side.time_buf != nullptr && match->ts() <= bound) continue;
+      if (match->ts() < bound) continue;
       ++matches;
       if (t_is_left) {
         EmitJoined(t, *match);
@@ -113,7 +91,7 @@ uint64_t BinaryWindowJoinOp::Probe(const Side& probe_side, const KeyView& key,
   // columns directly against the already-extracted probe key — no
   // per-candidate key construction.
   const std::vector<int>& cols = probe_side.key_cols;
-  for (const TupleRef& match : probe_side.contents()) {
+  for (const TupleRef& match : probe_side.buf.contents()) {
     ++jstats_.nl_comparisons;
     bool eq = cols.size() == key.size();
     for (size_t c = 0; eq && c < cols.size(); ++c) {
@@ -158,39 +136,21 @@ void BinaryWindowJoinOp::HandleExpired(int side) {
       if (it != left_matched_.end()) {
         left_matched_.erase(it);
       } else {
-        EmitUnmatchedLeft(*t, sides_[0].time_buf != nullptr
-                                  ? sides_[0].time_buf->now()
-                                  : t->ts());
+        // A time window pads at its clock; the others have none.
+        EmitUnmatchedLeft(*t, std::max(sides_[0].buf.now(), t->ts()));
       }
     }
   }
   expired_.clear();
 }
 
-void BinaryWindowJoinOp::Side::Append(const TupleRef& t,
-                                      std::vector<TupleRef>* expired) {
-  if (time_buf != nullptr) {
-    time_buf->Insert(t, expired);
-  } else if (count_buf != nullptr) {
-    if (auto evicted = count_buf->Insert(t)) {
-      expired->push_back(std::move(*evicted));
-    }
-  } else if (t->ts() >= window.start) {
-    landmark_bytes += t->MemoryBytes();
-    if (logs_landmark) landmark.push_back(t);
-  } else {
-    expired->push_back(t);
-  }
-}
-
 void BinaryWindowJoinOp::Insert(Side& side, const TupleRef& t) {
-  side.Append(t, &expired_);
-  // A tuple already older than the window expires on arrival, after
+  // A tuple already outside the window leaves on arrival, after
   // everything before it; it never enters the index. Expiring before
   // indexing lets a new key reuse the entry an expired key just left.
-  const bool late = !expired_.empty() && expired_.back() == t;
+  const bool admitted = side.buf.Insert(t, &expired_);
   HandleExpired(static_cast<int>(&side - &sides_[0]));
-  if (side.strategy == JoinStrategy::kHash && !late) side.AddToIndex(t);
+  if (side.strategy == JoinStrategy::kHash && admitted) side.AddToIndex(t);
 }
 
 void BinaryWindowJoinOp::Side::AddToIndex(const TupleRef& t) {
@@ -209,10 +169,8 @@ void BinaryWindowJoinOp::Push(const Element& e, int port) {
     // Advance both windows so stale state is purged on quiet streams.
     if (!e.punctuation().has_key) {
       for (int s = 0; s < 2; ++s) {
-        if (sides_[s].time_buf != nullptr) {
-          sides_[s].time_buf->AdvanceTo(e.punctuation().ts, &expired_);
-          HandleExpired(s);
-        }
+        sides_[s].buf.AdvanceTo(e.punctuation().ts, &expired_);
+        HandleExpired(s);
       }
     }
     Emit(e);
@@ -227,10 +185,8 @@ void BinaryWindowJoinOp::Push(const Element& e, int port) {
   // KNV03 order: invalidate the opposite window up to the arriving
   // tuple's time, probe it, then insert into our own window (which also
   // invalidates our side).
-  if (sides_[other].time_buf != nullptr) {
-    sides_[other].time_buf->AdvanceTo(t->ts(), &expired_);
-    HandleExpired(other);
-  }
+  sides_[other].buf.AdvanceTo(t->ts(), &expired_);
+  HandleExpired(other);
   Probe(sides_[other], key, *t, /*t_is_left=*/me == 0);
   Insert(sides_[me], t);
 }
@@ -241,7 +197,7 @@ void BinaryWindowJoinOp::Flush() {
     // End of stream: everything still in the left window that never
     // matched is reported unmatched, once (a join restored from a
     // post-flush checkpoint is flushed again).
-    for (const TupleRef& t : sides_[0].contents()) {
+    for (const TupleRef& t : sides_[0].buf.contents()) {
       if (left_matched_.count(t.get()) == 0) EmitUnmatchedLeft(*t, t->ts());
     }
   }
@@ -250,7 +206,7 @@ void BinaryWindowJoinOp::Flush() {
 
 bool BinaryWindowJoinOp::CanShard(std::string* why) const {
   for (const Side& s : sides_) {
-    if (s.window.kind == WindowKind::kCountSliding) {
+    if (s.buf.kind() == WindowKind::kCountSliding) {
       if (why != nullptr) *why = "count window is not partitionable";
       return false;
     }
@@ -265,15 +221,12 @@ bool BinaryWindowJoinOp::CanShard(std::string* why) const {
 size_t BinaryWindowJoinOp::StateBytes() const {
   size_t bytes = sizeof(*this);
   for (const Side& s : sides_) {
-    if (s.time_buf == nullptr && s.count_buf == nullptr) {
-      // Landmark: the tuples once, and the log's references if any.
-      bytes += s.landmark_bytes + s.landmark.capacity_bytes();
-    } else {
-      bytes += TupleBytes(s.contents());
-      // A hash index shares the window's tuples: one reference each.
-      if (s.strategy == JoinStrategy::kHash) {
-        bytes += s.contents().size() * sizeof(TupleRef);
-      }
+    bytes += s.buf.MemoryBytes();
+    // A sliding side's hash index shares its window's tuples: one
+    // reference each (a landmark side's is charged per entry only).
+    if (s.strategy == JoinStrategy::kHash &&
+        s.buf.kind() != WindowKind::kTimeLandmark) {
+      bytes += s.buf.contents().size() * sizeof(TupleRef);
     }
     // Bucket overhead, spare entries included.
     bytes += (s.index.size() + s.spare_entries.size()) * 48;
@@ -293,26 +246,23 @@ void BinaryWindowJoinOp::SaveState(dur::BufWriter& w) const {
   w.I64(flushes_);
   for (int s = 0; s < 2; ++s) {
     const Side& side = sides_[s];
-    w.U8(static_cast<uint8_t>(side.window.kind));
-    if (side.time_buf != nullptr) w.I64(side.time_buf->now());
-    if (side.time_buf == nullptr && side.count_buf == nullptr &&
-        !side.logs_landmark) {
+    if (!side.buf.logs()) {
       // Only the index holds this landmark side: save it key by key, as
       // a hash probe reads only each key's arrival order.
-      size_t n = 0;
-      for (const auto& entry : side.index) n += entry.second.size();
-      w.U32(static_cast<uint32_t>(n));
+      std::vector<TupleRef> held;
       for (const auto& entry : side.index) {
-        for (const TupleRef& t : entry.second) w.Tup(*t);
+        held.insert(held.end(), entry.second.begin(), entry.second.end());
       }
+      side.buf.Save(w, held);
       continue;
     }
-    const FifoLog<TupleRef>& contents = side.contents();
-    w.U32(static_cast<uint32_t>(contents.size()));
-    for (const TupleRef& t : contents) {
-      w.Tup(*t);
-      if (s == 0 && left_outer_) w.U8(left_matched_.count(t.get()) != 0);
+    WindowBuffer::SaveEach matched_flag;
+    if (s == 0 && left_outer_) {
+      matched_flag = [this](dur::BufWriter& out, const TupleRef& t) {
+        out.U8(left_matched_.count(t.get()) != 0);
+      };
     }
+    side.buf.Save(w, matched_flag);
   }
 }
 
@@ -330,41 +280,20 @@ Status BinaryWindowJoinOp::RestoreState(dur::BufReader& r) {
   for (int s = 0; s < 2; ++s) {
     Side& side = sides_[s];
     side.Reset();
-    uint8_t kind = 0;
-    SQP_RETURN_NOT_OK(r.U8(&kind));
-    if (kind != static_cast<uint8_t>(side.window.kind)) {
-      return Status::Internal("window join: checkpoint window kind mismatch");
-    }
-    int64_t now = INT64_MIN;
-    if (side.time_buf != nullptr) SQP_RETURN_NOT_OK(r.I64(&now));
-    uint32_t n = 0;
-    SQP_RETURN_NOT_OK(r.U32(&n));
-    for (uint32_t i = 0; i < n; ++i) {
-      TupleRef t;
-      SQP_RETURN_NOT_OK(r.Tup(&t));
-      uint8_t matched = 0;
-      if (s == 0 && left_outer_) SQP_RETURN_NOT_OK(r.U8(&matched));
-      // Re-appending in the saved order rebuilds the window exactly:
-      // what was saved was inside it, so nothing may expire on the way.
-      side.Append(t, &expired_);
-      if (!expired_.empty()) {
-        expired_.clear();
-        return Status::Internal("window join: checkpoint tuple outside window");
-      }
-      if (matched != 0) left_matched_.insert(t.get());
-      if (side.strategy == JoinStrategy::kHash) side.AddToIndex(t);
-    }
-    // INT64_MIN: this side's clock never moved.
-    if (side.time_buf != nullptr && now != INT64_MIN) {
-      if (now < INT64_MIN + side.window.size) {
-        return Status::Internal("window join: checkpoint clock out of range");
-      }
-      side.time_buf->AdvanceTo(now, &expired_);
-      if (!expired_.empty()) {
-        expired_.clear();
-        return Status::Internal("window join: checkpoint clock past window");
-      }
-    }
+    const bool flagged = s == 0 && left_outer_;
+    SQP_RETURN_NOT_OK(side.buf.Restore(
+        r, [&](dur::BufReader& in, const TupleRef& t) -> Status {
+          for (int c : side.key_cols) {
+            if (static_cast<size_t>(c) >= t->arity()) {
+              return Status::Internal("window join: tuple too narrow");
+            }
+          }
+          uint8_t matched = 0;
+          if (flagged) SQP_RETURN_NOT_OK(in.U8(&matched));
+          if (matched != 0) left_matched_.insert(t.get());
+          if (side.strategy == JoinStrategy::kHash) side.AddToIndex(t);
+          return Status::OK();
+        }));
   }
   return Status::OK();
 }

@@ -6,12 +6,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/fifo_log.h"
 #include "dur/checkpointable.h"
 #include "exec/operator.h"
 #include "exec/sharding.h"
-#include "window/count_window.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 #include "window/window_spec.h"
 
 namespace sqp {
@@ -114,31 +112,18 @@ class BinaryWindowJoinOp : public Operator,
  private:
   struct Side {
     std::vector<int> key_cols;
-    WindowSpec window;
-    JoinStrategy strategy = JoinStrategy::kHash;
-    std::unique_ptr<TimeWindowBuffer> time_buf;
-    std::unique_ptr<CountWindowBuffer> count_buf;
-    /// Landmark window: appended in arrival order, never popped, and
-    /// kept only where that order is read (a nested-loop scan, the outer
-    /// drain). A hash-probed landmark side is otherwise its index alone.
-    bool logs_landmark = false;
-    FifoLog<TupleRef> landmark;
-    /// Sum of MemoryBytes over the landmark window, kept as it grows so
-    /// StateBytes does not walk a window that never shrinks.
-    size_t landmark_bytes = 0;
+    JoinStrategy strategy;
+    /// The window. A landmark side keeps its log only where arrival
+    /// order is read (a nested-loop scan, the outer drain); a
+    /// hash-probed landmark side is otherwise its index alone.
+    WindowBuffer buf;
     using Index = KeyMap<std::vector<TupleRef>>;
     /// Hash index over the window (kHash only); lazily purged.
     /// KeyView-probed: arrivals and expiries never allocate for lookups.
-    Index index;
+    Index index{};
     /// Emptied index entries, reused by the next new keys.
-    std::vector<Index::node_type> spare_entries;
+    std::vector<Index::node_type> spare_entries{};
 
-    /// The window's tuples in arrival order (none for a landmark side
-    /// without a log).
-    const FifoLog<TupleRef>& contents() const;
-    /// Appends `t` to the window; tuples that leave it (`t` itself if it
-    /// is already outside) go to `expired`.
-    void Append(const TupleRef& t, std::vector<TupleRef>* expired);
     void AddToIndex(const TupleRef& t);
     /// Empties the window and index, as built.
     void Reset();

@@ -95,7 +95,8 @@ SharedWindowJoin::SharedWindowJoin(std::vector<int64_t> windows,
                       ? 1
                       : *std::max_element(windows_.begin(), windows_.end())),
       key_cols_{std::move(left_cols), std::move(right_cols)},
-      buf_{TimeWindowBuffer(max_window_), TimeWindowBuffer(max_window_)},
+      buf_{WindowBuffer(WindowSpec::TimeSliding(max_window_)),
+           WindowBuffer(WindowSpec::TimeSliding(max_window_))},
       results_(windows_.size(), 0) {}
 
 void SharedWindowJoin::Push(int side, const TupleRef& t) {
@@ -111,7 +112,7 @@ void SharedWindowJoin::Push(int side, const TupleRef& t) {
       if (match->ts() <= bound) continue;  // Lazily expired.
       int64_t gap = std::llabs(t->ts() - match->ts());
       // Attribute to each query whose window admits this pair. Window
-      // semantics follow TimeWindowBuffer: (now - w, now], i.e. gap < w.
+      // semantics follow WindowBuffer: (now - w, now], i.e. gap < w.
       for (size_t q = 0; q < windows_.size(); ++q) {
         if (gap < windows_[q]) ++results_[q];
       }

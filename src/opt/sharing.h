@@ -8,7 +8,7 @@
 
 #include "common/tuple.h"
 #include "common/value.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 
 namespace sqp {
 
@@ -75,7 +75,7 @@ class SharedWindowJoin {
   std::vector<int64_t> windows_;
   int64_t max_window_;
   std::vector<int> key_cols_[2];
-  TimeWindowBuffer buf_[2];
+  WindowBuffer buf_[2];
   std::unordered_map<Key, std::vector<TupleRef>, KeyHash> index_[2];
   std::vector<uint64_t> results_;
   uint64_t probes_ = 0;

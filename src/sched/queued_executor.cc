@@ -1,5 +1,7 @@
 #include "sched/queued_executor.h"
 
+#include <algorithm>
+
 namespace sqp {
 
 class QueuedExecutor::Relay : public Operator {
@@ -30,16 +32,6 @@ class QueuedExecutor::Relay : public Operator {
     CountInBulk(tuples, puncts);
   }
 
-  /// Columnar hand-off: the batch becomes one queue entry downstream —
-  /// no materialization at the stage boundary.
-  void PushColumns(ColumnBatch& batch, int /*port*/) override {
-    CountInColumns(batch);
-    exec_->AdmitColumns(next_, std::move(batch));
-  }
-
- public:
-  bool SupportsColumns(int /*port*/ = 0) const override { return true; }
-
  private:
   QueuedExecutor* exec_;
   size_t next_;
@@ -49,7 +41,6 @@ QueuedExecutor::QueuedExecutor(std::vector<Stage> stages, Operator* sink,
                                std::unique_ptr<SchedulingPolicy> policy)
     : stages_(std::move(stages)),
       queues_(stages_.size()),
-      q_rows_(stages_.size(), 0),
       stage_stats_(stages_.size()),
       sink_(sink),
       policy_(std::move(policy)),
@@ -72,53 +63,19 @@ QueuedExecutor::~QueuedExecutor() = default;
 bool QueuedExecutor::Admit(size_t stage, Element e) {
   const Stage& s = stages_[stage];
   sched::StageStats& stats = stage_stats_[stage];
+  std::deque<Entry>& q = queues_[stage];
   // Punctuations bypass the bound: a dropped watermark stalls every
   // window downstream.
-  if (s.queue_limit != 0 && q_rows_[stage] >= s.queue_limit &&
+  if (s.queue_limit != 0 && q.size() >= s.queue_limit &&
       !e.is_punctuation()) {
     ++stats.dropped;
     ++dropped_;
     return false;
   }
-  Entry entry{std::move(e), seq_++, nullptr};
-  entry.enq_ns = obs::NowNs();
-  queues_[stage].push_back(std::move(entry));
-  q_rows_[stage] += 1;
+  q.push_back(Entry{std::move(e), seq_++, obs::NowNs()});
   ++stats.enqueued;
-  stats.queue_depth = q_rows_[stage];
-  if (q_rows_[stage] > stats.max_queue_depth) {
-    stats.max_queue_depth = q_rows_[stage];
-  }
-  return true;
-}
-
-bool QueuedExecutor::AdmitColumns(size_t stage, ColumnBatch&& batch) {
-  const Stage& s = stages_[stage];
-  sched::StageStats& stats = stage_stats_[stage];
-  if (s.queue_limit != 0 && q_rows_[stage] >= s.queue_limit) {
-    // Bounded queue full: the data rows drop (counted, like the row
-    // path's per-element drops); punctuation slots are never dropped —
-    // they re-admit as plain elements, bypassing the bound.
-    const size_t lost = batch.ActiveRows();
-    stats.dropped += lost;
-    dropped_ += lost;
-    for (ColumnBatch::PunctSlot& ps : batch.puncts) {
-      Admit(stage, Element(std::move(ps.punct)));
-    }
-    return false;
-  }
-  Entry entry;
-  entry.seq = seq_++;
-  entry.cols = std::make_unique<ColumnBatch>(std::move(batch));
-  entry.enq_ns = obs::NowNs();
-  const size_t w = entry.Weight();
-  queues_[stage].push_back(std::move(entry));
-  q_rows_[stage] += w;
-  stats.enqueued += w;
-  stats.queue_depth = q_rows_[stage];
-  if (q_rows_[stage] > stats.max_queue_depth) {
-    stats.max_queue_depth = q_rows_[stage];
-  }
+  stats.queue_depth = q.size();
+  if (q.size() > stats.max_queue_depth) stats.max_queue_depth = q.size();
   return true;
 }
 
@@ -127,7 +84,7 @@ bool QueuedExecutor::Arrive(Element e) { return Admit(0, std::move(e)); }
 std::vector<OpView> QueuedExecutor::MakeViews() const {
   std::vector<OpView> views(stages_.size());
   for (size_t i = 0; i < stages_.size(); ++i) {
-    views[i].queue_len = q_rows_[i];
+    views[i].queue_len = queues_[i].size();
     views[i].selectivity = stages_[i].selectivity_hint;
     views[i].cost = stages_[i].cost;
     if (!queues_[i].empty()) {
@@ -135,10 +92,7 @@ std::vector<OpView> QueuedExecutor::MakeViews() const {
       views[i].head_seq = front.seq;
       // Real size of the waiting element, so size-aware policies
       // (Greedy) see shrinking tuples the way the [BBDM03] model does.
-      // A columnar head reports its whole batch footprint.
-      views[i].head_size = static_cast<double>(
-          front.cols != nullptr ? front.cols->MemoryBytes()
-                                : front.e.MemoryBytes());
+      views[i].head_size = static_cast<double>(front.e.MemoryBytes());
     }
   }
   return views;
@@ -153,8 +107,7 @@ void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {
     Entry entry = std::move(q.front());
     q.pop_front();
     ++stats.processed;
-    q_rows_[stage] -= 1;
-    stats.queue_depth = q_rows_[stage];
+    stats.queue_depth = q.size();
     if (entry.enq_ns != 0 && now > entry.enq_ns) {
       slot.AddQueueWait(now - entry.enq_ns, 1);
     }
@@ -176,35 +129,8 @@ void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {
   if (stamped != 0) slot.AddQueueWait(wait, stamped);
   stats.processed += n;
   ++stats.batches;
-  q_rows_[stage] -= n;
-  stats.queue_depth = q_rows_[stage];
-  Operator* op = stages_[stage].op;
-  // Columnar stage: convert the train once and deliver it column-at-a-
-  // time; conversion failure (ragged or mixed-type rows) falls back to
-  // the row batch unchanged.
-  if (stages_[stage].columnar && op->SupportsColumns(0) &&
-      ColumnBatch::FromRows(scratch_, &col_scratch_)) {
-    op->ProcessColumns(col_scratch_, 0);
-    return;
-  }
-  op->ProcessBatch(scratch_, 0);
-}
-
-void QueuedExecutor::DeliverColumns(size_t stage) {
-  std::deque<Entry>& q = queues_[stage];
-  sched::StageStats& stats = stage_stats_[stage];
-  Entry entry = std::move(q.front());
-  q.pop_front();
-  const size_t w = entry.Weight();
-  stats.processed += w;
-  ++stats.batches;
-  q_rows_[stage] -= w;  // Weights are stable while queued.
-  stats.queue_depth = q_rows_[stage];
-  const uint64_t now = obs::NowNs();
-  if (entry.enq_ns != 0 && now > entry.enq_ns) {
-    stages_[stage].op->counters().AddQueueWait(now - entry.enq_ns, 1);
-  }
-  stages_[stage].op->ProcessColumns(*entry.cols, 0);
+  stats.queue_depth = q.size();
+  stages_[stage].op->ProcessBatch(scratch_, 0);
 }
 
 void QueuedExecutor::CollectStats(obs::SnapshotBuilder& builder,
@@ -226,14 +152,7 @@ void QueuedExecutor::Tick(double capacity) {
     if (pick < 0) break;
     size_t i = static_cast<size_t>(pick);
     const std::deque<Entry>& q = queues_[i];
-    // A columnar head is one queue entry spanning many elements: it is
-    // delivered whole and charged cost-per-element times its weight, so
-    // total scheduled work per tick matches the row path exactly.
-    const bool col_head = !q.empty() && q.front().cols != nullptr;
-    const double head_cost =
-        col_head ? stages_[i].cost * static_cast<double>(q.front().Weight())
-                 : stages_[i].cost;
-    double needed = head_cost - progress_[i];
+    double needed = stages_[i].cost - progress_[i];
     if (needed > budget) {
       progress_[i] += budget;
       stage_stats_[i].busy_time += budget;
@@ -242,23 +161,13 @@ void QueuedExecutor::Tick(double capacity) {
     budget -= needed;
     progress_[i] = 0.0;
     stage_stats_[i].busy_time += needed;
-    if (col_head) {
-      DeliverColumns(i);
-      continue;
-    }
     // Batched delivery: if the stage allows it and the remaining budget
     // covers further whole elements, deliver them in the same pick —
     // each still charged full cost, so total work per tick is unchanged;
-    // only the delivery granularity grows. The train stops at the first
-    // columnar entry (delivered whole on a later pick).
+    // only the delivery granularity grows.
     size_t extra = 0;
     if (stages_[i].max_batch > 1 && q.size() > 1) {
-      size_t run = 0;
-      while (1 + run < q.size() && run < stages_[i].max_batch - 1 &&
-             q[1 + run].cols == nullptr) {
-        ++run;
-      }
-      extra = run;
+      extra = std::min(q.size() - 1, stages_[i].max_batch - 1);
       if (stages_[i].cost > 1e-12) {
         size_t affordable = static_cast<size_t>(budget / stages_[i].cost);
         if (extra > affordable) extra = affordable;
@@ -280,18 +189,7 @@ void QueuedExecutor::Drain() {
         const size_t chunk =
             stages_[i].max_batch > 0 ? stages_[i].max_batch : 1;
         while (!queues_[i].empty()) {
-          if (queues_[i].front().cols != nullptr) {
-            DeliverColumns(i);
-            any = true;
-            continue;
-          }
-          // Row train up to `chunk`, stopping at a columnar entry.
-          size_t run = 0;
-          while (run < chunk && run < queues_[i].size() &&
-                 queues_[i][run].cols == nullptr) {
-            ++run;
-          }
-          DeliverBatch(i, run);
+          DeliverBatch(i, std::min(chunk, queues_[i].size()));
           any = true;
         }
       }
@@ -308,16 +206,14 @@ void QueuedExecutor::Drain() {
 
 size_t QueuedExecutor::QueuedElements() const {
   size_t n = 0;
-  for (size_t rows : q_rows_) n += rows;
+  for (const auto& q : queues_) n += q.size();
   return n;
 }
 
 size_t QueuedExecutor::QueuedBytes() const {
   size_t bytes = 0;
   for (const auto& q : queues_) {
-    for (const Entry& e : q) {
-      bytes += e.cols != nullptr ? e.cols->MemoryBytes() : e.e.MemoryBytes();
-    }
+    for (const Entry& e : q) bytes += e.e.MemoryBytes();
   }
   return bytes;
 }

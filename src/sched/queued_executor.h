@@ -36,14 +36,6 @@ class QueuedExecutor {
     /// default, which keeps the scheduling simulation exact: batching
     /// trades policy granularity for lower per-element overhead.
     size_t max_batch = 1;
-    /// Columnar delivery: a batched train (max_batch > 1) is converted
-    /// to a ColumnBatch (ColumnBatch::FromRows) and handed to the
-    /// operator as one ProcessColumns call, falling back to
-    /// ProcessBatch when conversion fails. Columnar batches emitted by
-    /// an upstream stage cross this stage's queue intact regardless of
-    /// the flag. Meaningful only when the operator reports
-    /// SupportsColumns(0).
-    bool columnar = false;
   };
 
   QueuedExecutor(std::vector<Stage> stages, Operator* sink,
@@ -82,27 +74,12 @@ class QueuedExecutor {
                     const obs::LabelSet& base_labels) const;
 
  private:
-  /// One queue slot: either a single row element (`cols == nullptr`) or
-  /// a whole columnar batch crossing the stage boundary without
-  /// materialization. Queue accounting (limits, depths, the scheduler's
-  /// queue_len view, enqueued/processed/dropped) is in *elements*: a
-  /// columnar entry weighs its live rows plus punctuation slots.
+  /// One queued element.
   struct Entry {
     Element e;
     uint64_t seq = 0;
-    std::unique_ptr<ColumnBatch> cols;
-    /// Enqueue timestamp for queue-wait attribution; stamped only when
-    /// the receiving stage's operator has a profile bound (0 = unstamped
-    /// — profiling disabled, no clock read on the hand-off path).
+    /// Enqueue timestamp, for queue-wait attribution.
     uint64_t enq_ns = 0;
-
-    /// Element count this entry charges against queue accounting (min 1
-    /// so even a fully-filtered columnar batch holds a queue slot).
-    size_t Weight() const {
-      if (cols == nullptr) return 1;
-      size_t w = cols->ActiveRows() + cols->puncts.size();
-      return w == 0 ? 1 : w;
-    }
   };
 
   /// Routes a stage's output into the next stage's queue. Batch-aware:
@@ -112,31 +89,19 @@ class QueuedExecutor {
   class Relay;
 
   std::vector<OpView> MakeViews() const;
-  /// Pops the first `n` *row* entries of `stage`'s queue into its
-  /// operator — one Process call when n == 1, one ProcessBatch (or, on
-  /// a columnar stage, one ProcessColumns) call otherwise. Callers
-  /// guarantee the first n entries are row entries.
+  /// Pops the first `n` entries of `stage`'s queue into its operator —
+  /// one Process call when n == 1, one ProcessBatch call otherwise.
   void DeliverBatch(size_t stage, size_t n);
-  /// Pops the front (columnar) entry and delivers it whole as one
-  /// ProcessColumns call.
-  void DeliverColumns(size_t stage);
 
   /// Appends to `stage`'s queue, honoring its bound (punctuations are
   /// never dropped). Returns false and counts the drop on overflow.
   bool Admit(size_t stage, Element e);
-  /// Columnar hand-off from a relay: the batch crosses the boundary
-  /// intact as one entry. On overflow the data rows drop (counted) and
-  /// the contained punctuations re-admit as plain elements.
-  bool AdmitColumns(size_t stage, ColumnBatch&& batch);
 
   std::vector<Stage> stages_;
   std::vector<std::deque<Entry>> queues_;
-  /// Sum of entry weights per queue (elements, not slots).
-  std::vector<size_t> q_rows_;
   /// Reused across DeliverBatch calls: batched delivery must not pay a
   /// heap allocation per train.
   ElementBatch scratch_;
-  ColumnBatch col_scratch_;  // row→column conversion scratch
   std::vector<sched::StageStats> stage_stats_;
   // Relay sinks routing each stage's output into the next queue.
   std::vector<std::unique_ptr<Operator>> relays_;

@@ -26,8 +26,7 @@
 #include "stream/generators.h"
 
 // Window taxonomy (slides 26-28).
-#include "window/count_window.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 #include "window/window_spec.h"
 
 // Aggregates and synopses (slides 34-38).

@@ -26,8 +26,6 @@
 #include "exec/sharded_op.h"
 #include "exec/vector_expr.h"
 #include "sched/parallel_executor.h"
-#include "sched/policies.h"
-#include "sched/queued_executor.h"
 #include "stream/element_batch.h"
 
 namespace sqp {
@@ -486,35 +484,6 @@ std::vector<Operator*> MakeNumericChain(
   own->push_back(std::move(p1));
   own->push_back(std::move(p2));
   return chain;
-}
-
-TEST(ColumnarEquivTest, QueuedExecutorColumnarMatchesRow) {
-  std::vector<Element> input = NumericStream(301, 4000);
-
-  auto run = [&](bool columnar, RecordingSink* sink) {
-    std::vector<std::unique_ptr<Operator>> own;
-    std::vector<Operator*> chain = MakeNumericChain(&own);
-    std::vector<QueuedExecutor::Stage> stages;
-    for (Operator* op : chain) {
-      QueuedExecutor::Stage s;
-      s.op = op;
-      s.max_batch = 64;
-      s.columnar = columnar;
-      stages.push_back(s);
-    }
-    QueuedExecutor exec(stages, sink, MakeFifoPolicy());
-    for (const Element& e : input) exec.Arrive(e);
-    exec.Tick(1e15);
-    exec.Drain();
-  };
-
-  RecordingSink ref;
-  run(false, &ref);
-  RecordingSink got;
-  run(true, &got);
-  // The serial executor is deterministic: exact order must match.
-  EXPECT_EQ(got.log(), ref.log());
-  ASSERT_GT(ref.log().size(), 100u);
 }
 
 TEST(ColumnarEquivTest, ParallelExecutorColumnarMatchesRow) {

@@ -352,10 +352,18 @@ constexpr char kWindowedJoin[] =
 constexpr char kUnwindowedJoin[] =
     "select a.ts, a.ts - b.ts as gap from packets a, packets b "
     "where a.src_ip = b.src_ip";
+// Sliding aggregates: one time window over the stream, and a count
+// window per key.
+constexpr char kSlidingAgg[] =
+    "select avg(len), max(len) from packets [range 60]";
+constexpr char kPartitionedAgg[] =
+    "select src_ip, sum(len), min(len) from packets "
+    "[partition by src_ip rows 3]";
 // Plan shapes whose every operator checkpoints: recovery must restore
 // them, not replay them.
-const char* const kRestoredQueries[] = {kAggQuery, kWindowedJoin,
-                                        kUnwindowedJoin};
+const char* const kRestoredQueries[] = {kAggQuery,       kWindowedJoin,
+                                        kUnwindowedJoin, kSlidingAgg,
+                                        kPartitionedAgg};
 
 TupleRef NthPkt(int i) { return Pkt(i, i % 7, i % 2 == 0 ? 6 : 17, i % 512); }
 

@@ -555,6 +555,107 @@ TEST(WindowJoinTest, RestoredJoinContinuesRowForRow) {
   }
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+// The join's checkpoint bytes, pinned: a checkpoint written before its
+// sides shared one window buffer still restores, and saves again the
+// same. One configuration per side kind: time (an outer left side, with
+// its matched flags), count, landmark kept in arrival order, and landmark
+// held by its index alone (fed one key, so no hash order shows).
+TEST(WindowJoinTest, SavedStateBytesArePinned) {
+  auto time = JoinOpts(JoinStrategy::kHash, JoinStrategy::kNestedLoop, 4, 6);
+  time.left_outer = true;
+  time.right_arity = 3;
+  auto count = JoinOpts(JoinStrategy::kHash, JoinStrategy::kHash);
+  count.left_window = WindowSpec::CountSliding(2);
+  count.right_window = WindowSpec::CountSliding(3);
+  auto logged = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});
+  logged.left_outer = true;
+  logged.right_arity = 3;
+  logged.right_strategy = JoinStrategy::kNestedLoop;
+  const auto index_only = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});
+  struct Case {
+    const char* name;
+    BinaryWindowJoinOp::Options opt;
+    bool one_key;
+    const char* hex;
+  };
+  const Case cases[] = {
+      {"time", time, false,
+       "574a4e310000000000000000000d00000000000000010000000d000000000000"
+       "0003000000010d00000000000000010700000000000000018200000000000000"
+       "01000d00000000000000020000000a0000000000000003000000010a00000000"
+       "0000000108000000000000000164000000000000000c00000000000000030000"
+       "00010c00000000000000010700000000000000017800000000000000"},
+      {"count", count, false,
+       "574a4e3100000000000000000302000000090000000000000003000000010900"
+       "000000000000010700000000000000015a000000000000000d00000000000000"
+       "03000000010d0000000000000001070000000000000001820000000000000003"
+       "0300000005000000000000000300000001050000000000000001070000000000"
+       "00000132000000000000000a0000000000000003000000010a00000000000000"
+       "0108000000000000000164000000000000000c0000000000000003000000010c"
+       "00000000000000010700000000000000017800000000000000"},
+      {"landmark, logged", logged, false,
+       "574a4e3100000000000000000205000000010000000000000003000000010100"
+       "000000000000010700000000000000010a000000000000000103000000000000"
+       "0003000000010300000000000000010800000000000000011e00000000000000"
+       "0104000000000000000300000001040000000000000001070000000000000001"
+       "2800000000000000010900000000000000030000000109000000000000000107"
+       "00000000000000015a00000000000000010d0000000000000003000000010d00"
+       "0000000000000107000000000000000182000000000000000102040000000200"
+       "0000000000000300000001020000000000000001070000000000000001140000"
+       "0000000000050000000000000003000000010500000000000000010700000000"
+       "0000000132000000000000000a0000000000000003000000010a000000000000"
+       "000108000000000000000164000000000000000c000000000000000300000001"
+       "0c00000000000000010700000000000000017800000000000000"},
+      {"landmark, index only", index_only, true,
+       "574a4e3100000000000000000204000000010000000000000003000000010100"
+       "000000000000010700000000000000010a000000000000000400000000000000"
+       "0300000001040000000000000001070000000000000001280000000000000009"
+       "0000000000000003000000010900000000000000010700000000000000015a00"
+       "0000000000000d0000000000000003000000010d000000000000000107000000"
+       "0000000001820000000000000002030000000200000000000000030000000102"
+       "0000000000000001070000000000000001140000000000000005000000000000"
+       "0003000000010500000000000000010700000000000000013200000000000000"
+       "0c0000000000000003000000010c000000000000000107000000000000000178"
+       "00000000000000"},
+  };
+  struct In {
+    int64_t ts;
+    int64_t key;
+    int port;
+  };
+  const In input[] = {{1, 7, 0}, {2, 7, 1},  {3, 8, 0}, {4, 7, 0},
+                      {5, 7, 1}, {9, 7, 0},  {10, 8, 1}, {12, 7, 1},
+                      {13, 7, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BinaryWindowJoinOp j(c.opt);
+    for (const In& in : input) {
+      if (c.one_key && in.key != 7) continue;
+      j.Push(Element(T(in.ts, in.key, in.ts * 10)), in.port);
+      if (in.ts == 10) j.Push(Element(Punctuation::Watermark(11)), 0);
+    }
+    dur::BufWriter w;
+    j.SaveState(w);
+    EXPECT_EQ(Hex(w.data()), c.hex);
+    BinaryWindowJoinOp restored(c.opt);
+    dur::BufReader r(w.data());
+    ASSERT_TRUE(restored.RestoreState(r).ok());
+    dur::BufWriter again;
+    restored.SaveState(again);
+    EXPECT_EQ(Hex(again.data()), c.hex);
+  }
+}
+
 TEST(WindowJoinTest, RestoreRejectsOtherLayouts) {
   auto sliding = JoinOpts(JoinStrategy::kHash, JoinStrategy::kHash);
   auto landmark = BinaryWindowJoinOp::Options::Unwindowed({1}, {1});

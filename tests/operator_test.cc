@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "exec/plan.h"
 #include "exec/project.h"
 #include "exec/select.h"
 #include "exec/union.h"
 
 namespace sqp {
+
+// sizeof/alignof of Operator, where a derived operator's first field goes,
+// and sizeof/alignof of GroupByAggregateOp: from a translation unit built
+// with NDEBUG and from one built without it.
+std::vector<size_t> OperatorLayoutNdebug();
+std::vector<size_t> OperatorLayoutDebug();
+
 namespace {
 
 TupleRef T(int64_t ts, int64_t v) {
@@ -182,6 +191,12 @@ TEST(PlanTest, RunStreamDrivesAndFlushes) {
   int64_t next_ts = 0;
   RunStream(sel, [&]() { return T(next_ts++, 0); }, 10);
   EXPECT_EQ(sink->count(), 10u);
+}
+
+// A program built without NDEBUG links a release library: every operator
+// must have one layout, whichever way NDEBUG is set.
+TEST(OperatorLayoutTest, SameWithAndWithoutNdebug) {
+  EXPECT_EQ(OperatorLayoutNdebug(), OperatorLayoutDebug());
 }
 
 }  // namespace

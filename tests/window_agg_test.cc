@@ -356,5 +356,156 @@ TEST(WindowAggOracleTest, CompiledSlideMatchesBruteForce) {
   EXPECT_EQ(checked, 4000u);
 }
 
+// --- Checkpoints ---
+
+std::vector<AggSpec> EveryKind(bool sketches) {
+  std::vector<AggSpec> specs;
+  for (int k = 0; k <= static_cast<int>(AggKind::kApproxCountDistinct); ++k) {
+    const auto kind = static_cast<AggKind>(k);
+    if (sketches || AggStateSerializable(kind)) specs.push_back({kind, 1, 0.3});
+  }
+  return specs;
+}
+
+struct CkptCase {
+  const char* name;
+  WindowSpec spec;
+  std::vector<AggSpec> aggs;
+  int partition_col;
+};
+
+std::vector<CkptCase> CkptCases() {
+  return {
+      {"time", WindowSpec::TimeSliding(30), EveryKind(true), -1},
+      {"count", WindowSpec::CountSliding(7), EveryKind(true), -1},
+      {"landmark", WindowSpec::Landmark(10), EveryKind(false), -1},
+      {"partitioned", WindowSpec::CountSliding(4), EveryKind(true), 2},
+  };
+}
+
+// Double values whose running sums round differently once values leave
+// them, slightly disordered timestamps, and a watermark every 40 tuples.
+std::vector<Element> CkptInput() {
+  Rng rng(51);
+  std::vector<Element> input;
+  for (int64_t i = 0; i < 500; ++i) {
+    const int64_t ts = i + static_cast<int64_t>(rng.Uniform(3));
+    const double v = 1e8 + 0.1 * static_cast<double>(rng.Uniform(1000));
+    input.emplace_back(MakeTuple(
+        ts, {Value(ts), Value(v), Value(static_cast<int64_t>(i % 5))}));
+    if (i % 40 == 39) input.emplace_back(Punctuation::Watermark(i + 5));
+  }
+  return input;
+}
+
+TEST(WindowAggTest, RestoredWindowContinuesRowForRow) {
+  const std::vector<Element> input = CkptInput();
+  for (const CkptCase& c : CkptCases()) {
+    SCOPED_TRACE(c.name);
+    Plan ref_plan;
+    auto* ref = ref_plan.Make<WindowAggregateOp>(c.spec, c.aggs, "ref",
+                                                 c.partition_col);
+    auto* ref_sink = ref_plan.Make<CollectorSink>();
+    ref->SetOutput(ref_sink);
+    std::string why;
+    ASSERT_TRUE(ref->CanCheckpointState(&why)) << why;
+    for (const Element& e : input) ref->Push(e);
+
+    for (size_t split : {size_t{0}, size_t{1}, size_t{123}, size_t{300},
+                         input.size()}) {
+      SCOPED_TRACE(split);
+      Plan plan;
+      auto* before = plan.Make<WindowAggregateOp>(c.spec, c.aggs, "before",
+                                                  c.partition_col);
+      auto* after = plan.Make<WindowAggregateOp>(c.spec, c.aggs, "after",
+                                                 c.partition_col);
+      auto* sink = plan.Make<CollectorSink>();
+      before->SetOutput(sink);
+      after->SetOutput(sink);
+      for (size_t i = 0; i < split; ++i) before->Push(input[i]);
+      dur::BufWriter w;
+      before->SaveState(w);
+      const size_t emitted = sink->count();
+      dur::BufReader r(w.data());
+      Status st = after->RestoreState(r);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(r.done());
+      EXPECT_EQ(sink->count(), emitted);  // Restore emits nothing.
+      EXPECT_EQ(after->num_partitions(), before->num_partitions());
+      for (size_t i = split; i < input.size(); ++i) after->Push(input[i]);
+      ASSERT_EQ(sink->count(), ref_sink->count());
+      for (size_t i = 0; i < sink->count(); ++i) {
+        // Exact equality: a double sum continues bit for bit.
+        ASSERT_EQ(*sink->tuples()[i], *ref_sink->tuples()[i]) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(WindowAggTest, CheckpointRulesAndHostileState) {
+  // A landmark window keeps no tuples, so a sketch makes it refuse; a
+  // sliding window refolds every kind from its tuples.
+  std::string why;
+  WindowAggregateOp landmark(WindowSpec::Landmark(0), EveryKind(true));
+  EXPECT_FALSE(landmark.CanCheckpointState(&why));
+  EXPECT_NE(why.find("approx"), std::string::npos) << why;
+  WindowAggregateOp sliding(WindowSpec::TimeSliding(5), EveryKind(true));
+  EXPECT_TRUE(sliding.CanCheckpointState(&why));
+
+  const std::vector<Element> input = CkptInput();
+  for (const CkptCase& c : CkptCases()) {
+    SCOPED_TRACE(c.name);
+    WindowAggregateOp src(c.spec, c.aggs, "src", c.partition_col);
+    for (size_t i = 0; i < 60; ++i) src.Push(input[i]);
+    dur::BufWriter w;
+    src.SaveState(w);
+    const std::string saved = w.Take();
+    for (size_t n = 0; n < saved.size(); ++n) {
+      WindowAggregateOp cut(c.spec, c.aggs, "cut", c.partition_col);
+      dur::BufReader r(std::string_view(saved).substr(0, n));
+      ASSERT_FALSE(cut.RestoreState(r).ok()) << n;
+    }
+  }
+  // Partitions keyed by another column: every tuple is in the wrong one.
+  WindowAggregateOp by_key(WindowSpec::CountSliding(4), EveryKind(true),
+                           "by-key", 2);
+  for (size_t i = 0; i < 60; ++i) by_key.Push(input[i]);
+  dur::BufWriter w;
+  by_key.SaveState(w);
+  WindowAggregateOp by_ts(WindowSpec::CountSliding(4), EveryKind(true),
+                          "by-ts", 0);
+  dur::BufReader r(w.data());
+  EXPECT_FALSE(by_ts.RestoreState(r).ok());
+
+  // An unsaved accumulator on a landmark window has no tuples to refold
+  // from; a saved flag other than 0 or 1 is no flag.
+  const std::vector<AggSpec> count = {{AggKind::kCount, -1, 0.5}};
+  const WindowSpec landmark_spec = WindowSpec::Landmark(0);
+  dur::BufWriter unsaved;
+  WindowBuffer(landmark_spec, /*keep_log=*/false).Save(unsaved);
+  unsaved.U32(1);
+  unsaved.U8(static_cast<uint8_t>(AggKind::kCount));
+  unsaved.U8(0);
+  WindowAggregateOp landmark_count(landmark_spec, count);
+  dur::BufReader unsaved_in(unsaved.data());
+  EXPECT_FALSE(landmark_count.RestoreState(unsaved_in).ok());
+
+  const WindowSpec time_spec = WindowSpec::TimeSliding(5);
+  WindowAggregateOp time_count(time_spec, count);
+  dur::BufWriter good;
+  time_count.SaveState(good);
+  std::string bad_flag = good.Take();
+  dur::BufWriter buffer;
+  WindowBuffer(time_spec).Save(buffer);
+  const size_t flag_at = buffer.size() + 4 + 1;  // Count, then kind.
+  ASSERT_LT(flag_at, bad_flag.size());
+  ASSERT_EQ(bad_flag[flag_at], 1);
+  dur::BufReader good_in(bad_flag);
+  EXPECT_TRUE(time_count.RestoreState(good_in).ok());
+  bad_flag[flag_at] = 2;
+  dur::BufReader bad_in(bad_flag);
+  EXPECT_FALSE(time_count.RestoreState(bad_in).ok());
+}
+
 }  // namespace
 }  // namespace sqp

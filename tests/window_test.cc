@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
-#include "window/count_window.h"
-#include "window/time_window.h"
+#include "window/window_buffer.h"
 #include "window/window_spec.h"
 
 namespace sqp {
@@ -41,68 +42,241 @@ TEST(WindowSpecTest, Names) {
   EXPECT_EQ(WindowSpec::Landmark(5).ToString(), "landmark start=5");
 }
 
-// --- TimeWindowBuffer ---
+// --- WindowBuffer ---
 
-TEST(TimeWindowTest, KeepsOnlyRecentTuples) {
-  TimeWindowBuffer w(10);
-  w.Insert(T(1));
-  w.Insert(T(5));
-  w.Insert(T(11));  // Expires ts=1 (1 <= 11-10).
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_EQ(w.contents().front()->ts(), 5);
+// One step of a window-buffer case: insert a tuple at `ts`, or advance
+// the clock to it, then what the window holds and how many tuples it has
+// reported expired so far.
+struct Step {
+  bool advance;
+  int64_t ts;
+  std::vector<int64_t> contents;  ///< Timestamps held, in arrival order.
+  size_t expired;                 ///< Tuples reported since the start.
+};
+Step Ins(int64_t ts, std::vector<int64_t> contents, size_t expired) {
+  return {false, ts, std::move(contents), expired};
+}
+Step Adv(int64_t ts, std::vector<int64_t> contents, size_t expired) {
+  return {true, ts, std::move(contents), expired};
 }
 
-TEST(TimeWindowTest, ExpiredTuplesReported) {
-  TimeWindowBuffer w(3);
-  std::vector<TupleRef> expired;
-  w.Insert(T(1), &expired);
-  w.Insert(T(2), &expired);
-  EXPECT_TRUE(expired.empty());
-  w.Insert(T(5), &expired);
-  ASSERT_EQ(expired.size(), 2u);
-  EXPECT_EQ(expired[0]->ts(), 1);
-  EXPECT_EQ(expired[1]->ts(), 2);
+// One row of the window-buffer table, registered as the test
+// `suite.name`.
+struct BufferCase {
+  const char* suite;
+  const char* name;
+  WindowSpec spec;
+  bool keep_log;
+  std::vector<Step> steps;
+  std::vector<int64_t> expired;  ///< Timestamps reported, in order.
+  std::vector<bool> admitted;    ///< Insert's result, per insert.
+};
+
+std::vector<BufferCase> BufferCases() {
+  return {
+      {"TimeWindowTest", "KeepsOnlyRecentTuples", WindowSpec::TimeSliding(10),
+       true,
+       {Ins(1, {1}, 0), Ins(5, {1, 5}, 0),
+        Ins(11, {5, 11}, 1)},  // 1 <= 11 - 10 expires.
+       {1}, {true, true, true}},
+      {"TimeWindowTest", "ExpiredTuplesReported", WindowSpec::TimeSliding(3),
+       true, {Ins(1, {1}, 0), Ins(2, {1, 2}, 0), Ins(5, {5}, 2)}, {1, 2},
+       {true, true, true}},
+      {"TimeWindowTest", "AdvanceToExpiresWithoutInsert",
+       WindowSpec::TimeSliding(5), true, {Ins(1, {1}, 0), Adv(100, {}, 1)},
+       {1}, {true}},
+      {"TimeWindowTest", "BoundaryIsExclusiveAtTail",
+       WindowSpec::TimeSliding(10), true,
+       {Ins(0, {0}, 0), Ins(10, {10}, 1)},  // (0, 10].
+       {0}, {true, true}},
+      {"TimeWindowTest", "MemoryTracksContents", WindowSpec::TimeSliding(100),
+       true, {Ins(1, {1}, 0), Ins(2, {1, 2}, 0), Adv(500, {}, 2)}, {1, 2},
+       {true, true}},
+      {"TimeWindowTest", "LateTupleLeavesEmptyWindowOnArrival",
+       WindowSpec::TimeSliding(10), true,
+       {Ins(20, {20}, 0), Adv(40, {}, 1), Ins(25, {}, 2)}, {20, 25},
+       {true, false}},
+      {"CountWindowTest", "EvictsOldestWhenFull", WindowSpec::CountSliding(3),
+       true,
+       {Ins(1, {1}, 0), Ins(2, {1, 2}, 0), Ins(3, {1, 2, 3}, 0),
+        Ins(4, {2, 3, 4}, 1), Adv(100, {2, 3, 4}, 1)},
+       {1}, {true, true, true, true}},
+      {"LandmarkWindowTest", "LogKeepsArrivalOrderFromStart",
+       WindowSpec::Landmark(5), true,
+       {Ins(7, {7}, 0), Ins(3, {7}, 1), Ins(6, {7, 6}, 1),
+        Adv(1000, {7, 6}, 1)},
+       {3}, {true, false, true}},
+      {"LandmarkWindowTest", "WithoutLogHoldsNoTuple", WindowSpec::Landmark(5),
+       false,
+       {Ins(7, {}, 0), Ins(3, {}, 1), Ins(6, {}, 1), Adv(1000, {}, 1)}, {3},
+       {true, false, true}},
+  };
 }
 
-TEST(TimeWindowTest, AdvanceToExpiresWithoutInsert) {
-  TimeWindowBuffer w(5);
-  w.Insert(T(1));
-  std::vector<TupleRef> expired;
-  w.AdvanceTo(100, &expired);
-  EXPECT_EQ(expired.size(), 1u);
-  EXPECT_TRUE(w.empty());
+std::vector<int64_t> Timestamps(const FifoLog<TupleRef>& log) {
+  std::vector<int64_t> ts;
+  for (const TupleRef& t : log) ts.push_back(t->ts());
+  return ts;
 }
 
-TEST(TimeWindowTest, BoundaryIsExclusiveAtTail) {
-  TimeWindowBuffer w(10);
-  w.Insert(T(0));
-  w.Insert(T(10));  // Window (0, 10]: ts=0 expires exactly.
-  EXPECT_EQ(w.size(), 1u);
+// A landmark window's tuple bytes, without its log's references.
+size_t TupleBytesOf(const WindowBuffer& b) {
+  return b.kind() == WindowKind::kTimeLandmark
+             ? b.MemoryBytes() - b.contents().capacity_bytes()
+             : b.MemoryBytes();
 }
 
-TEST(TimeWindowTest, MemoryTracksContents) {
-  TimeWindowBuffer w(100);
-  EXPECT_EQ(w.MemoryBytes(), 0u);
-  w.Insert(T(1));
-  size_t one = w.MemoryBytes();
-  w.Insert(T(2));
-  EXPECT_EQ(w.MemoryBytes(), 2 * one);
-  w.AdvanceTo(500);
-  EXPECT_EQ(w.MemoryBytes(), 0u);
+// Runs one row: its steps on a fresh buffer, checking contents, the
+// expired count and byte accounting after each, then a Save -> Restore
+// round trip.
+class BufferCaseTest : public testing::Test {
+ public:
+  explicit BufferCaseTest(BufferCase c) : c_(std::move(c)) {}
+
+  void TestBody() override {
+    WindowBuffer w(c_.spec, c_.keep_log);
+    EXPECT_EQ(w.logs(), c_.keep_log);
+    EXPECT_EQ(w.kind(), c_.spec.kind);
+    EXPECT_EQ(w.MemoryBytes(), 0u);
+    // A logged twin: what the owner of a log-less window saves.
+    WindowBuffer twin(c_.spec, /*keep_log=*/true);
+    const size_t one = T(0)->MemoryBytes();  // Every T() is as wide.
+    std::vector<TupleRef> expired;
+    std::vector<bool> admitted;
+    for (size_t i = 0; i < c_.steps.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "step " << i);
+      const Step& step = c_.steps[i];
+      if (step.advance) {
+        w.AdvanceTo(step.ts, &expired);
+        twin.AdvanceTo(step.ts);
+      } else {
+        TupleRef t = T(step.ts);
+        admitted.push_back(w.Insert(t, &expired));
+        twin.Insert(t);
+      }
+      EXPECT_EQ(Timestamps(w.contents()), step.contents);
+      EXPECT_EQ(expired.size(), step.expired);
+      // A sliding window counts the tuples it holds; a landmark window
+      // every tuple it admitted, logged or not.
+      const size_t held =
+          c_.spec.kind == WindowKind::kTimeLandmark
+              ? static_cast<size_t>(
+                    std::count(admitted.begin(), admitted.end(), true))
+              : step.contents.size();
+      EXPECT_EQ(TupleBytesOf(w), held * one);
+    }
+    const std::vector<int64_t>& contents = c_.steps.back().contents;
+    std::vector<int64_t> expired_ts;
+    for (const TupleRef& t : expired) expired_ts.push_back(t->ts());
+    EXPECT_EQ(expired_ts, c_.expired);
+    EXPECT_EQ(admitted, c_.admitted);
+
+    const WindowBuffer& src = w.logs() ? w : twin;
+    dur::BufWriter out;
+    src.Save(out, [](dur::BufWriter& bw, const TupleRef& t) {
+      bw.I64(t->ts() * 2);  // An owner's per-tuple field.
+    });
+    WindowBuffer restored(c_.spec, c_.keep_log);
+    restored.Insert(T(6));  // Restore empties the window first.
+    std::vector<int64_t> seen;
+    dur::BufReader in(out.data());
+    Status st =
+        restored.Restore(in, [&](dur::BufReader& br, const TupleRef& t) {
+          int64_t field = 0;
+          SQP_RETURN_NOT_OK(br.I64(&field));
+          EXPECT_EQ(field, t->ts() * 2);
+          seen.push_back(t->ts());
+          return Status::OK();
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(in.done());
+    EXPECT_EQ(seen, Timestamps(src.contents()));
+    EXPECT_EQ(Timestamps(restored.contents()), contents);
+    EXPECT_EQ(restored.now(), w.now());
+    EXPECT_EQ(restored.ExpiryBound(), w.ExpiryBound());
+    EXPECT_EQ(TupleBytesOf(restored), TupleBytesOf(w));
+  }
+
+ private:
+  BufferCase c_;
+};
+
+const bool kBufferCasesRegistered = [] {
+  for (const BufferCase& c : BufferCases()) {
+    testing::RegisterTest(c.suite, c.name, nullptr, nullptr, __FILE__,
+                          __LINE__, [c]() -> testing::Test* {
+                            return new BufferCaseTest(c);
+                          });
+  }
+  return true;
+}();
+
+TEST(WindowBufferTest, ExpiryBoundByKind) {
+  WindowBuffer time(WindowSpec::TimeSliding(10));
+  EXPECT_EQ(time.ExpiryBound(), INT64_MIN);  // The clock has not moved.
+  time.AdvanceTo(INT64_MIN + 5);
+  EXPECT_EQ(time.ExpiryBound(), INT64_MIN);  // Saturates, no overflow.
+  time.AdvanceTo(100);
+  EXPECT_EQ(time.ExpiryBound(), 91);  // The window is (90, 100].
+  EXPECT_EQ(time.now(), 100);
+  WindowBuffer count(WindowSpec::CountSliding(2));
+  count.AdvanceTo(100);
+  EXPECT_EQ(count.ExpiryBound(), INT64_MIN);
+  EXPECT_EQ(count.now(), INT64_MIN);
+  EXPECT_EQ(WindowBuffer(WindowSpec::Landmark(5)).ExpiryBound(), 5);
 }
 
-// --- CountWindowBuffer ---
+// Restores `bytes` into a fresh `spec` window.
+Status RestoreInto(const WindowSpec& spec, const std::string& bytes) {
+  WindowBuffer w(spec);
+  dur::BufReader r(bytes);
+  return w.Restore(r);
+}
 
-TEST(CountWindowTest, EvictsOldestWhenFull) {
-  CountWindowBuffer w(3);
-  EXPECT_FALSE(w.Insert(T(1)).has_value());
-  EXPECT_FALSE(w.Insert(T(2)).has_value());
-  EXPECT_FALSE(w.Insert(T(3)).has_value());
-  EXPECT_TRUE(w.full());
-  auto evicted = w.Insert(T(4));
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ((*evicted)->ts(), 1);
-  EXPECT_EQ(w.size(), 3u);
+// Hand-written state: u8 kind, i64 clock for a time window, u32 count,
+// then tuples.
+std::string State(WindowKind kind, int64_t now,
+                  const std::vector<int64_t>& ts) {
+  dur::BufWriter w;
+  w.U8(static_cast<uint8_t>(kind));
+  if (kind == WindowKind::kTimeSliding) w.I64(now);
+  w.U32(static_cast<uint32_t>(ts.size()));
+  for (int64_t t : ts) w.Tup(*T(t));
+  return w.Take();
+}
+
+TEST(WindowBufferTest, RestoreRejectsHostileState) {
+  const WindowSpec time = WindowSpec::TimeSliding(10);
+  const WindowSpec count = WindowSpec::CountSliding(2);
+  const WindowSpec landmark = WindowSpec::Landmark(5);
+  const std::string good = State(WindowKind::kTimeSliding, 100, {95, 100});
+  ASSERT_TRUE(RestoreInto(time, good).ok());
+  // Another kind.
+  EXPECT_FALSE(RestoreInto(count, good).ok());
+  EXPECT_FALSE(RestoreInto(landmark, good).ok());
+  // Every truncation.
+  for (size_t n = 0; n < good.size(); ++n) {
+    EXPECT_FALSE(RestoreInto(time, good.substr(0, n)).ok()) << n;
+  }
+  // A tuple outside the window: behind the clock, past a count window's
+  // size, before the landmark's start.
+  EXPECT_FALSE(
+      RestoreInto(time, State(WindowKind::kTimeSliding, 100, {90})).ok());
+  EXPECT_FALSE(
+      RestoreInto(count, State(WindowKind::kCountSliding, 0, {1, 2, 3}))
+          .ok());
+  EXPECT_FALSE(
+      RestoreInto(landmark, State(WindowKind::kTimeLandmark, 0, {4})).ok());
+  // A clock out of range.
+  EXPECT_FALSE(
+      RestoreInto(time, State(WindowKind::kTimeSliding, INT64_MIN + 5, {}))
+          .ok());
+  // An owner's per-tuple error stops the restore.
+  WindowBuffer w(time);
+  dur::BufReader r(good);
+  EXPECT_FALSE(w.Restore(r, [](dur::BufReader&, const TupleRef&) {
+                  return Status::Internal("rejected");
+                }).ok());
 }
 
 // --- Punctuation windows (closed by GroupByAggregateOp) ---
