@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "exec/reorder.h"
 #include "obs/trace.h"
 
 namespace sqp {
@@ -72,6 +73,18 @@ class QueryStageOp : public Operator {
 
 }  // namespace
 
+void QueryHandle::Finish() {
+  // A parallel query's drain cascade flushes every stage (chain mode) or
+  // runs CompiledQuery::Finish on the worker (whole-query mode), then
+  // joins: results are safe to read once this returns. Either way each
+  // input is flushed once, its front-ends first.
+  if (parallel_ != nullptr) {
+    parallel_->Drain();
+  } else {
+    query_->Finish();
+  }
+}
+
 Status StreamEngine::RegisterStream(const std::string& name, SchemaRef schema,
                                     std::vector<FieldDomain> domains,
                                     StreamOptions options) {
@@ -97,46 +110,25 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
   handle->sink_ = std::make_unique<CollectorSink>();
   handle->callback_ = std::move(options.on_result);
 
-  // Wire per-input front-ends: reorder and/or heartbeat per the owning
-  // stream's options.
+  // Each input's reorder/heartbeat front-ends, per the owning stream's
+  // options, become plan operators in front of it: reorder -> heartbeat
+  // -> query.
   const auto& from = handle->query_->analysis().ast.from;
   for (int i = 0; i < handle->query_->num_inputs(); ++i) {
     const std::string& stream = from[static_cast<size_t>(i)].name;
     // Compile resolved `stream` in the catalog, which RegisterStream
     // fills together with streams_.
     const StreamOptions& opt = streams_.find(stream)->second.options;
-    // Front-ends push into the query via a callback so CompiledQuery's
-    // port routing is preserved.
-    cql::CompiledQuery* q = handle->query_.get();
-    Operator* target = nullptr;
     if (opt.heartbeat_period > 0) {
-      auto hb = std::make_unique<HeartbeatOp>(opt.heartbeat_period,
-                                              opt.reorder_slack);
-      auto fwd = std::make_unique<CallbackSink>(
-          [q, i](const Element& e) { q->Push(e, i); });
-      hb->SetOutput(fwd.get());
-      target = hb.get();
-      handle->front_.push_back(std::move(fwd));
-      handle->front_.push_back(std::move(hb));
+      handle->query_->PrependInput(
+          i, std::make_unique<HeartbeatOp>(opt.heartbeat_period,
+                                           opt.reorder_slack));
     }
     if (opt.reorder_slack > 0) {
-      auto ro = std::make_unique<SlackReorderOp>(opt.reorder_slack);
-      if (target != nullptr) {
-        ro->SetOutput(target);
-      } else {
-        auto fwd = std::make_unique<CallbackSink>(
-            [q, i](const Element& e) { q->Push(e, i); });
-        ro->SetOutput(fwd.get());
-        handle->front_.push_back(std::move(fwd));
-      }
-      target = ro.get();
-      handle->front_.push_back(std::move(ro));
+      handle->query_->PrependInput(
+          i, std::make_unique<SlackReorderOp>(opt.reorder_slack));
     }
-    QueryHandle::Tap tap;
-    tap.stream = stream;
-    tap.entry = target;  // nullptr = push straight into the query.
-    tap.port = i;
-    handle->taps_.push_back(tap);
+    handle->taps_.push_back({stream, i});
   }
   // Refuse before anything is published: a rejected configuration must
   // leave no label, collector, profile, event or listener behind.
@@ -213,15 +205,6 @@ Status StreamEngine::ValidateExec(const ExecutionOptions& exec,
           "exec.columnar needs exec.parallel, or exec.sharding that splices "
           "a shard (shards > 1 and a shardable stateful operator): serial "
           "ingest delivers one element at a time");
-    }
-  }
-  if (exec.parallel) {
-    for (const QueryHandle::Tap& tap : q.taps_) {
-      if (tap.entry != nullptr) {
-        return Status::FailedPrecondition(
-            "exec.parallel does not support reorder/heartbeat front-ends "
-            "(stream '" + tap.stream + "')");
-      }
     }
   }
   if (exec.shed) {
@@ -449,8 +432,6 @@ void StreamEngine::DeliverDirect(QueryHandle& q, const QueryHandle::Tap& tap,
     } else {
       q.parallel_->ArriveOn(e, tap.port);
     }
-  } else if (tap.entry != nullptr) {
-    tap.entry->Process(e, 0);
   } else {
     q.query_->Push(e, tap.port);
   }
@@ -547,16 +528,7 @@ Status StreamEngine::Remove(QueryHandle* handle) {
   // Flush so windows/groups close and the final rows reach the sink —
   // unless the engine already finished everything. The caller guarantees
   // the output callback cannot block (see header).
-  if (!finished_) {
-    if (handle->parallel_ != nullptr) {
-      handle->parallel_->Drain();
-    } else {
-      for (const QueryHandle::Tap& tap : handle->taps_) {
-        if (tap.entry != nullptr) tap.entry->Flush();
-      }
-      handle->query_->Finish();
-    }
-  }
+  if (!finished_) handle->Finish();
 
   // Collectors capture the handle, its operators or its executor;
   // RemoveCollector and Unregister barrier on any snapshot in flight, so
@@ -585,21 +557,7 @@ void StreamEngine::FinishAll() {
   std::unique_lock<std::shared_mutex> reg(reg_mu_);
   if (finished_) return;
   finished_ = true;
-  for (auto& q : queries_) {
-    if (q->parallel_ != nullptr) {
-      // The drain cascade flushes every stage (chain mode) or runs
-      // CompiledQuery::Finish on the worker (whole-query mode), then
-      // joins — results are safe to read once this returns.
-      q->parallel_->Drain();
-      continue;
-    }
-    // Flush front-ends first (drains reorder buffers into the query),
-    // then the query itself via its per-port flush protocol.
-    for (const QueryHandle::Tap& tap : q->taps_) {
-      if (tap.entry != nullptr) tap.entry->Flush();
-    }
-    q->query_->Finish();
-  }
+  for (auto& q : queries_) q->Finish();
   if (dur_ != nullptr) {
     // Seal the archive and capture the post-flush state (collectors now
     // hold the final rows): a --replay of a finished run restores

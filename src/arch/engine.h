@@ -14,7 +14,6 @@
 #include "dur/checkpointable.h"
 #include "dur/manager.h"
 #include "exec/profiler.h"
-#include "exec/reorder.h"
 #include "exec/sharding.h"
 #include "obs/event_log.h"
 #include "obs/monitor.h"
@@ -32,11 +31,13 @@ struct QueryServerOptions;
 
 /// Options governing how the engine treats one registered stream.
 struct StreamOptions {
-  /// Tolerated disorder (ordering units); > 0 interposes a SlackReorderOp
-  /// in front of every query reading the stream.
+  /// Tolerated disorder (ordering units); > 0 splices a SlackReorderOp
+  /// into the plan of every query reading the stream, in front of the
+  /// input that reads it.
   int64_t reorder_slack = 0;
-  /// Heartbeat period; > 0 injects watermarks every `period` units so
-  /// windowed queries make progress on quiet streams.
+  /// Heartbeat period; > 0 splices a HeartbeatOp there too (after the
+  /// reorder), injecting watermarks every `period` units so windowed
+  /// queries make progress on quiet streams.
   int64_t heartbeat_period = 0;
 };
 
@@ -75,8 +76,8 @@ struct ExecutionOptions {
   /// Threaded execution: Ingest only enqueues (blocking when the query
   /// falls behind by a full 1024-element stage queue) and FinishAll
   /// drains and joins the workers. Single-input chains get one worker
-  /// per operator; other plans, and sharded ones, run whole on one
-  /// worker. Refused on streams with reorder/heartbeat front-ends.
+  /// per operator, reorder/heartbeat front-ends included; other plans,
+  /// and sharded ones, run whole on one worker.
   bool parallel = false;
   /// Closed-loop load shedding: a drop gate in front of the query whose
   /// rate a FeedbackShedder sets from the query's backlog each monitor
@@ -186,6 +187,10 @@ class QueryHandle {
  private:
   friend class StreamEngine;
 
+  /// End of stream for this query: flushes every input (parallel: drains
+  /// and joins the executor).
+  void Finish();
+
   std::string text_;
   std::string metrics_label_;
   // End-to-end latency histogram (see pending_ingest_ns_), published by
@@ -196,12 +201,10 @@ class QueryHandle {
   std::unique_ptr<CollectorSink> sink_;
   std::unique_ptr<Operator> tee_;  // Collector + callback fan-out.
   std::function<void(const TupleRef&)> callback_;
-  // Per-input front-ends (reorder/heartbeat), parallel to query inputs.
-  std::vector<std::unique_ptr<Operator>> front_;
-  // The operator Ingest() pushes into, per (stream occurrence).
+  // One per query input (stream occurrence): Ingest pushes the stream's
+  // elements into query input `port`.
   struct Tap {
     std::string stream;
-    Operator* entry;
     int port;
   };
   std::vector<Tap> taps_;
@@ -424,13 +427,13 @@ class StreamEngine {
 
  private:
   /// The one delivery path from ingest into a query: arms the latency
-  /// probe, then routes to the parallel executor, the reorder/heartbeat
-  /// front-end, or the query itself. The adaptive-shedding gate sits in
-  /// front of this.
+  /// probe, then routes to the parallel executor or the query's input
+  /// (its reorder/heartbeat front-ends are plan operators there). The
+  /// adaptive-shedding gate sits in front of this.
   void DeliverDirect(QueryHandle& q, const QueryHandle::Tap& tap,
                      const Element& e);
 
-  /// Checks `exec` against `q`'s compiled plan and front-ends; a refusal
+  /// Checks `exec` against `q`'s compiled plan; a refusal
   /// is kFailedPrecondition (cql::Compile never returns that code).
   static Status ValidateExec(const ExecutionOptions& exec,
                              const QueryHandle& q);

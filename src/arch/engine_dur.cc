@@ -60,12 +60,6 @@ bool StreamEngine::CollectCheckpointOps(
     *why = "adaptive shedding gate";
     return false;
   }
-  for (const QueryHandle::Tap& tap : q.taps_) {
-    if (tap.entry != nullptr) {
-      *why = "reorder/heartbeat front-end buffers are not checkpointable";
-      return false;
-    }
-  }
   for (const auto& op : q.query_->plan().operators()) {
     if (auto* c = dynamic_cast<CheckpointableOperator*>(op.get())) {
       std::string op_why;

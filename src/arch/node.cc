@@ -19,7 +19,7 @@ void DsmsNode::Tick() {
   double budget = options_.capacity_per_tick + budget_carry_;
   while (!queue_.empty() && budget >= options_.cost_per_element) {
     budget -= options_.cost_per_element;
-    entry_->Push(queue_.front(), 0);
+    entry_->Process(queue_.front(), 0);
     queue_.pop_front();
     ++processed_;
   }
@@ -32,7 +32,7 @@ void DsmsNode::Tick() {
 
 void DsmsNode::Drain() {
   while (!queue_.empty()) {
-    entry_->Push(queue_.front(), 0);
+    entry_->Process(queue_.front(), 0);
     queue_.pop_front();
     ++processed_;
   }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "cql/analyzer.h"
 #include "exec/plan.h"
@@ -51,6 +52,17 @@ class CompiledQuery {
       if (in == from) in = to;
     }
     if (root_ == from) root_ = to;
+  }
+
+  /// Splices `op` in front of input `i`: the plan takes ownership, `op`
+  /// feeds the old `input(i)` on `input_port(i)`, and `op` becomes input
+  /// `i` on port 0 — so Push and Finish reach it first. Call before the
+  /// plan is bound or lowered; each call lands in front of the last.
+  void PrependInput(int i, std::unique_ptr<Operator> op) {
+    const size_t at = static_cast<size_t>(i);
+    op->SetOutput(inputs_[at], ports_[at]);
+    inputs_[at] = plan_.Add(std::move(op));
+    ports_[at] = 0;
   }
 
  private:

@@ -16,8 +16,8 @@ struct QueryCheckpoint {
   /// queries by it.
   std::string text;
   /// False: the query's plan could not be checkpointed (parallel/sharded
-  /// execution, a front-end, or an operator without a serializer) and
-  /// recovery replays its input from seq 0 instead.
+  /// execution, an adaptive shed gate, or an operator without a
+  /// serializer) and recovery replays its input from seq 0 instead.
   bool included = false;
   /// One opaque blob per checkpointable operator, in plan order, with
   /// the result collector last.

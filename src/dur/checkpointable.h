@@ -12,8 +12,9 @@ namespace sqp {
 /// checkpoint (dur::Checkpoint). Implemented by the stateful synopses
 /// the CQL planner emits — group-by (under every window it closes), the
 /// window aggregate (sliding, landmark or partitioned windows), the
-/// window join (sliding or landmark windows), distinct — plus the
-/// result collector.
+/// window join (sliding or landmark windows), distinct, the reorder
+/// and heartbeat front-ends the engine splices in — plus the result
+/// collector.
 ///
 /// Contract: SaveState on a quiescent operator (the single driving
 /// thread is parked in the checkpoint) followed by RestoreState on a

@@ -133,9 +133,9 @@ void MultiWindowJoinOp::Push(const Element& e, int port) {
     ++partials_;
   }
 
-  // Insert the new tuple into its own window + index.
-  sides_[me].buf.Insert(t);
-  sides_[me].index[key].push_back(t);
+  // Insert the new tuple into its own window + index, unless it is
+  // already outside the window.
+  if (sides_[me].buf.Insert(t)) sides_[me].index[key].push_back(t);
 }
 
 void MultiWindowJoinOp::Flush() {

@@ -2,10 +2,10 @@
 #define SQP_EXEC_REORDER_H_
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "dur/checkpointable.h"
 #include "exec/operator.h"
 
 namespace sqp {
@@ -18,12 +18,16 @@ namespace sqp {
 /// Emitted watermark: max_ts - slack. A nonzero slack leaves room for
 /// bounded disorder downstream (pair with SlackReorderOp upstream or
 /// rely on the consumer's tolerance).
-class HeartbeatOp : public Operator {
+class HeartbeatOp : public Operator, public CheckpointableOperator {
  public:
   HeartbeatOp(int64_t period, int64_t slack = 0,
               std::string name = "heartbeat");
 
   void Push(const Element& e, int port = 0) override;
+
+  /// Layout: i64 max_ts, i64 last_beat.
+  void SaveState(dur::BufWriter& w) const override;
+  Status RestoreState(dur::BufReader& r) override;
 
  private:
   int64_t period_;
@@ -41,7 +45,7 @@ class HeartbeatOp : public Operator {
 ///
 /// This is the standard front-end that makes the ordering-attribute
 /// assumption of slides 17/29 hold on real feeds.
-class SlackReorderOp : public Operator {
+class SlackReorderOp : public Operator, public CheckpointableOperator {
  public:
   SlackReorderOp(int64_t slack, bool drop_late = true,
                  std::string name = "reorder");
@@ -49,6 +53,12 @@ class SlackReorderOp : public Operator {
   void Push(const Element& e, int port = 0) override;
   void Flush() override;
   size_t StateBytes() const override;
+
+  /// Layout: i64 max_ts, i64 emitted_ts, u64 late_dropped, u32 count,
+  /// then the buffered tuples in heap-array order, so tuples of equal ts
+  /// release in the same order after a restore.
+  void SaveState(dur::BufWriter& w) const override;
+  Status RestoreState(dur::BufReader& r) override;
 
   uint64_t late_dropped() const { return late_dropped_; }
   size_t buffered() const { return heap_.size(); }
@@ -64,7 +74,7 @@ class SlackReorderOp : public Operator {
 
   int64_t slack_;
   bool drop_late_;
-  std::priority_queue<TupleRef, std::vector<TupleRef>, ByTs> heap_;
+  std::vector<TupleRef> heap_;  // A ByTs heap (push_heap/pop_heap).
   int64_t max_ts_ = INT64_MIN;
   int64_t emitted_ts_ = INT64_MIN;
   uint64_t late_dropped_ = 0;

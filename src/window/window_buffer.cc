@@ -18,9 +18,13 @@ WindowBuffer::WindowBuffer(const WindowSpec& spec, bool keep_log)
 bool WindowBuffer::Insert(const TupleRef& t, std::vector<TupleRef>* expired) {
   if (kind_ == WindowKind::kTimeSliding) {
     now_ = std::max(now_, t->ts());
-    log_.push_back(t);
     Expire(expired);
-    return !log_.empty();  // `t` is the newest: it left only if all did.
+    if (t->ts() < ExpiryBound()) {  // Late: it leaves on arrival.
+      if (expired != nullptr) expired->push_back(t);
+      return false;
+    }
+    log_.push_back(t);
+    return true;
   }
   if (kind_ == WindowKind::kCountSliding) {
     log_.push_back(t);

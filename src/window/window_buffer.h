@@ -17,7 +17,8 @@ namespace sqp {
 /// last N tuples) or landmark (every tuple from `start` on) `WindowSpec`.
 /// Insert then expire is the KNV03 join's step (slide 32). Tuples sit on
 /// a `FifoLog`, so a steady window never allocates; time expiry pops from
-/// the front, so a late tuple waits behind the tuples before it.
+/// the front, so an in-window tuple that arrived out of order waits
+/// behind the tuples before it.
 class WindowBuffer {
  public:
   /// `keep_log`: whether a landmark window keeps its tuples in arrival
@@ -26,9 +27,9 @@ class WindowBuffer {
   explicit WindowBuffer(const WindowSpec& spec, bool keep_log = true);
 
   /// Adds `t`; tuples that leave go to `expired` (oldest first) when
-  /// non-null. Returns false when `t` itself left on arrival (late for an
-  /// empty time window, or before a landmark's start): then it is the
-  /// last one reported.
+  /// non-null. Returns false when `t` itself left on arrival (older than
+  /// a time window's `ExpiryBound`, or before a landmark's start): then
+  /// it is the last one reported.
   bool Insert(const TupleRef& t, std::vector<TupleRef>* expired = nullptr);
   /// Advances a time window's clock to `ts`; a no-op for the others.
   void AdvanceTo(int64_t ts, std::vector<TupleRef>* expired = nullptr);

@@ -101,6 +101,10 @@ TEST(DsmsNodeTest, CapacityLimitsThroughput) {
   EXPECT_EQ(node.processed(), 4u);
   node.Drain();
   EXPECT_EQ(node.processed(), 10u);
+  // The node drives its entry through Operator::Process, so the entry's
+  // slot counts one delivery per processed element.
+  EXPECT_EQ(sel->stats().singles, 10u);
+  EXPECT_EQ(sel->stats().tuples_in, 10u);
 }
 
 TEST(DsmsNodeTest, QueueOverflowDrops) {

@@ -19,6 +19,7 @@
 #include "dur/checkpoint.h"
 #include "dur/codec.h"
 #include "dur/manager.h"
+#include "exec/reorder.h"
 #include "stream/generators.h"
 
 namespace sqp {
@@ -338,6 +339,122 @@ TEST(DurCheckpointTest, CorruptLatestFallsBackToPrevious) {
 }
 
 // ---------------------------------------------------------------------
+// Front-end operator state
+
+std::string SaveOf(const CheckpointableOperator& op) {
+  dur::BufWriter w;
+  op.SaveState(w);
+  return w.Take();
+}
+
+Status RestoreFrom(CheckpointableOperator& op, const std::string& state) {
+  dur::BufReader r(state);
+  return op.RestoreState(r);
+}
+
+// What `op` emits for `suffix` and a final flush, in order.
+std::vector<std::string> Drive(Operator& op,
+                               const std::vector<TupleRef>& suffix) {
+  CollectorSink sink;
+  op.SetOutput(&sink);
+  for (const TupleRef& t : suffix) op.Push(Element(t));
+  op.Flush();
+  std::vector<std::string> out;
+  for (const TupleRef& t : sink.tuples()) out.push_back(t->ToString());
+  for (const Punctuation& p : sink.punctuations()) {
+    out.push_back("wm " + std::to_string(p.ts));
+  }
+  return out;
+}
+
+TEST(FrontEndCheckpointTest, ReorderRestoresBufferAndTies) {
+  // Tuples of equal ts (told apart by their len) must release in the
+  // same order from a restored buffer as from the live one.
+  SlackReorderOp live(4);
+  CollectorSink prefix_out;
+  live.SetOutput(&prefix_out);
+  for (int i = 0; i < 40; ++i) {
+    live.Push(Element(Pkt(i / 4 + (i % 3), 1, 6, i)));
+  }
+  live.Push(Element(Pkt(1, 1, 6, 999)));  // Beyond the slack: dropped.
+  ASSERT_GT(live.buffered(), 4u);
+  ASSERT_EQ(live.late_dropped(), 1u);
+  const std::string state = SaveOf(live);
+
+  SlackReorderOp restored(4);
+  ASSERT_TRUE(RestoreFrom(restored, state).ok());
+  EXPECT_EQ(restored.buffered(), live.buffered());
+  EXPECT_EQ(restored.late_dropped(), 1u);
+  EXPECT_EQ(SaveOf(restored), state);
+  std::vector<TupleRef> suffix;
+  for (int i = 0; i < 20; ++i) suffix.push_back(Pkt(12 + i / 3, 2, 6, i));
+  suffix.push_back(Pkt(2, 2, 6, 7));  // Late after the restore too.
+  EXPECT_EQ(Drive(restored, suffix), Drive(live, suffix));
+  EXPECT_EQ(restored.late_dropped(), 2u);
+}
+
+TEST(FrontEndCheckpointTest, HeartbeatRestoresItsBeat) {
+  HeartbeatOp live(10, 2);
+  for (int64_t ts : {3, 9, 14, 17}) live.Push(Element(Pkt(ts, 1, 6, 1)));
+  HeartbeatOp restored(10, 2);
+  ASSERT_TRUE(RestoreFrom(restored, SaveOf(live)).ok());
+  const std::vector<TupleRef> suffix = {Pkt(22, 1, 6, 1), Pkt(41, 1, 6, 1)};
+  EXPECT_EQ(Drive(restored, suffix), Drive(live, suffix));
+  // A fresh operator round-trips too.
+  HeartbeatOp fresh(10);
+  EXPECT_TRUE(RestoreFrom(fresh, SaveOf(HeartbeatOp(10))).ok());
+}
+
+TEST(FrontEndCheckpointTest, HostileStateIsRefused) {
+  SlackReorderOp reorder(10);
+  for (int64_t ts : {20, 25, 22, 30}) reorder.Push(Element(Pkt(ts, 1, 6, 1)));
+  ASSERT_EQ(reorder.buffered(), 3u);  // 22, 25, 30 wait; 20 left.
+  const std::string good = SaveOf(reorder);
+  for (size_t n = 0; n < good.size(); ++n) {
+    SlackReorderOp fresh(10);
+    EXPECT_FALSE(RestoreFrom(fresh, good.substr(0, n)).ok()) << n;
+    EXPECT_EQ(fresh.buffered(), 0u) << n;
+  }
+  auto reorder_state = [](int64_t max_ts, int64_t emitted_ts,
+                          std::vector<int64_t> held) {
+    dur::BufWriter w;
+    w.I64(max_ts);
+    w.I64(emitted_ts);
+    w.U64(0);
+    w.U32(static_cast<uint32_t>(held.size()));
+    for (int64_t ts : held) w.Tup(*Pkt(ts, 1, 6, 1));
+    return w.Take();
+  };
+  SlackReorderOp fresh(10);
+  EXPECT_TRUE(RestoreFrom(fresh, reorder_state(30, 20, {22, 25, 30})).ok());
+  const std::vector<std::string> refused = {
+      reorder_state(30, 20, {25, 22, 30}),  // Not a min-heap.
+      reorder_state(30, 20, {19, 25}),      // Below what was emitted.
+      reorder_state(30, 20, {20, 31}),      // Above the high water.
+      reorder_state(30, 10, {20}),          // Due for release: 20 <= 30-10.
+      reorder_state(20, 30, {}),            // Emitted past the high water.
+  };
+  for (const std::string& state : refused) {
+    EXPECT_FALSE(RestoreFrom(fresh, state).ok());
+  }
+
+  auto beat_state = [](int64_t max_ts, int64_t last_beat) {
+    dur::BufWriter w;
+    w.I64(max_ts);
+    w.I64(last_beat);
+    return w.Take();
+  };
+  HeartbeatOp beat(10);
+  EXPECT_TRUE(RestoreFrom(beat, beat_state(29, 20)).ok());
+  EXPECT_FALSE(RestoreFrom(beat, beat_state(29, 20).substr(0, 12)).ok());
+  // A beat a whole period or more behind would flood watermarks.
+  EXPECT_FALSE(RestoreFrom(beat, beat_state(INT64_MAX, INT64_MIN + 1)).ok());
+  EXPECT_FALSE(RestoreFrom(beat, beat_state(30, 20)).ok());
+  EXPECT_FALSE(RestoreFrom(beat, beat_state(20, 30)).ok());
+  EXPECT_FALSE(RestoreFrom(beat, beat_state(20, INT64_MIN)).ok());
+}
+
+// ---------------------------------------------------------------------
 // Engine recovery
 
 constexpr char kAggQuery[] =
@@ -487,6 +604,81 @@ TEST(EngineDurabilityTest, SigkillMidRunRecoversEquivalently) {
     // And checkpoint restore + suffix == full replay of the same archive.
     EXPECT_EQ(RecoverRows(dir, /*use_checkpoint=*/false, nullptr, query),
               recovered);
+  }
+}
+
+// A stream behind reorder (slack 8) and heartbeat (period 10) front-ends,
+// fed out of order: up to 5 units of disorder, and one tuple in 50
+// beyond the slack (dropped by the reorder).
+StreamOptions DisorderedStream() {
+  StreamOptions opt;
+  opt.reorder_slack = 8;
+  opt.heartbeat_period = 10;
+  return opt;
+}
+
+TupleRef NthDisorderedPkt(int i) {
+  const int lag = i % 50 == 49 ? 30 : (i * 7) % 6;
+  return Pkt(i - lag, i % 7, i % 2 == 0 ? 6 : 17, i % 512);
+}
+
+// Submits `query` on a disordered `packets`, turns on durability in `dir`
+// and ingests the first `tuples` disordered packets.
+Result<QueryHandle*> DisorderedRun(StreamEngine& engine, const char* query,
+                                   const std::string& dir,
+                                   dur::DurabilityOptions opt, int tuples) {
+  SQP_RETURN_NOT_OK(engine.RegisterStream("packets", gen::PacketSchema(), {},
+                                          DisorderedStream()));
+  auto q = engine.Submit(query);
+  if (!q.ok()) return q.status();
+  if (!dir.empty()) SQP_RETURN_NOT_OK(engine.EnableDurability(dir, opt));
+  for (int i = 0; i < tuples; ++i) {
+    SQP_RETURN_NOT_OK(engine.Ingest("packets", NthDisorderedPkt(i)));
+  }
+  return q;
+}
+
+TEST(EngineDurabilityTest, SigkillBehindFrontEndsRestoresNotReplays) {
+  const int kTuples = 700;
+  for (const char* query : {kAggQuery, kSlidingAgg}) {
+    SCOPED_TRACE(query);
+    std::string dir = TempDir("frontend");
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      StreamEngine engine;
+      dur::DurabilityOptions opt;
+      opt.checkpoint_every = 150;
+      opt.flush_interval_ms = 0;
+      if (!DisorderedRun(engine, query, dir, opt, kTuples).ok()) _exit(3);
+      raise(SIGKILL);
+      _exit(4);  // Unreachable.
+    }
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(wstatus));
+    ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+    StreamEngine ref;
+    auto rq = DisorderedRun(ref, query, "", {}, kTuples);
+    ASSERT_TRUE(rq.ok()) << rq.status().ToString();
+    ref.FinishAll();
+
+    // Every checkpoint caught tuples waiting in the reorder buffer; the
+    // restored buffer releases them as the live one would have.
+    StreamEngine engine;
+    auto q = DisorderedRun(engine, query, "", {}, 0);
+    ASSERT_TRUE(q.ok());
+    ASSERT_TRUE(engine.EnableDurability(dir, {}).ok());
+    const RecoveryReport& rep = engine.recovery_report();
+    EXPECT_TRUE(rep.checkpoint_loaded);
+    EXPECT_EQ(rep.restored_queries, 1u);
+    EXPECT_EQ(rep.replay_from_zero_queries, 0u);
+    EXPECT_GT(rep.replayed_tuples, 0u);
+    EXPECT_LT(rep.replayed_tuples, static_cast<uint64_t>(kTuples));
+    engine.FinishAll();
+    EXPECT_FALSE(Rows(*rq).empty());
+    EXPECT_EQ(Rows(*q), Rows(*rq));
   }
 }
 

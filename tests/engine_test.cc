@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -133,6 +134,40 @@ TEST(EngineTest, HeartbeatClosesIdleBuckets) {
   // without needing the application to punctuate.
   (void)engine.Ingest("packets", Pkt(25, 1, 6, 1));
   EXPECT_EQ((*q)->result_count(), 1u);
+}
+
+TEST(EngineTest, FrontEndsArePlanOperators) {
+  StreamEngine engine;
+  StreamOptions opt;
+  opt.reorder_slack = 100;
+  opt.heartbeat_period = 10;
+  ASSERT_TRUE(
+      engine.RegisterStream("packets", gen::PacketSchema(), {}, opt).ok());
+  auto q = engine.Submit("select ts from packets where len > 5000");
+  ASSERT_TRUE(q.ok());
+  const size_t before = engine.TotalStateBytes();
+  size_t held = 0;
+  for (int64_t ts : {5, 3, 4, 1, 2}) {
+    TupleRef t = Pkt(ts, 1, 6, 1);
+    held += t->MemoryBytes();
+    ASSERT_TRUE(engine.Ingest("packets", t).ok());
+  }
+  // All five wait in the reorder buffer, which the engine now counts.
+  EXPECT_GE(engine.TotalStateBytes(), before + held);
+  // EXPLAIN ANALYZE lists the front-ends as rows of the query's plan.
+  obs::QueryProfile p;
+  ASSERT_TRUE(engine.ProfileSnapshot(*q, &p));
+  std::map<std::string, uint64_t> tuples_in;
+  for (const obs::OpProfileRow& row : p.ops) tuples_in[row.op] = row.tuples_in;
+  ASSERT_EQ(tuples_in.count("reorder"), 1u);
+  ASSERT_EQ(tuples_in.count("heartbeat"), 1u);
+  EXPECT_EQ(tuples_in["reorder"], 5u);
+  EXPECT_EQ(tuples_in["heartbeat"], 0u);
+  engine.FinishAll();
+  ASSERT_TRUE(engine.ProfileSnapshot(*q, &p));
+  for (const obs::OpProfileRow& row : p.ops) tuples_in[row.op] = row.tuples_in;
+  EXPECT_EQ(tuples_in["heartbeat"], 5u);
+  EXPECT_EQ(tuples_in["select"], 5u);
 }
 
 TEST(EngineTest, MultiQuerySoak) {
@@ -476,7 +511,10 @@ std::multiset<std::string> RowSet(const QueryHandle* q) {
 
 /// Runs `query` under `exec` over one fixed feed: every tuple goes to
 /// `packets` and, alternately, to `syn` or `synack`, with a watermark on
-/// all three every 100 tuples.
+/// all three every 100 tuples. A disordered copy of the feed goes to
+/// `late`, `late_syn` and `late_synack`, which reorder (slack 8) and
+/// heartbeat (period 16) instead of being punctuated; one tuple in 97
+/// arrives beyond the slack and is dropped.
 /// Checks that the handle runs the mode it was given: a stateless query
 /// has nothing to shard, and an op-per-stage chain (more than one stage)
 /// converts runs to columns exactly when `exec.columnar` asks.
@@ -486,6 +524,13 @@ std::multiset<std::string> RunUnder(const std::string& query,
   StreamEngine engine;
   for (const char* s : {"packets", "syn", "synack"}) {
     EXPECT_TRUE(engine.RegisterStream(s, gen::PacketSchema()).ok());
+  }
+  StreamOptions disordered;
+  disordered.reorder_slack = 8;
+  disordered.heartbeat_period = 16;
+  for (const char* s : {"late", "late_syn", "late_synack"}) {
+    EXPECT_TRUE(
+        engine.RegisterStream(s, gen::PacketSchema(), {}, disordered).ok());
   }
   SubmitOptions opts;
   opts.exec = exec;
@@ -503,6 +548,7 @@ std::multiset<std::string> RunUnder(const std::string& query,
     EXPECT_EQ(columnar_stage, exec.columnar);
   }
   Rng rng(19);
+  Rng jitter(23);
   for (int64_t i = 0; i < 3000; ++i) {
     const int64_t ts = i / 2;
     TupleRef t = Packet(ts, static_cast<int64_t>(rng.Uniform(16)),
@@ -510,6 +556,13 @@ std::multiset<std::string> RunUnder(const std::string& query,
                         static_cast<int64_t>(rng.Uniform(1500)));
     EXPECT_TRUE(engine.Ingest("packets", t).ok());
     EXPECT_TRUE(engine.Ingest(i % 2 == 0 ? "syn" : "synack", t).ok());
+    const int64_t lag =
+        i % 97 == 96 ? 40 : static_cast<int64_t>(jitter.Uniform(7));
+    TupleRef lt = Packet(ts + 20 - lag, t->at(1).AsInt(), t->at(2).AsInt(),
+                         t->at(6).AsInt());
+    EXPECT_TRUE(engine.Ingest("late", lt).ok());
+    EXPECT_TRUE(
+        engine.Ingest(i % 2 == 0 ? "late_syn" : "late_synack", lt).ok());
     if (i % 100 == 99) {
       for (const char* s : {"packets", "syn", "synack"}) {
         EXPECT_TRUE(
@@ -531,6 +584,16 @@ TEST(EngineExecTest, EveryModeMatchesSerial) {
       "from syn s [range 40], synack a [range 40] "
       "where s.src_ip = a.dst_ip",
       "select s.ts, a.ts from syn s, synack a "
+      "where s.src_ip = a.dst_ip and s.dst_ip = a.src_ip",
+      // Behind reorder and heartbeat front-ends. The join's first Flush
+      // (from the left input) arrives before the right input's reorder
+      // has released its last tuples. Each reorder releases on its own
+      // stream's high water, so the two inputs reach the join up to a
+      // slack apart: only a join that never expires matches serial
+      // under sharding.
+      "select tb, src_ip, count(*), sum(len) from late "
+      "group by ts/60 as tb, src_ip",
+      "select s.ts, a.ts from late_syn s, late_synack a "
       "where s.src_ip = a.dst_ip and s.dst_ip = a.src_ip",
   };
   struct Mode {
@@ -564,13 +627,8 @@ TEST(EngineExecTest, EveryModeMatchesSerial) {
 
 TEST(EngineExecTest, RefusedSubmitPublishesNothing) {
   StreamEngine engine;
-  StreamOptions slack;
-  slack.reorder_slack = 8;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   ASSERT_TRUE(engine.RegisterStream("synack", gen::PacketSchema()).ok());
-  ASSERT_TRUE(
-      engine.RegisterStream("disordered", gen::PacketSchema(), {}, slack)
-          .ok());
   const std::string chain = "select ts from packets where len > 0";
   const std::string join =
       "select s.ts from packets s [range 10], synack a [range 10] "
@@ -583,31 +641,28 @@ TEST(EngineExecTest, RefusedSubmitPublishesNothing) {
     std::string query;
     ExecutionOptions exec;
   };
-  std::vector<Refusal> refusals(7);
-  refusals[0] = {"parallel with a reorder front-end",
-                 "select ts from disordered where len > 0", {}};
-  refusals[0].exec.parallel = true;
-  refusals[1] = {"shed on a multi-input query", join, {}};
-  refusals[1].exec.shed = probed;
-  refusals[2] = {"shed on a serial query with no probe", chain, {}};
-  refusals[2].exec.shed.emplace();
-  refusals[3] = {"shards < 1", chain, {}};
-  refusals[3].exec.sharding.emplace();
-  refusals[3].exec.sharding->shards = 0;
-  refusals[4] = {"columnar with neither parallel nor shards", chain, {}};
-  refusals[4].exec.columnar = true;
+  std::vector<Refusal> refusals(6);
+  refusals[0] = {"shed on a multi-input query", join, {}};
+  refusals[0].exec.shed = probed;
+  refusals[1] = {"shed on a serial query with no probe", chain, {}};
+  refusals[1].exec.shed.emplace();
+  refusals[2] = {"shards < 1", chain, {}};
+  refusals[2].exec.sharding.emplace();
+  refusals[2].exec.sharding->shards = 0;
+  refusals[3] = {"columnar with neither parallel nor shards", chain, {}};
+  refusals[3].exec.columnar = true;
   // Columnar without parallel runs only inside shard replicas, so a
   // sharding request that splices nothing leaves it nowhere to run.
-  refusals[5] = {"columnar with shards 1",
+  refusals[4] = {"columnar with shards 1",
                  "select tb, src_ip, count(*) from packets "
                  "group by ts/60 as tb, src_ip",
                  {}};
+  refusals[4].exec.columnar = true;
+  refusals[4].exec.sharding.emplace();
+  refusals[4].exec.sharding->shards = 1;
+  refusals[5] = {"columnar with shards but nothing shardable", chain, {}};
   refusals[5].exec.columnar = true;
   refusals[5].exec.sharding.emplace();
-  refusals[5].exec.sharding->shards = 1;
-  refusals[6] = {"columnar with shards but nothing shardable", chain, {}};
-  refusals[6].exec.columnar = true;
-  refusals[6].exec.sharding.emplace();
 
   for (const Refusal& r : refusals) {
     SubmitOptions opts;

@@ -100,6 +100,24 @@ TEST(WindowJoinTest, MatchesWithinWindowOnly) {
   EXPECT_EQ(sink->count(), 1u);
 }
 
+TEST(WindowJoinTest, LateTupleNeverJoins) {
+  // Left ts 80 arrives after ts 100 on the same key: it is already
+  // outside the left [range 10] window, so it leaves on arrival and the
+  // right tuple at 100 meets only the left tuple at 100, whichever way
+  // the left side is probed.
+  for (JoinStrategy s : {JoinStrategy::kHash, JoinStrategy::kNestedLoop}) {
+    Plan plan;
+    auto* j = plan.Make<BinaryWindowJoinOp>(JoinOpts(s, s, 10, 10));
+    auto* sink = plan.Make<CollectorSink>();
+    j->SetOutput(sink);
+    j->Push(Element(T(100, 5)), 0);
+    j->Push(Element(T(80, 5)), 0);
+    j->Push(Element(T(100, 5)), 1);
+    ASSERT_EQ(sink->count(), 1u) << static_cast<int>(s);
+    EXPECT_EQ(sink->tuples()[0]->at(0).AsInt(), 100);
+  }
+}
+
 TEST(WindowJoinTest, CountWindows) {
   BinaryWindowJoinOp::Options o;
   o.left_cols = {1};

@@ -162,6 +162,20 @@ TEST(WindowAggTest, LateTupleExpiresOnArrival) {
   EXPECT_EQ(wa->recompute_count(), 0u);
 }
 
+TEST(WindowAggTest, LateTupleLeavesNonEmptyWindowOnArrival) {
+  Plan plan;
+  auto* wa = plan.Make<WindowAggregateOp>(
+      WindowSpec::TimeSliding(10),
+      std::vector<AggSpec>{{AggKind::kCount, -1, 0.5}});
+  auto* sink = plan.Make<CollectorSink>();
+  wa->SetOutput(sink);
+  wa->Push(Element(T(100, 1)));
+  wa->Push(Element(T(80, 1)));  // Outside (90, 100]: never counted.
+  ASSERT_EQ(sink->count(), 2u);
+  EXPECT_EQ(sink->tuples()[0]->at(1).AsInt(), 1);
+  EXPECT_EQ(sink->tuples()[1]->at(1).AsInt(), 1);
+}
+
 // --- Property: every emission equals a fresh NewAccumulator() fold over
 // the window's current contents ---
 

@@ -96,6 +96,10 @@ std::vector<BufferCase> BufferCases() {
        WindowSpec::TimeSliding(10), true,
        {Ins(20, {20}, 0), Adv(40, {}, 1), Ins(25, {}, 2)}, {20, 25},
        {true, false}},
+      {"TimeWindowTest", "LateTupleLeavesNonEmptyWindowOnArrival",
+       WindowSpec::TimeSliding(10), true,
+       {Ins(100, {100}, 0), Ins(80, {100}, 1)},  // 80 < 100 - 10 + 1.
+       {80}, {true, false}},
       {"CountWindowTest", "EvictsOldestWhenFull", WindowSpec::CountSliding(3),
        true,
        {Ins(1, {1}, 0), Ins(2, {1, 2}, 0), Ins(3, {1, 2, 3}, 0),
