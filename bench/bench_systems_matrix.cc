@@ -19,7 +19,6 @@
 #include <unordered_map>
 
 #include "agg/partial_agg.h"
-#include "arch/node.h"
 #include "arch/system.h"
 #include "bench_util.h"
 #include "common/rng.h"

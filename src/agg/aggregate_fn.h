@@ -52,7 +52,10 @@ Result<AggKind> ParseAggKind(const std::string& name);
 ///   FIFO contract below; every other kind is not.
 /// - `NewSlidingAccumulator()`: every exact kind is invertible under a
 ///   FIFO contract — `Remove(v)` evicts the *oldest* value still held,
-///   and `v` must equal it. Blend and the sketches are not; a window
+///   and `v` must equal it. Oldest is in the window's order, which for a
+///   time window is ts order: a window operator refolds its accumulators
+///   when a tuple arrives out of order, so values are always added in
+///   that order. Blend and the sketches are not invertible; a window
 ///   operator rebuilds those from its buffer on expiry.
 class Accumulator {
  public:

@@ -83,9 +83,7 @@ Result<std::unique_ptr<ThreeLevelSystem>> ThreeLevelSystem::Make(
       config.window_size);
   Operator* low_entry = sys->partial_;
   if (config.prefilter != nullptr) {
-    auto* select = sys->plan_.Make<SelectOp>(config.prefilter, "low-select");
-    select->SetOutput(sys->partial_);
-    low_entry = select;
+    low_entry = sys->plan_.Make<SelectOp>(config.prefilter, "low-select");
   }
 
   // --- High level: exact merge of partials. ---
@@ -103,7 +101,6 @@ Result<std::unique_ptr<ThreeLevelSystem>> ThreeLevelSystem::Make(
   for (size_t k = 0; k < nk; ++k) proj.push_back(Col(static_cast<int>(1 + k)));
   for (const ExprRef& f : decomposed->finalizers) proj.push_back(f);
   auto* finalize = sys->plan_.Make<ProjectOp>(proj, "finalize");
-  sys->final_agg_->SetOutput(finalize);
 
   // --- DBMS: stored relation of final per-bucket aggregates. ---
   std::vector<Field> db_fields = {{"ts", ValueType::kInt}};
@@ -120,13 +117,24 @@ Result<std::unique_ptr<ThreeLevelSystem>> ThreeLevelSystem::Make(
   sys->db_ = sys->plan_.Make<DbSink>(db_schema);
   finalize->SetOutput(sys->db_);
 
-  // --- Nodes with their resource profiles; the bridge forwards the low
-  // level's partial tuples into the high node's bounded queue. ---
-  sys->low_ = std::make_unique<DsmsNode>(low_entry, config.low_node);
-  sys->high_ = std::make_unique<DsmsNode>(sys->final_agg_, config.high_node);
+  // --- Levels with their resource profiles; the bridge forwards the
+  // low level's partial tuples into the high level's bounded queue. ---
+  auto level = [](Operator* entry, Operator* out, const NodeOptions& opt) {
+    return std::make_unique<QueuedExecutor>(
+        std::vector<QueuedExecutor::Stage>{
+            {.op = entry, .queue_limit = opt.queue_limit}},
+        out, MakeFifoPolicy());
+  };
+  sys->high_ = level(sys->final_agg_, finalize, config.high_node);
   sys->low_to_high_ = std::make_unique<CallbackSink>(
       [high = sys->high_.get()](const Element& e) { high->Arrive(e); });
   sys->partial_->SetOutput(sys->low_to_high_.get());
+  // The low level's stage is the partial aggregate, or a pushed-down
+  // selection in front of it.
+  sys->low_ = level(low_entry,
+                    low_entry == sys->partial_ ? sys->low_to_high_.get()
+                                               : sys->partial_,
+                    config.low_node);
 
   return sys;
 }
@@ -136,8 +144,8 @@ bool ThreeLevelSystem::Arrive(const TupleRef& t) {
 }
 
 void ThreeLevelSystem::Tick() {
-  low_->Tick();
-  high_->Tick();
+  low_->Tick(config_.low_node.capacity_per_tick);
+  high_->Tick(config_.high_node.capacity_per_tick);
 }
 
 void ThreeLevelSystem::Drain() {

@@ -8,10 +8,10 @@
 #include "agg/partial_agg.h"
 #include "arch/db_sink.h"
 #include "arch/decompose.h"
-#include "arch/node.h"
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
 #include "exec/project.h"
+#include "sched/queued_executor.h"
 
 namespace sqp {
 
@@ -41,6 +41,16 @@ class PartialAggOp : public Operator {
   std::unique_ptr<PartialAggregator> agg_;
 };
 
+/// Resource profile of one DSMS level (slide 15): the low level is
+/// memory- and CPU-limited; the high level is richer.
+struct NodeOptions {
+  /// Input queue bound in elements (0 = unbounded). Overflow drops: the
+  /// drops the tutorial's low-level engineering fights (slide 53).
+  size_t queue_limit = 0;
+  /// Elements processed per Tick().
+  double capacity_per_tick = 1.0;
+};
+
 /// Configuration of the end-to-end 3-level pipeline (slide 14):
 /// low-level DSMS (bounded groups) -> high-level DSMS (exact merge)
 /// -> DBMS (stored relation).
@@ -56,13 +66,15 @@ struct ThreeLevelConfig {
   /// Optional WHERE predicate, evaluated at the low level before
   /// aggregation (selection pushdown to the observation point).
   ExprRef prefilter;
-  NodeOptions low_node{"low", 1024, 8.0, 1.0};
-  NodeOptions high_node{"high", 0, 64.0, 1.0};
+  NodeOptions low_node{1024, 8.0};
+  NodeOptions high_node{0, 64.0};
 };
 
-/// Wires the full architecture and owns all operators. Input tuples
-/// `Arrive` at the low node; final exact per-bucket aggregates land in
-/// the DBMS relation (`db()`).
+/// Wires the full architecture and owns all operators. Each DSMS level
+/// is a one-stage `QueuedExecutor` under the FIFO policy: a bounded input
+/// queue in front of its operators, granted its capacity per tick. Input
+/// tuples `Arrive` at the low level; final exact per-bucket aggregates
+/// land in the DBMS relation (`db()`).
 class ThreeLevelSystem {
  public:
   static Result<std::unique_ptr<ThreeLevelSystem>> Make(
@@ -77,8 +89,8 @@ class ThreeLevelSystem {
   /// Finishes the stream: drains queues and flushes all levels.
   void Drain();
 
-  DsmsNode& low_node() { return *low_; }
-  DsmsNode& high_node() { return *high_; }
+  QueuedExecutor& low_node() { return *low_; }
+  QueuedExecutor& high_node() { return *high_; }
   const DbSink& db() const { return *db_; }
   const PartialAggOp& partial_agg() const { return *partial_; }
 
@@ -90,8 +102,8 @@ class ThreeLevelSystem {
   PartialAggOp* partial_ = nullptr;
   GroupByAggregateOp* final_agg_ = nullptr;
   DbSink* db_ = nullptr;
-  std::unique_ptr<DsmsNode> low_;
-  std::unique_ptr<DsmsNode> high_;
+  std::unique_ptr<QueuedExecutor> low_;
+  std::unique_ptr<QueuedExecutor> high_;
   std::unique_ptr<Operator> low_to_high_;  // Callback bridging the levels.
 };
 

@@ -7,11 +7,12 @@
 
 namespace sqp {
 
-/// Values in arrival order: the buffer behind sliding windows and the
+/// Values in order, oldest first: the buffer behind windows and the
 /// sliding accumulators. pop_front advances a head index and compacts
-/// once half the vector is dead, so every operation is O(1) amortized,
-/// an empty log is just an empty vector, and a log at steady size pushes
-/// and pops without touching the heap (clear keeps the capacity).
+/// once half the vector is dead, so push_back and pop_front are O(1)
+/// amortized, an empty log is just an empty vector, and a log at steady
+/// size pushes and pops without touching the heap (clear keeps the
+/// capacity). An insert before the tail costs its distance from it.
 template <typename T>
 class FifoLog {
  public:
@@ -36,6 +37,8 @@ class FifoLog {
   }
   void reserve(size_t n) { items_.reserve(head_ + n); }
   void push_back(T v) { items_.push_back(std::move(v)); }
+  /// Inserts `v` before `pos`, an iterator into this log.
+  void insert(const_iterator pos, T v) { items_.insert(pos, std::move(v)); }
   void pop_back() { items_.pop_back(); }
   /// Drops the oldest value, releasing it at once (a moved-from or
   /// reset slot waits for compaction, not the value).

@@ -6,34 +6,14 @@
 namespace sqp {
 
 MultiWindowJoinOp::MultiWindowJoinOp(Options options, std::string name)
-    : Operator(std::move(name)), options_(std::move(options)) {
+    : Operator(std::move(name)),
+      options_(std::move(options)),
+      matches_(options_.streams.size()) {
   assert(options_.streams.size() >= 2);
-  sides_.reserve(options_.streams.size());
-  for (const StreamSpec& s : options_.streams) sides_.emplace_back(s);
-}
-
-void MultiWindowJoinOp::RemoveFromIndex(
-    Side& side, const std::vector<TupleRef>& expired) {
-  for (const TupleRef& t : expired) {
-    const Value& key = t->at(static_cast<size_t>(side.spec.key_col));
-    auto it = side.index.find(key);
-    if (it == side.index.end()) continue;
-    auto& vec = it->second;
-    for (auto vit = vec.begin(); vit != vec.end(); ++vit) {
-      if (vit->get() == t.get()) {
-        vec.erase(vit);
-        break;
-      }
-    }
-    if (vec.empty()) side.index.erase(it);
-  }
-}
-
-void MultiWindowJoinOp::ExpireAll(int64_t now) {
-  for (Side& s : sides_) {
-    std::vector<TupleRef> expired;
-    s.buf.AdvanceTo(now, &expired);
-    RemoveFromIndex(s, expired);
+  windows_.reserve(options_.streams.size());
+  for (const StreamSpec& s : options_.streams) {
+    windows_.emplace_back(WindowSpec::TimeSliding(s.window), true,
+                          std::vector<int>{s.key_col}, /*indexed=*/true);
   }
 }
 
@@ -53,37 +33,42 @@ void MultiWindowJoinOp::EmitCombined(const std::vector<const Tuple*>& parts,
 void MultiWindowJoinOp::Push(const Element& e, int port) {
   CountIn(e);
   if (e.is_punctuation()) {
-    if (!e.punctuation().has_key) ExpireAll(e.punctuation().ts);
+    if (!e.punctuation().has_key) {
+      for (WindowBuffer& w : windows_) w.AdvanceTo(e.punctuation().ts);
+    }
     Emit(e);
     return;
   }
   size_t me = static_cast<size_t>(port);
-  assert(me < sides_.size());
+  assert(me < windows_.size());
   const TupleRef& t = e.tuple();
 
   // Invalidate every window up to the new arrival's time.
-  ExpireAll(t->ts());
+  for (WindowBuffer& w : windows_) w.AdvanceTo(t->ts());
 
-  const Value& key = t->at(static_cast<size_t>(sides_[me].spec.key_col));
+  const KeyView key(*t, windows_[me].key_cols());
 
   // Gather the other sides' match lists; bail early on any empty one.
   struct Probe {
     size_t side;
-    const std::vector<TupleRef>* matches;
+    const std::vector<const Tuple*>* matches;
   };
   std::vector<Probe> probes;
-  probes.reserve(sides_.size() - 1);
-  for (size_t s = 0; s < sides_.size(); ++s) {
+  probes.reserve(windows_.size() - 1);
+  for (size_t s = 0; s < windows_.size(); ++s) {
     if (s == me) continue;
-    auto it = sides_[s].index.find(key);
-    if (it == sides_[s].index.end() || it->second.empty()) {
+    std::vector<const Tuple*>& m = matches_[s];
+    m.clear();
+    windows_[s].ForEachMatch(key, nullptr,
+                             [&m](const TupleRef& x) { m.push_back(x.get()); });
+    if (m.empty()) {
       probes.clear();
       break;
     }
-    probes.push_back({s, &it->second});
+    probes.push_back({s, &m});
   }
 
-  if (!probes.empty() || sides_.size() == 1) {
+  if (!probes.empty() || windows_.size() == 1) {
     if (options_.adaptive_order) {
       // Most selective probe first: fewest matches prunes earliest (in
       // the cross-product enumeration below, earlier probes multiply
@@ -112,10 +97,10 @@ void MultiWindowJoinOp::Push(const Element& e, int port) {
       while (true) {
         // Assemble this combination in *stream order* for a stable
         // output layout.
-        std::vector<const Tuple*> parts(sides_.size(), nullptr);
+        std::vector<const Tuple*> parts(windows_.size(), nullptr);
         parts[me] = t.get();
         for (size_t k = 0; k < probes.size(); ++k) {
-          parts[probes[k].side] = (*probes[k].matches)[idx[k]].get();
+          parts[probes[k].side] = (*probes[k].matches)[idx[k]];
         }
         EmitCombined(parts, t->ts());
         // Advance the mixed-radix counter.
@@ -128,27 +113,24 @@ void MultiWindowJoinOp::Push(const Element& e, int port) {
         if (k == idx.size()) break;
       }
     }
-  } else if (sides_.size() > 1) {
+  } else if (windows_.size() > 1) {
     // Count the aborted probe as one unit of partial work.
     ++partials_;
   }
 
-  // Insert the new tuple into its own window + index, unless it is
-  // already outside the window.
-  if (sides_[me].buf.Insert(t)) sides_[me].index[key].push_back(t);
+  // Insert the new tuple into its own window, unless it is already
+  // outside it.
+  windows_[me].Insert(t);
 }
 
 void MultiWindowJoinOp::Flush() {
-  if (++flushes_ < static_cast<int>(sides_.size())) return;
+  if (++flushes_ < static_cast<int>(windows_.size())) return;
   Operator::Flush();
 }
 
 size_t MultiWindowJoinOp::StateBytes() const {
   size_t bytes = sizeof(*this);
-  for (const Side& s : sides_) {
-    bytes += s.buf.MemoryBytes();
-    bytes += s.index.size() * 48;
-  }
+  for (const WindowBuffer& w : windows_) bytes += w.MemoryBytes();
   return bytes;
 }
 

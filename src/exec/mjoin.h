@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/operator.h"
@@ -15,7 +14,9 @@ namespace sqp {
 /// "sliding window multi-joins" work the tutorial cites). All streams
 /// join on one attribute each (all equal). A new tuple from stream i
 /// probes every other stream's window and emits the cross-product of
-/// matches — no intermediate materialized join trees.
+/// matches — no intermediate materialized join trees. Each window is a
+/// keyed `WindowBuffer` whose index its own inserts and expiries keep in
+/// step; the join keeps only the probe order and the rows it emits.
 ///
 /// The probe *order* does not change results, but it changes work: probing
 /// the most selective (fewest-matches) stream first prunes earliest.
@@ -47,21 +48,13 @@ class MultiWindowJoinOp : public Operator {
   uint64_t results() const { return results_; }
 
  private:
-  struct Side {
-    StreamSpec spec;
-    WindowBuffer buf;
-    std::unordered_map<Value, std::vector<TupleRef>, ValueHash> index;
-
-    explicit Side(const StreamSpec& s)
-        : spec(s), buf(WindowSpec::TimeSliding(s.window)) {}
-  };
-
-  void ExpireAll(int64_t now);
-  void RemoveFromIndex(Side& side, const std::vector<TupleRef>& expired);
   void EmitCombined(const std::vector<const Tuple*>& parts, int64_t ts);
 
   Options options_;
-  std::vector<Side> sides_;
+  /// One keyed window per stream, indexed on its join column.
+  std::vector<WindowBuffer> windows_;
+  /// Each other stream's matches for the arriving tuple; reused.
+  std::vector<std::vector<const Tuple*>> matches_;
   uint64_t partials_ = 0;
   uint64_t results_ = 0;
   int flushes_ = 0;

@@ -47,6 +47,11 @@ void WindowAggregateOp::Slide(Window& w, const Tuple* added) {
   expired_.clear();
 }
 
+void WindowAggregateOp::Refold(Window& w) const {
+  w.accs = NewAccs();
+  for (const TupleRef& t : w.buf.contents()) aggs_.Add(w.accs, *t);
+}
+
 void WindowAggregateOp::EmitCurrent(int64_t ts, const Window& w,
                                     const Value* key) {
   const int first_agg = key != nullptr ? 2 : 1;
@@ -93,7 +98,17 @@ void WindowAggregateOp::Push(const Element& e, int /*port*/) {
   // everything before it: it is never added, so never evicted either.
   const bool admitted = w->buf.Insert(t, &expired_);
   if (!admitted) expired_.pop_back();
-  Slide(*w, admitted ? t.get() : nullptr);
+  if (admitted && window_.kind == WindowKind::kTimeSliding &&
+      w->buf.contents().back() != t) {
+    // An in-window tuple that arrived out of order lands before the
+    // tail, out of the accumulators' order: refold them, so eviction
+    // again takes the oldest in window order.
+    Refold(*w);
+    ++recomputes_;
+    expired_.clear();
+  } else {
+    Slide(*w, admitted ? t.get() : nullptr);
+  }
   EmitCurrent(t->ts(), *w, key);
 }
 
@@ -164,8 +179,7 @@ Status WindowAggregateOp::RestoreWindow(dur::BufReader& r, const Value* key,
         }
         return Status::OK();
       }));
-  win->accs = NewAccs();
-  for (const TupleRef& t : win->buf.contents()) aggs_.Add(win->accs, *t);
+  Refold(*win);
   uint32_t n = 0;
   SQP_RETURN_NOT_OK(r.U32(&n));
   if (n != aggs_.size()) {

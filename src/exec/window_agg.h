@@ -35,7 +35,12 @@ namespace sqp {
 /// count window of the last N rows, each tuple emits the aggregate over
 /// its key's window, and the output row is [ts, key, agg...].
 ///
-/// Checkpoints hold each window's tuples in arrival order (a partition's
+/// A time window holds its tuples in ts order. An in-window tuple that
+/// arrives out of order lands before the tail, so the accumulators are
+/// refolded from the window (one `recompute_count()`); in-order input
+/// never pays this.
+///
+/// Checkpoints hold each window's tuples in window order (a partition's
 /// after its key), then every accumulator that serializes. Restore
 /// refolds the tuples into fresh accumulators, loads the saved ones over
 /// them (so a double sum continues bit for bit) and emits nothing. A
@@ -58,7 +63,8 @@ class WindowAggregateOp : public Operator, public CheckpointableOperator {
   Status RestoreState(dur::BufReader& r) override;
 
   size_t num_partitions() const { return parts_.size(); }
-  /// Number of buffer replays triggered by aggregates that cannot evict.
+  /// Number of buffer replays: triggered by aggregates that cannot
+  /// evict, and by a time window's out-of-order arrivals.
   uint64_t recompute_count() const { return recomputes_; }
 
  private:
@@ -74,6 +80,8 @@ class WindowAggregateOp : public Operator, public CheckpointableOperator {
   /// Evicts `expired_` from `w`'s accumulators, then adds `added` (when
   /// non-null); aggregates that cannot evict are rebuilt from the buffer.
   void Slide(Window& w, const Tuple* added);
+  /// Rebuilds `w`'s accumulators from the tuples it holds.
+  void Refold(Window& w) const;
   void EmitCurrent(int64_t ts, const Window& w, const Value* key);
   static size_t WindowBytes(const Window& w);
   void SaveWindow(dur::BufWriter& w, const Window& win) const;

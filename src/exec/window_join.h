@@ -2,7 +2,6 @@
 #define SQP_EXEC_WINDOW_JOIN_H_
 
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -22,12 +21,9 @@ enum class JoinStrategy { kNestedLoop, kHash };
 
 const char* JoinStrategyName(JoinStrategy s);
 
-/// Cost counters used by the E3 experiments.
-struct WindowJoinStats {
-  /// Tuple comparisons performed by nested-loop probes.
-  uint64_t nl_comparisons = 0;
-  /// Hash probes performed.
-  uint64_t hash_probes = 0;
+/// Cost counters used by the E3 experiments: the windows' probe counts,
+/// then what the join emits.
+struct WindowJoinStats : ProbeCounts {
   /// Join output tuples.
   uint64_t results = 0;
   /// Padded rows emitted for unmatched left tuples (left_outer only).
@@ -51,10 +47,11 @@ struct WindowJoinStats {
 /// from `window.start` on and never expires, so it takes input in any
 /// timestamp order.
 ///
-/// Steady state allocates only the rows it emits: an index entry whose
-/// last tuple expired is kept as a spare node, with its vector's
-/// capacity, for the next new key, so live plus spare entries never
-/// exceed the most keys the index ever held.
+/// Each side is one keyed `WindowBuffer`, indexed when hash-probed: its
+/// insert and expiry keep the index in step, and its one lookup is the
+/// probe. Steady state allocates only the rows it emits (an emptied
+/// index entry is reused by the next new key). The join keeps only the
+/// probe order, the outer join's pad rows and the rows it emits.
 class BinaryWindowJoinOp : public Operator,
                            public ShardableOperator,
                            public CheckpointableOperator {
@@ -101,42 +98,17 @@ class BinaryWindowJoinOp : public Operator,
   /// clock.
   bool CanShard(std::string* why) const override;
 
-  /// Checkpointing: a leading format tag, the flush count, then per side
-  /// the window kind, its clock (time windows), and its tuples in
-  /// arrival order (key by key for a landmark side that only its index
-  /// holds), each followed by its matched flag on an outer join's left
-  /// side. Restore rebuilds the hash indexes and emits nothing.
+  /// Checkpointing: a leading format tag, the flush count, then each
+  /// side's `WindowBuffer::Save` (a landmark side that only its index
+  /// holds goes key by key), each left tuple followed by its matched flag
+  /// on an outer join. Restore rebuilds the hash indexes and emits
+  /// nothing.
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
  private:
-  struct Side {
-    std::vector<int> key_cols;
-    JoinStrategy strategy;
-    /// The window. A landmark side keeps its log only where arrival
-    /// order is read (a nested-loop scan, the outer drain); a
-    /// hash-probed landmark side is otherwise its index alone.
-    WindowBuffer buf;
-    using Index = KeyMap<std::vector<TupleRef>>;
-    /// Hash index over the window (kHash only); lazily purged.
-    /// KeyView-probed: arrivals and expiries never allocate for lookups.
-    Index index{};
-    /// Emptied index entries, reused by the next new keys.
-    std::vector<Index::node_type> spare_entries{};
-
-    void AddToIndex(const TupleRef& t);
-    /// Empties the window and index, as built.
-    void Reset();
-  };
-
-  void Insert(Side& side, const TupleRef& t);
-  /// Returns the number of matches produced. `key` is a borrowed view of
-  /// `t`'s key columns (valid for the duration of the call).
-  uint64_t Probe(const Side& probe_side, const KeyView& key, const Tuple& t,
-                 bool t_is_left);
-  void RemoveFromIndex(Side& side);
-  /// Expiry hook for `expired_`: index cleanup plus outer-join emission
-  /// for side 0. Clears `expired_`.
+  /// Expiry hook for `expired_`: outer-join emission for side 0. Clears
+  /// `expired_`.
   void HandleExpired(int side);
   void EmitJoined(const Tuple& left, const Tuple& right);
   void EmitUnmatchedLeft(const Tuple& left, int64_t ts);
@@ -145,7 +117,11 @@ class BinaryWindowJoinOp : public Operator,
   Options options_;
   bool left_outer_ = false;
   size_t right_arity_ = 0;
-  Side sides_[2];
+  /// Each side's window, keyed on its join columns and indexed when
+  /// hash-probed. A landmark side keeps its log only where arrival order
+  /// is read (a nested-loop scan, the outer drain); a hash-probed
+  /// landmark side is otherwise its index alone.
+  WindowBuffer sides_[2];
   std::vector<TupleRef> expired_;  ///< Scratch, reused across calls.
   /// Left tuples that have participated in at least one result
   /// (left_outer only; entries are purged on expiry).

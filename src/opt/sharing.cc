@@ -94,57 +94,29 @@ SharedWindowJoin::SharedWindowJoin(std::vector<int64_t> windows,
       max_window_(windows_.empty()
                       ? 1
                       : *std::max_element(windows_.begin(), windows_.end())),
-      key_cols_{std::move(left_cols), std::move(right_cols)},
-      buf_{WindowBuffer(WindowSpec::TimeSliding(max_window_)),
-           WindowBuffer(WindowSpec::TimeSliding(max_window_))},
+      buf_{WindowBuffer(WindowSpec::TimeSliding(max_window_), true,
+                        std::move(left_cols), /*indexed=*/true),
+           WindowBuffer(WindowSpec::TimeSliding(max_window_), true,
+                        std::move(right_cols), /*indexed=*/true)},
       results_(windows_.size(), 0) {}
 
 void SharedWindowJoin::Push(int side, const TupleRef& t) {
-  int other = 1 - side;
-  Key key = ExtractKey(*t, key_cols_[side]);
-
-  // Probe the opposite hash index (shared across all queries).
-  ++probes_;
-  auto it = index_[other].find(key);
-  if (it != index_[other].end()) {
-    int64_t bound = buf_[other].now() - max_window_;
-    for (const TupleRef& match : it->second) {
-      if (match->ts() <= bound) continue;  // Lazily expired.
-      int64_t gap = std::llabs(t->ts() - match->ts());
-      // Attribute to each query whose window admits this pair. Window
-      // semantics follow WindowBuffer: (now - w, now], i.e. gap < w.
-      for (size_t q = 0; q < windows_.size(); ++q) {
-        if (gap < windows_[q]) ++results_[q];
-      }
-    }
-  }
-
-  // Insert into this side's max-window buffer + index.
-  std::vector<TupleRef> expired;
-  buf_[side].Insert(t, &expired);
-  index_[side][std::move(key)].push_back(t);
-  for (const TupleRef& x : expired) {
-    Key xkey = ExtractKey(*x, key_cols_[side]);
-    auto xit = index_[side].find(xkey);
-    if (xit == index_[side].end()) continue;
-    auto& vec = xit->second;
-    for (auto vit = vec.begin(); vit != vec.end(); ++vit) {
-      if (vit->get() == x.get()) {
-        vec.erase(vit);
-        break;
-      }
-    }
-    if (vec.empty()) index_[side].erase(xit);
-  }
+  // Probe the opposite window's index (shared across all queries).
+  buf_[1 - side].ForEachMatch(
+      KeyView(*t, buf_[side].key_cols()), &counts_,
+      [&](const TupleRef& match) {
+        int64_t gap = std::llabs(t->ts() - match->ts());
+        // Attribute to each query whose window admits this pair. Window
+        // semantics follow WindowBuffer: (now - w, now], i.e. gap < w.
+        for (size_t q = 0; q < windows_.size(); ++q) {
+          if (gap < windows_[q]) ++results_[q];
+        }
+      });
+  buf_[side].Insert(t);
 }
 
 size_t SharedWindowJoin::StateBytes() const {
-  size_t bytes = sizeof(*this);
-  for (int s = 0; s < 2; ++s) {
-    bytes += buf_[s].MemoryBytes();
-    bytes += index_[s].size() * 48;
-  }
-  return bytes;
+  return sizeof(*this) + buf_[0].MemoryBytes() + buf_[1].MemoryBytes();
 }
 
 }  // namespace sqp

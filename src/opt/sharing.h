@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/tuple.h"
@@ -55,8 +54,10 @@ class SharedRangeFilter {
 
 /// Shared sliding-window join (slide 45, [HFAE03]): M queries join the
 /// same two streams on the same key but with different window lengths.
-/// One operator maintains the *largest* window; each result pair is
-/// attributed to every query whose window admits it (|ts1 - ts2| <= w_q).
+/// One operator maintains the *largest* window per side, as a keyed
+/// `WindowBuffer` whose index its inserts and expiries keep in step; each
+/// result pair is attributed to every query whose window admits it
+/// (|ts1 - ts2| < w_q).
 class SharedWindowJoin {
  public:
   /// `windows[q]` is query q's window length (time units).
@@ -68,17 +69,15 @@ class SharedWindowJoin {
   void Push(int side, const TupleRef& t);
 
   const std::vector<uint64_t>& results() const { return results_; }
-  uint64_t probes() const { return probes_; }
+  uint64_t probes() const { return counts_.hash_probes; }
   size_t StateBytes() const;
 
  private:
   std::vector<int64_t> windows_;
   int64_t max_window_;
-  std::vector<int> key_cols_[2];
   WindowBuffer buf_[2];
-  std::unordered_map<Key, std::vector<TupleRef>, KeyHash> index_[2];
   std::vector<uint64_t> results_;
-  uint64_t probes_ = 0;
+  ProbeCounts counts_;
 };
 
 }  // namespace sqp

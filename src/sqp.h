@@ -91,7 +91,6 @@
 #include "arch/db_sink.h"
 #include "arch/decompose.h"
 #include "arch/engine.h"
-#include "arch/node.h"
 #include "arch/system.h"
 
 // The engine's HTTP surface: standing-query sessions and observability.

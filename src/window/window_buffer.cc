@@ -5,11 +5,14 @@
 
 namespace sqp {
 
-WindowBuffer::WindowBuffer(const WindowSpec& spec, bool keep_log)
+WindowBuffer::WindowBuffer(const WindowSpec& spec, bool keep_log,
+                           std::vector<int> key_cols, bool indexed)
     : kind_(spec.kind),
       logs_(keep_log || spec.kind != WindowKind::kTimeLandmark),
+      indexed_(indexed),
       size_(spec.size),
-      start_(spec.start) {
+      start_(spec.start),
+      key_cols_(std::move(key_cols)) {
   assert(spec.Validate().ok() && spec.slide == 0 &&
          kind_ != WindowKind::kTimeTumbling &&
          kind_ != WindowKind::kPunctuation);
@@ -19,27 +22,29 @@ bool WindowBuffer::Insert(const TupleRef& t, std::vector<TupleRef>* expired) {
   if (kind_ == WindowKind::kTimeSliding) {
     now_ = std::max(now_, t->ts());
     Expire(expired);
-    if (t->ts() < ExpiryBound()) {  // Late: it leaves on arrival.
-      if (expired != nullptr) expired->push_back(t);
-      return false;
-    }
-    log_.push_back(t);
-    return true;
   }
-  if (kind_ == WindowKind::kCountSliding) {
-    log_.push_back(t);
-    if (log_.size() > static_cast<size_t>(size_)) {
-      if (expired != nullptr) expired->push_back(std::move(log_.front()));
-      log_.pop_front();
-    }
-    return true;
-  }
-  if (t->ts() < start_) {
+  // Late for a time window, or before a landmark's start.
+  if (t->ts() < ExpiryBound()) {
     if (expired != nullptr) expired->push_back(t);
     return false;
   }
-  admitted_bytes_ += t->MemoryBytes();
-  if (logs_) log_.push_back(t);
+  if (kind_ == WindowKind::kTimeLandmark) admitted_bytes_ += t->MemoryBytes();
+  if (logs_) Place(log_, t);
+  if (kind_ == WindowKind::kCountSliding &&
+      log_.size() > static_cast<size_t>(size_)) {
+    PopFront(expired);
+  }
+  // Indexed after the expiry, so a new key can reuse the entry an
+  // expired key just left.
+  if (indexed_) {
+    KeyView key(*t, key_cols_);
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      it = InsertReusing(index_, spares_, key,
+                         [] { return std::vector<TupleRef>{}; });
+    }
+    Place(it->second, t);
+  }
   return true;
 }
 
@@ -57,41 +62,65 @@ int64_t WindowBuffer::ExpiryBound() const {
 
 void WindowBuffer::Expire(std::vector<TupleRef>* expired) {
   const int64_t bound = ExpiryBound();
-  while (!log_.empty() && log_.front()->ts() < bound) {
-    if (expired != nullptr) expired->push_back(std::move(log_.front()));
-    log_.pop_front();
+  while (!log_.empty() && log_.front()->ts() < bound) PopFront(expired);
+}
+
+void WindowBuffer::PopFront(std::vector<TupleRef>* expired) {
+  if (indexed_) {
+    // The window's oldest tuple is the oldest of its key.
+    auto it = index_.find(KeyView(*log_.front(), key_cols_));
+    assert(it != index_.end() && it->second.front() == log_.front());
+    std::vector<TupleRef>& held = it->second;
+    held.erase(held.begin());
+    // An entry is built only when no spare is left, so live plus spare
+    // entries never exceed the most keys the index ever held.
+    if (held.empty()) spares_.push_back(index_.extract(it));
   }
+  if (expired != nullptr) expired->push_back(std::move(log_.front()));
+  log_.pop_front();
 }
 
 size_t WindowBuffer::MemoryBytes() const {
-  if (kind_ != WindowKind::kTimeLandmark) return TupleBytes(log_);
-  return admitted_bytes_ + log_.capacity_bytes();
+  size_t bytes = kind_ == WindowKind::kTimeLandmark
+                     ? admitted_bytes_ + log_.capacity_bytes()
+                     : TupleBytes(log_);
+  if (!indexed_) return bytes;
+  // A sliding window's index shares its tuples: one reference each (a
+  // landmark's is charged per entry only). Then the bucket overhead.
+  if (kind_ != WindowKind::kTimeLandmark) {
+    bytes += log_.size() * sizeof(TupleRef);
+  }
+  return bytes + (index_.size() + spares_.size()) * 48;
 }
 
 void WindowBuffer::Clear() {
   log_.clear();
+  index_.clear();
+  spares_.clear();
   now_ = INT64_MIN;
   admitted_bytes_ = 0;
 }
 
-void WindowBuffer::SaveHeader(dur::BufWriter& w, size_t n) const {
+void WindowBuffer::Save(dur::BufWriter& w, const SaveEach& each) const {
   w.U8(static_cast<uint8_t>(kind_));
   if (kind_ == WindowKind::kTimeSliding) w.I64(now_);
-  w.U32(static_cast<uint32_t>(n));
-}
-
-void WindowBuffer::Save(dur::BufWriter& w, const SaveEach& each) const {
-  SaveHeader(w, log_.size());
-  for (const TupleRef& t : log_) {
+  auto save = [&](const TupleRef& t) {
     w.Tup(*t);
     if (each) each(w, t);
+  };
+  if (logs_) {
+    w.U32(static_cast<uint32_t>(log_.size()));
+    for (const TupleRef& t : log_) save(t);
+    return;
   }
-}
-
-void WindowBuffer::Save(dur::BufWriter& w,
-                        const std::vector<TupleRef>& held) const {
-  SaveHeader(w, held.size());
-  for (const TupleRef& t : held) w.Tup(*t);
+  // Only the index holds this landmark window: save it key by key, as a
+  // probe reads only each key's arrival order.
+  size_t n = 0;
+  for (const auto& entry : index_) n += entry.second.size();
+  w.U32(static_cast<uint32_t>(n));
+  for (const auto& entry : index_) {
+    for (const TupleRef& t : entry.second) save(t);
+  }
 }
 
 Status WindowBuffer::Restore(dur::BufReader& r, const RestoreEach& each) {
@@ -114,6 +143,11 @@ Status WindowBuffer::Restore(dur::BufReader& r, const RestoreEach& each) {
   for (uint32_t i = 0; i < n && expired.empty(); ++i) {
     TupleRef t;
     SQP_RETURN_NOT_OK(r.Tup(&t));
+    for (int c : key_cols_) {
+      if (static_cast<size_t>(c) >= t->arity()) {
+        return Status::Internal("window: checkpoint tuple too narrow");
+      }
+    }
     if (Insert(t, &expired) && each) SQP_RETURN_NOT_OK(each(r, t));
   }
   AdvanceTo(now, &expired);

@@ -222,6 +222,22 @@ TEST(MJoinTest, PunctuationPurgesAllWindows) {
   EXPECT_EQ(sink->count(), 0u);
 }
 
+TEST(MJoinTest, InWindowDisorderExpiresByTimestamp) {
+  // Stream 0 sends ts 100 then 95, both inside its [range 10] window;
+  // stream 1's ts 106 expires 95 though it arrived last.
+  MultiWindowJoinOp::Options opt;
+  opt.streams = {{1, 10}, {1, 10}};
+  Plan plan;
+  auto* mjoin = plan.Make<MultiWindowJoinOp>(opt);
+  auto* sink = plan.Make<CollectorSink>();
+  mjoin->SetOutput(sink);
+  mjoin->Push(Element(T(100, 7)), 0);
+  mjoin->Push(Element(T(95, 7)), 0);
+  mjoin->Push(Element(T(106, 7)), 1);
+  ASSERT_EQ(sink->count(), 1u);
+  EXPECT_EQ(sink->tuples()[0]->at(0).AsInt(), 100);
+}
+
 TEST(MJoinTest, TwoWayDegeneratesToBinaryJoin) {
   MultiWindowJoinOp::Options opt;
   opt.streams = {{1, 100}, {1, 100}};

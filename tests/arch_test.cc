@@ -4,7 +4,6 @@
 
 #include "arch/db_sink.h"
 #include "arch/decompose.h"
-#include "arch/node.h"
 #include "arch/system.h"
 #include "common/rng.h"
 #include "exec/select.h"
@@ -82,42 +81,6 @@ TEST(DecomposeTest, HolisticRejected) {
   auto d = DecomposeAggregates({{AggKind::kMedian, 2, 0.5}}, 1);
   EXPECT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), StatusCode::kUnimplemented);
-}
-
-// --- DsmsNode ---
-
-TEST(DsmsNodeTest, CapacityLimitsThroughput) {
-  Plan plan;
-  auto* sel = plan.Make<SelectOp>(Lit(int64_t{1}));
-  auto* sink = plan.Make<CountingSink>();
-  sel->SetOutput(sink);
-  NodeOptions opt;
-  opt.capacity_per_tick = 2.0;
-  DsmsNode node(sel, opt);
-  for (int i = 0; i < 10; ++i) node.Arrive(Element(T(i, 0, 0)));
-  node.Tick();
-  EXPECT_EQ(node.processed(), 2u);
-  node.Tick();
-  EXPECT_EQ(node.processed(), 4u);
-  node.Drain();
-  EXPECT_EQ(node.processed(), 10u);
-  // The node drives its entry through Operator::Process, so the entry's
-  // slot counts one delivery per processed element.
-  EXPECT_EQ(sel->stats().singles, 10u);
-  EXPECT_EQ(sel->stats().tuples_in, 10u);
-}
-
-TEST(DsmsNodeTest, QueueOverflowDrops) {
-  Plan plan;
-  auto* sel = plan.Make<SelectOp>(Lit(int64_t{1}));
-  auto* sink = plan.Make<CountingSink>();
-  sel->SetOutput(sink);
-  NodeOptions opt;
-  opt.queue_limit = 3;
-  DsmsNode node(sel, opt);
-  for (int i = 0; i < 10; ++i) node.Arrive(Element(T(i, 0, 0)));
-  EXPECT_EQ(node.dropped(), 7u);
-  EXPECT_GT(node.DropRate(), 0.5);
 }
 
 // --- ThreeLevelSystem ---

@@ -118,6 +118,24 @@ TEST(WindowJoinTest, LateTupleNeverJoins) {
   }
 }
 
+TEST(WindowJoinTest, InWindowDisorderExpiresByTimestamp) {
+  // Left ts 95 arrives after ts 100 on the same key, inside the left
+  // [range 10] window (91, 100]. The right tuple at 106 moves the window
+  // to (96, 106]: 95 has left it though it arrived last, so only the left
+  // tuple at 100 joins, whichever way the left side is probed.
+  for (JoinStrategy s : {JoinStrategy::kHash, JoinStrategy::kNestedLoop}) {
+    Plan plan;
+    auto* j = plan.Make<BinaryWindowJoinOp>(JoinOpts(s, s, 10, 10));
+    auto* sink = plan.Make<CollectorSink>();
+    j->SetOutput(sink);
+    j->Push(Element(T(100, 5)), 0);
+    j->Push(Element(T(95, 5)), 0);
+    j->Push(Element(T(106, 5)), 1);
+    ASSERT_EQ(sink->count(), 1u) << JoinStrategyName(s);
+    EXPECT_EQ(sink->tuples()[0]->at(0).AsInt(), 100);
+  }
+}
+
 TEST(WindowJoinTest, CountWindows) {
   BinaryWindowJoinOp::Options o;
   o.left_cols = {1};

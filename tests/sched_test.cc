@@ -190,6 +190,12 @@ TEST(QueuedExecutorTest, CapacityLimitsWorkPerTick) {
   EXPECT_EQ(sink->tuples(), 0u);
   exec.Tick(1.0);  // Completes the first tuple.
   EXPECT_EQ(sink->tuples(), 1u);
+  // The executor drives its stage through Operator::Process, so the
+  // stage's slot counts one delivery per processed element.
+  EXPECT_EQ(s1->stats().singles, 1u);
+  exec.Drain();
+  EXPECT_EQ(s1->stats().singles, 4u);
+  EXPECT_EQ(s1->stats().tuples_in, 4u);
 }
 
 }  // namespace

@@ -37,10 +37,12 @@ inline void ExpectSameResult(const Value& got, const Value& want,
 
 /// kUniform: 0..999. kTies: a 4-value domain with NULLs, so ties are
 /// everywhere. kRuns: long rising and falling runs, with NULLs and
-/// repeats (a monotonic deque's best and worst cases).
-enum class Shape { kUniform, kTies, kRuns };
+/// repeats (a monotonic deque's best and worst cases). kDisordered:
+/// kUniform's values, at timestamps that `JitterTs` sets back inside a
+/// time window, so tuples arrive out of ts order.
+enum class Shape { kUniform, kTies, kRuns, kDisordered };
 inline constexpr Shape kShapes[] = {Shape::kUniform, Shape::kTies,
-                                    Shape::kRuns};
+                                    Shape::kRuns, Shape::kDisordered};
 
 inline const char* ShapeName(Shape shape) {
   switch (shape) {
@@ -50,6 +52,8 @@ inline const char* ShapeName(Shape shape) {
       return "ties";
     case Shape::kRuns:
       return "runs";
+    case Shape::kDisordered:
+      return "disordered";
   }
   return "?";
 }
@@ -62,6 +66,7 @@ class ValueSource {
     ++i_;
     switch (shape_) {
       case Shape::kUniform:
+      case Shape::kDisordered:
         return Value(static_cast<int64_t>(rng_.Uniform(1000)));
       case Shape::kTies:
         if (rng_.Uniform(6) == 0) return Value::Null();
@@ -81,6 +86,17 @@ class ValueSource {
   int64_t i_ = 0;
   int64_t run_ = 0;
 };
+
+/// The timestamp of a tuple generated at `clock`, the largest so far.
+/// kDisordered sets one in three back by 1 to size - 1, so it lands
+/// inside a `[range size]` window whose clock is at most `clock`, behind
+/// newer tuples; every other shape keeps `clock`.
+inline int64_t JitterTs(Shape shape, int64_t clock, int64_t size, Rng& rng) {
+  if (shape != Shape::kDisordered || size < 2 || rng.Uniform(3) != 0) {
+    return clock;
+  }
+  return clock - 1 - static_cast<int64_t>(rng.Uniform(size - 1));
+}
 
 /// The oracle: a fresh NewAccumulator() folded over `values`.
 template <typename Container>

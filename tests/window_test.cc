@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "exec/aggregate_op.h"
 #include "exec/plan.h"
 #include "window/window_buffer.h"
@@ -50,7 +51,7 @@ TEST(WindowSpecTest, Names) {
 struct Step {
   bool advance;
   int64_t ts;
-  std::vector<int64_t> contents;  ///< Timestamps held, in arrival order.
+  std::vector<int64_t> contents;  ///< Timestamps held, in window order.
   size_t expired;                 ///< Tuples reported since the start.
 };
 Step Ins(int64_t ts, std::vector<int64_t> contents, size_t expired) {
@@ -100,6 +101,11 @@ std::vector<BufferCase> BufferCases() {
        WindowSpec::TimeSliding(10), true,
        {Ins(100, {100}, 0), Ins(80, {100}, 1)},  // 80 < 100 - 10 + 1.
        {80}, {true, false}},
+      {"TimeWindowTest", "InWindowDisorderExpiresByTimestamp",
+       WindowSpec::TimeSliding(10), true,
+       {Ins(100, {100}, 0), Ins(95, {95, 100}, 0),  // In (90, 100].
+        Ins(106, {100, 106}, 1)},                   // 95 <= 106 - 10.
+       {95}, {true, true, true}},
       {"CountWindowTest", "EvictsOldestWhenFull", WindowSpec::CountSliding(3),
        true,
        {Ins(1, {1}, 0), Ins(2, {1, 2}, 0), Ins(3, {1, 2, 3}, 0),
@@ -281,6 +287,129 @@ TEST(WindowBufferTest, RestoreRejectsHostileState) {
   EXPECT_FALSE(w.Restore(r, [](dur::BufReader&, const TupleRef&) {
                   return Status::Internal("rejected");
                 }).ok());
+}
+
+// --- Keyed windows ---
+
+// A keyed tuple: ts, key, and an id that names it across a restore.
+TupleRef KT(int64_t ts, int64_t key, int64_t id) {
+  return MakeTuple(ts, {Value(ts), Value(key), Value(id)});
+}
+
+std::vector<int64_t> Ids(const std::vector<TupleRef>& tuples) {
+  std::vector<int64_t> ids;
+  for (const TupleRef& t : tuples) ids.push_back(t->at(2).AsInt());
+  return ids;
+}
+
+// Checks `w` against `model`, the window's tuples in window order: the
+// log holds exactly them, and a lookup of each key finds exactly that
+// key's, in the same order, through the index or a scan.
+void ExpectHolds(const WindowBuffer& w, const std::vector<TupleRef>& model,
+                 int64_t keys) {
+  if (w.logs()) {
+    EXPECT_EQ(Ids(std::vector<TupleRef>(w.contents().begin(),
+                                         w.contents().end())),
+              Ids(model));
+  }
+  const std::vector<int> cols = {1};
+  for (int64_t k = 0; k < keys; ++k) {
+    std::vector<TupleRef> want, got;
+    for (const TupleRef& t : model) {
+      if (t->at(1).AsInt() == k) want.push_back(t);
+    }
+    const TupleRef probe = KT(0, k, -1);
+    ProbeCounts counts;
+    w.ForEachMatch(KeyView(*probe, cols), &counts,
+                   [&](const TupleRef& t) { got.push_back(t); });
+    EXPECT_EQ(Ids(got), Ids(want)) << "key " << k;
+    if (w.logs() && counts.hash_probes == 0) {
+      EXPECT_EQ(counts.nl_comparisons, w.contents().size());
+    } else {
+      EXPECT_EQ(counts.hash_probes, 1u);
+      EXPECT_EQ(counts.nl_comparisons, 0u);
+    }
+  }
+}
+
+// Property: over random keys and disordered timestamps, every window
+// kind, indexed or scanned, holds what a brute-force model of the window
+// holds after every Insert and AdvanceTo, and a Save -> Restore round
+// trip rebuilds the same window and index.
+TEST(KeyedWindowTest, IndexFollowsTheWindowUnderDisorder) {
+  constexpr int64_t kKeys = 5;
+  struct Shape {
+    WindowSpec spec;
+    bool keep_log;
+  };
+  const Shape shapes[] = {{WindowSpec::TimeSliding(20), true},
+                          {WindowSpec::CountSliding(7), true},
+                          {WindowSpec::Landmark(50), true},
+                          {WindowSpec::Landmark(50), false}};
+  for (const auto& [spec, keep_log] : shapes) {
+    for (bool indexed : {false, true}) {
+      if (!keep_log && !indexed) continue;  // Holds nothing to look up.
+      SCOPED_TRACE(spec.ToString() + (keep_log ? " logged" : " log-less") +
+                   (indexed ? " indexed" : " scanned"));
+      WindowBuffer w(spec, keep_log, {1}, indexed);
+      std::vector<TupleRef> model;
+      Rng rng(71);
+      int64_t clock = 0;        // The largest ts generated.
+      int64_t now = INT64_MIN;  // A time window's clock.
+      // Moves a time window's clock and drops what it has passed.
+      auto advance = [&](int64_t ts) {
+        if (spec.kind != WindowKind::kTimeSliding) return;
+        now = std::max(now, ts);
+        std::erase_if(model, [&](const TupleRef& t) {
+          return t->ts() <= now - spec.size;
+        });
+      };
+      for (int64_t i = 0; i < 600; ++i) {
+        SCOPED_TRACE(testing::Message() << "step " << i);
+        if (rng.Uniform(8) == 0) {
+          clock += static_cast<int64_t>(rng.Uniform(30));
+          w.AdvanceTo(clock);
+          advance(clock);
+        } else {
+          clock += static_cast<int64_t>(rng.Uniform(4));
+          // One in three is set back, inside the window or behind it.
+          int64_t ts = clock;
+          if (rng.Uniform(3) == 0) ts -= static_cast<int64_t>(rng.Uniform(25));
+          TupleRef t = KT(ts, static_cast<int64_t>(rng.Uniform(kKeys)), i);
+          w.Insert(t);
+          advance(ts);
+          if (spec.kind == WindowKind::kTimeSliding) {
+            // Stable ts order: behind every tuple with ts <= its own.
+            if (ts > now - spec.size) {
+              auto pos = std::upper_bound(
+                  model.begin(), model.end(), ts,
+                  [](int64_t v, const TupleRef& m) { return v < m->ts(); });
+              model.insert(pos, t);
+            }
+          } else if (spec.kind == WindowKind::kCountSliding) {
+            model.push_back(t);
+            if (model.size() > static_cast<size_t>(spec.size)) {
+              model.erase(model.begin());
+            }
+          } else if (ts >= spec.start) {
+            model.push_back(t);
+          }
+        }
+        EXPECT_EQ(w.now(), now);
+        ExpectHolds(w, model, kKeys);
+        if (HasFailure()) return;
+      }
+      dur::BufWriter out;
+      w.Save(out);
+      WindowBuffer restored(spec, keep_log, {1}, indexed);
+      restored.Insert(KT(spec.start, 0, -2));  // Restore empties it first.
+      dur::BufReader in(out.data());
+      ASSERT_TRUE(restored.Restore(in).ok());
+      EXPECT_TRUE(in.done());
+      EXPECT_EQ(restored.now(), w.now());
+      ExpectHolds(restored, model, kKeys);
+    }
+  }
 }
 
 // --- Punctuation windows (closed by GroupByAggregateOp) ---
