@@ -27,6 +27,7 @@
 #include <utility>
 
 #include "bench_util.h"
+#include "common/key_table.h"
 #include "common/rng.h"
 #include "exec/expr.h"
 #include "exec/plan.h"
@@ -341,20 +342,21 @@ void BM_DirectBatched(benchmark::State& state) {
 BENCHMARK(BM_DirectBatched)
     ->Arg(8)->Arg(64)->Arg(256)->ArgNames({"batch"})->UseRealTime();
 
-// KeyView probe vs materializing ExtractKey probe on a warm KeyMap —
-// the per-probe allocation the tentpole removes.
+// KeyView probe vs materializing ExtractKey probe on a warm KeyTable —
+// the per-probe allocation a borrowed key avoids.
 void BM_ProbeExtractKey(benchmark::State& state) {
   std::vector<int> cols = {0, 2};
-  KeyMap<int> map;
+  KeyTable<int> map;
   std::vector<TupleRef> tuples;
   for (int64_t i = 0; i < 1024; ++i) {
     tuples.push_back(MakeTuple(i, {Value(i), Value(i % 2), Value(i * 3)}));
-    map.emplace(ExtractKey(*tuples.back(), cols), static_cast<int>(i));
+    map.Insert(ExtractKey(*tuples.back(), cols)).first->value =
+        static_cast<int>(i);
   }
   size_t i = 0;
   for (auto _ : state) {
     Key key = ExtractKey(*tuples[i & 1023], cols);
-    benchmark::DoNotOptimize(map.find(key) != map.end());
+    benchmark::DoNotOptimize(map.Find(key) != nullptr);
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
@@ -363,16 +365,17 @@ BENCHMARK(BM_ProbeExtractKey);
 
 void BM_ProbeKeyView(benchmark::State& state) {
   std::vector<int> cols = {0, 2};
-  KeyMap<int> map;
+  KeyTable<int> map;
   std::vector<TupleRef> tuples;
   for (int64_t i = 0; i < 1024; ++i) {
     tuples.push_back(MakeTuple(i, {Value(i), Value(i % 2), Value(i * 3)}));
-    map.emplace(ExtractKey(*tuples.back(), cols), static_cast<int>(i));
+    map.Insert(ExtractKey(*tuples.back(), cols)).first->value =
+        static_cast<int>(i);
   }
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        map.find(KeyView(*tuples[i & 1023], cols)) != map.end());
+        map.Find(KeyView(*tuples[i & 1023], cols)) != nullptr);
     ++i;
   }
   state.SetItemsProcessed(state.iterations());

@@ -103,17 +103,4 @@ Status AggSet::AppendFields(const std::vector<AggSpec>& specs,
   return Status::OK();
 }
 
-bool AggSet::CanCheckpoint(std::string* why) const {
-  for (const AggSpec& s : specs_) {
-    if (!AggStateSerializable(s.kind)) {
-      if (why != nullptr) {
-        *why = std::string("aggregate ") + AggKindName(s.kind) +
-               " has no state serializer";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace sqp

@@ -74,10 +74,6 @@ class AggSet {
   static Status AppendFields(const std::vector<AggSpec>& specs,
                              const Schema& input, std::vector<Field>* fields);
 
-  /// True when every accumulator round-trips through SaveState/LoadState
-  /// (no sketch-backed aggregate); otherwise `why` names the culprit.
-  bool CanCheckpoint(std::string* why) const;
-
  private:
   /// The value aggregate `i` reads from a row: count(*) reads no column
   /// and feeds the constant 1.

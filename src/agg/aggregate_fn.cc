@@ -99,16 +99,6 @@ Status Accumulator::LoadState(dur::BufReader& /*r*/) {
                                AggKindName(kind()));
 }
 
-bool AggStateSerializable(AggKind kind) {
-  switch (kind) {
-    case AggKind::kApproxMedian:
-    case AggKind::kApproxCountDistinct:
-      return false;
-    default:
-      return true;
-  }
-}
-
 namespace {
 
 class CountAcc : public Accumulator {
@@ -664,6 +654,16 @@ class ApproxMedianAcc : public Accumulator {
   size_t MemoryBytes() const override {
     return sizeof(*this) + gk_.MemoryBytes();
   }
+  // Every value added is one the summary counts, so n_ is its n.
+  bool SaveState(dur::BufWriter& w) const override {
+    gk_.Save(w);
+    return true;
+  }
+  Status LoadState(dur::BufReader& r) override {
+    SQP_RETURN_NOT_OK(gk_.Restore(r));
+    n_ = gk_.n();
+    return Status::OK();
+  }
 
  private:
   GkQuantile gk_;
@@ -693,6 +693,18 @@ class ApproxCountDistinctAcc : public Accumulator {
   }
   size_t MemoryBytes() const override {
     return sizeof(*this) + hll_.MemoryBytes();
+  }
+  bool SaveState(dur::BufWriter& w) const override {
+    w.U64(n_);
+    hll_.Save(w);
+    return true;
+  }
+  Status LoadState(dur::BufReader& r) override {
+    uint64_t n = 0;
+    SQP_RETURN_NOT_OK(r.U64(&n));
+    SQP_RETURN_NOT_OK(hll_.Restore(r));
+    n_ = n;
+    return Status::OK();
   }
 
  private:

@@ -90,10 +90,10 @@ class Accumulator {
 
   virtual uint64_t count() const { return n_; }
 
-  /// Serializes the exact accumulator state for a durability checkpoint
-  /// (dur::Checkpoint). Returns false when this kind has no serializer —
-  /// the sketch-backed accumulators — in which case the owning query is
-  /// excluded from checkpoints and recovers by full replay.
+  /// Serializes the accumulator state for a durability checkpoint
+  /// (dur::Checkpoint). Every `NewAccumulator()` form serializes; the
+  /// sliding min/max, first and count_distinct forms return false, and
+  /// a window operator refolds them from its tuples.
   virtual bool SaveState(dur::BufWriter& w) const {
     (void)w;
     return false;
@@ -105,10 +105,6 @@ class Accumulator {
  protected:
   uint64_t n_ = 0;
 };
-
-/// True when accumulators of `kind` round-trip through
-/// SaveState/LoadState (everything except the sketches).
-bool AggStateSerializable(AggKind kind);
 
 /// Factory + metadata for one aggregate expression.
 class AggregateFunction {

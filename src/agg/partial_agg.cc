@@ -10,36 +10,27 @@ PartialAggregator::PartialAggregator(size_t slots, std::vector<int> key_cols,
   if (slots_ > 0) table_.resize(slots_);
 }
 
-PartialGroup PartialAggregator::NewGroup(Key key) const {
-  PartialGroup g;
-  g.key = std::move(key);
-  g.accs = aggs_.NewAccs();
-  return g;
-}
-
 void PartialAggregator::Add(const Tuple& t, std::vector<PartialGroup>* out) {
   ++stats_.tuples_in;
-  Key key = ExtractKey(t, key_cols_);
+  KeyView key(t, key_cols_);
 
   if (slots_ == 0) {
-    auto it = unbounded_.find(key);
-    if (it == unbounded_.end()) {
-      it = unbounded_.emplace(key, NewGroup(key)).first;
-    }
-    aggs_.Add(it->second.accs, t);
+    auto [group, added] = unbounded_.Insert(key);
+    if (added) group->value = aggs_.NewAccs();
+    aggs_.Add(group->value, t);
     return;
   }
 
-  size_t idx = KeyHash()(key) % slots_;
+  size_t idx = key.Hash() % slots_;
   Slot& slot = table_[idx];
-  if (slot.occupied && !(slot.group.key == key)) {
+  if (slot.occupied && !slot.group.key.Equals(key)) {
     // Collision: evict the resident group as a partial result.
     ++stats_.evictions;
     out->push_back(std::move(slot.group));
     slot.occupied = false;
   }
   if (!slot.occupied) {
-    slot.group = NewGroup(std::move(key));
+    slot.group = PartialGroup{key.Materialize(), aggs_.NewAccs()};
     slot.occupied = true;
   }
   aggs_.Add(slot.group.accs, t);
@@ -47,11 +38,11 @@ void PartialAggregator::Add(const Tuple& t, std::vector<PartialGroup>* out) {
 
 void PartialAggregator::Flush(std::vector<PartialGroup>* out) {
   if (slots_ == 0) {
-    for (auto& [key, group] : unbounded_) {
+    for (auto& group : unbounded_) {
       ++stats_.flushed;
-      out->push_back(std::move(group));
+      out->push_back(PartialGroup{group.key, std::move(group.value)});
     }
-    unbounded_.clear();
+    unbounded_.Clear();
     return;
   }
   for (Slot& slot : table_) {
@@ -72,29 +63,29 @@ size_t PartialAggregator::resident_groups() const {
 
 size_t PartialAggregator::MemoryBytes() const {
   size_t bytes = sizeof(*this) + table_.capacity() * sizeof(Slot);
-  auto group_bytes = [](const PartialGroup& g) {
+  auto group_bytes = [](const Key& key, const AggSet::Accs& accs) {
     size_t b = 0;
-    for (const Value& v : g.key.parts) b += v.MemoryBytes();
-    for (const auto& a : g.accs) b += a->MemoryBytes();
+    for (const Value& v : key.parts) b += v.MemoryBytes();
+    for (const auto& a : accs) b += a->MemoryBytes();
     return b;
   };
   for (const Slot& s : table_) {
-    if (s.occupied) bytes += group_bytes(s.group);
+    if (s.occupied) bytes += group_bytes(s.group.key, s.group.accs);
   }
-  for (const auto& [key, group] : unbounded_) {
-    bytes += group_bytes(group) + sizeof(Key);
+  for (const auto& group : unbounded_) {
+    bytes += group_bytes(group.key, group.value) + sizeof(Key);
   }
   return bytes;
 }
 
 void FinalAggregator::Merge(PartialGroup group) {
-  auto it = groups_.find(group.key);
-  if (it == groups_.end()) {
-    groups_.emplace(std::move(group.key), std::move(group.accs));
+  auto [merged, added] = groups_.Insert(group.key);
+  if (added) {
+    merged->value = std::move(group.accs);
     return;
   }
-  for (size_t i = 0; i < it->second.size(); ++i) {
-    it->second[i]->Merge(*group.accs[i]);
+  for (size_t i = 0; i < merged->value.size(); ++i) {
+    merged->value[i]->Merge(*group.accs[i]);
   }
 }
 
@@ -102,11 +93,11 @@ std::vector<std::pair<Key, std::vector<Value>>> FinalAggregator::Results()
     const {
   std::vector<std::pair<Key, std::vector<Value>>> out;
   out.reserve(groups_.size());
-  for (const auto& [key, accs] : groups_) {
+  for (const auto& group : groups_) {
     std::vector<Value> vals;
-    vals.reserve(accs.size());
-    AggSet::AppendResults(accs, &vals);
-    out.emplace_back(key, std::move(vals));
+    vals.reserve(group.value.size());
+    AggSet::AppendResults(group.value, &vals);
+    out.emplace_back(group.key, std::move(vals));
   }
   return out;
 }

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/agg_set.h"
+#include "common/key_table.h"
 #include "common/tuple.h"
 
 namespace sqp {
@@ -57,14 +57,14 @@ class PartialAggregator {
     PartialGroup group;
   };
 
-  PartialGroup NewGroup(Key key) const;
 
   size_t slots_;
   std::vector<int> key_cols_;
   AggSet aggs_;
-  // Fixed table when slots_ > 0; unbounded map otherwise.
+  // Fixed table when slots_ > 0; unbounded table otherwise, whose
+  // flushed entries stay dead, their accumulators moved out.
   std::vector<Slot> table_;
-  std::unordered_map<Key, PartialGroup, KeyHash> unbounded_;
+  KeyTable<AggSet::Accs> unbounded_;
   PartialAggStats stats_;
 };
 
@@ -83,7 +83,7 @@ class FinalAggregator {
   size_t num_groups() const { return groups_.size(); }
 
  private:
-  std::unordered_map<Key, AggSet::Accs, KeyHash> groups_;
+  KeyTable<AggSet::Accs> groups_;
 };
 
 }  // namespace sqp

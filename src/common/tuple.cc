@@ -47,9 +47,9 @@ inline size_t CombineHash(size_t h, size_t v) {
 
 }  // namespace
 
-size_t KeyHash::operator()(const Key& k) const {
+size_t Key::Hash() const {
   size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : k.parts) h = CombineHash(h, v.Hash());
+  for (const Value& v : parts) h = CombineHash(h, v.Hash());
   return h;
 }
 
@@ -57,14 +57,6 @@ size_t KeyView::Hash() const {
   size_t h = 0x9e3779b97f4a7c15ULL;
   for (size_t i = 0; i < n_; ++i) h = CombineHash(h, part(i).Hash());
   return h;
-}
-
-bool KeyView::Equals(const Key& k) const {
-  if (k.parts.size() != n_) return false;
-  for (size_t i = 0; i < n_; ++i) {
-    if (!(part(i) == k.parts[i])) return false;
-  }
-  return true;
 }
 
 Key KeyView::Materialize() const {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/value.h"
@@ -70,17 +68,27 @@ struct Key {
   std::vector<Value> parts;
 
   bool operator==(const Key& other) const { return parts == other.parts; }
-  /// KeyView's accessors, so InsertReusing takes either key shape.
+  /// KeyView's accessors, so a KeyTable takes either key shape.
+  size_t size() const { return parts.size(); }
   const Value& part(size_t i) const { return parts[i]; }
-  Key Materialize() const { return *this; }
+  /// Equal to KeyView::Hash over the same values.
+  size_t Hash() const;
+  /// Part-wise equality with a Key or a KeyView.
+  template <typename K>
+  bool Equals(const K& k) const {
+    if (k.size() != parts.size()) return false;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (!(parts[i] == k.part(i))) return false;
+    }
+    return true;
+  }
   std::string ToString() const;
 };
 
 /// A borrowed, zero-allocation view of the key `cols` of a tuple —
 /// three words on the stack, valid only while the tuple it references
-/// is. Probe hash tables with it (heterogeneous lookup through
-/// KeyHash/KeyEq) and materialize an owning Key only when an insert is
-/// actually needed, so hot probe paths (hash join, group-by) never heap-
+/// is. A KeyTable is probed with it and copies its parts only into a
+/// new entry, so hot probe paths (hash join, group-by) never heap-
 /// allocate for keys that already exist.
 class KeyView {
  public:
@@ -92,10 +100,8 @@ class KeyView {
     return t_->at(static_cast<size_t>(cols_[i]));
   }
 
-  /// Hash-consistent with KeyHash(Key) for an equal owning key.
+  /// Equal to Key::Hash for an equal owning key.
   size_t Hash() const;
-
-  bool Equals(const Key& k) const;
 
   /// The one allocating step: copies the borrowed columns into an
   /// owning Key (use on genuine inserts only).
@@ -107,57 +113,11 @@ class KeyView {
   size_t n_;
 };
 
-/// Transparent hash: lets unordered containers keyed by Key be probed
-/// with a borrowed KeyView (C++20 heterogeneous lookup, no Key
-/// materialization on the probe path).
-struct KeyHash {
-  using is_transparent = void;
-  size_t operator()(const Key& k) const;
-  size_t operator()(const KeyView& v) const { return v.Hash(); }
-};
-
-/// Transparent equality, the other half of heterogeneous Key lookup.
-struct KeyEq {
-  using is_transparent = void;
-  bool operator()(const Key& a, const Key& b) const { return a == b; }
-  bool operator()(const KeyView& v, const Key& k) const {
-    return v.Equals(k);
-  }
-  bool operator()(const Key& k, const KeyView& v) const {
-    return v.Equals(k);
-  }
-};
-
-/// Key-indexed hash containers with KeyView probing enabled — the
-/// default table shape for joins and grouped aggregation.
-template <typename V>
-using KeyMap = std::unordered_map<Key, V, KeyHash, KeyEq>;
-using KeySet = std::unordered_set<Key, KeyHash, KeyEq>;
-
-/// Inserts `key` (a KeyView or a Key, absent from `map`) without
-/// allocating when `spares` holds a node extracted from an equal-width
-/// map: the node's key parts are overwritten in place and its value is
-/// kept as the caller left it. With no spare, materializes the key and
-/// builds the value with `make_value()`.
-template <typename V, typename K, typename MakeValue>
-typename KeyMap<V>::iterator InsertReusing(
-    KeyMap<V>& map, std::vector<typename KeyMap<V>::node_type>& spares,
-    const K& key, MakeValue&& make_value) {
-  if (spares.empty()) {
-    return map.emplace(key.Materialize(), make_value()).first;
-  }
-  typename KeyMap<V>::node_type node = std::move(spares.back());
-  spares.pop_back();
-  std::vector<Value>& parts = node.key().parts;
-  for (size_t i = 0; i < parts.size(); ++i) parts[i] = key.part(i);
-  return map.insert(std::move(node)).position;
-}
-
 /// Extracts `cols` of `t` as a Key.
 Key ExtractKey(const Tuple& t, const std::vector<int>& cols);
 
 /// Hash of a single value as a one-part key — identical to
-/// KeyView::Hash/KeyHash over a one-column key, so key-addressed
+/// KeyView::Hash/Key::Hash over a one-column key, so key-addressed
 /// punctuations (Punctuation::CloseKey) hash-route to the same
 /// partition as the tuples they close.
 size_t OneValueKeyHash(const Value& v);

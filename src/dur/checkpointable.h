@@ -26,15 +26,6 @@ class CheckpointableOperator {
  public:
   virtual ~CheckpointableOperator() = default;
 
-  /// False when the current configuration cannot round-trip — e.g. an
-  /// approximate-sketch accumulator (GK quantile, HyperLogLog) with no
-  /// serializer. The engine then excludes the whole query from the
-  /// checkpoint and recovery replays it from seq 0.
-  virtual bool CanCheckpointState(std::string* why) const {
-    (void)why;
-    return true;
-  }
-
   virtual void SaveState(dur::BufWriter& w) const = 0;
   virtual Status RestoreState(dur::BufReader& r) = 0;
 };

@@ -82,7 +82,7 @@ void GroupByAggregateOp::Push(const Element& e, int /*port*/) {
   }
   const Tuple& t = *e.tuple();
   // Borrowed-view probe: folding into an existing group allocates
-  // nothing for the key, and opening one reuses a closed group's node.
+  // nothing for the key, and opening one reuses a closed group's entry.
   aggs_.Add(GroupOf(t.ts(), KeyView(t, options_.key_cols)).accs, t);
   CloseAfterTuple();
 }
@@ -120,16 +120,35 @@ GroupByAggregateOp::GroupState& GroupByAggregateOp::GroupOf(int64_t ts,
   max_ts_ = std::max(max_ts_, ts);
   const int64_t bucket = width_ > 0 ? ts / width_ : 0;
   if (last_bucket_ == buckets_.end() || last_bucket_->first != bucket) {
-    last_bucket_ = buckets_.try_emplace(bucket).first;
+    last_bucket_ = buckets_.find(bucket);
   }
-  GroupMap& groups = last_bucket_->second;
-  auto it = groups.find(key);
-  if (it == groups.end()) {
-    it = InsertReusing(groups, free_groups_, key,
-                       [this] { return GroupState{aggs_.NewAccs()}; });
+  if (last_bucket_ == buckets_.end()) {
+    // Close what the tuple completes first, so that a bucket it closes
+    // hands its table to the bucket it opens. Folding emits nothing, so
+    // the rows come out as if closed after it.
+    CloseAfterTuple();
+    if (retired_.empty()) {
+      last_bucket_ = buckets_.try_emplace(bucket).first;
+    } else {
+      retired_.key() = bucket;
+      last_bucket_ = buckets_.insert(std::move(retired_)).position;
+    }
   }
-  it->second.last_ts = std::max(it->second.last_ts, ts);
-  return it->second;
+  GroupState& group = OpenGroup(last_bucket_->second, key);
+  group.last_ts = std::max(group.last_ts, ts);
+  return group;
+}
+
+template <typename K>
+GroupByAggregateOp::GroupState& GroupByAggregateOp::OpenGroup(
+    GroupTable& groups, const K& key) {
+  auto [group, added] =
+      groups.Insert(key, [this] { return GroupState{aggs_.NewAccs()}; });
+  if (added) {  // Perhaps a dead entry: a closed group's state.
+    AggSet::Reset(group->value.accs);
+    group->value.last_ts = INT64_MIN;
+  }
+  return group->value;
 }
 
 void GroupByAggregateOp::CloseAfterTuple() {
@@ -197,86 +216,56 @@ void GroupByAggregateOp::EmitWindow(int64_t end) {
   const int64_t start = end - options_.window.size;
   for (auto pane = buckets_.lower_bound(start / width_);
        pane != buckets_.end() && pane->first < end / width_; ++pane) {
-    for (const auto& [key, state] : pane->second) {
-      auto it = merged_.find(key);
-      if (it == merged_.end()) {
-        it = InsertReusing(merged_, merged_spares_, key,
-                           [this] { return GroupState{aggs_.NewAccs()}; });
+    for (const auto& group : pane->second) {
+      GroupState& merged = OpenGroup(merged_, group.key);
+      for (size_t i = 0; i < group.value.accs.size(); ++i) {
+        merged.accs[i]->Merge(*group.value.accs[i]);
       }
-      for (size_t i = 0; i < state.accs.size(); ++i) {
-        it->second.accs[i]->Merge(*state.accs[i]);
-      }
-      merges_ += state.accs.size();
+      merges_ += group.value.accs.size();
     }
   }
   EmitGroups(start, merged_);
-  while (!merged_.empty()) {
-    GroupMap::node_type node = merged_.extract(merged_.begin());
-    AggSet::Reset(node.mapped().accs);
-    merged_spares_.push_back(std::move(node));
-  }
+  merged_.Clear();
 }
 
 void GroupByAggregateOp::CloseQuietGroups(int64_t watermark) {
   auto bucket = buckets_.find(0);
   if (bucket == buckets_.end()) return;
-  GroupMap& groups = bucket->second;
-  size_t closed = 0;
-  for (auto it = groups.begin(); it != groups.end();) {
-    if (it->second.last_ts > watermark) {
-      ++it;
+  GroupTable& groups = bucket->second;
+  // Closing a group moves the newest into its place, to be looked at
+  // next.
+  for (size_t i = 0; i < groups.size();) {
+    GroupTable::Entry* group = groups.begin() + i;
+    if (group->value.last_ts > watermark) {
+      ++i;
       continue;
     }
-    EmitGroup(watermark, it->first, it->second);
-    Park(groups.extract(it++));
-    ++closed;
+    EmitGroup(watermark, group->key, group->value);
+    groups.Erase(group);
   }
-  TrimSpares(closed);
 }
 
 void GroupByAggregateOp::CloseKey(int64_t ts, const Value& key) {
   auto bucket = buckets_.find(0);
   if (bucket == buckets_.end()) return;
   probe_key_.parts[0] = key;
-  auto it = bucket->second.find(probe_key_);
-  if (it == bucket->second.end()) return;
-  EmitGroup(ts, it->first, it->second);
-  Park(bucket->second.extract(it));
-  TrimSpares(1);
+  GroupTable::Entry* group = bucket->second.Find(probe_key_);
+  if (group == nullptr) return;
+  EmitGroup(ts, group->key, group->value);
+  bucket->second.Erase(group);
 }
 
 void GroupByAggregateOp::RetireOldestBucket() {
   auto it = buckets_.begin();
   if (it == last_bucket_) last_bucket_ = buckets_.end();
-  Recycle(it->second);
-  buckets_.erase(it);
+  // Replaces (and frees) the bucket retired before, if no new bucket
+  // took it.
+  retired_ = buckets_.extract(it);
+  retired_.mapped().Clear();
 }
 
-void GroupByAggregateOp::Recycle(GroupMap& groups) {
-  // Keep as many spares as the largest closed bucket held groups, so the
-  // operator never holds more groups than at its peak and a bucket
-  // larger than its predecessor still opens them from the free list.
-  // Older spares go first, then the closed groups; the surplus is freed
-  // with the bucket.
-  TrimSpares(groups.size());
-  while (free_groups_.size() < max_closed_ && !groups.empty()) {
-    Park(groups.extract(groups.begin()));
-  }
-}
-
-void GroupByAggregateOp::TrimSpares(size_t closed) {
-  max_closed_ = std::max(max_closed_, closed);
-  if (free_groups_.size() > max_closed_) free_groups_.resize(max_closed_);
-}
-
-void GroupByAggregateOp::Park(GroupMap::node_type node) {
-  AggSet::Reset(node.mapped().accs);
-  node.mapped().last_ts = INT64_MIN;
-  free_groups_.push_back(std::move(node));
-}
-
-void GroupByAggregateOp::EmitGroups(int64_t ts, const GroupMap& groups) {
-  for (const auto& [key, state] : groups) EmitGroup(ts, key, state);
+void GroupByAggregateOp::EmitGroups(int64_t ts, const GroupTable& groups) {
+  for (const auto& group : groups) EmitGroup(ts, group.key, group.value);
 }
 
 void GroupByAggregateOp::EmitGroup(int64_t ts, const Key& key,
@@ -299,11 +288,11 @@ void GroupByAggregateOp::Flush() {
   if (close_ == Close::kPane) CloseWindowsThrough(INT64_MAX);
   const int64_t landmark_ts = max_ts_ == INT64_MIN ? 0 : max_ts_;
   for (const auto& [bucket, groups] : buckets_) {
-    for (const auto& [key, state] : groups) {
-      EmitGroup(close_ == Close::kPunctuation ? state.last_ts
+    for (const auto& group : groups) {
+      EmitGroup(close_ == Close::kPunctuation ? group.value.last_ts
                 : close_ == Close::kBucket    ? bucket * width_
                                               : landmark_ts,
-                key, state);
+                group.key, group.value);
     }
   }
   buckets_.clear();
@@ -311,24 +300,21 @@ void GroupByAggregateOp::Flush() {
   Operator::Flush();
 }
 
-size_t GroupByAggregateOp::GroupBytes(const Key& key,
-                                      const GroupState& state) {
-  size_t bytes = 32;  // Hash-table node overhead.
-  for (const Value& v : key.parts) bytes += v.MemoryBytes();
-  for (const auto& acc : state.accs) bytes += acc->MemoryBytes();
+size_t GroupByAggregateOp::TableBytes(const GroupTable& groups) {
+  // Every group the table holds, dead ones included.
+  size_t bytes = 0;
+  for (const auto& group : groups.retained()) {
+    bytes += 32;  // Entry and index overhead.
+    for (const Value& v : group.key.parts) bytes += v.MemoryBytes();
+    for (const auto& acc : group.value.accs) bytes += acc->MemoryBytes();
+  }
   return bytes;
 }
 
 size_t GroupByAggregateOp::StateBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& [bucket, groups] : buckets_) {
-    for (const auto& [key, state] : groups) bytes += GroupBytes(key, state);
-  }
-  for (const auto* spares : {&free_groups_, &merged_spares_}) {
-    for (const GroupMap::node_type& node : *spares) {
-      bytes += GroupBytes(node.key(), node.mapped());
-    }
-  }
+  size_t bytes = sizeof(*this) + TableBytes(merged_);
+  for (const auto& [bucket, groups] : buckets_) bytes += TableBytes(groups);
+  if (!retired_.empty()) bytes += TableBytes(retired_.mapped());
   return bytes;
 }
 
@@ -347,10 +333,10 @@ void GroupByAggregateOp::SaveState(dur::BufWriter& w) const {
   for (const auto& [bucket, groups] : buckets_) {
     w.I64(bucket);
     w.U32(static_cast<uint32_t>(groups.size()));
-    for (const auto& [key, state] : groups) {
-      ckpt::SaveKey(w, key);
-      ckpt::SaveAccs(w, state.accs);
-      if (close_ == Close::kPunctuation) w.I64(state.last_ts);
+    for (const auto& group : groups) {
+      ckpt::SaveKey(w, group.key);
+      ckpt::SaveAccs(w, group.value.accs);
+      if (close_ == Close::kPunctuation) w.I64(group.value.last_ts);
     }
   }
   if (close_ == Close::kPane) w.I64(next_end_);
@@ -367,7 +353,7 @@ Status GroupByAggregateOp::RestoreState(dur::BufReader& r) {
     uint32_t ngroups = 0;
     SQP_RETURN_NOT_OK(r.I64(&bucket));
     SQP_RETURN_NOT_OK(r.U32(&ngroups));
-    GroupMap& groups = buckets_[bucket];
+    GroupTable& groups = buckets_[bucket];
     for (uint32_t g = 0; g < ngroups; ++g) {
       Key key;
       SQP_RETURN_NOT_OK(ckpt::LoadKey(r, &key));
@@ -376,7 +362,11 @@ Status GroupByAggregateOp::RestoreState(dur::BufReader& r) {
       if (close_ == Close::kPunctuation) {
         SQP_RETURN_NOT_OK(r.I64(&state.last_ts));
       }
-      groups.emplace(std::move(key), std::move(state));
+      auto [group, added] = groups.Insert(key, [] { return GroupState{}; });
+      if (!added) {
+        return Status::Internal("group-by: checkpoint group saved twice");
+      }
+      group->value = std::move(state);
     }
   }
   if (close_ == Close::kPane) SQP_RETURN_NOT_OK(r.I64(&next_end_));

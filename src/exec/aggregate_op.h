@@ -5,10 +5,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/agg_set.h"
+#include "common/key_table.h"
 #include "dur/checkpointable.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
@@ -55,14 +55,15 @@ struct GroupByOptions {
 /// window keeps W/gcd(W, S) panes of partials per key, so its state does
 /// not grow with the tuples in the window (E11).
 ///
-/// Steady state allocates only the rows it emits and each bucket's hash
-/// table. A closed bucket's (or pane's, or group's) nodes move onto a
-/// free list, never longer than the most groups closed at once, and a
-/// new group takes one: its key is overwritten in place and its
-/// accumulators Reset. HAVING is evaluated on one reused scratch row, so
-/// a group that fails it costs no allocation. Hash tables are not
-/// reused: group order within a bucket, the order rows are emitted and
-/// checkpointed in, follows the table's growth.
+/// Steady state allocates only the rows it emits. Each bucket's groups
+/// are a `KeyTable`, and the last closed bucket's table, cleared,
+/// becomes the next new bucket's: a new group takes a dead entry, its
+/// key overwritten in place and its accumulators Reset. A group closed
+/// alone stays dead in its bucket's table. HAVING is evaluated on one
+/// reused scratch row, so a group that fails it costs no allocation.
+/// Groups are emitted and checkpointed in their table's order: the
+/// order they opened in, where closing a group moves the bucket's newest
+/// into its place.
 class GroupByAggregateOp : public Operator,
                            public ShardableOperator,
                            public CheckpointableOperator {
@@ -119,10 +120,7 @@ class GroupByAggregateOp : public Operator,
   uint64_t merges() const { return merges_; }
 
   /// Checkpointing: open buckets/groups and their accumulators round-trip
-  /// exactly, unless an aggregate is sketch-backed (no serializer).
-  bool CanCheckpointState(std::string* why) const override {
-    return aggs_.CanCheckpoint(why);
-  }
+  /// exactly.
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
@@ -137,12 +135,16 @@ class GroupByAggregateOp : public Operator,
     AggSet::Accs accs;
     int64_t last_ts = INT64_MIN;  ///< Newest tuple (punctuated close-out).
   };
-  using GroupMap = KeyMap<GroupState>;  // KeyView-probed (zero-alloc).
+  using GroupTable = KeyTable<GroupState>;  // KeyView-probed.
+  using Buckets = std::map<int64_t, GroupTable>;
 
   /// The group `key` (a KeyView or Key) of the bucket holding `ts`,
   /// opened if absent.
   template <typename K>
   GroupState& GroupOf(int64_t ts, const K& key);
+  /// The group `key` of `groups`, opened if absent.
+  template <typename K>
+  GroupState& OpenGroup(GroupTable& groups, const K& key);
   /// Emits what the stream's newest tuple (max_ts_) proves complete.
   void CloseAfterTuple();
   /// Closes what punctuation `p` completes; the caller forwards `p`.
@@ -153,18 +155,11 @@ class GroupByAggregateOp : public Operator,
   void CloseKey(int64_t ts, const Value& key);
   /// Merges every key's panes in [end - W, end) and emits the window.
   void EmitWindow(int64_t end);
-  void EmitGroups(int64_t ts, const GroupMap& groups);
+  void EmitGroups(int64_t ts, const GroupTable& groups);
   void EmitGroup(int64_t ts, const Key& key, const GroupState& state);
-  /// Recycles the oldest bucket's groups and erases it.
+  /// Erases the oldest bucket, keeping its cleared table as `retired_`.
   void RetireOldestBucket();
-  /// Moves a closed bucket's groups onto the free list.
-  void Recycle(GroupMap& groups);
-  /// Resets a closed group's node and puts it on the free list.
-  void Park(GroupMap::node_type node);
-  /// Caps the free list at the most groups closed at once, `closed`
-  /// included.
-  void TrimSpares(size_t closed);
-  static size_t GroupBytes(const Key& key, const GroupState& state);
+  static size_t TableBytes(const GroupTable& groups);
 
   GroupByOptions options_;
   AggSet aggs_;
@@ -173,20 +168,17 @@ class GroupByAggregateOp : public Operator,
   int64_t hop_ = 0;    ///< Window slide (kPane).
   // Buckets (or panes) in timestamp order so close-out is oldest-first;
   // landmark and punctuated groups all live in bucket 0.
-  std::map<int64_t, GroupMap> buckets_;  // bucket id -> groups
+  Buckets buckets_;  // bucket id -> groups
   /// The bucket the newest tuple folded into, or buckets_.end().
-  std::map<int64_t, GroupMap>::iterator last_bucket_ = buckets_.end();
+  Buckets::iterator last_bucket_ = buckets_.end();
+  /// The last retired bucket, its table cleared: the next new bucket's.
+  /// Never checkpointed (it holds no results).
+  Buckets::node_type retired_;
   int64_t max_ts_ = INT64_MIN;
   int64_t next_end_ = INT64_MIN;  ///< First window end not yet emitted.
   uint64_t merges_ = 0;
-  /// Reset groups of closed buckets, ready for reuse; never checkpointed
-  /// (it holds no results).
-  std::vector<GroupMap::node_type> free_groups_;
-  size_t max_closed_ = 0;  ///< Most groups any closed bucket held.
-  /// One window's per-key merge of its panes; empty between windows,
-  /// when its reset nodes wait in merged_spares_ for the next window.
-  GroupMap merged_;
-  std::vector<GroupMap::node_type> merged_spares_;
+  /// One window's per-key merge of its panes; cleared between windows.
+  GroupTable merged_;
   /// Owning key reused to probe by CloseKey values and columnar rows.
   Key probe_key_;
   /// Output row [ts, key..., agg...] that HAVING reads before any

@@ -31,16 +31,14 @@ inline Status LoadKey(dur::BufReader& r, Key* k) {
 }
 
 /// u32 count, then per accumulator a u8 kind tag (restore-time sanity
-/// check) and the accumulator's own state. Returns false if any
-/// accumulator lacks a serializer — callers should have screened with
-/// AggSet::CanCheckpoint via CanCheckpointState first.
-inline bool SaveAccs(dur::BufWriter& w, const AggSet::Accs& accs) {
+/// check) and the accumulator's own state. Every `NewAccumulator()` form
+/// saves its state.
+inline void SaveAccs(dur::BufWriter& w, const AggSet::Accs& accs) {
   w.U32(static_cast<uint32_t>(accs.size()));
   for (const auto& acc : accs) {
     w.U8(static_cast<uint8_t>(acc->kind()));
-    if (!acc->SaveState(w)) return false;
+    acc->SaveState(w);
   }
-  return true;
 }
 
 /// Rebuilds fresh accumulators from `aggs` and loads their saved state.

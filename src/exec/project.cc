@@ -108,14 +108,12 @@ void DistinctOp::Push(const Element& e, int /*port*/) {
     int64_t bucket = t.ts() / window_size_;
     if (bucket != current_bucket_) {
       current_bucket_ = bucket;
-      seen_.clear();
+      seen_.Clear();
     }
   }
   // Probe with a borrowed view; duplicates (the common case once the
   // window warms up) never allocate a Key.
-  KeyView view(t, cols_);
-  if (seen_.find(view) == seen_.end()) {
-    seen_.insert(view.Materialize());
+  if (seen_.Insert(KeyView(t, cols_)).second) {
     // First occurrence (in this window): project to the distinct columns.
     std::vector<Value> out;
     out.reserve(cols_.size());
@@ -126,8 +124,8 @@ void DistinctOp::Push(const Element& e, int /*port*/) {
 
 size_t DistinctOp::StateBytes() const {
   size_t bytes = sizeof(*this);
-  for (const Key& k : seen_) {
-    for (const Value& v : k.parts) bytes += v.MemoryBytes();
+  for (const auto& seen : seen_) {
+    for (const Value& v : seen.key.parts) bytes += v.MemoryBytes();
     bytes += 16;
   }
   return bytes;
@@ -136,18 +134,18 @@ size_t DistinctOp::StateBytes() const {
 void DistinctOp::SaveState(dur::BufWriter& w) const {
   w.I64(current_bucket_);
   w.U32(static_cast<uint32_t>(seen_.size()));
-  for (const Key& k : seen_) ckpt::SaveKey(w, k);
+  for (const auto& seen : seen_) ckpt::SaveKey(w, seen.key);
 }
 
 Status DistinctOp::RestoreState(dur::BufReader& r) {
   SQP_RETURN_NOT_OK(r.I64(&current_bucket_));
   uint32_t n = 0;
   SQP_RETURN_NOT_OK(r.U32(&n));
-  seen_.clear();
+  seen_.Clear();
   for (uint32_t i = 0; i < n; ++i) {
     Key k;
     SQP_RETURN_NOT_OK(ckpt::LoadKey(r, &k));
-    seen_.insert(std::move(k));
+    seen_.Insert(k);
   }
   return Status::OK();
 }

@@ -2,9 +2,10 @@
 #define SQP_EXEC_PROJECT_H_
 
 #include <memory>
-#include <unordered_set>
+#include <variant>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/schema.h"
 #include "dur/checkpointable.h"
 #include "exec/expr.h"
@@ -77,7 +78,9 @@ class DistinctOp : public Operator, public CheckpointableOperator {
   std::vector<int> cols_;
   int64_t window_size_;
   int64_t current_bucket_ = INT64_MIN;
-  KeySet seen_;  // KeyView-probed: duplicates never materialize a Key.
+  /// KeyView-probed: duplicates never materialize a Key, and a new
+  /// window's keys reuse the last window's entries.
+  KeyTable<std::monostate> seen_;
 };
 
 }  // namespace sqp

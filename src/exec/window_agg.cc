@@ -14,6 +14,7 @@ WindowAggregateOp::WindowAggregateOp(WindowSpec window,
       aggs_(std::move(aggs)),
       partition_col_(partition_col),
       out_cols_(std::move(out_cols)),
+      part_cols_{partition_col},
       // A partitioned operator keeps its windows in `parts_`.
       whole_{WindowBuffer(window_, /*keep_log=*/false),
              partition_col_ < 0 ? NewAccs() : AggSet::Accs{}} {
@@ -90,9 +91,8 @@ void WindowAggregateOp::Push(const Element& e, int /*port*/) {
   const Value* key = nullptr;
   if (partition_col_ >= 0) {
     key = &t->at(static_cast<size_t>(partition_col_));
-    auto it = parts_.find(*key);
-    if (it == parts_.end()) it = parts_.emplace(*key, NewWindow()).first;
-    w = &it->second;
+    w = &parts_.Insert(KeyView(*t, part_cols_), [this] { return NewWindow(); })
+             .first->value;
   }
   // A tuple already outside the window leaves on arrival, after
   // everything before it: it is never added, so never evicted either.
@@ -121,16 +121,10 @@ size_t WindowAggregateOp::WindowBytes(const Window& w) {
 
 size_t WindowAggregateOp::StateBytes() const {
   size_t bytes = sizeof(*this) + WindowBytes(whole_);
-  for (const auto& [key, w] : parts_) {
-    bytes += key.MemoryBytes() + 32 + WindowBytes(w);
+  for (const auto& part : parts_) {
+    bytes += part.key.parts[0].MemoryBytes() + 32 + WindowBytes(part.value);
   }
   return bytes;
-}
-
-bool WindowAggregateOp::CanCheckpointState(std::string* why) const {
-  // A sliding window's accumulators refold from its tuples; a landmark
-  // window keeps none, so it must save every accumulator.
-  return window_.kind != WindowKind::kTimeLandmark || aggs_.CanCheckpoint(why);
 }
 
 void WindowAggregateOp::SaveWindow(dur::BufWriter& w, const Window& win) const {
@@ -155,9 +149,9 @@ void WindowAggregateOp::SaveState(dur::BufWriter& w) const {
     return;
   }
   w.U32(static_cast<uint32_t>(parts_.size()));
-  for (const auto& [key, win] : parts_) {
-    w.Val(key);
-    SaveWindow(w, win);
+  for (const auto& part : parts_) {
+    w.Val(part.key.parts[0]);
+    SaveWindow(w, part.value);
   }
 }
 
@@ -210,7 +204,9 @@ Status WindowAggregateOp::RestoreWindow(dur::BufReader& r, const Value* key,
 }
 
 Status WindowAggregateOp::RestoreState(dur::BufReader& r) {
-  parts_.clear();
+  // A fresh table: a partition never dies, so every entry is a window
+  // that Insert built.
+  parts_ = {};
   expired_.clear();
   if (partition_col_ < 0) return RestoreWindow(r, nullptr, &whole_);
   uint32_t n = 0;
@@ -218,11 +214,12 @@ Status WindowAggregateOp::RestoreState(dur::BufReader& r) {
   for (uint32_t i = 0; i < n; ++i) {
     Value key;
     SQP_RETURN_NOT_OK(r.Val(&key));
-    Window win = NewWindow();
-    SQP_RETURN_NOT_OK(RestoreWindow(r, &key, &win));
-    if (!parts_.emplace(std::move(key), std::move(win)).second) {
+    auto [part, added] =
+        parts_.Insert(Key{{key}}, [this] { return NewWindow(); });
+    if (!added) {
       return Status::Internal("window-agg: checkpoint partition saved twice");
     }
+    SQP_RETURN_NOT_OK(RestoreWindow(r, &key, &part->value));
   }
   return Status::OK();
 }

@@ -2,10 +2,10 @@
 #define SQP_EXEC_WINDOW_AGG_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/agg_set.h"
+#include "common/key_table.h"
 #include "dur/checkpointable.h"
 #include "exec/operator.h"
 #include "window/window_buffer.h"
@@ -44,8 +44,8 @@ namespace sqp {
 /// after its key), then every accumulator that serializes. Restore
 /// refolds the tuples into fresh accumulators, loads the saved ones over
 /// them (so a double sum continues bit for bit) and emits nothing. A
-/// landmark window keeps no tuples, so every one of its accumulators
-/// must serialize: `AggSet::CanCheckpoint`.
+/// landmark window keeps no tuples, so it restores every accumulator
+/// from its saved state.
 class WindowAggregateOp : public Operator, public CheckpointableOperator {
  public:
   /// `partition_col < 0`: one window over the whole stream. Otherwise
@@ -58,7 +58,6 @@ class WindowAggregateOp : public Operator, public CheckpointableOperator {
   void Push(const Element& e, int port = 0) override;
   size_t StateBytes() const override;
 
-  bool CanCheckpointState(std::string* why) const override;
   void SaveState(dur::BufWriter& w) const override;
   Status RestoreState(dur::BufReader& r) override;
 
@@ -93,8 +92,10 @@ class WindowAggregateOp : public Operator, public CheckpointableOperator {
   int partition_col_;
   std::vector<int> out_cols_;  ///< Ordinals of [ts, key?, agg...].
 
+  /// The one key column partitions are keyed by.
+  std::vector<int> part_cols_;
   Window whole_;  ///< Unpartitioned state.
-  std::unordered_map<Value, Window, ValueHash> parts_;
+  KeyTable<Window> parts_;
   std::vector<TupleRef> expired_;  ///< Scratch, reused across tuples.
   uint64_t recomputes_ = 0;
 };

@@ -38,15 +38,16 @@ void XJoinOp::SpillLargest() {
   }
   if (best_bytes == 0) return;
   Partition& part = sides_[best_side][best_part];
-  for (auto& [key, entries] : part.mem) {
-    for (Entry& e : entries) {
+  for (auto& key : part.mem) {
+    for (Entry& e : key.value) {
       disk_writes_ += e.t->MemoryBytes();
       ++spilled_tuples_;
       e.spill = seq_;
       part.disk.push_back(std::move(e));
     }
+    key.value.clear();
   }
-  part.mem.clear();
+  part.mem.Clear();
   mem_bytes_total_ -= part.mem_bytes;
   part.mem_bytes = 0;
 }
@@ -60,14 +61,13 @@ void XJoinOp::Push(const Element& e, int port) {
   int me = port == 0 ? 0 : 1;
   int other = 1 - me;
   const TupleRef& t = e.tuple();
-  Key key = ExtractKey(*t, me == 0 ? options_.left_cols : options_.right_cols);
+  KeyView key(*t, me == 0 ? options_.left_cols : options_.right_cols);
   size_t p = PartitionOf(key);
   ++seq_;
 
   // Memory-stage probe against the opposite side's resident partition.
-  auto it = sides_[other][p].mem.find(key);
-  if (it != sides_[other][p].mem.end()) {
-    for (const Entry& match : it->second) {
+  if (const auto* matches = sides_[other][p].mem.Find(key)) {
+    for (const Entry& match : matches->value) {
       if (me == 0) {
         EmitJoined(*t, *match.t, false);
       } else {
@@ -77,7 +77,7 @@ void XJoinOp::Push(const Element& e, int port) {
   }
 
   size_t bytes = t->MemoryBytes();
-  sides_[me][p].mem[std::move(key)].push_back(Entry{t, seq_});
+  sides_[me][p].mem.Insert(key).first->value.push_back(Entry{t, seq_});
   sides_[me][p].mem_bytes += bytes;
   mem_bytes_total_ += bytes;
   while (options_.memory_budget_bytes > 0 &&
@@ -94,15 +94,15 @@ void XJoinOp::Flush() {
   // tuple scanned.
   for (size_t p = 0; p < options_.partitions; ++p) {
     std::vector<const Entry*> left, right;
-    for (const auto& [key, entries] : sides_[0][p].mem) {
-      for (const Entry& e : entries) left.push_back(&e);
+    for (const auto& key : sides_[0][p].mem) {
+      for (const Entry& e : key.value) left.push_back(&e);
     }
     for (const Entry& e : sides_[0][p].disk) {
       disk_reads_ += e.t->MemoryBytes();
       left.push_back(&e);
     }
-    for (const auto& [key, entries] : sides_[1][p].mem) {
-      for (const Entry& e : entries) right.push_back(&e);
+    for (const auto& key : sides_[1][p].mem) {
+      for (const Entry& e : key.value) right.push_back(&e);
     }
     for (const Entry& e : sides_[1][p].disk) {
       disk_reads_ += e.t->MemoryBytes();
@@ -111,14 +111,15 @@ void XJoinOp::Flush() {
     if (left.empty() || right.empty()) continue;
 
     // Hash the right list, then stream the left through it.
-    std::unordered_map<Key, std::vector<const Entry*>, KeyHash> table;
+    KeyTable<std::vector<const Entry*>> table;
     for (const Entry* r : right) {
-      table[ExtractKey(*r->t, options_.right_cols)].push_back(r);
+      table.Insert(KeyView(*r->t, options_.right_cols))
+          .first->value.push_back(r);
     }
     for (const Entry* l : left) {
-      auto it = table.find(ExtractKey(*l->t, options_.left_cols));
-      if (it == table.end()) continue;
-      for (const Entry* r : it->second) {
+      const auto* matches = table.Find(KeyView(*l->t, options_.left_cols));
+      if (matches == nullptr) continue;
+      for (const Entry* r : matches->value) {
         if (AlreadyJoined(*l, *r)) continue;
         EmitJoined(*l->t, *r->t, true);
       }

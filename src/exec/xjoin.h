@@ -2,9 +2,9 @@
 #define SQP_EXEC_XJOIN_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/key_table.h"
 #include "exec/operator.h"
 
 namespace sqp {
@@ -52,13 +52,14 @@ class XJoinOp : public Operator {
   };
 
   struct Partition {
-    std::unordered_map<Key, std::vector<Entry>, KeyHash> mem;
+    /// A cleared key's vector stays in the table, emptied.
+    KeyTable<std::vector<Entry>> mem;
     std::vector<Entry> disk;
     size_t mem_bytes = 0;
   };
 
-  size_t PartitionOf(const Key& key) const {
-    return KeyHash()(key) % options_.partitions;
+  size_t PartitionOf(const KeyView& key) const {
+    return key.Hash() % options_.partitions;
   }
   void SpillLargest();
   void EmitJoined(const Tuple& left, const Tuple& right, bool disk_stage);

@@ -81,21 +81,21 @@ bool QueuedExecutor::Admit(size_t stage, Element e) {
 
 bool QueuedExecutor::Arrive(Element e) { return Admit(0, std::move(e)); }
 
-std::vector<OpView> QueuedExecutor::MakeViews() const {
-  std::vector<OpView> views(stages_.size());
+const std::vector<OpView>& QueuedExecutor::MakeViews() {
+  views_.assign(stages_.size(), OpView{});
   for (size_t i = 0; i < stages_.size(); ++i) {
-    views[i].queue_len = queues_[i].size();
-    views[i].selectivity = stages_[i].selectivity_hint;
-    views[i].cost = stages_[i].cost;
+    views_[i].queue_len = queues_[i].size();
+    views_[i].selectivity = stages_[i].selectivity_hint;
+    views_[i].cost = stages_[i].cost;
     if (!queues_[i].empty()) {
       const Entry& front = queues_[i].front();
-      views[i].head_seq = front.seq;
+      views_[i].head_seq = front.seq;
       // Real size of the waiting element, so size-aware policies
       // (Greedy) see shrinking tuples the way the [BBDM03] model does.
-      views[i].head_size = static_cast<double>(front.e.MemoryBytes());
+      views_[i].head_size = static_cast<double>(front.e.MemoryBytes());
     }
   }
-  return views;
+  return views_;
 }
 
 void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {

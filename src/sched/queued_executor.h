@@ -88,7 +88,8 @@ class QueuedExecutor {
   /// stage boundaries without per-element refcount traffic.
   class Relay;
 
-  std::vector<OpView> MakeViews() const;
+  /// Fills `views_` with each stage's view for the policy.
+  const std::vector<OpView>& MakeViews();
   /// Pops the first `n` entries of `stage`'s queue into its operator —
   /// one Process call when n == 1, one ProcessBatch call otherwise.
   void DeliverBatch(size_t stage, size_t n);
@@ -107,6 +108,8 @@ class QueuedExecutor {
   std::vector<std::unique_ptr<Operator>> relays_;
   Operator* sink_;
   std::unique_ptr<SchedulingPolicy> policy_;
+  /// Reused across picks: a pick allocates nothing.
+  std::vector<OpView> views_;
   std::vector<double> progress_;
   uint64_t seq_ = 0;
   uint64_t dropped_ = 0;

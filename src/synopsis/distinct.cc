@@ -102,4 +102,26 @@ void HyperLogLog::Merge(const HyperLogLog& other) {
   }
 }
 
+void HyperLogLog::Save(dur::BufWriter& w) const {
+  w.U8(static_cast<uint8_t>(precision_));
+  w.Raw(registers_.data(), registers_.size());
+}
+
+Status HyperLogLog::Restore(dur::BufReader& r) {
+  uint8_t precision = 0;
+  SQP_RETURN_NOT_OK(r.U8(&precision));
+  if (precision != precision_) {
+    return Status::Internal("hll: checkpoint precision mismatch");
+  }
+  std::vector<uint8_t> registers(registers_.size());
+  for (uint8_t& reg : registers) {
+    SQP_RETURN_NOT_OK(r.U8(&reg));
+    if (reg > 64 - precision_ + 1) {
+      return Status::Internal("hll: checkpoint register out of range");
+    }
+  }
+  registers_ = std::move(registers);
+  return Status::OK();
+}
+
 }  // namespace sqp

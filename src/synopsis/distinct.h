@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
+#include "dur/codec.h"
 
 namespace sqp {
 
@@ -50,6 +52,13 @@ class HyperLogLog {
   size_t MemoryBytes() const {
     return sizeof(*this) + registers_.capacity();
   }
+
+  /// Layout: u8 precision, then the 2^precision u8 registers.
+  void Save(dur::BufWriter& w) const;
+  /// Inverse of Save. Returns a Status and changes nothing for a
+  /// truncated state, another precision, or a register above the
+  /// largest rank, 64 - precision + 1.
+  Status Restore(dur::BufReader& r);
 
  private:
   int precision_;

@@ -66,6 +66,47 @@ void GkQuantile::Merge(const GkQuantile& other) {
   Compress();
 }
 
+void GkQuantile::Save(dur::BufWriter& w) const {
+  w.F64(eps_);
+  w.U64(n_);
+  w.U32(static_cast<uint32_t>(summary_.size()));
+  for (const Entry& e : summary_) {
+    w.F64(e.v);
+    w.U64(e.g);
+    w.U64(e.delta);
+  }
+}
+
+Status GkQuantile::Restore(dur::BufReader& r) {
+  double eps = 0.0;
+  uint64_t n = 0;
+  uint32_t count = 0;
+  SQP_RETURN_NOT_OK(r.F64(&eps));
+  SQP_RETURN_NOT_OK(r.U64(&n));
+  SQP_RETURN_NOT_OK(r.U32(&count));
+  if (eps != eps_) return Status::Internal("gk: checkpoint eps mismatch");
+  std::vector<Entry> summary;
+  uint64_t ranks = 0;  // Sum of the gaps so far.
+  for (uint32_t i = 0; i < count; ++i) {
+    Entry e{};
+    SQP_RETURN_NOT_OK(r.F64(&e.v));
+    SQP_RETURN_NOT_OK(r.U64(&e.g));
+    SQP_RETURN_NOT_OK(r.U64(&e.delta));
+    if (!summary.empty() && e.v < summary.back().v) {
+      return Status::Internal("gk: checkpoint entries out of order");
+    }
+    if (e.g > n - ranks) {
+      return Status::Internal("gk: checkpoint gaps exceed n");
+    }
+    ranks += e.g;
+    summary.push_back(e);
+  }
+  if (ranks != n) return Status::Internal("gk: checkpoint gaps short of n");
+  n_ = n;
+  summary_ = std::move(summary);
+  return Status::OK();
+}
+
 double GkQuantile::Query(double q) const {
   assert(n_ > 0);
   q = std::clamp(q, 0.0, 1.0);

@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
+#include "dur/codec.h"
+
 namespace sqp {
 
 /// Greenwald-Khanna epsilon-approximate quantile summary. Answers any
@@ -38,6 +41,14 @@ class GkQuantile {
   size_t MemoryBytes() const {
     return sizeof(*this) + summary_.capacity() * sizeof(Entry);
   }
+
+  /// Layout: f64 eps, u64 n, u32 entry count, then each entry's f64 v,
+  /// u64 g and u64 delta.
+  void Save(dur::BufWriter& w) const;
+  /// Inverse of Save. Returns a Status and changes nothing for a
+  /// truncated state, another eps, or entries out of value order or
+  /// whose gaps do not sum to n.
+  Status Restore(dur::BufReader& r);
 
  private:
   struct Entry {

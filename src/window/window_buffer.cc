@@ -36,15 +36,7 @@ bool WindowBuffer::Insert(const TupleRef& t, std::vector<TupleRef>* expired) {
   }
   // Indexed after the expiry, so a new key can reuse the entry an
   // expired key just left.
-  if (indexed_) {
-    KeyView key(*t, key_cols_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      it = InsertReusing(index_, spares_, key,
-                         [] { return std::vector<TupleRef>{}; });
-    }
-    Place(it->second, t);
-  }
+  if (indexed_) Place(index_.Insert(KeyView(*t, key_cols_)).first->value, t);
   return true;
 }
 
@@ -68,13 +60,13 @@ void WindowBuffer::Expire(std::vector<TupleRef>* expired) {
 void WindowBuffer::PopFront(std::vector<TupleRef>* expired) {
   if (indexed_) {
     // The window's oldest tuple is the oldest of its key.
-    auto it = index_.find(KeyView(*log_.front(), key_cols_));
-    assert(it != index_.end() && it->second.front() == log_.front());
-    std::vector<TupleRef>& held = it->second;
+    Index::Entry* entry = index_.Find(KeyView(*log_.front(), key_cols_));
+    assert(entry != nullptr && entry->value.front() == log_.front());
+    std::vector<TupleRef>& held = entry->value;
     held.erase(held.begin());
-    // An entry is built only when no spare is left, so live plus spare
-    // entries never exceed the most keys the index ever held.
-    if (held.empty()) spares_.push_back(index_.extract(it));
+    // An emptied entry stays in the table for the next new key, so the
+    // index never holds more entries than the most keys it ever held.
+    if (held.empty()) index_.Erase(entry);
   }
   if (expired != nullptr) expired->push_back(std::move(log_.front()));
   log_.pop_front();
@@ -90,13 +82,14 @@ size_t WindowBuffer::MemoryBytes() const {
   if (kind_ != WindowKind::kTimeLandmark) {
     bytes += log_.size() * sizeof(TupleRef);
   }
-  return bytes + (index_.size() + spares_.size()) * 48;
+  return bytes + index_.retained().size() * 48;
 }
 
 void WindowBuffer::Clear() {
   log_.clear();
-  index_.clear();
-  spares_.clear();
+  // A dead entry must be empty when the next key takes it.
+  for (auto& entry : index_) entry.value.clear();
+  index_.Clear();
   now_ = INT64_MIN;
   admitted_bytes_ = 0;
 }
@@ -116,10 +109,10 @@ void WindowBuffer::Save(dur::BufWriter& w, const SaveEach& each) const {
   // Only the index holds this landmark window: save it key by key, as a
   // probe reads only each key's arrival order.
   size_t n = 0;
-  for (const auto& entry : index_) n += entry.second.size();
+  for (const auto& entry : index_) n += entry.value.size();
   w.U32(static_cast<uint32_t>(n));
   for (const auto& entry : index_) {
-    for (const TupleRef& t : entry.second) save(t);
+    for (const TupleRef& t : entry.value) save(t);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/fifo_log.h"
+#include "common/key_table.h"
 #include "common/tuple.h"
 #include "dur/codec.h"
 #include "window/window_spec.h"
@@ -31,8 +32,8 @@ struct ProbeCounts {
 /// window keeps it in ts order, stable for equal ts: a tuple that arrives
 /// out of order goes in from the tail, behind the newer ones, and leaves
 /// when its own ts expires. Count and landmark windows keep arrival order.
-/// An index entry holds its key's tuples in the same order, and an entry
-/// whose last tuple left is kept as a spare node, with its vector's
+/// An index entry holds its key's tuples in the same order; an entry
+/// whose last tuple left stays in the `KeyTable`, with its vector's
 /// capacity, for the next new key.
 class WindowBuffer {
  public:
@@ -60,9 +61,9 @@ class WindowBuffer {
   void ForEachMatch(const KeyView& key, ProbeCounts* counts, Fn&& fn) const {
     if (indexed_) {
       if (counts != nullptr) ++counts->hash_probes;
-      auto it = index_.find(key);
-      if (it == index_.end()) return;
-      for (const TupleRef& t : it->second) fn(t);
+      const Index::Entry* entry = index_.Find(key);
+      if (entry == nullptr) return;
+      for (const TupleRef& t : entry->value) fn(t);
       return;
     }
     for (const TupleRef& t : log_) {
@@ -89,7 +90,7 @@ class WindowBuffer {
 
   /// Bytes of the window's tuples: summed when asked for a sliding
   /// window; kept as tuples arrive for a landmark, which never shrinks,
-  /// plus its log's references. An index adds its entries, spares
+  /// plus its log's references. An index adds its entries, dead ones
   /// included, and a sliding window's references.
   size_t MemoryBytes() const;
   /// Empties the window and its index, as built.
@@ -111,7 +112,7 @@ class WindowBuffer {
   Status Restore(dur::BufReader& r, const RestoreEach& each = nullptr);
 
  private:
-  using Index = KeyMap<std::vector<TupleRef>>;
+  using Index = KeyTable<std::vector<TupleRef>>;
 
   void Expire(std::vector<TupleRef>* expired);
   /// Moves the log's oldest tuple to `expired` (when non-null) and takes
@@ -140,8 +141,6 @@ class WindowBuffer {
   /// KeyView-probed: inserts and expiries of existing keys never
   /// allocate for lookups.
   Index index_;
-  /// Emptied entries, reused by the next new keys.
-  std::vector<Index::node_type> spares_;
 };
 
 }  // namespace sqp

@@ -268,7 +268,7 @@ TEST(AccumulatorTest, ResetEqualsFreshForEveryKind) {
         fresh->Remove(b[0]);
         EXPECT_EQ(reused->Result(), fresh->Result());
       }
-      if (!sliding && AggStateSerializable(kind)) {
+      if (!sliding) {
         dur::BufWriter wr, wf;
         ASSERT_TRUE(reused->SaveState(wr));
         ASSERT_TRUE(fresh->SaveState(wf));

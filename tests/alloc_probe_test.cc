@@ -1,10 +1,9 @@
 // Allocation-counting tests for the zero-allocation key-probe paths:
 // this TU replaces global operator new to count heap allocations, then
 // asserts that steady-state probes (existing keys/groups) perform none.
-// Inserts of genuinely new keys may allocate only while no closed group
-// or expired index entry is left to reuse — that is the
-// KeyView::Materialize contract. Window operators allocate only the rows
-// they emit.
+// Inserts of genuinely new keys may allocate only while no dead KeyTable
+// entry (a closed group, an expired index entry) is left to reuse.
+// Window operators allocate only the rows they emit.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <variant>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/tuple.h"
 #include "cql/planner.h"
 #include "exec/aggregate_op.h"
@@ -78,44 +79,48 @@ TEST(AllocProbeTest, KeyViewHashAndEqualityMatchOwningKey) {
   std::vector<int> cols = {0, 2};
   Key owned = ExtractKey(*t, cols);
   KeyView view(*t, cols);
-  KeyHash hash;
-  EXPECT_EQ(hash(owned), hash(view));
-  EXPECT_TRUE(KeyEq{}(view, owned));
-  EXPECT_TRUE(KeyEq{}(owned, view));
+  EXPECT_EQ(owned.Hash(), view.Hash());
+  // Either shape finds an entry the other inserted.
+  KeyTable<int> by_owned;
+  by_owned.Insert(owned);
+  EXPECT_NE(by_owned.Find(view), nullptr);
+  KeyTable<int> by_view;
+  by_view.Insert(view);
+  EXPECT_NE(by_view.Find(owned), nullptr);
   EXPECT_EQ(view.Materialize(), owned);
 }
 
-TEST(AllocProbeTest, KeyMapProbeIsAllocationFree) {
-  KeyMap<int> map;
+TEST(AllocProbeTest, KeyTableProbeIsAllocationFree) {
+  KeyTable<int> map;
   std::vector<int> cols = {0};
   std::vector<TupleRef> keep;
   for (int64_t k = 0; k < 64; ++k) {
     keep.push_back(MakeTuple(k, {Value(k)}));
-    map.emplace(ExtractKey(*keep.back(), cols), static_cast<int>(k));
+    map.Insert(ExtractKey(*keep.back(), cols)).first->value =
+        static_cast<int>(k);
   }
   TupleRef hit = MakeTuple(0, {Value(int64_t{17})});
   TupleRef miss = MakeTuple(0, {Value(int64_t{9999})});
   int found = -1;
   bool miss_found = true;
   uint64_t allocs = CountAllocs([&] {
-    auto it = map.find(KeyView(*hit, cols));
-    if (it != map.end()) found = it->second;
+    if (const auto* e = map.Find(KeyView(*hit, cols))) found = e->value;
     // A missing key must not allocate either — only a real insert may.
-    miss_found = map.find(KeyView(*miss, cols)) != map.end();
+    miss_found = map.Find(KeyView(*miss, cols)) != nullptr;
   });
   EXPECT_EQ(found, 17);
   EXPECT_FALSE(miss_found);
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(AllocProbeTest, KeySetDuplicateProbeIsAllocationFree) {
-  KeySet seen;
+TEST(AllocProbeTest, KeyTableDuplicateProbeIsAllocationFree) {
+  KeyTable<std::monostate> seen;
   std::vector<int> cols = {0};
   TupleRef t = MakeTuple(0, {Value(int64_t{5})});
-  seen.insert(KeyView(*t, cols).Materialize());
+  seen.Insert(KeyView(*t, cols));
   bool hit = false;
-  uint64_t allocs = CountAllocs(
-      [&] { hit = seen.find(KeyView(*t, cols)) != seen.end(); });
+  uint64_t allocs =
+      CountAllocs([&] { hit = seen.Find(KeyView(*t, cols)) != nullptr; });
   EXPECT_TRUE(hit);
   EXPECT_EQ(allocs, 0u);
 }
@@ -250,6 +255,47 @@ TEST(AllocProbeTest, WindowJoinNewKeyAfterExpiryIsAllocationFree) {
   uint64_t allocs = CountAllocs([&] { join.Push(next, 0); });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(sink.tuples(), 0u);
+}
+
+// A join whose keys rarely repeat: each generated packet meets the
+// packets going the other way (the rtt join's key), so nearly
+// every push brings a key new to its window. Each takes an entry an
+// expired key left, so the warmed join allocates its output rows only
+// (two allocations each: the tuple and its values).
+TEST(AllocProbeTest, RarelyRepeatingJoinKeysAllocateOnlyOutputRows) {
+  using C = gen::PacketCols;
+  BinaryWindowJoinOp::Options o;
+  o.left_cols = {C::kSrcIp, C::kDstIp, C::kSrcPort, C::kDstPort};
+  o.right_cols = {C::kDstIp, C::kSrcIp, C::kDstPort, C::kSrcPort};
+  o.left_window = WindowSpec::TimeSliding(300);
+  o.right_window = WindowSpec::TimeSliding(300);
+  BinaryWindowJoinOp join(o);
+  CountingSink sink;
+  join.SetOutput(&sink);
+  gen::PacketOptions popt;
+  popt.seed = 1;
+  gen::PacketGenerator gen(popt);
+  std::vector<Element> input;
+  for (int i = 0; i < 40000; ++i) input.push_back(Element(gen.Next()));
+  const size_t half = input.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    join.Push(input[i], 0);
+    join.Push(input[i], 1);
+  }
+  const uint64_t out_before = sink.tuples();
+  uint64_t allocs = CountAllocs([&] {
+    for (size_t i = half; i < input.size(); ++i) {
+      join.Push(input[i], 0);
+      join.Push(input[i], 1);
+    }
+  });
+  const uint64_t outputs = sink.tuples() - out_before;
+  const double inputs = 2.0 * static_cast<double>(input.size() - half);
+  EXPECT_GT(outputs, 0u);
+  EXPECT_LE((static_cast<double>(allocs) - 2.0 * static_cast<double>(outputs)) /
+                inputs,
+            0.1)
+      << allocs << " allocations, " << outputs << " rows";
 }
 
 // Whole compiled queries over generated packets, measured after a

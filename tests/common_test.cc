@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/key_table.h"
+#include "common/rng.h"
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -178,8 +185,128 @@ TEST(TupleTest, KeyExtractionAndHash) {
   Key k2 = ExtractKey(*t, {0, 2});
   Key k3 = ExtractKey(*t, {0, 1});
   EXPECT_EQ(k1, k2);
-  EXPECT_EQ(KeyHash()(k1), KeyHash()(k2));
+  EXPECT_EQ(k1.Hash(), k2.Hash());
   EXPECT_FALSE(k1 == k3);
+}
+
+// A KeyTable probe whose hash a test chooses: with `buckets` > 0 every
+// key hashes to one of that many values, so distinct keys collide.
+struct TestKey {
+  Key key;
+  size_t buckets = 0;
+  size_t size() const { return key.size(); }
+  const Value& part(size_t i) const { return key.part(i); }
+  size_t Hash() const {
+    return buckets == 0 ? key.Hash() : key.Hash() % buckets;
+  }
+};
+
+// 2,000 random find, insert, erase and clear steps over 1-, 2- and
+// 3-part keys (int, double, string parts), checked after every step
+// against a model of the contents and of the table order: an insert
+// appends, an erase moves the last entry into the hole, a clear empties
+// it. Up to
+// 650 keys grow the table well past its first capacity, and a run with
+// three hash values makes most probes pass entries of another key.
+TEST(KeyTableTest, MatchesModelOverRandomSteps) {
+  const double kDoubles[] = {0.5, 1.5, 2.5};
+  const char* const kStrings[] = {"a", "bb", "ccc"};
+  for (size_t buckets : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(buckets);
+    Rng rng(7 + buckets);
+    KeyTable<int> table;
+    // Contents by key text (each part position has one type), and the
+    // keys in table order.
+    std::map<std::string, int> contents;
+    std::vector<Key> order;
+    size_t peak = 0;
+    auto random_key = [&] {
+      TestKey k{Key{}, buckets};
+      const uint64_t parts = 1 + rng.Uniform(3);
+      k.key.parts.push_back(Value(static_cast<int64_t>(rng.Uniform(50))));
+      if (parts > 1) k.key.parts.push_back(Value(kDoubles[rng.Uniform(3)]));
+      if (parts > 2) k.key.parts.push_back(Value(kStrings[rng.Uniform(3)]));
+      return k;
+    };
+    for (int step = 0; step < 2000; ++step) {
+      SCOPED_TRACE(step);
+      const uint64_t op = rng.Uniform(100);
+      if (step == 1000 || step == 1500) {
+        table.Clear();
+        contents.clear();
+        order.clear();
+      } else if (op < 50) {
+        TestKey k = random_key();
+        const bool absent = contents.count(k.key.ToString()) == 0;
+        auto [entry, added] = table.Insert(k);
+        ASSERT_EQ(added, absent);
+        if (added) {
+          entry->value = step;
+          contents[k.key.ToString()] = step;
+          order.push_back(k.key);
+        }
+      } else if (op < 70) {
+        TestKey k = random_key();
+        const auto* entry = table.Find(k);
+        auto it = contents.find(k.key.ToString());
+        ASSERT_EQ(entry == nullptr, it == contents.end());
+        if (entry != nullptr) {
+          EXPECT_EQ(entry->value, it->second);
+        }
+      } else if (!order.empty()) {
+        const size_t i = rng.Uniform(order.size());
+        auto* entry = table.Find(TestKey{order[i], buckets});
+        ASSERT_NE(entry, nullptr);
+        table.Erase(entry);
+        contents.erase(order[i].ToString());
+        order[i] = order.back();
+        order.pop_back();
+      }
+      peak = std::max(peak, order.size());
+      ASSERT_EQ(table.size(), contents.size());
+      // Storage only grows, and only past the most keys held at once.
+      ASSERT_EQ(table.retained().size(), peak);
+      size_t i = 0;
+      for (const auto& entry : table) {
+        ASSERT_EQ(entry.key, order[i]) << i;
+        ASSERT_EQ(entry.value, contents[order[i].ToString()]) << i;
+        const auto* found = table.Find(TestKey{entry.key, buckets});
+        ASSERT_EQ(found, &entry);
+        ++i;
+      }
+    }
+    EXPECT_GT(peak, 64u);  // The index grew to 256 slots or more.
+  }
+}
+
+TEST(KeyTableTest, ClearKeepsStorageForRefill) {
+  KeyTable<int> table;
+  std::vector<Key> keys;
+  for (int64_t k = 0; k < 40; ++k) {
+    keys.push_back(Key{{Value(k), Value("s" + std::to_string(k))}});
+    table.Insert(keys.back()).first->value = static_cast<int>(k);
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(keys[3]), nullptr);
+  EXPECT_EQ(table.retained().size(), 40u);
+  // Refilled in reverse: new keys take the dead entries, in order.
+  for (int64_t k = 39; k >= 20; --k) {
+    auto [entry, added] = table.Insert(keys[static_cast<size_t>(k)]);
+    ASSERT_TRUE(added);
+    entry->value = static_cast<int>(100 + k);
+  }
+  EXPECT_EQ(table.size(), 20u);
+  EXPECT_EQ(table.retained().size(), 40u);
+  int64_t k = 39;
+  for (const auto& entry : table) {
+    EXPECT_EQ(entry.key, keys[static_cast<size_t>(k)]);
+    EXPECT_EQ(entry.value, 100 + k);
+    --k;
+  }
+  EXPECT_EQ(table.Find(keys[5]), nullptr);
+  ASSERT_NE(table.Find(keys[25]), nullptr);
+  EXPECT_EQ(table.Find(keys[25])->value, 125);
 }
 
 TEST(TupleTest, MemoryBytesGrowsWithStrings) {

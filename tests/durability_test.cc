@@ -476,11 +476,16 @@ constexpr char kSlidingAgg[] =
 constexpr char kPartitionedAgg[] =
     "select src_ip, sum(len), min(len) from packets "
     "[partition by src_ip rows 3]";
+// A group-by over the GK and HyperLogLog sketches, which checkpoint
+// their summaries.
+constexpr char kSketchAgg[] =
+    "select protocol, approx_median(len), approx_count_distinct(src_ip) "
+    "from packets group by protocol";
 // Plan shapes whose every operator checkpoints: recovery must restore
 // them, not replay them.
 const char* const kRestoredQueries[] = {kAggQuery,       kWindowedJoin,
                                         kUnwindowedJoin, kSlidingAgg,
-                                        kPartitionedAgg};
+                                        kPartitionedAgg, kSketchAgg};
 
 TupleRef NthPkt(int i) { return Pkt(i, i % 7, i % 2 == 0 ? 6 : 17, i % 512); }
 
@@ -799,14 +804,15 @@ TEST(EngineDurabilityTest, RetiredJoinLayoutReplaysFromZero) {
 
 TEST(EngineDurabilityTest, NonCheckpointableQueryFallsBackToFullReplay) {
   std::string dir = TempDir("fallback");
-  const char* q_text =
-      "select tb, approx_count_distinct(src_ip) from packets "
-      "group by ts/10 as tb";
+  // Shard operators run apart from the ingest thread's checkpoint.
+  SubmitOptions sharded;
+  sharded.exec.sharding.emplace();
+  sharded.exec.sharding->shards = 2;
   std::vector<std::string> live;
   {
     StreamEngine engine;
     ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-    auto q = engine.Submit(q_text);
+    auto q = engine.Submit(kAggQuery, sharded);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     dur::DurabilityOptions opt;
     opt.checkpoint_every = 50;
@@ -815,11 +821,11 @@ TEST(EngineDurabilityTest, NonCheckpointableQueryFallsBackToFullReplay) {
     engine.FinishAll();
     live = Rows(*q);
   }
-  // The HLL sketch has no serializer, so the checkpoint excludes the
-  // query; recovery replays its input from seq 0 and still converges.
+  // The checkpoint excludes the sharded query; recovery replays its
+  // input from seq 0 and still converges.
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
-  auto q = engine.Submit(q_text);
+  auto q = engine.Submit(kAggQuery, sharded);
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(engine.EnableDurability(dir, {}).ok());
   const RecoveryReport& rep = engine.recovery_report();

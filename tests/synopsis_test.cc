@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.h"
+#include "dur/codec.h"
 #include "synopsis/ams.h"
 #include "synopsis/count_min.h"
 #include "synopsis/distinct.h"
@@ -240,6 +243,97 @@ TEST_P(GkEpsTest, RankErrorWithinEps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Eps, GkEpsTest, ::testing::Values(0.1, 0.01, 0.005));
+
+// Saved bytes of `sketch`.
+template <typename Sketch>
+std::string Saved(const Sketch& sketch) {
+  dur::BufWriter w;
+  sketch.Save(w);
+  return w.Take();
+}
+
+// Restores `bytes` into `sketch`: on a refusal the sketch must be as it
+// was.
+template <typename Sketch>
+bool Restores(Sketch& sketch, const std::string& bytes) {
+  const std::string before = Saved(sketch);
+  dur::BufReader r(bytes);
+  const bool ok = sketch.Restore(r).ok();
+  if (!ok) {
+    EXPECT_EQ(Saved(sketch), before);
+  }
+  return ok;
+}
+
+// A GK state with eps 0.01 and the given (v, g, delta) entries.
+std::string GkState(uint64_t n,
+                    const std::vector<std::array<double, 3>>& entries) {
+  dur::BufWriter w;
+  w.F64(0.01);
+  w.U64(n);
+  w.U32(static_cast<uint32_t>(entries.size()));
+  for (const auto& e : entries) {
+    w.F64(e[0]);
+    w.U64(static_cast<uint64_t>(e[1]));
+    w.U64(static_cast<uint64_t>(e[2]));
+  }
+  return w.Take();
+}
+
+TEST(GkQuantileTest, RestoreRoundTripsAndRefusesHostileState) {
+  GkQuantile gk(0.01);
+  Rng rng(5);
+  for (int i = 0; i < 5000; ++i) gk.Add(rng.NextDouble() * 100.0);
+  const std::string saved = Saved(gk);
+  GkQuantile back(0.01);
+  back.Add(42.0);
+  ASSERT_TRUE(Restores(back, saved));
+  EXPECT_EQ(back.n(), gk.n());
+  EXPECT_EQ(Saved(back), saved);
+  for (double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    EXPECT_EQ(back.Query(q), gk.Query(q)) << q;
+  }
+
+  GkQuantile target(0.01);
+  target.Add(7.0);
+  for (size_t n = 0; n < saved.size(); ++n) {
+    ASSERT_FALSE(Restores(target, saved.substr(0, n))) << n;
+  }
+  GkQuantile other_eps(0.02);
+  EXPECT_FALSE(Restores(other_eps, saved));
+  EXPECT_TRUE(Restores(target, GkState(3, {{1, 1, 0}, {2, 2, 0}})));
+  // Out of value order.
+  EXPECT_FALSE(Restores(target, GkState(2, {{5, 1, 0}, {3, 1, 0}})));
+  // Gaps that fall short of n, or pass it.
+  EXPECT_FALSE(Restores(target, GkState(3, {{1, 1, 0}, {2, 1, 0}})));
+  EXPECT_FALSE(Restores(target, GkState(2, {{1, 1, 0}, {2, 2, 0}})));
+}
+
+TEST(HyperLogLogTest, RestoreRoundTripsAndRefusesHostileState) {
+  HyperLogLog hll(10);
+  for (int64_t i = 0; i < 3000; ++i) hll.Add(Value(i));
+  const std::string saved = Saved(hll);
+  HyperLogLog back(10);
+  back.Add(Value(int64_t{-1}));
+  ASSERT_TRUE(Restores(back, saved));
+  EXPECT_EQ(back.Estimate(), hll.Estimate());
+  EXPECT_EQ(Saved(back), saved);
+
+  HyperLogLog target(10);
+  target.Add(Value("x"));
+  for (size_t n = 0; n < saved.size(); ++n) {
+    ASSERT_FALSE(Restores(target, saved.substr(0, n))) << n;
+  }
+  HyperLogLog other_precision(11);
+  EXPECT_FALSE(Restores(other_precision, saved));
+  // The largest rank of a precision-10 register is 64 - 10 + 1 = 55.
+  std::string highest = saved;
+  highest[1 + 17] = 55;
+  EXPECT_TRUE(Restores(target, highest));
+  std::string above = saved;
+  above[1 + 17] = 56;
+  EXPECT_FALSE(Restores(target, above));
+}
 
 TEST(GkQuantileTest, SmallerEpsMoreSpace) {
   GkQuantile coarse(0.1), fine(0.001);
