@@ -1,7 +1,8 @@
 // E22 — cost of the always-on per-operator slot (sqp::obs::OpCounters)
 // behind \metrics and EXPLAIN ANALYZE. Every Process call counts into
 // the operator's own slot with relaxed load + store (no locked RMW),
-// and one chain in kTimeSampleEvery reads the clock. This binary
+// and a randomly picked one chain in kTimeSampleEvery (256) reads the
+// clock; the others pay one countdown decrement. This binary
 // measures that against the raw virtual Push on the four-stage
 // select->select->project->project chain (the E16 shape — the cheapest
 // real operators, i.e. the worst case for relative overhead), then

@@ -8,8 +8,18 @@ OrderedMergeJoinOp::OrderedMergeJoinOp(Options options, std::string name)
     : Operator(std::move(name)), options_(std::move(options)) {}
 
 bool OrderedMergeJoinOp::KeysMatch(const Tuple& l, const Tuple& r) const {
-  if (options_.left_cols.empty()) return true;
-  return ExtractKey(l, options_.left_cols) == ExtractKey(r, options_.right_cols);
+  // Part by part on the tuples: no Key is built per comparison.
+  const std::vector<int>& lc = options_.left_cols;
+  const std::vector<int>& rc = options_.right_cols;
+  if (lc.empty()) return true;
+  if (lc.size() != rc.size()) return false;
+  for (size_t i = 0; i < lc.size(); ++i) {
+    if (!(l.at(static_cast<size_t>(lc[i])) ==
+          r.at(static_cast<size_t>(rc[i])))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void OrderedMergeJoinOp::EmitJoined(const Tuple& l, const Tuple& r) {

@@ -47,6 +47,10 @@ void Operator::Emit(Element&& e) {
 template <typename Body>
 uint64_t Operator::Timed(obs::ThreadObsContext& ctx, uint64_t scale,
                          Body&& body) {
+  // Calibrated on a thread's first timed chain, which is an entry
+  // (time_gap starts at 1), so the calibration loop lands in no one's
+  // interval.
+  const uint64_t clock_ns = obs::ClockReadNs();
   ++ctx.depth;
   // Self time = own inclusive time minus the inclusive time of nested
   // Process calls (downstream operators reached via Emit), collected in
@@ -62,13 +66,19 @@ uint64_t Operator::Timed(obs::ThreadObsContext& ctx, uint64_t scale,
   body();
   const uint64_t total = obs::NowNs() - t0;
   if (scale != 0) {
-    const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
+    // Each hop's two clock reads cost about 2 * clock_ns: one read's
+    // worth falls inside `total`, the other inside the parent's
+    // interval but outside this one. So a hop subtracts one read from
+    // its own time and reports one more to its parent (below): the
+    // reads land in nobody's self time.
+    const uint64_t spent = ctx.child_ns + clock_ns;
+    const uint64_t self = total > spent ? total - spent : 0;
     counters_.AddBusyNs(self * scale);
     // StateBytes sampling rides the timed path (with its own geometric
     // backoff on top), so it only ever runs on the driving thread.
     counters_.MaybeSampleState([this] { return StateBytes(); });
   }
-  ctx.child_ns = saved_child + total;
+  ctx.child_ns = saved_child + total + clock_ns;
   --ctx.depth;
   return total;
 }
@@ -82,12 +92,12 @@ void Operator::ProcessTimed(const Element& e, int port, bool traced) {
       ctx.hop = 0;
     }
     // Clock reads dominate the slot's cost on cheap operators, so only
-    // every kTimeSampleEvery-th chain is timed; its self times are
-    // scaled back up when recorded. Process already drew this chain's
-    // tick unless it is traced. Traced elements are timed too (hop
-    // timestamps need a clock) but don't feed busy_ns.
-    ctx.busy_sampled =
-        !traced || (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) == 0;
+    // a random one chain in kTimeSampleEvery is timed; its self times
+    // are scaled back up when recorded. Process already counted this
+    // chain down to 0 unless it is traced. Traced elements are timed
+    // too (hop timestamps need a clock) but don't feed busy_ns.
+    ctx.busy_sampled = !traced || --ctx.time_gap == 0;
+    if (ctx.busy_sampled) ctx.RedrawTimeGap();
     ctx.timed = ctx.busy_sampled || ctx.trace_id != 0;
     if (!ctx.timed) {
       ++ctx.depth;

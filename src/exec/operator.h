@@ -51,17 +51,17 @@ class Operator {
 
   /// Counted entry point: drivers (RunStream, executors, the engine)
   /// and Emit route elements through here, so every operator's slot
-  /// records the delivery and, on one chain in kTimeSampleEvery, its
-  /// self time — without any per-operator code. A bound lineage tracer
-  /// samples here too, while its sampling is on.
+  /// records the delivery and, on a randomly sampled one chain in
+  /// kTimeSampleEvery (the thread's countdown, obs::ThreadObsContext),
+  /// its self time — without any per-operator code. An untimed entry
+  /// pays one decrement-and-branch. A bound lineage tracer samples here
+  /// too, while its sampling is on.
   void Process(const Element& e, int port = 0) {
     counters_.CountSingle();
     obs::ThreadObsContext& ctx = obs::ObsContext();
     const bool traced = ctx.depth == 0 && tracing();
-    const bool untimed =
-        ctx.depth == 0
-            ? !traced && (ctx.time_tick++ & (obs::kTimeSampleEvery - 1)) != 0
-            : !ctx.timed;
+    const bool untimed = ctx.depth == 0 ? !traced && --ctx.time_gap != 0
+                                        : !ctx.timed;
     if (!untimed) {
       ProcessTimed(e, port, traced);
       return;
@@ -244,8 +244,9 @@ class Operator {
   void ProcessTimed(const Element& e, int port, bool traced);
   /// The one timing helper: runs `body` one level deeper in the
   /// thread's call chain and records self time (inclusive time minus
-  /// nested Process calls) times `scale` into busy_ns — 0 times only,
-  /// to feed the parent's child time. Returns the inclusive ns.
+  /// nested Process calls and the hop's own clock reads, clamped at 0)
+  /// times `scale` into busy_ns — 0 times only, to feed the parent's
+  /// child time. Returns the inclusive ns.
   template <typename Body>
   uint64_t Timed(obs::ThreadObsContext& ctx, uint64_t scale, Body&& body);
   /// Shared body of ProcessBatch/ProcessColumns: coalesces emissions

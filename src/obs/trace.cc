@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace sqp {
@@ -10,6 +11,34 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+uint64_t ClockReadNs() {
+  static const uint64_t ns = [] {
+    uint64_t best = UINT64_MAX;
+    for (int i = 0; i < 256; ++i) {
+      const uint64_t a = NowNs();
+      const uint64_t b = NowNs();
+      best = std::min(best, b - a);
+    }
+    return best;
+  }();
+  return ns;
+}
+
+void ThreadObsContext::RedrawTimeGap() {
+  if (time_rng == 0) {
+    // Per-thread seed (splitmix64 of a process-wide sequence number),
+    // so threads fed in lockstep do not time the same events.
+    static std::atomic<uint64_t> threads{0};
+    uint64_t z = (threads.fetch_add(1, std::memory_order_relaxed) + 1) *
+                 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    time_rng = z != 0 ? z : 1;
+  }
+  time_gap = DrawTimeGap(&time_rng);
 }
 
 void Tracer::Record(uint64_t trace_id, uint32_t hop, const std::string& op,

@@ -23,11 +23,36 @@ struct TraceEvent {
   uint64_t ts_ns = 0;     // NowNs() when the hop's Push began.
 };
 
-/// Busy-time sampling rate: every Nth element entering an instrumented
-/// chain is timed with real clock reads and its self-times are recorded
-/// at N x, so busy_ns stays an unbiased estimate while the other N-1
-/// elements pay only relaxed counter bumps. Must be a power of two.
-inline constexpr uint32_t kTimeSampleEvery = 16;
+/// Busy-time sampling rate: on average one in N elements entering an
+/// instrumented chain is timed with real clock reads, and its
+/// self-times are recorded at N x, so busy_ns stays an unbiased
+/// estimate while the other elements pay one countdown and relaxed
+/// counter bumps. The gaps between timed chains are random (see
+/// DrawTimeGap), so N need not be a power of two.
+inline constexpr uint32_t kTimeSampleEvery = 256;
+
+/// One gap draw: advances the xorshift64 state `*state` (never 0) and
+/// returns a count uniform in [1, 2 * kTimeSampleEvery - 1], whose mean
+/// is kTimeSampleEvery. A random gap is what keeps the sample unbiased
+/// under periodic input: a fixed stride aliases with any period sharing
+/// a factor with it (an engine handing each tuple to k queries in a
+/// fixed order would time only the first query's chain).
+inline uint32_t DrawTimeGap(uint64_t* state) {
+  uint64_t x = *state;
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  *state = x;
+  // Multiply-shift range reduction of the high 32 bits to [0, span).
+  const uint64_t span = 2 * kTimeSampleEvery - 1;
+  return 1 + static_cast<uint32_t>(((x >> 32) * span) >> 32);
+}
+
+/// The cost one NowNs() read adds to an interval it bounds: the
+/// minimum of back-to-back NowNs() deltas, measured on the first call
+/// and cached for the process. A timed hop subtracts it from self times
+/// so the clock reads are not charged to the operators they time.
+uint64_t ClockReadNs();
 
 /// Per-thread instrumentation context, shared by self-timing and
 /// tracing. `child_ns` accumulates the inclusive time of completed
@@ -36,14 +61,30 @@ inline constexpr uint32_t kTimeSampleEvery = 16;
 /// outermost Process on this thread. `timed` says whether the current
 /// chain reads clocks at all; `busy_sampled` whether those reads feed
 /// busy_ns (false when the element is timed only for a lineage trace).
+///
+/// `time_gap` is the thread's one sampler: the number of sampled events
+/// (chain entries, queued elements) left until the next timed one. It
+/// starts at 1, so a thread's first chain is timed; `time_rng` is the
+/// xorshift state of its gap draws, seeded per thread on first redraw.
 struct ThreadObsContext {
   uint32_t depth = 0;
   uint64_t child_ns = 0;
   uint64_t trace_id = 0;
   uint32_t hop = 0;
-  uint32_t time_tick = 0;
+  uint32_t time_gap = 1;
+  uint64_t time_rng = 0;
   bool timed = false;
   bool busy_sampled = false;
+
+  /// Counts one sampled event; true when it is to be timed (the next
+  /// gap is then drawn). Operator::Process inlines the countdown.
+  bool TakeTimeSample() {
+    if (--time_gap != 0) return false;
+    RedrawTimeGap();
+    return true;
+  }
+  /// Draws the next gap after a timed event.
+  void RedrawTimeGap();
 };
 
 /// Inline so the per-element path of Operator::Process reaches it

@@ -72,7 +72,12 @@ bool QueuedExecutor::Admit(size_t stage, Element e) {
     ++dropped_;
     return false;
   }
-  q.push_back(Entry{std::move(e), seq_++, obs::NowNs()});
+  // Queue wait is sampled like busy time: only the elements the
+  // thread's sampler picks are stamped (and read the clock again on
+  // delivery); DeliverBatch scales their wait back up.
+  const uint64_t enq_ns =
+      obs::ObsContext().TakeTimeSample() ? obs::NowNs() : 0;
+  q.push_back(Entry{std::move(e), seq_++, enq_ns});
   ++stats.enqueued;
   stats.queue_depth = q.size();
   if (q.size() > stats.max_queue_depth) stats.max_queue_depth = q.size();
@@ -101,35 +106,41 @@ const std::vector<OpView>& QueuedExecutor::MakeViews() {
 void QueuedExecutor::DeliverBatch(size_t stage, size_t n) {
   std::deque<Entry>& q = queues_[stage];
   sched::StageStats& stats = stage_stats_[stage];
-  obs::OpCounters& slot = stages_[stage].op->counters();
-  const uint64_t now = obs::NowNs();
-  if (n == 1) {
-    Entry entry = std::move(q.front());
-    q.pop_front();
-    ++stats.processed;
-    stats.queue_depth = q.size();
-    if (entry.enq_ns != 0 && now > entry.enq_ns) {
-      slot.AddQueueWait(now - entry.enq_ns, 1);
+  // Only the entries Admit stamped read the clock, once per delivery.
+  uint64_t now = 0, wait = 0, stamped = 0;
+  auto pop = [&] {
+    Entry& front = q.front();
+    if (front.enq_ns != 0) {
+      if (now == 0) now = obs::NowNs();
+      if (now > front.enq_ns) {
+        wait += now - front.enq_ns;
+        ++stamped;
+      }
     }
-    stages_[stage].op->Process(entry.e, 0);
+    Element e = std::move(front.e);
+    q.pop_front();
+    return e;
+  };
+  Element single;
+  if (n == 1) {
+    single = pop();
+  } else {
+    scratch_.clear();
+    scratch_.reserve(n);
+    for (size_t i = 0; i < n; ++i) scratch_.push_back(pop());
+  }
+  // A stamped entry stands for kTimeSampleEvery queued ones.
+  if (stamped != 0) {
+    stages_[stage].op->counters().AddQueueWait(
+        wait * obs::kTimeSampleEvery, stamped * obs::kTimeSampleEvery);
+  }
+  stats.processed += n;
+  stats.queue_depth = q.size();
+  if (n == 1) {
+    stages_[stage].op->Process(single, 0);
     return;
   }
-  scratch_.clear();
-  scratch_.reserve(n);
-  uint64_t wait = 0, stamped = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Entry& front = q.front();
-    if (front.enq_ns != 0 && now > front.enq_ns) {
-      wait += now - front.enq_ns;
-      ++stamped;
-    }
-    scratch_.push_back(std::move(front.e));
-    q.pop_front();
-  }
-  if (stamped != 0) slot.AddQueueWait(wait, stamped);
-  stats.processed += n;
   ++stats.batches;
-  stats.queue_depth = q.size();
   stages_[stage].op->ProcessBatch(scratch_, 0);
 }
 

@@ -78,7 +78,9 @@ class QueuedExecutor {
   struct Entry {
     Element e;
     uint64_t seq = 0;
-    /// Enqueue timestamp, for queue-wait attribution.
+    /// Enqueue timestamp, for queue-wait attribution: set on the one
+    /// element in obs::kTimeSampleEvery the thread's sampler picks,
+    /// 0 on the rest.
     uint64_t enq_ns = 0;
   };
 

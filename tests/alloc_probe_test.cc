@@ -19,6 +19,7 @@
 #include "common/tuple.h"
 #include "cql/planner.h"
 #include "exec/aggregate_op.h"
+#include "exec/merge_join.h"
 #include "exec/operator.h"
 #include "exec/project.h"
 #include "exec/window_agg.h"
@@ -294,6 +295,36 @@ TEST(AllocProbeTest, RarelyRepeatingJoinKeysAllocateOnlyOutputRows) {
   EXPECT_GT(outputs, 0u);
   EXPECT_LE((static_cast<double>(allocs) - 2.0 * static_cast<double>(outputs)) /
                 inputs,
+            0.1)
+      << allocs << " allocations, " << outputs << " rows";
+}
+
+// The ordered band join compares its equi-columns on the tuples, not
+// through owning Keys: a push allocates only the rows it emits. Tuple i
+// has ts i and key i / 2 and arrives on port i % 2, so each push
+// compares against three in-band tuples and each right tuple matches
+// one left tuple.
+TEST(AllocProbeTest, MergeJoinKeyComparisonAllocatesNothing) {
+  OrderedMergeJoinOp::Options o;
+  o.band = 5;
+  o.left_cols = {1};
+  o.right_cols = {1};
+  OrderedMergeJoinOp join(o);
+  CountingSink sink;
+  join.SetOutput(&sink);
+  std::vector<Element> input;
+  for (int64_t i = 0; i < 20000; ++i) {
+    input.push_back(Element(MakeTuple(i, {Value(i), Value(i / 2)})));
+  }
+  uint64_t allocs = CountAllocs([&] {
+    for (size_t i = 0; i < input.size(); ++i) {
+      join.Push(input[i], static_cast<int>(i % 2));
+    }
+  });
+  const uint64_t outputs = sink.tuples();
+  EXPECT_EQ(outputs, 10000u);
+  EXPECT_LE((static_cast<double>(allocs) - 2.0 * static_cast<double>(outputs)) /
+                static_cast<double>(input.size()),
             0.1)
       << allocs << " allocations, " << outputs << " rows";
 }

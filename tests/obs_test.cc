@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -340,6 +341,70 @@ TEST(OpInstrumentationTest, TraceRingWraps) {
   ASSERT_EQ(ev.size(), 4u);
   EXPECT_EQ(ev[0].trace_id, 7u);  // Oldest surviving entry first.
   EXPECT_EQ(ev[3].trace_id, 10u);
+}
+
+// An engine hands each tuple to its k readers in a fixed order. A
+// fixed 1-in-N stride would time only the chains whose position shares
+// the stride's phase (with k = 4 and a stride of 16, only the first);
+// randomized gaps must reach every chain's select and sink.
+TEST(OpInstrumentationTest, FanOutSamplesEveryChain) {
+  std::vector<Element> input;
+  for (int64_t i = 0; i < 100000; ++i) input.emplace_back(T(i, i));
+  for (size_t k : {2u, 4u, 5u, 16u}) {
+    Plan plan;
+    std::vector<Operator*> selects, sinks;
+    for (size_t c = 0; c < k; ++c) {
+      auto* sel = plan.Make<SelectOp>(Gt(Col(1), Lit(int64_t{-1})));
+      auto* sink = plan.Make<CountingSink>();
+      sel->SetOutput(sink);
+      selects.push_back(sel);
+      sinks.push_back(sink);
+    }
+    for (const Element& e : input) {
+      for (Operator* sel : selects) sel->Process(e, 0);
+    }
+    for (size_t c = 0; c < k; ++c) {
+      EXPECT_EQ(sinks[c]->stats().tuples_in, input.size());
+      EXPECT_GT(selects[c]->stats().busy_ns, 0u)
+          << "k=" << k << " select of chain " << c;
+      EXPECT_GT(sinks[c]->stats().busy_ns, 0u)
+          << "k=" << k << " sink of chain " << c;
+    }
+  }
+}
+
+// The gap generator behind the sampler, over a fixed seed: one event in
+// kTimeSampleEvery is timed, and no period up to 32 can align with the
+// timed events — every phase of every period gets its share.
+TEST(OpInstrumentationTest, TimeGapsAreUnbiasedForEveryPeriod) {
+  constexpr uint64_t kDraws = 10000000;
+  constexpr uint64_t kMaxPeriod = 32;
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  std::vector<std::vector<uint64_t>> hits(kMaxPeriod + 1);
+  for (uint64_t k = 1; k <= kMaxPeriod; ++k) hits[k].assign(k, 0);
+  uint64_t pos = 0;  // Index of the next timed event.
+  uint32_t min_gap = UINT32_MAX, max_gap = 0;
+  for (uint64_t i = 0; i < kDraws; ++i) {
+    const uint32_t gap = obs::DrawTimeGap(&state);
+    min_gap = std::min(min_gap, gap);
+    max_gap = std::max(max_gap, gap);
+    pos += gap;
+    for (uint64_t k = 1; k <= kMaxPeriod; ++k) ++hits[k][pos % k];
+  }
+  EXPECT_EQ(min_gap, 1u);
+  EXPECT_EQ(max_gap, 2 * obs::kTimeSampleEvery - 1);
+  const double timed_share = static_cast<double>(kDraws) /
+                             static_cast<double>(pos) *
+                             obs::kTimeSampleEvery;
+  EXPECT_NEAR(timed_share, 1.0, 0.03);
+  for (uint64_t k = 1; k <= kMaxPeriod; ++k) {
+    for (uint64_t phase = 0; phase < k; ++phase) {
+      const double share = static_cast<double>(hits[k][phase]) *
+                           static_cast<double>(k) /
+                           static_cast<double>(kDraws);
+      EXPECT_NEAR(share, 1.0, 0.15) << "period " << k << " phase " << phase;
+    }
+  }
 }
 
 TEST(OpInstrumentationTest, UnboundOperatorsReportNothing) {
