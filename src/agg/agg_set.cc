@@ -56,10 +56,6 @@ bool AggSet::Slide(Accs& accs, const std::vector<TupleRef>& expired,
   return true;
 }
 
-void AggSet::AppendResults(const Accs& accs, std::vector<Value>* row) {
-  for (const auto& acc : accs) row->push_back(acc->Result());
-}
-
 void AggSet::WriteResults(const Accs& accs, Value* out) {
   for (const auto& acc : accs) *out++ = acc->Result();
 }

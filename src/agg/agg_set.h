@@ -61,8 +61,6 @@ class AggSet {
   bool Slide(Accs& accs, const std::vector<TupleRef>& expired,
              const Tuple* added, const FifoLog<TupleRef>& window) const;
 
-  /// Appends each accumulator's result to an output row.
-  static void AppendResults(const Accs& accs, std::vector<Value>* row);
   /// Overwrites `out[0..size())` with each accumulator's result.
   static void WriteResults(const Accs& accs, Value* out);
   /// Returns every accumulator to its freshly built state.

@@ -94,9 +94,8 @@ std::vector<std::pair<Key, std::vector<Value>>> FinalAggregator::Results()
   std::vector<std::pair<Key, std::vector<Value>>> out;
   out.reserve(groups_.size());
   for (const auto& group : groups_) {
-    std::vector<Value> vals;
-    vals.reserve(group.value.size());
-    AggSet::AppendResults(group.value, &vals);
+    std::vector<Value> vals(group.value.size());
+    AggSet::WriteResults(group.value, vals.data());
     out.emplace_back(group.key, std::move(vals));
   }
   return out;

@@ -21,7 +21,7 @@ size_t DbSink::StateBytes() const { return sizeof(*this) + bytes_; }
 std::vector<TupleRef> DbSink::Scan(const ExprRef& pred) const {
   std::vector<TupleRef> out;
   for (const TupleRef& t : table_) {
-    if (pred == nullptr || Truthy(pred->Eval(*t))) out.push_back(t);
+    if (pred == nullptr || pred->Test(*t)) out.push_back(t);
   }
   return out;
 }
@@ -34,7 +34,7 @@ std::vector<std::pair<Key, std::vector<Value>>> DbSink::Aggregate(
   FinalAggregator fin(aggs);
   std::vector<PartialGroup> partials;
   for (const TupleRef& t : table_) {
-    if (pred != nullptr && !Truthy(pred->Eval(*t))) continue;
+    if (pred != nullptr && !pred->Test(*t)) continue;
     agg.Add(*t, &partials);
   }
   agg.Flush(&partials);

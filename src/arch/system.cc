@@ -20,12 +20,12 @@ void PartialAggOp::EmitPartials(std::vector<PartialGroup>* groups) {
   int64_t bucket_start =
       current_bucket_ == INT64_MIN ? 0 : current_bucket_ * window_size_;
   for (PartialGroup& g : *groups) {
-    std::vector<Value> row;
-    row.reserve(1 + g.key.parts.size() + g.accs.size());
-    row.push_back(Value(bucket_start));
-    for (const Value& v : g.key.parts) row.push_back(v);
-    AggSet::AppendResults(g.accs, &row);
-    Emit(Element(MakeTuple(bucket_start, std::move(row))));
+    const size_t arity = 1 + g.key.parts.size() + g.accs.size();
+    Emit(Element(MakeTuple(bucket_start, arity, [&](std::span<Value> row) {
+      row[0] = Value(bucket_start);
+      std::ranges::copy(g.key.parts, row.begin() + 1);
+      AggSet::WriteResults(g.accs, row.data() + 1 + g.key.parts.size());
+    })));
   }
   groups->clear();
 }

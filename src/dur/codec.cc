@@ -165,14 +165,15 @@ Status BufReader::Tup(TupleRef* out) {
   // Each value costs at least one tag byte — rejects absurd arities from
   // corrupt input before the reserve below can explode.
   SQP_RETURN_NOT_OK(Need(arity));
-  std::vector<Value> vals;
-  vals.reserve(arity);
-  for (uint32_t i = 0; i < arity; ++i) {
-    Value v;
-    SQP_RETURN_NOT_OK(Val(&v));
-    vals.push_back(std::move(v));
-  }
-  *out = MakeTuple(ts, std::move(vals));
+  Status status;
+  TupleRef t = MakeTuple(ts, arity, [&](std::span<Value> row) {
+    for (Value& v : row) {
+      status = Val(&v);
+      if (!status.ok()) return;
+    }
+  });
+  SQP_RETURN_NOT_OK(status);
+  *out = std::move(t);
   return Status::OK();
 }
 

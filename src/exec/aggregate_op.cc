@@ -270,17 +270,20 @@ void GroupByAggregateOp::EmitGroups(int64_t ts, const GroupTable& groups) {
 
 void GroupByAggregateOp::EmitGroup(int64_t ts, const Key& key,
                                    const GroupState& state) {
-  scratch_.set_ts(ts);
-  scratch_.at(0) = Value(ts);
-  for (size_t i = 0; i < key.parts.size(); ++i) {
-    scratch_.at(1 + i) = key.parts[i];
-  }
-  AggSet::WriteResults(state.accs,
-                       &scratch_.at(1 + options_.key_cols.size()));
-  if (options_.having != nullptr &&
-      !Truthy(options_.having->Eval(scratch_))) {
+  auto fill = [&](std::span<Value> row) {
+    row[0] = Value(ts);
+    std::ranges::copy(key.parts, row.begin() + 1);
+    AggSet::WriteResults(state.accs, row.data() + 1 + key.parts.size());
+  };
+  if (options_.having == nullptr) {
+    Emit(Element(MakeTuple(ts, scratch_.arity(), fill)));
     return;
   }
+  // HAVING reads the row first, in scratch_, so a failing group
+  // allocates nothing.
+  scratch_.set_ts(ts);
+  fill(scratch_.mutable_values());
+  if (!options_.having->Test(scratch_)) return;
   Emit(Element(MakeTuple(ts, scratch_.values())));
 }
 

@@ -115,9 +115,14 @@ bool ColumnBatch::FromRows(const ElementBatch& in, ColumnBatch* out) {
   return true;
 }
 
+TupleRef ColumnBatch::RowAt(uint32_t r) const {
+  return MakeTuple(ts[r], cols.size(), [&](std::span<Value> row) {
+    for (size_t i = 0; i < row.size(); ++i) row[i] = cols[i].ValueAt(r);
+  });
+}
+
 void ColumnBatch::MaterializeRows(ElementBatch* out) const {
   const size_t n = ActiveRows();
-  const size_t width = cols.size();
   size_t pi = 0;
   for (size_t k = 0; k < n; ++k) {
     const uint32_t r = Active(k);
@@ -125,10 +130,7 @@ void ColumnBatch::MaterializeRows(ElementBatch* out) const {
       out->push_back(Element(puncts[pi].punct));
       ++pi;
     }
-    std::vector<Value> vals;
-    vals.reserve(width);
-    for (const Column& c : cols) vals.push_back(c.ValueAt(r));
-    out->push_back(Element(MakeTuple(ts[r], std::move(vals))));
+    out->push_back(Element(RowAt(r)));
   }
   while (pi < puncts.size()) {
     out->push_back(Element(puncts[pi].punct));

@@ -108,6 +108,9 @@ class ColumnBatch {
   /// way ElementBatch consumers skip them.
   static bool FromRows(const ElementBatch& in, ColumnBatch* out);
 
+  /// Rebuilds physical row `r` as a tuple.
+  TupleRef RowAt(uint32_t r) const;
+
   /// Appends the live rows and punctuations to `out` in stream order —
   /// the late-materialization step at sinks and fallback boundaries.
   void MaterializeRows(ElementBatch* out) const;

@@ -38,7 +38,7 @@ void EddyOp::Push(const Element& e, int /*port*/) {
     const Filter& f = options_.filters[i];
     ++evaluations_;
     work_ += f.cost;
-    bool ok = Truthy(f.predicate->Eval(t));
+    bool ok = f.predicate->Test(t);
     sel_[i] = (1.0 - options_.ewma_alpha) * sel_[i] +
               options_.ewma_alpha * (ok ? 1.0 : 0.0);
     if (!ok) {

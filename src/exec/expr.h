@@ -14,6 +14,21 @@ namespace sqp {
 class Expr;
 using ExprRef = std::shared_ptr<const Expr>;
 
+/// True when `v` is a truthy boolean (non-zero int / non-null).
+inline bool Truthy(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return false;
+    case ValueType::kInt:
+      return v.AsInt() != 0;
+    case ValueType::kDouble:
+      return v.AsDouble() != 0.0;
+    case ValueType::kString:
+      return !v.AsString().empty();
+  }
+  return false;
+}
+
 /// Binary operators in predicate / projection expressions.
 enum class BinOp {
   kAdd,
@@ -47,12 +62,34 @@ enum class ExprKind { kColumn, kConst, kBinary, kNot, kContains, kOther };
 /// cannot fail for tuples of that schema (runtime anomalies such as
 /// division by zero yield Null). This keeps the per-tuple hot path free
 /// of Status plumbing, per the usual engine layering.
+///
+/// Evaluation is in place: a column yields a reference into the tuple,
+/// a literal one into its node, a comparison or logical node a shared
+/// true or false constant, and only an arithmetic node writes a Value,
+/// into the caller's scratch. Testing a predicate therefore copies no
+/// cell and builds no Value.
 class Expr {
  public:
   virtual ~Expr() = default;
 
-  /// Evaluates against `t`. See class contract.
-  virtual Value Eval(const Tuple& t) const = 0;
+  /// Evaluates against `t`. The result refers into `t`, into this tree,
+  /// to a static constant or to `*scratch` (which an arithmetic node
+  /// overwrites, and which may be a cell of the row being built); it is
+  /// valid while `t`, the tree and `*scratch` are. See class contract.
+  virtual const Value& Eval(const Tuple& t, Value* scratch) const = 0;
+
+  /// Evaluates against `t` into an owned Value.
+  Value Eval(const Tuple& t) const {
+    Value scratch;
+    const Value& v = Eval(t, &scratch);
+    return &v == &scratch ? std::move(scratch) : v;
+  }
+
+  /// Truthy(Eval(t)), without copying a cell.
+  bool Test(const Tuple& t) const {
+    Value scratch;
+    return Truthy(Eval(t, &scratch));
+  }
 
   /// Plan-time type check; returns the expression's output type.
   virtual Result<ValueType> Check(const Schema& schema) const = 0;
@@ -105,9 +142,6 @@ inline ExprRef Sub(ExprRef a, ExprRef b) { return Bin(BinOp::kSub, a, b); }
 inline ExprRef Mul(ExprRef a, ExprRef b) { return Bin(BinOp::kMul, a, b); }
 inline ExprRef Div(ExprRef a, ExprRef b) { return Bin(BinOp::kDiv, a, b); }
 inline ExprRef Mod(ExprRef a, ExprRef b) { return Bin(BinOp::kMod, a, b); }
-
-/// True when `v` is a truthy boolean (non-zero int / non-null).
-bool Truthy(const Value& v);
 
 }  // namespace sqp
 

@@ -23,11 +23,7 @@ bool OrderedMergeJoinOp::KeysMatch(const Tuple& l, const Tuple& r) const {
 }
 
 void OrderedMergeJoinOp::EmitJoined(const Tuple& l, const Tuple& r) {
-  std::vector<Value> row;
-  row.reserve(l.arity() + r.arity());
-  row.insert(row.end(), l.values().begin(), l.values().end());
-  row.insert(row.end(), r.values().begin(), r.values().end());
-  Emit(Element(MakeTuple(std::max(l.ts(), r.ts()), std::move(row))));
+  Emit(Element(JoinedRow(l, r)));
 }
 
 void OrderedMergeJoinOp::Push(const Element& e, int port) {

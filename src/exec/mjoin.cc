@@ -20,14 +20,12 @@ MultiWindowJoinOp::MultiWindowJoinOp(Options options, std::string name)
 void MultiWindowJoinOp::EmitCombined(const std::vector<const Tuple*>& parts,
                                      int64_t ts) {
   ++results_;
-  std::vector<Value> row;
   size_t arity = 0;
   for (const Tuple* p : parts) arity += p->arity();
-  row.reserve(arity);
-  for (const Tuple* p : parts) {
-    row.insert(row.end(), p->values().begin(), p->values().end());
-  }
-  Emit(Element(MakeTuple(ts, std::move(row))));
+  Emit(Element(MakeTuple(ts, arity, [&](std::span<Value> row) {
+    auto out = row.begin();
+    for (const Tuple* p : parts) out = std::ranges::copy(p->values(), out).out;
+  })));
 }
 
 void MultiWindowJoinOp::Push(const Element& e, int port) {

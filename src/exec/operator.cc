@@ -223,7 +223,6 @@ void CollectorSink::PushColumns(ColumnBatch& batch, int /*port*/) {
   // Interleave live rows and punctuation slots in stream order, exactly
   // like MaterializeRows, but appending straight into the result vectors.
   const size_t n = batch.ActiveRows();
-  const size_t width = batch.width();
   size_t pi = 0;
   for (size_t k = 0; k < n; ++k) {
     const uint32_t r = batch.Active(k);
@@ -231,12 +230,7 @@ void CollectorSink::PushColumns(ColumnBatch& batch, int /*port*/) {
       puncts_.push_back(batch.puncts[pi].punct);
       ++pi;
     }
-    std::vector<Value> vals;
-    vals.reserve(width);
-    for (const ColumnBatch::Column& c : batch.cols) {
-      vals.push_back(c.ValueAt(r));
-    }
-    tuples_.push_back(MakeTuple(batch.ts[r], std::move(vals)));
+    tuples_.push_back(batch.RowAt(r));
   }
   while (pi < batch.puncts.size()) {
     puncts_.push_back(batch.puncts[pi].punct);

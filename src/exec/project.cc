@@ -22,14 +22,19 @@ ProjectOp::ProjectOp(std::vector<ExprRef> exprs, std::string name)
 }
 
 TupleRef ProjectOp::ProjectRow(const Tuple& in) const {
-  std::vector<Value> out;
-  out.reserve(exprs_.size());
-  if (!ordinals_.empty()) {
-    for (int c : ordinals_) out.push_back(in.at(static_cast<size_t>(c)));
-  } else {
-    for (const ExprRef& ex : exprs_) out.push_back(ex->Eval(in));
-  }
-  return MakeTuple(in.ts(), std::move(out));
+  return MakeTuple(in.ts(), exprs_.size(), [&](std::span<Value> out) {
+    if (!ordinals_.empty()) {
+      for (size_t i = 0; i < out.size(); ++i) {
+        out[i] = in.at(static_cast<size_t>(ordinals_[i]));
+      }
+      return;
+    }
+    // A computed cell is evaluated straight into its slot.
+    for (size_t i = 0; i < out.size(); ++i) {
+      const Value& v = exprs_[i]->Eval(in, &out[i]);
+      if (&v != &out[i]) out[i] = v;
+    }
+  });
 }
 
 void ProjectOp::Push(const Element& e, int /*port*/) {
@@ -115,10 +120,11 @@ void DistinctOp::Push(const Element& e, int /*port*/) {
   // window warms up) never allocate a Key.
   if (seen_.Insert(KeyView(t, cols_)).second) {
     // First occurrence (in this window): project to the distinct columns.
-    std::vector<Value> out;
-    out.reserve(cols_.size());
-    for (int c : cols_) out.push_back(t.at(static_cast<size_t>(c)));
-    Emit(Element(MakeTuple(t.ts(), std::move(out))));
+    Emit(Element(MakeTuple(t.ts(), cols_.size(), [&](std::span<Value> out) {
+      for (size_t i = 0; i < out.size(); ++i) {
+        out[i] = t.at(static_cast<size_t>(cols_[i]));
+      }
+    })));
   }
 }
 

@@ -13,7 +13,7 @@ void SelectOp::Push(const Element& e, int /*port*/) {
     Emit(e);
     return;
   }
-  if (Truthy(pred_->Eval(*e.tuple()))) Emit(e);
+  if (pred_->Test(*e.tuple())) Emit(e);
 }
 
 void SelectOp::PushBatch(ElementBatch& batch, int /*port*/) {
@@ -29,7 +29,7 @@ void SelectOp::PushBatch(ElementBatch& batch, int /*port*/) {
       continue;
     }
     ++tuples;
-    if (Truthy(pred_->Eval(*e.tuple()))) Emit(std::move(e));
+    if (pred_->Test(*e.tuple())) Emit(std::move(e));
   }
   CountInBulk(tuples, puncts);
 }
@@ -44,7 +44,7 @@ void SelectOp::PushColumns(ColumnBatch& batch, int /*port*/) {
     ElementBatch rows;
     batch.MaterializeRows(&rows);
     for (Element& e : rows) {
-      if (e.is_punctuation() || Truthy(pred_->Eval(*e.tuple()))) {
+      if (e.is_punctuation() || pred_->Test(*e.tuple())) {
         Emit(std::move(e));
       }
     }

@@ -56,18 +56,18 @@ void WindowAggregateOp::Refold(Window& w) const {
 void WindowAggregateOp::EmitCurrent(int64_t ts, const Window& w,
                                     const Value* key) {
   const int first_agg = key != nullptr ? 2 : 1;
-  std::vector<Value> row;
-  row.reserve(out_cols_.size());
-  for (int c : out_cols_) {
-    if (c == 0) {
-      row.push_back(Value(ts));
-    } else if (c < first_agg) {
-      row.push_back(*key);
-    } else {
-      row.push_back(w.accs[static_cast<size_t>(c - first_agg)]->Result());
+  Emit(Element(MakeTuple(ts, out_cols_.size(), [&](std::span<Value> row) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      const int c = out_cols_[i];
+      if (c == 0) {
+        row[i] = Value(ts);
+      } else if (c < first_agg) {
+        row[i] = *key;
+      } else {
+        row[i] = w.accs[static_cast<size_t>(c - first_agg)]->Result();
+      }
     }
-  }
-  Emit(Element(MakeTuple(ts, std::move(row))));
+  })));
 }
 
 void WindowAggregateOp::Push(const Element& e, int /*port*/) {

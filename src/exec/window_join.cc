@@ -47,20 +47,16 @@ BinaryWindowJoinOp::BinaryWindowJoinOp(Options options, std::string name)
 void BinaryWindowJoinOp::EmitJoined(const Tuple& left, const Tuple& right) {
   ++jstats_.results;
   if (left_outer_) left_matched_.insert(&left);
-  std::vector<Value> row;
-  row.reserve(left.arity() + right.arity());
-  row.insert(row.end(), left.values().begin(), left.values().end());
-  row.insert(row.end(), right.values().begin(), right.values().end());
-  Emit(Element(MakeTuple(std::max(left.ts(), right.ts()), std::move(row))));
+  Emit(Element(JoinedRow(left, right)));
 }
 
 void BinaryWindowJoinOp::EmitUnmatchedLeft(const Tuple& left, int64_t ts) {
   ++jstats_.unmatched_left;
-  std::vector<Value> row;
-  row.reserve(left.arity() + right_arity_);
-  row.insert(row.end(), left.values().begin(), left.values().end());
-  for (size_t i = 0; i < right_arity_; ++i) row.push_back(Value::Null());
-  Emit(Element(MakeTuple(ts, std::move(row))));
+  // The right half stays null.
+  Emit(Element(MakeTuple(ts, left.arity() + right_arity_,
+                         [&](std::span<Value> row) {
+                           std::ranges::copy(left.values(), row.begin());
+                         })));
 }
 
 void BinaryWindowJoinOp::HandleExpired(int side) {

@@ -17,11 +17,7 @@ void XJoinOp::EmitJoined(const Tuple& left, const Tuple& right,
   } else {
     ++mem_results_;
   }
-  std::vector<Value> row;
-  row.reserve(left.arity() + right.arity());
-  row.insert(row.end(), left.values().begin(), left.values().end());
-  row.insert(row.end(), right.values().begin(), right.values().end());
-  Emit(Element(MakeTuple(std::max(left.ts(), right.ts()), std::move(row))));
+  Emit(Element(JoinedRow(left, right)));
 }
 
 void XJoinOp::SpillLargest() {

@@ -21,7 +21,7 @@ void SignatureProgram::RunBlock(std::vector<TupleRef> block,
   int64_t current_key = 0;
   for (const TupleRef& t : block) {
     // filteredby.
-    if (filter_ != nullptr && !Truthy(filter_->Eval(*t))) continue;
+    if (filter_ != nullptr && !filter_->Test(*t)) continue;
     int64_t key = t->at(static_cast<size_t>(key_col_)).ToInt();
     if (!line_open || key != current_key) {
       if (line_open && events.line_end) events.line_end(current_key);

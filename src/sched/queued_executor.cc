@@ -44,6 +44,7 @@ QueuedExecutor::QueuedExecutor(std::vector<Stage> stages, Operator* sink,
       stage_stats_(stages_.size()),
       sink_(sink),
       policy_(std::move(policy)),
+      head_size_(policy_->reads_head_size()),
       progress_(stages_.size(), 0.0) {
   // Wire each operator's output: stage i -> queue i+1 via a batch-aware
   // relay; the last stage goes straight to the user sink.
@@ -97,7 +98,9 @@ const std::vector<OpView>& QueuedExecutor::MakeViews() {
       views_[i].head_seq = front.seq;
       // Real size of the waiting element, so size-aware policies
       // (Greedy) see shrinking tuples the way the [BBDM03] model does.
-      views_[i].head_size = static_cast<double>(front.e.MemoryBytes());
+      if (head_size_) {
+        views_[i].head_size = static_cast<double>(front.e.MemoryBytes());
+      }
     }
   }
   return views_;

@@ -110,6 +110,9 @@ class QueuedExecutor {
   std::vector<std::unique_ptr<Operator>> relays_;
   Operator* sink_;
   std::unique_ptr<SchedulingPolicy> policy_;
+  /// Whether MakeViews sizes the queue heads (only for a policy that
+  /// reads OpView::head_size).
+  bool head_size_;
   /// Reused across picks: a pick allocates nothing.
   std::vector<OpView> views_;
   std::vector<double> progress_;

@@ -31,7 +31,7 @@ void SemanticDropOp::Push(const Element& e, int /*port*/) {
     Emit(e);
     return;
   }
-  if (!Truthy(keep_pred_->Eval(*e.tuple())) && rng_.Bernoulli(drop_rate_)) {
+  if (!keep_pred_->Test(*e.tuple()) && rng_.Bernoulli(drop_rate_)) {
     ++dropped_;
     return;
   }

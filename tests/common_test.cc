@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "common/strings.h"
 #include "common/tuple.h"
 #include "common/value.h"
+#include "server/session.h"
 
 namespace sqp {
 namespace {
@@ -313,6 +315,93 @@ TEST(TupleTest, MemoryBytesGrowsWithStrings) {
   TupleRef small = MakeTuple(0, {Value(int64_t{1})});
   TupleRef big = MakeTuple(0, {Value(std::string(1000, 'x'))});
   EXPECT_GT(big->MemoryBytes(), small->MemoryBytes() + 900);
+}
+
+// Row i of every layout test: null, int, double and string cells in
+// turn; the strings alternate between short and heap-allocated.
+std::vector<Value> LayoutCells(size_t arity) {
+  std::vector<Value> cells;
+  for (size_t i = 0; i < arity; ++i) {
+    const int64_t n = static_cast<int64_t>(i);
+    switch (i % 4) {
+      case 0:
+        cells.push_back(Value::Null());
+        break;
+      case 1:
+        cells.push_back(Value(n * 7 - 20));
+        break;
+      case 2:
+        cells.push_back(Value(static_cast<double>(n) / 4));
+        break;
+      case 3:
+        cells.push_back(Value(std::string(i % 8 == 3 ? 3 : 40,
+                                          static_cast<char>('a' + i % 26))));
+        break;
+    }
+  }
+  return cells;
+}
+
+// Every arity from 0 to past the widest inline class crosses each size
+// class boundary (16|17, 24|25, 32|33) and the heap fallback. Whichever
+// way a row is built, it shows the same cells, text, JSON and
+// accounting as the by-value row the cells came from.
+TEST(TupleTest, EveryLayoutShowsTheSameRow) {
+  for (size_t arity = 0; arity <= Tuple::kMaxInlineArity + 8; ++arity) {
+    SCOPED_TRACE(arity);
+    const std::vector<Value> cells = LayoutCells(arity);
+    const Tuple by_value(9, cells);
+    const TupleRef from_vector = MakeTuple(9, std::vector<Value>(cells));
+    const TupleRef from_span = MakeTuple(9, std::span<const Value>(cells));
+    const TupleRef in_place =
+        MakeTuple(9, arity, [&](std::span<Value> out) {
+          ASSERT_EQ(out.size(), arity);
+          for (size_t i = 0; i < arity; ++i) {
+            EXPECT_TRUE(out[i].is_null());
+            out[i] = cells[i];
+          }
+        });
+    std::string text = "(ts=9, [";
+    std::string json = "\"ts\":9,\"row\":[";
+    size_t bytes = 32;
+    for (size_t i = 0; i < arity; ++i) {
+      text += (i > 0 ? ", " : "") + cells[i].ToString();
+      json += (i > 0 ? "," : "") + server::ValueJson(cells[i]);
+      bytes += cells[i].MemoryBytes();
+    }
+    text += "])";
+    json += "]";
+    for (const Tuple* t :
+         {&by_value, from_vector.get(), from_span.get(), in_place.get()}) {
+      EXPECT_EQ(t->ts(), 9);
+      ASSERT_EQ(t->arity(), arity);
+      EXPECT_TRUE(std::ranges::equal(t->values(), cells));
+      EXPECT_EQ(*t, by_value);
+      EXPECT_EQ(t->ToString(), text);
+      EXPECT_EQ(server::RowJson(*t), json);
+      EXPECT_EQ(t->MemoryBytes(), bytes);
+    }
+    if (arity == 0) continue;
+    std::vector<Value> other = cells;
+    other.back() = Value("different");
+    EXPECT_FALSE(*MakeTuple(9, other) == by_value);
+    EXPECT_FALSE(*MakeTuple(8, cells) == by_value);
+  }
+}
+
+// The group-by's output scratch row: a by-value Tuple written through
+// at() and set_ts(), read by HAVING and copied into the emitted row.
+TEST(TupleTest, ByValueRowMutatesThroughAt) {
+  Tuple scratch(0, std::vector<Value>(3));
+  for (int64_t round = 0; round < 3; ++round) {
+    scratch.set_ts(round);
+    scratch.at(0) = Value(round);
+    scratch.at(1) = Value(std::string(20 + round, 'k'));
+    scratch.at(2) = Value(0.5 * static_cast<double>(round));
+    const TupleRef row = MakeTuple(scratch.ts(), scratch.values());
+    EXPECT_EQ(*row, scratch);
+    EXPECT_EQ(row->at(1).AsString().size(), static_cast<size_t>(20 + round));
+  }
 }
 
 // --- Strings ---
