@@ -93,12 +93,8 @@ size_t Value::MemoryBytes() const {
   return base;
 }
 
-int Value::Compare(const Value& other) const {
+int Value::CompareMixed(const Value& other) const {
   if (IsNumeric(*this) && IsNumeric(other)) {
-    if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
-      int64_t a = AsInt(), b = other.AsInt();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
     double a = ToDouble(), b = other.ToDouble();
     return a < b ? -1 : (a > b ? 1 : 0);
   }

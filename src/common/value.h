@@ -62,7 +62,14 @@ class Value {
   size_t MemoryBytes() const;
 
   /// Total order; numeric across int/double, type-tag order otherwise.
-  int Compare(const Value& other) const;
+  /// The int-to-int case (most keys and stream predicates) is inline.
+  int Compare(const Value& other) const {
+    if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
+      const int64_t a = AsInt(), b = other.AsInt();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    return CompareMixed(other);
+  }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
@@ -83,6 +90,9 @@ class Value {
   static Result<Value> Mod(const Value& a, const Value& b);
 
  private:
+  /// Compare for every pair but two ints.
+  int CompareMixed(const Value& other) const;
+
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
 
